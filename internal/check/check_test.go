@@ -3,6 +3,7 @@ package check
 import (
 	"reflect"
 	"testing"
+	"time"
 
 	"ibmig/internal/fault"
 	"ibmig/internal/npb"
@@ -276,6 +277,44 @@ func TestLinkFlapSurvivedWithoutHang(t *testing.T) {
 		}
 		if !res.AppDone && !res.JobLost {
 			t.Fatalf("%s: neither finished nor lost", spec)
+		}
+	}
+}
+
+// TestRecoveryGapRunsFinish pins two scenarios whose job neither completes
+// nor is declared lost, so only pollBudget ends the controller's poll (the
+// first is check.Generate(430), scenario 430 of `protocheck -n 500 -seed
+// 1`). They must finish, and while the recovery gap stands, report it as a
+// liveness violation with a flight dump rather than pass silently.
+func TestRecoveryGapRunsFinish(t *testing.T) {
+	for _, spec := range []string{
+		"seed=430 r=4 ppn=1 sp=3 trig=21 f=hca-fail:tgt@t366 f=disk-fail:src@1",
+		"seed=1442018065 r=16 ppn=4 sp=3 trig=38 strat=reactive-cr f=hca-fail:src@t236 f=hca-fail:tgt@1",
+	} {
+		sc, err := Parse(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan *Result, 1)
+		go func() { done <- RunScenario(sc) }()
+		var res *Result
+		select {
+		case res = <-done:
+		case <-time.After(2 * time.Minute):
+			t.Fatalf("%s: still running after 2 min", spec)
+		}
+		if res.AppDone || res.JobLost {
+			continue // the recovery gap was closed
+		}
+		liveness := false
+		for _, v := range res.Violations {
+			liveness = liveness || v.Invariant == "liveness"
+		}
+		if !liveness {
+			t.Fatalf("%s: neither finished nor lost, yet no liveness violation: %v", spec, res.Violations)
+		}
+		if len(res.Flight) == 0 {
+			t.Fatalf("%s: liveness violation without a flight dump", spec)
 		}
 	}
 }

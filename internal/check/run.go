@@ -29,6 +29,17 @@ const checkCkptInterval = 250 * time.Millisecond
 // scenarios take a correlated bystander down with the named victim.
 const checkRackSize = 2
 
+// pollBudget bounds, in sim time, how long the controller waits after the
+// trigger resolves for the job to finish or be declared lost. Across the
+// 500-scenario corpus under all four strategies the longest such wait is
+// about 2*checkDeadline past the trigger for class S (phase-deadline
+// recoveries) and 6x the estimated runtime for class W (restarts from a
+// checkpoint); the budget is at least 4.5x every one of them, so it only
+// ends runs that would never end.
+func pollBudget(estimated sim.Duration) sim.Duration {
+	return 20*estimated + 10*checkDeadline
+}
+
 // Result is the outcome of one scenario run — everything cmd/protocheck
 // reports and the JSON artifact records.
 type Result struct {
@@ -190,8 +201,15 @@ func RunScenario(sc Scenario) (res *Result) {
 		// Under an auto policy the job can still be lost (or saved) after the
 		// trigger resolves — a deferred node death handled once the migration
 		// finishes — so poll for either terminal state instead of committing
-		// to WaitDone.
+		// to WaitDone. A job that reaches neither within the poll budget has
+		// fallen into a recovery gap: stop without ctlDone, so liveness
+		// reports it with the flight recorder's tail.
+		giveUp := p.Now().Add(pollBudget(w.EstimatedRuntime()))
 		for !pr.fw.W.Done() && !pr.jm.JobLost {
+			if p.Now() >= giveUp {
+				e.Stop()
+				return
+			}
 			p.Sleep(time.Millisecond)
 		}
 		pr.appDone = pr.fw.W.Done()

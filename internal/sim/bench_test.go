@@ -15,7 +15,9 @@ func reportEventsPerSec(b *testing.B, e *Engine) {
 }
 
 // BenchmarkEventThroughput measures raw scheduler throughput: how many
-// timer events the kernel retires per wall second.
+// timer events the kernel retires per wall second. Each wakeup is the
+// sleeping process's own, so this is the baton's self-resume path: no
+// goroutine switch and 0 allocs/op (TestBatonSelfResumeNoSwitch).
 func BenchmarkEventThroughput(b *testing.B) {
 	e := NewEngine(1)
 	e.Spawn("ticker", func(p *Proc) {
@@ -23,6 +25,7 @@ func BenchmarkEventThroughput(b *testing.B) {
 			p.Sleep(time.Microsecond)
 		}
 	})
+	b.ReportAllocs()
 	b.ResetTimer()
 	if err := e.Run(); err != nil {
 		b.Fatal(err)
@@ -142,6 +145,106 @@ func TestSameTimeBatchAllocs(t *testing.T) {
 	if perOp > 16 {
 		t.Fatalf("same-time batch dispatch allocates %.1f/op, budget 16", perOp)
 	}
+}
+
+// flowVsProcHold is the per-op service time of BenchmarkFlowVsProc.
+const flowVsProcHold = time.Microsecond
+
+// benchSender is the flow form of BenchmarkFlowVsProc's op, shaped like
+// internal/ib's sendFlow: acquire the device, hold it, release it, end.
+// Senders are pooled with their bound step, as sendFlows are, so the flow
+// path allocates nothing in steady state.
+type benchSender struct {
+	r     *Resource
+	stage int
+	done  func()
+	pool  *[]*benchSender
+	step  func(*Proc, int)
+}
+
+func (s *benchSender) run(p *Proc, _ int) {
+	switch s.stage {
+	case 0:
+		if !s.r.FlowAcquireStart(p, 1) {
+			s.stage = 1
+			return
+		}
+		s.stage = 2
+		p.FlowSleep(flowVsProcHold)
+	case 1:
+		if !s.r.FlowAcquireRetry(p, 1) {
+			return
+		}
+		s.stage = 2
+		p.FlowSleep(flowVsProcHold)
+	case 2:
+		s.r.Release(1)
+		p.FlowEnd()
+		s.stage = 0
+		*s.pool = append(*s.pool, s)
+		s.done()
+	}
+}
+
+// BenchmarkFlowVsProc runs the same op — acquire a unit-capacity Resource,
+// sleep, release — once as a flow (SpawnFlow) and once as a pooled
+// goroutine-backed process (Spawn), in waves of 16 contending senders so
+// most acquisitions queue. ns/op and allocs/op compare the two mechanisms
+// under baton dispatch.
+func BenchmarkFlowVsProc(b *testing.B) {
+	const wave = 16
+	// run drives b.N senders in waves; mk returns the function that spawns
+	// one sender, which must call done when it ends.
+	run := func(b *testing.B, mk func(e *Engine, r *Resource, done func()) func()) {
+		e := NewEngine(1)
+		r := NewResource(e, "tx", 1)
+		left, inWave := b.N, 0
+		var next func()
+		spawn := mk(e, r, func() {
+			if inWave--; inWave == 0 && left > 0 {
+				next()
+			}
+		})
+		next = func() {
+			inWave = min(wave, left)
+			left -= inWave
+			for i := 0; i < inWave; i++ {
+				spawn()
+			}
+		}
+		e.After(0, next)
+		b.ReportAllocs()
+		b.ResetTimer()
+		if err := e.Run(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		e.Shutdown()
+	}
+	b.Run("flow", func(b *testing.B) {
+		run(b, func(e *Engine, r *Resource, done func()) func() {
+			var pool []*benchSender
+			return func() {
+				var s *benchSender
+				if n := len(pool); n > 0 {
+					s, pool = pool[n-1], pool[:n-1]
+				} else {
+					s = &benchSender{r: r, done: done, pool: &pool}
+					s.step = s.run
+				}
+				e.SpawnFlow("send", s.step)
+			}
+		})
+	})
+	b.Run("proc", func(b *testing.B) {
+		run(b, func(e *Engine, r *Resource, done func()) func() {
+			body := func(p *Proc) {
+				r.Hold(p, 1, flowVsProcHold)
+				done()
+			}
+			return func() { e.Spawn("send", body) }
+		})
+	})
 }
 
 // BenchmarkQueueChurn measures sustained queue traffic with a bounded

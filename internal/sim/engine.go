@@ -15,7 +15,7 @@
 // # Hot path
 //
 // The kernel is engineered so that the steady-state cost of an event is a few
-// pointer moves and one goroutine handoff, with no allocation:
+// pointer moves and at most one goroutine switch, with no allocation:
 //
 //   - events carry resume targets (process, token, reason) inline, so waking
 //     a process allocates no closure;
@@ -24,8 +24,14 @@
 //     case: queue handoffs, event broadcasts, resource admissions — bypass
 //     the time-ordered heap entirely and go through a FIFO ready ring, which
 //     batches any number of already-runnable processes at O(1) each;
-//   - the engine<->process handshake channels are buffered so a handoff costs
-//     one scheduler switch, not two.
+//   - dispatch is baton passing, with no engine goroutine: whichever
+//     goroutine holds the baton — the Run caller, a process blocked in a
+//     simulated operation, or a pooled goroutine between lives — runs the
+//     event loop itself (see Engine.dispatch). An event that resumes the
+//     holder returns to it with no channel operation (a process whose own
+//     Sleep expires next just keeps running); one that resumes another
+//     process costs one send on that process's wake channel, after which the
+//     holder blocks on its own.
 //
 // Pop order is still exactly (time, seq), so none of this is observable in
 // simulation results; see TestGoldenTraceUnchanged in internal/exp.
@@ -128,10 +134,11 @@ type Engine struct {
 	events eventHeap     // future events, ordered by (t, seq)
 	ready  ring[*event]  // events at exactly `now`, in seq order (the batch path)
 	free   *event        // retired-event freelist
-	parked chan struct{} // handshake: process -> engine on yield
+	parked chan struct{} // where the Run/Shutdown caller waits for the baton to come back
 	rng    *rand.Rand
 	seed   int64
 
+	deadline   Time   // inclusive bound of the current RunUntil; -1 under Run
 	dispatched uint64 // events executed, for events/sec reporting
 
 	perturb *rand.Rand // schedule perturbation source; nil = off (the default)
@@ -143,7 +150,8 @@ type Engine struct {
 	procFree []*Proc       // retired goroutine-backed Procs, recycled by Spawn
 
 	tracer  Tracer
-	failure error // first process panic, aborts the run
+	failure error          // first process panic, aborts the run
+	cbPanic *callbackPanic // callback panic caught off the Run caller's goroutine
 	stopped bool
 
 	obsData any              // opaque per-engine observability state (internal/obs)
@@ -385,34 +393,22 @@ func (e *Engine) recycleFlow(p *Proc) {
 	e.flowFree = append(e.flowFree, p)
 }
 
-func (e *Engine) start(p *Proc) {
-	p.started = true
-	e.tracer.Trace(e.now, "proc.start", p.name, "")
-	if p.looping {
-		// The Proc came from the pool: its goroutine is already parked in
-		// procLoop on the wake channel. Hand it the new life.
-		p.wake <- wakeStart
-	} else {
-		p.looping = true
-		go e.procLoop(p)
-	}
-	<-e.parked
-}
-
-// procLoop is the body of a pooled process goroutine: run one life, return
-// the Proc to the pool, and park on the wake channel until Spawn assigns the
-// next life (wakeStart) or Shutdown retires the goroutine (wakeRetire).
+// procLoop is the body of a pooled process goroutine. After each life the
+// goroutine still holds the baton, so it goes on dispatching as an idle pool
+// member until some dispatcher hands it wakeStart — itself, without a channel
+// send, when its own recycled Proc's start event comes up — or Shutdown
+// retires it with wakeRetire.
 func (e *Engine) procLoop(p *Proc) {
 	for {
 		e.runProc(p)
-		if <-p.wake != wakeStart {
+		if e.dispatch(p) != wakeStart {
 			return
 		}
 	}
 }
 
-// runProc executes one life of process p: the body, panic conversion,
-// end-of-life bookkeeping, recycling, and the handoff back to the engine.
+// runProc executes one life of process p: the body, panic conversion, and
+// end-of-life bookkeeping, including returning the Proc to the pool.
 func (e *Engine) runProc(p *Proc) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -427,35 +423,15 @@ func (e *Engine) runProc(p *Proc) {
 		p.name = ""
 		p.blockKind, p.blockName = "", ""
 		e.procFree = append(e.procFree, p)
-		e.parked <- struct{}{}
 	}()
 	fn := p.fn
 	p.fn = nil
 	fn(p)
 }
 
-// resume wakes process p with the given reason if its wait token still
-// matches; stale wakeups (e.g. a timeout firing after the event it guarded)
-// are discarded.
-func (e *Engine) resume(p *Proc, token uint64, reason int) {
-	if p.done || p.token != token {
-		return
-	}
-	if reason == wakeStart {
-		e.start(p)
-		return
-	}
-	if p.step != nil {
-		e.resumeFlow(p, reason)
-		return
-	}
-	p.wake <- reason
-	<-e.parked
-}
-
 // resumeFlow advances a flow in engine context. The first wakeup doubles as
-// the start event (tracing proc.start, as Engine.start does for goroutine
-// processes); the token bump mirrors park's increment-on-wake. A panic in the
+// the start event (tracing proc.start, as dispatch does for a goroutine
+// process's wakeStart); the token bump mirrors park's increment-on-wake. A panic in the
 // step function is converted into the run failure exactly like a process
 // panic, including the proc.end record.
 func (e *Engine) resumeFlow(p *Proc, reason int) {
@@ -537,15 +513,42 @@ func (e *Engine) popEvent() *event {
 	return e.ready.pop()
 }
 
+// run is the Run/RunUntil driver: the caller takes the baton, dispatches
+// until the run ends, and reports the outcome.
 func (e *Engine) run(deadline Time) error {
 	e.stopped = false
-	for (e.ready.len() > 0 || e.events.Len() > 0) && !e.stopped {
-		if deadline >= 0 {
-			next := e.nextTime()
-			if next > deadline {
-				e.now = deadline
-				return e.failure
-			}
+	e.deadline = deadline
+	e.dispatch(nil)
+	if cp := e.cbPanic; cp != nil {
+		e.cbPanic = nil
+		panic(cp.v)
+	}
+	if e.failure != nil {
+		return e.failure
+	}
+	if deadline < 0 && e.live > 0 && !e.stopped {
+		return e.deadlock()
+	}
+	return nil
+}
+
+// dispatch is the event loop, run by whichever goroutine holds the baton:
+// self is that goroutine's Proc, or nil for the Run caller. For a process it
+// returns the reason self was woken with — at once, with no channel
+// operation, when the next event is self's own wakeup; otherwise after
+// passing the baton to the process being resumed (one send on its wake
+// channel) and blocking until a later dispatcher passes it back. Stale
+// wakeups are discarded, and callbacks and flows run in place.
+//
+// The run ends when the queue drains, on Stop, a failure, a callback panic,
+// or the RunUntil deadline. The baton then goes home: the Run caller just
+// returns 0; a process sends on e.parked, where the caller is waiting, and
+// blocks until a later run resumes it or Shutdown unwinds it.
+func (e *Engine) dispatch(self *Proc) int {
+	for e.failure == nil && e.cbPanic == nil && !e.stopped && (e.ready.len() > 0 || e.events.Len() > 0) {
+		if e.deadline >= 0 && e.nextTime() > e.deadline {
+			e.now = e.deadline
+			break
 		}
 		ev := e.popEvent()
 		e.now = ev.t
@@ -561,23 +564,62 @@ func (e *Engine) run(deadline Time) error {
 		}
 		if fn := ev.fn; fn != nil {
 			e.freeEvent(ev)
-			fn()
+			e.callback(fn)
+			continue
+		}
+		p, token, reason := ev.p, ev.token, ev.reason
+		e.freeEvent(ev)
+		if p.done || p.token != token {
+			continue // stale: e.g. a timeout firing after the event it guarded
+		}
+		if p.step != nil {
+			e.resumeFlow(p, reason)
+			continue
+		}
+		if reason == wakeStart {
+			p.started = true
+			e.tracer.Trace(e.now, "proc.start", p.name, "")
+		}
+		if p == self {
+			return reason
+		}
+		if p.looping {
+			p.wake <- reason
 		} else {
-			p, token, reason := ev.p, ev.token, ev.reason
-			e.freeEvent(ev)
-			e.resume(p, token, reason)
+			// A fresh Proc's first life: its pooled goroutine starts here.
+			p.looping = true
+			go e.procLoop(p)
 		}
-		if e.failure != nil {
-			return e.failure
+		if self == nil {
+			<-e.parked
+			return 0
 		}
+		return <-self.wake
 	}
-	if e.failure != nil {
-		return e.failure
+	if self == nil {
+		return 0
 	}
-	if deadline < 0 && e.live > 0 && !e.stopped {
-		return e.deadlock()
-	}
-	return nil
+	e.parked <- struct{}{}
+	return <-self.wake
+}
+
+// callbackPanic carries the value of a panic raised by an engine callback.
+type callbackPanic struct{ v any }
+
+// callback runs an engine callback. The baton is usually on a process
+// goroutine, where a panic would unwind into runProc and be misreported as a
+// process failure (or, between lives, crash the program). Instead it is
+// recorded, the run ends, and run re-raises the same value on the Run
+// caller's goroutine.
+func (e *Engine) callback(fn func()) {
+	ok := false
+	defer func() {
+		if !ok {
+			e.cbPanic = &callbackPanic{recover()}
+		}
+	}()
+	fn()
+	ok = true
 }
 
 // nextTime returns the timestamp of the next pending event. Call only while
@@ -643,6 +685,11 @@ func (e *Engine) LiveProcs() int { return e.live }
 // goroutines across repeated simulations in one Go process. The engine must
 // not be used afterwards.
 func (e *Engine) Shutdown() {
+	// A killed process goroutine takes the baton to unwind. With the engine
+	// stopped, the dispatcher it reaches on the way out — the rest of its
+	// park, or procLoop once the life ends — runs no event and hands the
+	// baton straight back here.
+	e.stopped = true
 	for e.live > 0 {
 		// Unwind in ascending-id order (deterministic). The id list is
 		// snapshotted and sorted once per pass rather than rescanning the

@@ -52,13 +52,16 @@ func (p *Proc) Engine() *Engine { return p.e }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.e.now }
 
-// park yields control to the engine until a wakeup arrives, returning the
-// wake reason. kind names the operation ("queue.recv"), name the primitive
-// ("mpi.eager:n3"); both are only read if the simulation deadlocks.
+// park blocks the process until a wakeup arrives, returning the wake reason.
+// The process holds the baton, so it runs the dispatcher itself (see
+// Engine.dispatch): when its own wakeup is the next event it returns with no
+// goroutine switch; otherwise it passes the baton to the process being
+// resumed and waits on its wake channel. kind names the operation
+// ("queue.recv"), name the primitive ("mpi.eager:n3"); both are only read if
+// the simulation deadlocks.
 func (p *Proc) park(kind, name string) int {
 	p.blockKind, p.blockName = kind, name
-	p.e.parked <- struct{}{}
-	r := <-p.wake
+	r := p.e.dispatch(p)
 	if r == wakeKill {
 		panic(killSentinel{})
 	}
