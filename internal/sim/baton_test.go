@@ -9,43 +9,26 @@ import (
 	"time"
 )
 
-// within runs fn on a fresh goroutine and fails the test if it has not
-// returned after d. The tests below take a process's wake channel away
-// (nil: any send or receive on it blocks forever) to prove a path never
-// touches it; within turns such a block into a failure instead of a hang.
-func within(t *testing.T, d time.Duration, fn func()) {
-	t.Helper()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		fn()
-	}()
-	select {
-	case <-done:
-	case <-time.After(d):
-		t.Fatalf("still blocked after %v", d)
-	}
-}
-
 // TestBatonSelfResumeNoSwitch pins the self-resume fast path: a process
 // whose own wakeup is the next event gets it straight back from the
-// dispatcher it runs in park, without a channel operation (its wake channel
-// is nil throughout) and without an allocation.
+// dispatcher it runs in park, without a coroutine switch (the trampoline's
+// switch counter stands still) and without an allocation.
 func TestBatonSelfResumeNoSwitch(t *testing.T) {
 	e := NewEngine(1)
 	var allocs float64
+	var switches uint64
 	e.Spawn("ticker", func(p *Proc) {
-		wake := p.wake
-		p.wake = nil
+		before := e.switches
 		allocs = testing.AllocsPerRun(1000, func() { p.Sleep(time.Microsecond) })
-		p.wake = wake
+		switches = e.switches - before
 	})
-	within(t, 10*time.Second, func() {
-		if err := e.Run(); err != nil {
-			t.Error(err)
-		}
-	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
 	e.Shutdown()
+	if switches != 0 {
+		t.Fatalf("self-resuming Sleep made %d coroutine switches, want 0", switches)
+	}
 	if allocs != 0 {
 		t.Fatalf("self-resuming Sleep allocates %.1f/op, want 0", allocs)
 	}
@@ -54,33 +37,33 @@ func TestBatonSelfResumeNoSwitch(t *testing.T) {
 	}
 }
 
-// TestBatonRecycledGoroutineRunsOwnNextLife: a pooled goroutine dispatching
+// TestBatonRecycledGoroutineRunsOwnNextLife: a pooled coroutine dispatching
 // between lives that reaches the start event of its own recycled Proc runs
-// the new life itself, with no send to its own wake channel.
+// the new life itself, with no switch through the trampoline.
 func TestBatonRecycledGoroutineRunsOwnNextLife(t *testing.T) {
 	e := NewEngine(1)
 	var first, second *Proc
-	var wake chan int
+	var ended, began uint64
 	e.Spawn("first", func(p *Proc) {
 		first = p
 		p.Sleep(time.Microsecond)
-		// End the life without a wake channel; the next life restores it.
-		wake, p.wake = p.wake, nil
+		ended = e.switches
 	})
 	e.After(2*time.Microsecond, func() {
 		second = e.Spawn("second", func(p *Proc) {
-			p.wake = wake
+			began = e.switches
 			p.Sleep(time.Microsecond)
 		})
 	})
-	within(t, 10*time.Second, func() {
-		if err := e.Run(); err != nil {
-			t.Error(err)
-		}
-	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
 	e.Shutdown()
 	if second != first {
 		t.Fatal("second process did not reuse the first one's pooled Proc")
+	}
+	if began != ended {
+		t.Fatalf("%d coroutine switches between the end of one life and the start of the next, want 0", began-ended)
 	}
 	if e.Now() != Time(3*time.Microsecond) {
 		t.Fatalf("now = %v, want 3us", e.Now())
@@ -88,27 +71,38 @@ func TestBatonRecycledGoroutineRunsOwnNextLife(t *testing.T) {
 }
 
 // TestBatonCallbackPanicSurfacesFromRun: an engine callback that panics while
-// a process goroutine holds the baton — parked in Sleep, or idle in the pool
-// between lives — panics out of Run on the caller's goroutine with the same
-// value, rather than being reported as a process failure.
+// a process coroutine holds the baton — parked in Sleep, idle in the pool
+// between lives, or parked across earlier RunUntil windows — panics out of
+// Run or RunUntil on the caller's goroutine with the same value, rather than
+// being reported as a process failure.
 func TestBatonCallbackPanicSurfacesFromRun(t *testing.T) {
 	type boom struct{ n int }
 	cases := []struct {
 		name  string
+		step  Duration // RunUntil step; 0 runs with Run
 		build func(e *Engine)
 	}{
 		// The ticker's own wakeups are the only events before the callback,
 		// so it holds the baton when the callback fires.
-		{"parked-process", func(e *Engine) {
+		{"parked-process", 0, func(e *Engine) {
 			e.Spawn("ticker", func(p *Proc) {
 				for {
 					p.Sleep(time.Microsecond)
 				}
 			})
 		}},
-		// The short process ends at 1us; its pooled goroutine dispatches on.
-		{"between-lives", func(e *Engine) {
+		// The short process ends at 1us; its pooled coroutine dispatches on.
+		{"between-lives", 0, func(e *Engine) {
 			e.Spawn("short", func(p *Proc) { p.Sleep(time.Microsecond) })
+		}},
+		// The ticker stays parked across RunUntil windows; the panic
+		// comes out of the third one.
+		{"run-until", 2 * time.Microsecond, func(e *Engine) {
+			e.Spawn("ticker", func(p *Proc) {
+				for {
+					p.Sleep(time.Microsecond)
+				}
+			})
 		}},
 	}
 	for _, c := range cases {
@@ -120,8 +114,18 @@ func TestBatonCallbackPanicSurfacesFromRun(t *testing.T) {
 			e.After(5500*time.Nanosecond, func() { panic(want) })
 			got := func() (r any) {
 				defer func() { r = recover() }()
-				err := e.Run()
-				t.Errorf("Run returned %v instead of panicking", err)
+				if c.step == 0 {
+					err := e.Run()
+					t.Errorf("Run returned %v instead of panicking", err)
+					return nil
+				}
+				for e.Now() < Time(time.Millisecond) {
+					if err := e.RunUntil(e.Now().Add(c.step)); err != nil {
+						t.Errorf("RunUntil returned %v instead of panicking", err)
+						return nil
+					}
+				}
+				t.Errorf("RunUntil ran on to %v instead of panicking", e.Now())
 				return nil
 			}()
 			if got != any(want) {
@@ -137,27 +141,70 @@ func TestBatonCallbackPanicSurfacesFromRun(t *testing.T) {
 }
 
 // TestBatonProcessPanicIsRunError: a process panic is still converted into
-// Run's error, even when the panicking process got the baton from another
-// process rather than from the Run caller.
+// the run's error — when the panicking process got the baton from another
+// process rather than from the Run caller, when it strikes in a fresh
+// coroutine's first life before it ever parks or in a recycled life, and
+// inside a RunUntil window — and Shutdown afterwards still ends every
+// coroutine.
 func TestBatonProcessPanicIsRunError(t *testing.T) {
-	e := NewEngine(1)
-	e.Spawn("ticker", func(p *Proc) {
+	ticker := func(p *Proc) {
 		for {
 			p.Sleep(time.Microsecond)
 		}
-	})
-	e.Spawn("boom", func(p *Proc) {
-		p.Sleep(3500 * time.Nanosecond)
-		panic("kaboom")
-	})
-	err := e.Run()
-	if err == nil || !strings.Contains(err.Error(), `process "boom" panicked: kaboom`) {
-		t.Fatalf("Run error = %v, want the boom process's panic", err)
 	}
-	if e.Now() != Time(3500) {
-		t.Fatalf("run went on to %v after the panic at 3.5us", e.Now())
+	sleepThenPanic := func(e *Engine) {
+		e.Spawn("ticker", ticker)
+		e.Spawn("boom", func(p *Proc) {
+			p.Sleep(3500 * time.Nanosecond)
+			panic("kaboom")
+		})
 	}
-	e.Shutdown()
+	cases := []struct {
+		name  string
+		step  Duration // RunUntil step; 0 runs with Run
+		build func(t *testing.T, e *Engine)
+	}{
+		{"handed-off", 0, func(t *testing.T, e *Engine) { sleepThenPanic(e) }},
+		{"first-life", 0, func(t *testing.T, e *Engine) {
+			e.Spawn("ticker", ticker)
+			e.After(3500*time.Nanosecond, func() {
+				e.Spawn("boom", func(p *Proc) { panic("kaboom") })
+			})
+		}},
+		{"recycled-life", 0, func(t *testing.T, e *Engine) {
+			short := e.Spawn("short", func(p *Proc) { p.Sleep(time.Microsecond) })
+			e.Spawn("ticker", ticker)
+			e.After(3500*time.Nanosecond, func() {
+				if e.Spawn("boom", func(p *Proc) { panic("kaboom") }) != short {
+					t.Error("boom did not reuse the short process's pooled Proc")
+				}
+			})
+		}},
+		{"run-until", 700 * time.Nanosecond, func(t *testing.T, e *Engine) { sleepThenPanic(e) }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			e := NewEngine(1)
+			c.build(t, e)
+			var err error
+			if c.step == 0 {
+				err = e.Run()
+			} else {
+				for err == nil && e.Now() < Time(time.Millisecond) {
+					err = e.RunUntil(e.Now().Add(c.step))
+				}
+			}
+			if err == nil || !strings.Contains(err.Error(), `process "boom" panicked: kaboom`) {
+				t.Fatalf("run error = %v, want the boom process's panic", err)
+			}
+			if e.Now() != Time(3500) {
+				t.Fatalf("run went on to %v after the panic at 3.5us", e.Now())
+			}
+			e.Shutdown()
+			waitGoroutines(t, base)
+		})
+	}
 }
 
 // buildBatonMix populates e with processes, a contended resource, a callback
@@ -223,8 +270,8 @@ func TestBatonRunUntilResumesWhereLeft(t *testing.T) {
 	}
 }
 
-// waitGoroutines waits for the goroutine count to drop back to base: retired
-// pooled goroutines exit asynchronously after Shutdown's send.
+// waitGoroutines waits for the goroutine count to drop back to base, giving
+// any goroutine that is still on its way out a moment to exit.
 func waitGoroutines(t *testing.T, base int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -238,7 +285,7 @@ func waitGoroutines(t *testing.T, base int) {
 
 // TestBatonStopStormShutdownNoLeak: Stop lands in the middle of a
 // same-instant storm — pooled workers yielding at one instant, some spawned
-// but never started — and Shutdown then reaps every goroutine, over 100
+// but never started — and Shutdown then reaps every coroutine, over 100
 // engines.
 func TestBatonStopStormShutdownNoLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
@@ -279,11 +326,57 @@ func TestBatonStopStormShutdownNoLeak(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-// TestBatonPartitionedWorkersBitIdentical: with worker goroutines taking the
-// baton of different partitions from window to window, a workers=2 run stays
-// bit-identical to workers=1.
+// TestShutdownAfterRunUntilNoLeak: Shutdown after a RunUntil that left work
+// pending brings the goroutine count back to its baseline, ending all three
+// kinds of coroutine it can meet: idle pooled ones whose lives ended, ones
+// parked in a simulated operation, and recycled Procs spawned but never
+// started.
+func TestShutdownAfterRunUntilNoLeak(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEngine(1)
+	q := NewQueue[int](e, "never", 0)
+	const n = 8
+	for i := 0; i < n; i++ {
+		e.Spawn("short", func(p *Proc) { p.Sleep(time.Microsecond) })
+		e.Spawn("daemon", func(p *Proc) { q.Recv(p) })
+	}
+	e.Spawn("sleeper", func(p *Proc) { p.Sleep(time.Hour) })
+	if err := e.RunUntil(Time(time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(e.procFree); got != n {
+		t.Fatalf("%d idle pooled procs after RunUntil, want %d", got, n)
+	}
+	for i := 0; i < n/2; i++ {
+		p := e.Spawn("never-started", func(p *Proc) { t.Error("a process started after the last run") })
+		if p.next == nil {
+			t.Fatal("Spawn between runs did not recycle a pooled Proc")
+		}
+	}
+	if g, want := runtime.NumGoroutine(), base+2*n+1; g < want {
+		t.Fatalf("%d goroutines before Shutdown, want at least %d (one per coroutine)", g, want)
+	}
+	e.Shutdown()
+	if e.LiveProcs() != 0 || e.procFree != nil {
+		t.Fatalf("after Shutdown: %d live, pool %v", e.LiveProcs(), e.procFree)
+	}
+	waitGoroutines(t, base)
+}
+
+// TestBatonPartitionedWorkersBitIdentical: with workers=2, runWindow starts
+// fresh worker goroutines for every window, so a process parked across a
+// window boundary is resumed by a different goroutine than the one it last
+// yielded to, coroutines built under one worker run under later ones, and
+// pooled coroutines begin new lives under other workers. Under -race this
+// checks that the coroutine switches order all of those accesses; the run
+// must stay bit-identical to workers=1.
 func TestBatonPartitionedWorkersBitIdentical(t *testing.T) {
 	serial, parallel := runRing(t, 1), runRing(t, 2)
+	for i, n := range parallel.spanned {
+		if n < 10 {
+			t.Fatalf("partition %d: receiver resumed in %d windows of %d, want >= 10", i, n, parallel.win)
+		}
+	}
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("workers=2 diverged from workers=1:\n%+v\n%+v", parallel, serial)
 	}

@@ -1,7 +1,7 @@
 // Package sim implements a deterministic discrete-event simulation kernel.
 //
 // The kernel drives "processes" — ordinary Go functions running in their own
-// goroutines — in strict cooperative lockstep: exactly one process executes at
+// coroutines — in strict cooperative lockstep: exactly one process executes at
 // a time, and control returns to the engine whenever a process blocks on a
 // simulated operation (Sleep, Event.Wait, Queue.Recv, Resource.Acquire, ...).
 // Virtual time only advances between events, so simulations are fully
@@ -15,7 +15,7 @@
 // # Hot path
 //
 // The kernel is engineered so that the steady-state cost of an event is a few
-// pointer moves and at most one goroutine switch, with no allocation:
+// pointer moves and at most two coroutine switches, with no allocation:
 //
 //   - events carry resume targets (process, token, reason) inline, so waking
 //     a process allocates no closure;
@@ -24,14 +24,18 @@
 //     case: queue handoffs, event broadcasts, resource admissions — bypass
 //     the time-ordered heap entirely and go through a FIFO ready ring, which
 //     batches any number of already-runnable processes at O(1) each;
-//   - dispatch is baton passing, with no engine goroutine: whichever
-//     goroutine holds the baton — the Run caller, a process blocked in a
-//     simulated operation, or a pooled goroutine between lives — runs the
-//     event loop itself (see Engine.dispatch). An event that resumes the
-//     holder returns to it with no channel operation (a process whose own
-//     Sleep expires next just keeps running); one that resumes another
-//     process costs one send on that process's wake channel, after which the
-//     holder blocks on its own.
+//   - processes are coroutines (iter.Pull), and dispatch is baton passing
+//     with no engine goroutine: whichever holds the baton — the Run caller,
+//     a process blocked in a simulated operation, or a pooled coroutine
+//     between lives — runs the event loop itself (see Engine.dispatch). An
+//     event that resumes the holder returns to it with no switch at all (a
+//     process whose own Sleep expires next just keeps running); one that
+//     resumes another process yields to the Run caller, which switches into
+//     the target (see Engine.resume). Coroutine switches never enter the Go
+//     scheduler: no run queue, no wakeup of an idle P, no futex. Against
+//     goroutines handing off over channels, BenchmarkProcessPingPong went
+//     from 827–1,183 to 394–878 ns/op on a 2-vCPU host (more in
+//     docs/ARCHITECTURE.md §8).
 //
 // Pop order is still exactly (time, seq), so none of this is observable in
 // simulation results; see TestGoldenTraceUnchanged in internal/exp.
@@ -77,9 +81,9 @@ func (t Time) String() string { return Duration(t).String() }
 const (
 	wakeSignal  = iota // the condition the process waited on was met
 	wakeTimeout        // a WaitTimeout/RecvTimeout deadline expired
-	wakeKill           // engine shutdown: unwind the process goroutine
+	wakeKill           // engine shutdown: unwind the process coroutine
 	wakeStart          // a spawned process's start event (see Engine.Spawn)
-	wakeRetire         // shutdown of an idle pooled goroutine (see procLoop)
+	wakeRetire         // shutdown of an idle pooled coroutine (see Proc.suspend)
 )
 
 // killSentinel is the panic value used to unwind killed processes.
@@ -131,12 +135,14 @@ func (h *eventHeap) Pop() (popped any) {
 type Engine struct {
 	now    Time
 	seq    uint64
-	events eventHeap     // future events, ordered by (t, seq)
-	ready  ring[*event]  // events at exactly `now`, in seq order (the batch path)
-	free   *event        // retired-event freelist
-	parked chan struct{} // where the Run/Shutdown caller waits for the baton to come back
+	events eventHeap    // future events, ordered by (t, seq)
+	ready  ring[*event] // events at exactly `now`, in seq order (the batch path)
+	free   *event       // retired-event freelist
 	rng    *rand.Rand
 	seed   int64
+
+	handoff  *Proc  // process a yielding coroutine hands the baton to (see resume)
+	switches uint64 // coroutine resumes made by the trampoline
 
 	deadline   Time   // inclusive bound of the current RunUntil; -1 under Run
 	dispatched uint64 // events executed, for events/sec reporting
@@ -147,7 +153,7 @@ type Engine struct {
 	nextPID  int
 	procs    map[int]*Proc // live processes, for deadlock reporting
 	flowFree []*Proc       // retired flow Procs, recycled by SpawnFlow
-	procFree []*Proc       // retired goroutine-backed Procs, recycled by Spawn
+	procFree []*Proc       // retired coroutine-backed Procs, recycled by Spawn
 
 	tracer  Tracer
 	failure error          // first process panic, aborts the run
@@ -172,7 +178,6 @@ type ResourceObserver interface {
 // determines every random choice made anywhere in the simulation.
 func NewEngine(seed int64) *Engine {
 	return &Engine{
-		parked: make(chan struct{}, 1),
 		rng:    rand.New(rand.NewSource(seed)),
 		seed:   seed,
 		procs:  make(map[int]*Proc),
@@ -326,10 +331,10 @@ func (e *Engine) After(d Duration, fn func()) {
 // current virtual time. It may be called before Run, from process context, or
 // from a scheduled callback.
 //
-// Spawn is pooled end to end: retired Procs are recycled (struct, wake
-// channel, and goroutine — the goroutine parks on its wake channel between
-// lives, see procLoop), and the start event is a plain resume bound to the
-// current token, so steady-state process churn allocates nothing.
+// Spawn is pooled end to end: retired Procs are recycled (struct and
+// coroutine — the coroutine stays suspended between lives, see Proc.coro),
+// and the start event is a plain resume bound to the current token, so
+// steady-state process churn allocates nothing.
 func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 	e.nextPID++
 	var p *Proc
@@ -340,7 +345,7 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 		p.token++ // retire any registration that survived the previous life
 		p.started, p.done = false, false
 	} else {
-		p = &Proc{e: e, wake: make(chan int, 1)}
+		p = &Proc{e: e}
 	}
 	p.name, p.id, p.fn = name, e.nextPID, fn
 	e.live++
@@ -350,7 +355,7 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 }
 
 // SpawnFlow creates a flow: a lightweight process driven as a state machine
-// by engine callbacks instead of a goroutine. step is invoked once when the
+// by engine callbacks instead of a coroutine. step is invoked once when the
 // flow's start event fires and again on every wakeup; it blocks by calling a
 // Flow* primitive (FlowSleep, Resource.FlowAcquireStart/Retry) and returning,
 // and terminates with FlowEnd.
@@ -360,7 +365,7 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 // deadlock reports, and pushes events in exactly the same order — so
 // converting a process to a flow cannot change simulation results (see
 // TestFlowMatchesProcTrace). What it saves is the host-side cost: no
-// goroutine, no handoff channels, no per-spawn allocation (retired flow Procs
+// coroutine, no switches, no per-spawn allocation (retired flow Procs
 // are recycled through a freelist).
 func (e *Engine) SpawnFlow(name string, step func(*Proc, int)) *Proc {
 	var p *Proc
@@ -393,20 +398,6 @@ func (e *Engine) recycleFlow(p *Proc) {
 	e.flowFree = append(e.flowFree, p)
 }
 
-// procLoop is the body of a pooled process goroutine. After each life the
-// goroutine still holds the baton, so it goes on dispatching as an idle pool
-// member until some dispatcher hands it wakeStart — itself, without a channel
-// send, when its own recycled Proc's start event comes up — or Shutdown
-// retires it with wakeRetire.
-func (e *Engine) procLoop(p *Proc) {
-	for {
-		e.runProc(p)
-		if e.dispatch(p) != wakeStart {
-			return
-		}
-	}
-}
-
 // runProc executes one life of process p: the body, panic conversion, and
 // end-of-life bookkeeping, including returning the Proc to the pool.
 func (e *Engine) runProc(p *Proc) {
@@ -430,10 +421,10 @@ func (e *Engine) runProc(p *Proc) {
 }
 
 // resumeFlow advances a flow in engine context. The first wakeup doubles as
-// the start event (tracing proc.start, as dispatch does for a goroutine
-// process's wakeStart); the token bump mirrors park's increment-on-wake. A panic in the
-// step function is converted into the run failure exactly like a process
-// panic, including the proc.end record.
+// the start event (tracing proc.start, as dispatch does for a coroutine
+// process's wakeStart); the token bump mirrors park's increment-on-wake. A
+// panic in the step function is converted into the run failure exactly like
+// a process panic, including the proc.end record.
 func (e *Engine) resumeFlow(p *Proc, reason int) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -532,18 +523,19 @@ func (e *Engine) run(deadline Time) error {
 	return nil
 }
 
-// dispatch is the event loop, run by whichever goroutine holds the baton:
-// self is that goroutine's Proc, or nil for the Run caller. For a process it
-// returns the reason self was woken with — at once, with no channel
-// operation, when the next event is self's own wakeup; otherwise after
-// passing the baton to the process being resumed (one send on its wake
-// channel) and blocking until a later dispatcher passes it back. Stale
-// wakeups are discarded, and callbacks and flows run in place.
+// dispatch is the event loop, run by whichever holds the baton: self is the
+// holding process, or nil for the Run caller. For a process it returns the
+// reason self was woken with — at once, with no switch, when the next event
+// is self's own wakeup; otherwise after handing the baton to the process
+// being resumed (a yield to the trampoline, which switches into it) and
+// staying suspended until the trampoline resumes self. The Run caller is the
+// trampoline itself. Stale wakeups are discarded, and callbacks and flows
+// run in place.
 //
 // The run ends when the queue drains, on Stop, a failure, a callback panic,
 // or the RunUntil deadline. The baton then goes home: the Run caller just
-// returns 0; a process sends on e.parked, where the caller is waiting, and
-// blocks until a later run resumes it or Shutdown unwinds it.
+// returns 0; a process yields without a handoff and stays suspended until a
+// later run resumes it or Shutdown unwinds it.
 func (e *Engine) dispatch(self *Proc) int {
 	for e.failure == nil && e.cbPanic == nil && !e.stopped && (e.ready.len() > 0 || e.events.Len() > 0) {
 		if e.deadline >= 0 && e.nextTime() > e.deadline {
@@ -583,32 +575,27 @@ func (e *Engine) dispatch(self *Proc) int {
 		if p == self {
 			return reason
 		}
-		if p.looping {
-			p.wake <- reason
-		} else {
-			// A fresh Proc's first life: its pooled goroutine starts here.
-			p.looping = true
-			go e.procLoop(p)
-		}
+		p.reason = reason
 		if self == nil {
-			<-e.parked
+			e.resume(p)
 			return 0
 		}
-		return <-self.wake
+		e.handoff = p
+		return self.suspend()
 	}
 	if self == nil {
 		return 0
 	}
-	e.parked <- struct{}{}
-	return <-self.wake
+	e.handoff = nil
+	return self.suspend()
 }
 
 // callbackPanic carries the value of a panic raised by an engine callback.
 type callbackPanic struct{ v any }
 
 // callback runs an engine callback. The baton is usually on a process
-// goroutine, where a panic would unwind into runProc and be misreported as a
-// process failure (or, between lives, crash the program). Instead it is
+// coroutine, where a panic would unwind into runProc and be misreported as a
+// process failure (or, between lives, end the coroutine). Instead it is
 // recorded, the run ends, and run re-raises the same value on the Run
 // caller's goroutine.
 func (e *Engine) callback(fn func()) {
@@ -679,15 +666,15 @@ func (e *Engine) deadlock() error {
 // not yet finished.
 func (e *Engine) LiveProcs() int { return e.live }
 
-// Shutdown unwinds every still-blocked process goroutine. Call it once the
+// Shutdown unwinds every still-blocked process coroutine. Call it once the
 // simulation's result has been extracted (after Run/RunUntil/Stop) so that
 // perpetual daemons — network pumps, backplane agents — do not leak
 // goroutines across repeated simulations in one Go process. The engine must
 // not be used afterwards.
 func (e *Engine) Shutdown() {
-	// A killed process goroutine takes the baton to unwind. With the engine
+	// A killed process coroutine takes the baton to unwind. With the engine
 	// stopped, the dispatcher it reaches on the way out — the rest of its
-	// park, or procLoop once the life ends — runs no event and hands the
+	// park, or Proc.coro once the life ends — runs no event and yields the
 	// baton straight back here.
 	e.stopped = true
 	for e.live > 0 {
@@ -707,12 +694,11 @@ func (e *Engine) Shutdown() {
 			}
 			if !victim.started {
 				// Its start event never fired (the run stopped first). A
-				// fresh Proc has no goroutine to unwind; a recycled one has
-				// its pooled goroutine parked in procLoop awaiting the life
+				// fresh Proc has no coroutine yet; a recycled one has its
+				// pooled coroutine idle between lives, awaiting the life
 				// that now never begins — retire it directly.
-				if victim.looping {
-					victim.wake <- wakeRetire
-					victim.looping = false
+				if victim.next != nil {
+					victim.stop()
 				}
 				victim.done = true
 				victim.fn = nil
@@ -721,7 +707,7 @@ func (e *Engine) Shutdown() {
 				continue
 			}
 			if victim.step != nil {
-				// Flows have no goroutine; retiring one is bookkeeping plus
+				// Flows have no coroutine; retiring one is bookkeeping plus
 				// the same proc.end record a killed process would emit.
 				victim.done = true
 				e.live--
@@ -729,15 +715,14 @@ func (e *Engine) Shutdown() {
 				e.tracer.Trace(e.now, "proc.end", victim.name, "")
 				continue
 			}
-			victim.wake <- wakeKill
-			<-e.parked
+			victim.reason = wakeKill
+			e.resume(victim)
 		}
 	}
-	// Retire the idle pooled goroutines (including those of processes killed
+	// Retire the idle pooled coroutines (including those of processes killed
 	// above, which re-entered the pool on their way out).
 	for i, p := range e.procFree {
-		p.wake <- wakeRetire
-		p.looping = false
+		p.stop()
 		e.procFree[i] = nil
 	}
 	e.procFree = nil

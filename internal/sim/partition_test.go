@@ -77,16 +77,18 @@ func TestPartitionedDegeneratesToSerial(t *testing.T) {
 
 // ringResult captures everything observable from one partitioned ring run.
 type ringResult struct {
-	hashes []uint64
-	events []uint64
-	logs   [][]string
-	win    uint64
-	cross  uint64
+	hashes  []uint64
+	events  []uint64
+	logs    [][]string
+	spanned []int // distinct windows each receiver was resumed in
+	win     uint64
+	cross   uint64
 }
 
 // runRing builds a 4-partition ring: each partition sends `msgs` timed
 // messages clockwise and consumes the counter-clockwise neighbour's, with
-// per-send promises at the send cadence.
+// per-send promises at the send cadence. Each delivery spawns a short job,
+// so pooled processes start new lives from window to window.
 func runRing(t *testing.T, workers int) ringResult {
 	t.Helper()
 	const parts = 4
@@ -102,8 +104,14 @@ func runRing(t *testing.T, workers int) ringResult {
 		pe.Engine(i).SetTracer(recs[i])
 	}
 	inbox := make([]*Queue[int], parts)
+	seen := make([]map[uint64]bool, parts)
 	for i := 0; i < parts; i++ {
 		inbox[i] = NewQueue[int](pe.Engine(i), "inbox", 0)
+		seen[i] = make(map[uint64]bool)
+	}
+	job := func(p *Proc) {
+		p.Sleep(3 * time.Microsecond)
+		p.Trace("job", "")
 	}
 	for i := 0; i < parts; i++ {
 		l := pe.Connect(fmt.Sprintf("ring.%d", i), i, (i+1)%parts, latency)
@@ -124,6 +132,8 @@ func runRing(t *testing.T, workers int) ringResult {
 					return
 				}
 				logs[i] = append(logs[i], fmt.Sprintf("%d@%d", v, int64(p.Now())))
+				seen[i][pe.windows] = true
+				p.SpawnChild("job", job)
 			}
 		})
 	}
@@ -137,6 +147,7 @@ func runRing(t *testing.T, workers int) ringResult {
 	for i := 0; i < parts; i++ {
 		res.hashes = append(res.hashes, traceHash(recs[i]))
 		res.events = append(res.events, pe.Engine(i).Events())
+		res.spanned = append(res.spanned, len(seen[i]))
 	}
 	pe.Shutdown()
 	return res

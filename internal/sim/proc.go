@@ -1,6 +1,6 @@
 package sim
 
-// Proc is a simulated process: a goroutine whose execution is interleaved
+// Proc is a simulated process: a coroutine whose execution is interleaved
 // with all other processes under control of the Engine. All methods on Proc
 // (and on the synchronization primitives that take a *Proc) must be called
 // only from within the process's own function.
@@ -8,7 +8,6 @@ type Proc struct {
 	e    *Engine
 	name string
 	id   int
-	wake chan int
 
 	// token guards against stale wakeups. It is incremented every time the
 	// process wakes; resume events capture the token current at scheduling
@@ -19,17 +18,23 @@ type Proc struct {
 	done    bool
 
 	// fn holds the body of a spawned process between Spawn and its start
-	// event; the start hands it to the (possibly pooled) goroutine.
+	// event; the start hands it to the (possibly pooled) coroutine.
 	fn func(*Proc)
 
-	// looping marks a goroutine-backed Proc whose goroutine is pooled:
-	// alive and parked on the wake channel between lives (see procLoop).
-	looping bool
+	// next/stop drive the Proc's coroutine from the trampoline and yield
+	// suspends it from inside (see coro.go). All three are nil until the
+	// first life starts; the coroutine then stays pooled with the Proc.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+
+	// reason is the wake reason of the resume the trampoline delivers next.
+	reason int
 
 	// step, when non-nil, marks this process as a flow: a state machine
-	// driven by engine callbacks instead of a goroutine (see Engine.SpawnFlow).
+	// driven by engine callbacks instead of a coroutine (see Engine.SpawnFlow).
 	// The engine invokes step on every wakeup; the function parks by setting
-	// blockKind and returning, so a flow costs no goroutine, no channel, and
+	// blockKind and returning, so a flow costs no coroutine, no switch, and
 	// no stack — only the events it schedules.
 	step func(p *Proc, reason int)
 
@@ -55,8 +60,8 @@ func (p *Proc) Now() Time { return p.e.now }
 // park blocks the process until a wakeup arrives, returning the wake reason.
 // The process holds the baton, so it runs the dispatcher itself (see
 // Engine.dispatch): when its own wakeup is the next event it returns with no
-// goroutine switch; otherwise it passes the baton to the process being
-// resumed and waits on its wake channel. kind names the operation
+// switch; otherwise it hands the baton to the process being resumed and
+// stays suspended until the trampoline resumes it. kind names the operation
 // ("queue.recv"), name the primitive ("mpi.eager:n3"); both are only read if
 // the simulation deadlocks.
 func (p *Proc) park(kind, name string) int {
@@ -72,7 +77,7 @@ func (p *Proc) park(kind, name string) int {
 
 // flowPark records what a flow is blocked on and returns control to the
 // engine. The flow's step function will be re-invoked by the next matching
-// wakeup; unlike park there is no goroutine to suspend, so parking is just
+// wakeup; unlike park there is no coroutine to suspend, so parking is just
 // two field writes.
 func (p *Proc) flowPark(kind, name string) {
 	p.blockKind, p.blockName = kind, name
@@ -80,7 +85,7 @@ func (p *Proc) flowPark(kind, name string) {
 
 // FlowSleep schedules the flow's next step after d of virtual time. It
 // pushes exactly the same resume event Sleep does, so replacing a
-// goroutine-backed process with a flow is invisible to the event sequence.
+// coroutine-backed process with a flow is invisible to the event sequence.
 // It must be the last simulated action of the current step.
 func (p *Proc) FlowSleep(d Duration) {
 	if d < 0 {
@@ -105,7 +110,7 @@ func (p *Proc) FlowPark(kind, name string) { p.flowPark(kind, name) }
 func (p *Proc) WakeDetached() { waiter{p, p.token}.wake(wakeSignal) }
 
 // FlowEnd terminates the flow, emitting the same proc.end trace record a
-// goroutine-backed process emits when its function returns. The Proc is
+// coroutine-backed process emits when its function returns. The Proc is
 // recycled; the caller must not touch it afterwards.
 func (p *Proc) FlowEnd() {
 	p.done = true
