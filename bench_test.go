@@ -39,7 +39,7 @@ func BenchmarkFig4MigrationOverhead(b *testing.B) {
 		b.Run(string(k), func(b *testing.B) {
 			var row exp.PhaseRow
 			for i := 0; i < b.N; i++ {
-				out := exp.RunMigration(k, paper, core.Options{}, false)
+				out := exp.RunMigration(exp.MigrationSpec{Kernel: k, Scale: paper})
 				row = phaseRowOf(out)
 			}
 			reportPhases(b, row)
@@ -63,7 +63,7 @@ func BenchmarkFig5AppOverhead(b *testing.B) {
 			var base, migrated float64
 			for i := 0; i < b.N; i++ {
 				base = exp.RunBaseline(k, paper).Seconds()
-				migrated = exp.RunMigration(k, paper, core.Options{}, true).AppDuration.Seconds()
+				migrated = exp.RunMigration(exp.MigrationSpec{Kernel: k, Scale: paper, ToCompletion: true}).AppDuration.Seconds()
 			}
 			b.ReportMetric(base, "sim_base_s")
 			b.ReportMetric(migrated, "sim_migrated_s")
@@ -83,7 +83,7 @@ func BenchmarkFig6Scalability(b *testing.B) {
 			sc.PPN = ppn
 			var row exp.PhaseRow
 			for i := 0; i < b.N; i++ {
-				row = phaseRowOf(exp.RunMigration(npb.LU, sc, core.Options{}, false))
+				row = phaseRowOf(exp.RunMigration(exp.MigrationSpec{Kernel: npb.LU, Scale: sc}))
 			}
 			reportPhases(b, row)
 		})
@@ -121,7 +121,7 @@ func BenchmarkTable1DataMovement(b *testing.B) {
 		b.Run(string(k), func(b *testing.B) {
 			var mig, crVol float64
 			for i := 0; i < b.N; i++ {
-				out := exp.RunMigration(k, paper, core.Options{}, false)
+				out := exp.RunMigration(exp.MigrationSpec{Kernel: k, Scale: paper})
 				mig = float64(out.Report.BytesMoved) / (1 << 20)
 				crVol = float64(out.Workload.TotalImageBytes()) / (1 << 20)
 			}
@@ -141,10 +141,10 @@ func BenchmarkAblationBufferPool(b *testing.B) {
 		b.Run(fmt.Sprintf("pool%dMB_chunk%dKB", cfg.poolMB, cfg.chunkKB), func(b *testing.B) {
 			var row exp.PhaseRow
 			for i := 0; i < b.N; i++ {
-				row = phaseRowOf(exp.RunMigration(npb.LU, paper, core.Options{
+				row = phaseRowOf(exp.RunMigration(exp.MigrationSpec{Kernel: npb.LU, Scale: paper, Opts: core.Options{
 					BufferPoolBytes: cfg.poolMB << 20,
 					ChunkBytes:      cfg.chunkKB << 10,
-				}, false))
+				}}))
 			}
 			reportPhases(b, row)
 		})
@@ -161,7 +161,7 @@ func BenchmarkAblationMemoryRestart(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			var row exp.PhaseRow
 			for i := 0; i < b.N; i++ {
-				row = phaseRowOf(exp.RunMigration(npb.LU, paper, core.Options{RestartMode: mode.m}, false))
+				row = phaseRowOf(exp.RunMigration(exp.MigrationSpec{Kernel: npb.LU, Scale: paper, Opts: core.Options{RestartMode: mode.m}}))
 			}
 			reportPhases(b, row)
 		})
@@ -178,7 +178,7 @@ func BenchmarkAblationTCPStaging(b *testing.B) {
 		b.Run(tr.name, func(b *testing.B) {
 			var row exp.PhaseRow
 			for i := 0; i < b.N; i++ {
-				row = phaseRowOf(exp.RunMigration(npb.LU, paper, core.Options{Transport: tr.t}, false))
+				row = phaseRowOf(exp.RunMigration(exp.MigrationSpec{Kernel: npb.LU, Scale: paper, Opts: core.Options{Transport: tr.t}}))
 			}
 			reportPhases(b, row)
 		})

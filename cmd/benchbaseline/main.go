@@ -23,10 +23,11 @@
 //
 // Usage:
 //
-//	benchbaseline [-o BENCH_sim.json] [-quick] [-seed N]
+//	benchbaseline [-o BENCH_sim.json] [-quick] [-seed N] [-only SECTION]
 //
 // -quick substitutes the reduced scale (class W / 16 ranks, short sweep
-// ladder) for CI smoke runs. Numbers are host-dependent; the committed
+// ladder) for CI smoke runs. -only re-measures one entry of the sections
+// table into an existing file. Numbers are host-dependent; the committed
 // BENCH_sim.json records the machine it was measured on.
 package main
 
@@ -37,6 +38,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"testing"
 	"time"
 
@@ -228,15 +230,11 @@ type FootprintPoint struct {
 	CompactedExts    uint64  `json:"compacted_extents"`
 }
 
-// measureMemory fills the memory_footprint section: the top two sweep points
-// run standalone, with the GC settled and the peak-live-extents high-water
-// mark rebaselined before each, so peaks and allocation deltas belong to the
-// point alone.
 // measureSweepScaling fills the sweep_scaling section: the whole rank ladder
 // at growing exp.RunParallel worker counts, flagging oversubscribed points
 // (parallelism beyond the host's CPUs) so a sub-1x "speedup" on a small host
 // is never mistaken for a scaling regression.
-func measureSweepScaling(b *Baseline, sc exp.Scale, sweepRanks []int) {
+func measureSweepScaling(b *Baseline, c config) {
 	b.SweepScaling = nil
 	var serialWall float64
 	for _, par := range []int{1, 2, 4, 8} {
@@ -247,7 +245,7 @@ func measureSweepScaling(b *Baseline, sc exp.Scale, sweepRanks []int) {
 		exp.SetParallelism(par)
 		payload.ResetChecksumCache()
 		start := time.Now()
-		exp.ScaleSweep(sc, sweepRanks)
+		exp.ScaleSweep(c.sc, c.sweepRanks)
 		w := time.Since(start).Seconds()
 		if par == 1 {
 			serialWall = w
@@ -261,8 +259,14 @@ func measureSweepScaling(b *Baseline, sc exp.Scale, sweepRanks []int) {
 	exp.SetParallelism(1)
 }
 
-func measureMemory(b *Baseline, sc exp.Scale, sweepRanks []int) {
-	pts := sweepRanks
+// measureMemory fills the memory_footprint section: the top two sweep points
+// run standalone, with the GC settled and the peak-live-extents high-water
+// mark rebaselined before each, so peaks and allocation deltas belong to the
+// point alone. The largest point also fills data_plane.top_sweep_point, so
+// the two sections always describe the same standalone run.
+func measureMemory(b *Baseline, c config) {
+	sc := c.sc
+	pts := c.sweepRanks
 	if len(pts) > 2 {
 		pts = pts[len(pts)-2:]
 	}
@@ -278,17 +282,14 @@ func measureMemory(b *Baseline, sc exp.Scale, sweepRanks []int) {
 		arBefore := metrics.CaptureArena()
 		dpBefore := metrics.CaptureDataPlane()
 		start := time.Now()
-		out := exp.RunMigration(npb.LU, exp.Scale{Class: sc.Class, Ranks: ranks, PPN: sc.PPN, Seed: sc.Seed}, core.Options{}, false)
+		out := exp.RunMigration(exp.MigrationSpec{Kernel: npb.LU, Scale: exp.Scale{Class: sc.Class, Ranks: ranks, PPN: sc.PPN, Seed: sc.Seed}})
 		wall := time.Since(start).Seconds()
 		var ms1 runtime.MemStats
 		runtime.ReadMemStats(&ms1)
 		ar := metrics.CaptureArena().Delta(arBefore)
 		dp := metrics.CaptureDataPlane()
 		allocMB := float64(ms1.TotalAlloc-ms0.TotalAlloc) / (1 << 20)
-		// This is the same standalone measurement the top_sweep_point section
-		// makes on a full run; keep that section in sync so an incremental
-		// -only memory refresh never leaves the two telling different stories.
-		if ranks == sweepRanks[len(sweepRanks)-1] {
+		if ranks == c.sweepRanks[len(c.sweepRanks)-1] {
 			d := dp.Delta(dpBefore)
 			b.DataPlane.TopSweepPoint.Ranks = ranks
 			b.DataPlane.TopSweepPoint.WallS = wall
@@ -361,16 +362,16 @@ func armsOf(cr *exp.CampaignResult) []StrategyArm {
 
 // measureRobustness fills the robustness section from two strategy campaigns
 // on the shared failure schedule.
-func measureRobustness(b *Baseline, sc exp.Scale) {
+func measureRobustness(b *Baseline, c config) {
 	fmt.Fprintln(os.Stderr, "strategy campaigns (robustness section)...")
 	old := exp.Parallelism()
 	exp.SetParallelism(0)
 	defer exp.SetParallelism(old)
 	start := time.Now()
-	spec := exp.CampaignSpec{Kernel: npb.LU, Scale: sc, Failures: 1}
-	one := exp.RunCampaign(spec)
+	spec := exp.CampaignSpec{Kernel: npb.LU, Scale: c.sc, Failures: 1}
+	one := exp.RunCampaign(spec, nil)
 	spec.Failures = 3
-	burst := exp.RunCampaign(spec)
+	burst := exp.RunCampaign(spec, nil)
 	b.Robustness.Kernel = "LU"
 	b.Robustness.WallS = time.Since(start).Seconds()
 	b.Robustness.OnePredicted = armsOf(one)
@@ -380,7 +381,7 @@ func measureRobustness(b *Baseline, sc exp.Scale) {
 // measureFleet fills the fleet section: the acceptance-criteria campaign
 // (1,000 nodes, 200 jobs, 30 simulated days) at paper scale, a one-week
 // 128-node fleet at quick scale.
-func measureFleet(b *Baseline, sc exp.Scale, quick bool) {
+func measureFleet(b *Baseline, c config) {
 	// MeanWork is sized so total demand slightly exceeds fleet capacity over
 	// the horizon: a queue forms and the scheduling arms actually diverge
 	// (an underloaded fleet makes backfill indistinguishable from FIFO).
@@ -392,9 +393,9 @@ func measureFleet(b *Baseline, sc exp.Scale, quick bool) {
 		Jobs:     200,
 		MaxWidth: 64,
 		MeanWork: 120 * time.Hour,
-		Seed:     sc.Seed,
+		Seed:     c.sc.Seed,
 	}
-	if quick {
+	if c.quick {
 		base.Nodes, base.RackSize = 128, 8
 		base.Horizon = 7 * 24 * time.Hour
 		base.Jobs, base.MaxWidth, base.MeanWork = 64, 24, 18*time.Hour
@@ -416,8 +417,9 @@ func measureFleet(b *Baseline, sc exp.Scale, quick bool) {
 // point on the conservative partitioned engine, serial baseline first. The
 // iteration count is trimmed so setup and steady state both show in wall
 // time; it is recorded in the section so points stay comparable across runs.
-func measurePartitioned(b *Baseline, sc exp.Scale, sweepRanks []int) {
-	top := sweepRanks[len(sweepRanks)-1]
+func measurePartitioned(b *Baseline, c config) {
+	sc := c.sc
+	top := c.sweepRanks[len(c.sweepRanks)-1]
 	fmt.Fprintf(os.Stderr, "partitioned engine scaling (%d ranks)...\n", top)
 	iters := 4
 	if top <= 256 {
@@ -453,11 +455,11 @@ func microOf(r testing.BenchmarkResult, events uint64) Micro {
 
 // measureObs fills the obs section from one observed migration plus the
 // disabled-path microbenchmark.
-func measureObs(b *Baseline, sc exp.Scale) {
+func measureObs(b *Baseline, c config) {
 	fmt.Fprintln(os.Stderr, "observed migration (obs section)...")
 	payload.ResetChecksumCache()
 	start := time.Now()
-	_, col := exp.RunMigrationObserved(npb.LU, sc, core.Options{}, false)
+	col := exp.RunMigration(exp.MigrationSpec{Kernel: npb.LU, Scale: c.sc, Observe: true}).Collector
 	b.Obs.ObservedWallS = time.Since(start).Seconds()
 	b.Obs.Kernel = "LU"
 	h := col.Histogram("ib.rdma_read_us")
@@ -495,16 +497,16 @@ func measureObs(b *Baseline, sc exp.Scale) {
 // measureTelemetry fills the telemetry section: the observed paper-scale
 // migration with the sink off, then again with a live subscriber ring drained
 // concurrently, priced as engine events per wall second.
-func measureTelemetry(b *Baseline, sc exp.Scale) {
+func measureTelemetry(b *Baseline, c config) {
 	fmt.Fprintln(os.Stderr, "streaming telemetry overhead (telemetry section)...")
 	b.Telemetry.Kernel = "LU"
 	payload.ResetChecksumCache()
 	start := time.Now()
-	offOut, _ := exp.RunMigrationObserved(npb.LU, sc, core.Options{}, false)
+	offOut := exp.RunMigration(exp.MigrationSpec{Kernel: npb.LU, Scale: c.sc, Observe: true})
 	offWall := time.Since(start).Seconds()
 	payload.ResetChecksumCache()
 	start = time.Now()
-	onOut, _, stats := exp.RunMigrationStreamed(npb.LU, sc, core.Options{}, false, 1<<16)
+	onOut := exp.RunMigration(exp.MigrationSpec{Kernel: npb.LU, Scale: c.sc, StreamRing: 1 << 16})
 	onWall := time.Since(start).Seconds()
 	if offWall > 0 {
 		b.Telemetry.SinkOffEventsPerSec = float64(offOut.Events) / offWall
@@ -515,14 +517,82 @@ func measureTelemetry(b *Baseline, sc exp.Scale) {
 	if offWall > 0 {
 		b.Telemetry.OverheadPct = (onWall/offWall - 1) * 100
 	}
-	b.Telemetry.SinkEvents = stats.Events
-	b.Telemetry.SinkDropped = stats.Dropped
+	b.Telemetry.SinkEvents = onOut.Stream.Events
+	b.Telemetry.SinkDropped = onOut.Stream.Dropped
+}
+
+// config is what every section measures against: the experiment scale, the
+// sweep's rank ladder, and whether this is a -quick run.
+type config struct {
+	sc         exp.Scale
+	sweepRanks []int
+	quick      bool
+}
+
+// section is one re-measurable part of the baseline. A full run measures
+// every section in table order after the kernel, payload and paper-comparison
+// readings; -only re-measures one section into an existing file.
+type section struct {
+	name    string
+	measure func(b *Baseline, c config)
+	summary func(b *Baseline) string
+}
+
+var sections = []section{
+	{"sweep", measureSweepScaling, func(b *Baseline) string {
+		last := b.SweepScaling[len(b.SweepScaling)-1]
+		return fmt.Sprintf("%d points, last: parallelism %d, %.1fs, %.2fx, oversubscribed=%v",
+			len(b.SweepScaling), last.Parallelism, last.WallS, last.SpeedupX, last.Oversubscribed)
+	}},
+	{"memory", measureMemory, func(b *Baseline) string {
+		top := b.MemoryFootprint.Points[len(b.MemoryFootprint.Points)-1]
+		return fmt.Sprintf("%d ranks: peak %d live extents, %.0f MB allocated, %d recycled / %d minted",
+			top.Ranks, top.PeakLiveExtents, top.AllocMB, top.ArenaRecycled, top.ArenaMinted)
+	}},
+	{"partitioned", measurePartitioned, func(b *Baseline) string {
+		ps := b.PartitionedScaling
+		last := ps.Points[len(ps.Points)-1]
+		return fmt.Sprintf("%d ranks, serial %.1fs vs %d shards x %d workers %.1fs, %.2fx",
+			ps.Ranks, ps.Points[0].WallS, last.Parts, last.Workers, last.WallS, last.SpeedupX)
+	}},
+	{"robustness", measureRobustness, func(b *Baseline) string {
+		return fmt.Sprintf("%d arms per campaign, %.1fs wall", len(b.Robustness.OnePredicted), b.Robustness.WallS)
+	}},
+	{"fleet", measureFleet, func(b *Baseline) string {
+		return fmt.Sprintf("%d nodes, %d jobs, %d arms, %.1fs wall", b.Fleet.Nodes, b.Fleet.Jobs, len(b.Fleet.Arms), b.Fleet.WallS)
+	}},
+	{"obs", measureObs, func(b *Baseline) string {
+		return fmt.Sprintf("p50=%.1fµs p99=%.1fµs over %d chunks, hottest link %s at %.1f%%",
+			b.Obs.RDMAChunkP50US, b.Obs.RDMAChunkP99US, b.Obs.RDMAChunks, b.Obs.PeakLink, b.Obs.PeakLinkBusyFrac*100)
+	}},
+	{"telemetry", measureTelemetry, func(b *Baseline) string {
+		return fmt.Sprintf("sink off %.2f Mev/s, on %.2f Mev/s, overhead %.1f%%, %d events streamed, %d dropped",
+			b.Telemetry.SinkOffEventsPerSec/1e6, b.Telemetry.SinkOnEventsPerSec/1e6,
+			b.Telemetry.OverheadPct, b.Telemetry.SinkEvents, b.Telemetry.SinkDropped)
+	}},
+}
+
+func sectionByName(name string) (section, bool) {
+	for _, sec := range sections {
+		if sec.name == name {
+			return sec, true
+		}
+	}
+	return section{}, false
+}
+
+func sectionNames() string {
+	names := make([]string, len(sections))
+	for i, sec := range sections {
+		names[i] = sec.name
+	}
+	return strings.Join(names, ", ")
 }
 
 func main() {
 	out := flag.String("o", "BENCH_sim.json", "output file")
 	quick := flag.Bool("quick", false, "reduced scale for CI smoke runs")
-	only := flag.String("only", "", "re-measure just one section into an existing file (supported: obs, robustness, partitioned, memory, sweep, telemetry, fleet)")
+	only := flag.String("only", "", "re-measure just one section into an existing file (supported: "+sectionNames()+")")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -563,23 +633,22 @@ func main() {
 	b.GoMaxProcs = runtime.GOMAXPROCS(0)
 	b.Kernel = map[string]Micro{}
 
-	sc := exp.PaperScale
-	sweepRanks := exp.DefaultSweepRanks
+	cfg := config{sc: exp.PaperScale, sweepRanks: exp.DefaultSweepRanks, quick: *quick}
 	b.Scale = "paper"
 	if *quick {
-		sc = exp.QuickScale
-		sweepRanks = exp.QuickSweepRanks
+		cfg.sc = exp.QuickScale
+		cfg.sweepRanks = exp.QuickSweepRanks
 		b.Scale = "quick"
 	}
-	sc.Seed = *seed
+	cfg.sc.Seed = *seed
+	sc := cfg.sc
 
 	// Incremental mode: a full regeneration takes minutes, so -only re-measures
 	// one section into the existing file and leaves the rest untouched.
 	if *only != "" {
-		switch *only {
-		case "obs", "robustness", "partitioned", "memory", "sweep", "telemetry", "fleet":
-		default:
-			fmt.Fprintf(os.Stderr, "unsupported -only section %q (supported: obs, robustness, partitioned, memory, sweep, telemetry, fleet)\n", *only)
+		sec, ok := sectionByName(*only)
+		if !ok {
+			fmt.Fprintf(os.Stderr, "unsupported -only section %q (supported: %s)\n", *only, sectionNames())
 			os.Exit(2)
 		}
 		data, err := os.ReadFile(*out)
@@ -591,49 +660,9 @@ func main() {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", *out, err)
 			os.Exit(1)
 		}
-		switch *only {
-		case "obs":
-			measureObs(&b, sc)
-			writeBaseline(*out, &b)
-			fmt.Printf("updated obs section of %s (p50=%.1fµs p99=%.1fµs over %d chunks, hottest link %s at %.1f%%)\n",
-				*out, b.Obs.RDMAChunkP50US, b.Obs.RDMAChunkP99US, b.Obs.RDMAChunks,
-				b.Obs.PeakLink, b.Obs.PeakLinkBusyFrac*100)
-		case "robustness":
-			measureRobustness(&b, sc)
-			writeBaseline(*out, &b)
-			fmt.Printf("updated robustness section of %s (%d arms per campaign, %.1fs wall)\n",
-				*out, len(b.Robustness.OnePredicted), b.Robustness.WallS)
-		case "fleet":
-			measureFleet(&b, sc, *quick)
-			writeBaseline(*out, &b)
-			fmt.Printf("updated fleet section of %s (%d nodes, %d jobs, %d arms, %.1fs wall)\n",
-				*out, b.Fleet.Nodes, b.Fleet.Jobs, len(b.Fleet.Arms), b.Fleet.WallS)
-		case "partitioned":
-			measurePartitioned(&b, sc, sweepRanks)
-			writeBaseline(*out, &b)
-			ps := b.PartitionedScaling
-			last := ps.Points[len(ps.Points)-1]
-			fmt.Printf("updated partitioned_scaling section of %s (%d ranks, serial %.1fs vs %d shards x %d workers %.1fs, %.2fx)\n",
-				*out, ps.Ranks, ps.Points[0].WallS, last.Parts, last.Workers, last.WallS, last.SpeedupX)
-		case "sweep":
-			measureSweepScaling(&b, sc, sweepRanks)
-			writeBaseline(*out, &b)
-			last := b.SweepScaling[len(b.SweepScaling)-1]
-			fmt.Printf("updated sweep_scaling section of %s (%d points, last: parallelism %d, %.1fs, %.2fx, oversubscribed=%v)\n",
-				*out, len(b.SweepScaling), last.Parallelism, last.WallS, last.SpeedupX, last.Oversubscribed)
-		case "memory":
-			measureMemory(&b, sc, sweepRanks)
-			writeBaseline(*out, &b)
-			top := b.MemoryFootprint.Points[len(b.MemoryFootprint.Points)-1]
-			fmt.Printf("updated memory_footprint section of %s (%d ranks: peak %d live extents, %.0f MB allocated, %d recycled / %d minted)\n",
-				*out, top.Ranks, top.PeakLiveExtents, top.AllocMB, top.ArenaRecycled, top.ArenaMinted)
-		case "telemetry":
-			measureTelemetry(&b, sc)
-			writeBaseline(*out, &b)
-			fmt.Printf("updated telemetry section of %s (sink off %.2f Mev/s, on %.2f Mev/s, overhead %.1f%%, %d events streamed, %d dropped)\n",
-				*out, b.Telemetry.SinkOffEventsPerSec/1e6, b.Telemetry.SinkOnEventsPerSec/1e6,
-				b.Telemetry.OverheadPct, b.Telemetry.SinkEvents, b.Telemetry.SinkDropped)
-		}
+		sec.measure(&b, cfg)
+		writeBaseline(*out, &b)
+		fmt.Printf("updated %s section of %s (%s)\n", sec.name, *out, sec.summary(&b))
 		return
 	}
 
@@ -730,7 +759,7 @@ func main() {
 	// not expose its engine); the Mev/s figure uses that count as a proxy for
 	// per-run event volume.
 	fmt.Fprintln(os.Stderr, "paper-scale LU comparison...")
-	migOut := exp.RunMigration(npb.LU, sc, core.Options{}, false)
+	migOut := exp.RunMigration(exp.MigrationSpec{Kernel: npb.LU, Scale: sc})
 	payload.ResetChecksumCache()
 	dpBefore := metrics.CaptureDataPlane()
 	start := time.Now()
@@ -764,50 +793,9 @@ func main() {
 	// (it was accidentally left at zero before).
 	b.DataPlane.RegionWriteChurn = microOf(r, uint64(r.N))
 
-	// Largest sweep point, run standalone so its data-plane delta and
-	// allocation footprint are attributable (the sweep loop below fans points
-	// across goroutines, which blurs the process-wide counters).
-	top := sweepRanks[len(sweepRanks)-1]
-	fmt.Fprintf(os.Stderr, "top sweep point (%d ranks)...\n", top)
-	payload.ResetChecksumCache()
-	runtime.GC()
-	var ms0 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
-	dpBefore = metrics.CaptureDataPlane()
-	start = time.Now()
-	topOut := exp.RunMigration(npb.LU, exp.Scale{Class: sc.Class, Ranks: top, PPN: sc.PPN, Seed: sc.Seed}, core.Options{}, false)
-	topWall := time.Since(start).Seconds()
-	var ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms1)
-	dpTop := metrics.CaptureDataPlane().Delta(dpBefore)
-	b.DataPlane.TopSweepPoint.Ranks = top
-	b.DataPlane.TopSweepPoint.WallS = topWall
-	b.DataPlane.TopSweepPoint.Events = topOut.Events
-	b.DataPlane.TopSweepPoint.RegionWrites = dpTop.RegionWrites
-	b.DataPlane.TopSweepPoint.LiveExtents = dpTop.LiveExtents
-	b.DataPlane.TopSweepPoint.MaterializedBytes = dpTop.MaterializedBytes
-	b.DataPlane.TopSweepPoint.AllocMB = float64(ms1.TotalAlloc-ms0.TotalAlloc) / (1 << 20)
-
-	// --- sweep scaling ----------------------------------------------------
-	measureSweepScaling(&b, sc, sweepRanks)
-
-	// --- memory footprint -------------------------------------------------
-	measureMemory(&b, sc, sweepRanks)
-
-	// --- partitioned engine ----------------------------------------------
-	measurePartitioned(&b, sc, sweepRanks)
-
-	// --- robustness -------------------------------------------------------
-	measureRobustness(&b, sc)
-
-	// --- fleet economics ---------------------------------------------------
-	measureFleet(&b, sc, *quick)
-
-	// --- observability ----------------------------------------------------
-	measureObs(&b, sc)
-
-	// --- streaming telemetry ----------------------------------------------
-	measureTelemetry(&b, sc)
+	for _, sec := range sections {
+		sec.measure(&b, cfg)
+	}
 
 	// Measured 2026-08-05 on the same host (1 vCPU) at commit 6f7b7e9,
 	// immediately before the overhaul.

@@ -24,7 +24,6 @@ import (
 	"ibmig/internal/cr"
 	"ibmig/internal/exp"
 	"ibmig/internal/fault"
-	"ibmig/internal/ftb"
 	"ibmig/internal/metrics"
 	"ibmig/internal/npb"
 	"ibmig/internal/obs"
@@ -43,7 +42,7 @@ func main() {
 	chunkKB := flag.Int64("chunk", 1024, "chunk size (KB)")
 	triggerFrac := flag.Float64("trigger", 0.33, "trigger point as a fraction of estimated runtime")
 	seed := flag.Int64("seed", 1, "simulation seed")
-	faultKind := flag.String("fault", "", "inject a fault during the migration: src-crash, tgt-crash, link, disk or drop-restart")
+	faultKind := flag.String("fault", "", "inject a fault during the migration: "+fault.MigrationFaultNames())
 	faultPhase := flag.Int("fault-phase", 2, "migration phase (1-4) the fault lands at")
 	verify := flag.Bool("verify", false, "checksum images end to end (slower)")
 	trace := flag.Bool("trace", false, "stream framework trace events")
@@ -123,20 +122,9 @@ func main() {
 	if *faultKind != "" {
 		inj := fault.NewInjector(c)
 		inj.Bind(fw)
-		var sp fault.Spec
-		switch *faultKind {
-		case "src-crash":
-			sp = fault.Spec{Kind: fault.NodeCrash, Node: src}
-		case "tgt-crash":
-			sp = fault.Spec{Kind: fault.NodeCrash, Node: c.Spares[0].Name}
-		case "link":
-			sp = fault.Spec{Kind: fault.HCAFail, Node: c.Spares[0].Name}
-		case "disk":
-			sp = fault.Spec{Kind: fault.DiskFail, Node: c.Spares[0].Name}
-		case "drop-restart":
-			sp = fault.Spec{Kind: fault.FTBDrop, Event: ftb.EventRestart}
-		default:
-			fmt.Fprintf(os.Stderr, "unknown fault %q\n", *faultKind)
+		sp, err := fault.MigrationFault(*faultKind, src, c.Spares[0].Name)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
 		inj.AtPhase(0, *faultPhase, sp)

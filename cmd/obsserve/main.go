@@ -52,7 +52,7 @@ func main() {
 	ppn := flag.Int("ppn", 2, "processes per node")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	triggerFrac := flag.Float64("trigger", 0.33, "migration trigger point as a fraction of estimated runtime")
-	faultKind := flag.String("fault", "", "inject a fault during the migration: src-crash, tgt-crash, link or disk")
+	faultKind := flag.String("fault", "", "inject a fault during the migration: "+fault.MigrationFaultNames())
 	faultPhase := flag.Int("fault-phase", 2, "migration phase (1-4) the fault lands at")
 	campaign := flag.Int("campaign", 0, "run a strategy campaign with this many failures instead of a single migration")
 
@@ -142,18 +142,9 @@ func serveScenario(ln net.Listener, cfg scenarioConfig) {
 	if cfg.faultKind != "" {
 		inj := fault.NewInjector(c)
 		inj.Bind(fw)
-		var sp fault.Spec
-		switch cfg.faultKind {
-		case "src-crash":
-			sp = fault.Spec{Kind: fault.NodeCrash, Node: src}
-		case "tgt-crash":
-			sp = fault.Spec{Kind: fault.NodeCrash, Node: c.Spares[0].Name}
-		case "link":
-			sp = fault.Spec{Kind: fault.HCAFail, Node: c.Spares[0].Name}
-		case "disk":
-			sp = fault.Spec{Kind: fault.DiskFail, Node: c.Spares[0].Name}
-		default:
-			log.Fatalf("unknown fault %q", cfg.faultKind)
+		sp, err := fault.MigrationFault(cfg.faultKind, src, c.Spares[0].Name)
+		if err != nil {
+			log.Fatal(err)
 		}
 		inj.AtPhase(0, cfg.faultPhase, sp)
 		log.Printf("armed fault %v at migration phase %d", sp, cfg.faultPhase)
@@ -328,7 +319,7 @@ func streamEvents(w http.ResponseWriter, r *http.Request, col *obs.Collector, ri
 	}
 }
 
-// serveCampaign runs exp.RunCampaignLive and serves its rollup stream: every
+// serveCampaign runs exp.RunCampaign and serves its rollup stream: every
 // ArmUpdate is broadcast to /stream clients as a "campaign" wire event, and
 // /metrics exports the latest rollup per strategy as labelled gauges.
 func serveCampaign(ln net.Listener, failures int, app, class string, np, ppn int, seed int64, startDelay, linger time.Duration) {
@@ -342,7 +333,7 @@ func serveCampaign(ln net.Listener, failures int, app, class string, np, ppn int
 	go func() {
 		time.Sleep(startDelay)
 		log.Printf("campaign: %s.%c np=%d failures=%d", app, class[0], np, failures)
-		result := exp.RunCampaignLive(spec, h.update)
+		result := exp.RunCampaign(spec, h.update)
 		if best := result.Best(); best != nil {
 			log.Printf("campaign done: best %s at %.1f%% goodput", best.Strategy, best.GoodputPct)
 		} else {
@@ -395,7 +386,7 @@ func wireUpdate(u exp.ArmUpdate) obs.WireEvent {
 	}
 }
 
-// update implements the RunCampaignLive callback; it is called concurrently
+// update implements the RunCampaign callback; it is called concurrently
 // from the arm engines' goroutines.
 func (h *campaignHub) update(u exp.ArmUpdate) {
 	ev := wireUpdate(u)

@@ -167,7 +167,7 @@ func main() {
 		// Not part of the paper's figures: an observed migration whose span
 		// timeline, latency histograms and device utilization decompose where
 		// the time of Fig. 4 actually goes. -trace-out saves the Perfetto file.
-		_, col := exp.RunMigrationObserved(npb.LU, sc, core.Options{}, false)
+		col := exp.RunMigration(exp.MigrationSpec{Kernel: npb.LU, Scale: sc, Observe: true}).Collector
 		fmt.Printf("Timeline — observed LU.%c migration (load -trace-out in ui.perfetto.dev)\n", sc.Class)
 		if err := obs.WriteSummary(os.Stdout, col); err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -208,7 +208,7 @@ func main() {
 		corr := spec
 		corr.Failures = 1
 		corr.Correlated = true
-		fmt.Println(exp.FormatCrossover([]*exp.CampaignResult{exp.RunCampaign(corr)}))
+		fmt.Println(exp.FormatCrossover([]*exp.CampaignResult{exp.RunCampaign(corr, nil)}))
 	})
 	run("fleet", func() {
 		// Sized so total demand slightly exceeds capacity over the horizon: a

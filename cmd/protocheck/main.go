@@ -160,7 +160,7 @@ func runFleetSweep(n int, seed int64, jsonOut string, shrink, verbose bool) {
 			fmt.Printf("  %s\n", v)
 		}
 		if shrink {
-			min := check.ShrinkFleet(r.Scenario, check.FailsFleet)
+			min := check.Shrink(r.Scenario, check.FailsFleet)
 			fmt.Printf("  repro: protocheck -spec %q\n", min)
 		}
 	}
@@ -192,7 +192,7 @@ func runOneFleet(spec, jsonOut string, shrink bool) {
 		fmt.Printf("  VIOLATION %s\n", v)
 	}
 	if shrink {
-		min := check.ShrinkFleet(fs, check.FailsFleet)
+		min := check.Shrink(fs, check.FailsFleet)
 		fmt.Printf("  repro: protocheck -spec %q\n", min)
 	}
 	os.Exit(1)

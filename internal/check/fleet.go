@@ -371,30 +371,8 @@ func RunFleetScenario(fs FleetScenario) (res *FleetResult) {
 // FailsFleet is the fleet shrink predicate: re-run and report failure.
 func FailsFleet(fs FleetScenario) bool { return RunFleetScenario(fs).Failed() }
 
-// ShrinkFleet greedily minimizes a failing fleet scenario toward
-// DefaultFleet, same fixed-point discipline as Shrink.
-func ShrinkFleet(fs FleetScenario, fails func(FleetScenario) bool) FleetScenario {
-	if !fails(fs) {
-		return fs
-	}
-	cur := fs
-	for changed := true; changed; {
-		changed = false
-		for _, cand := range fleetCandidates(cur) {
-			if cand.Valid() != nil || cand.Fields() >= cur.Fields() {
-				continue
-			}
-			if fails(cand) {
-				cur = cand
-				changed = true
-				break
-			}
-		}
-	}
-	return cur
-}
-
-func fleetCandidates(fs FleetScenario) []FleetScenario {
+// candidates enumerates one-step simplifications of fs toward DefaultFleet.
+func (fs FleetScenario) candidates() []FleetScenario {
 	d := DefaultFleet()
 	var out []FleetScenario
 	field := func(mutate func(*FleetScenario)) {

@@ -65,12 +65,12 @@ func TestFleetInvariantsHold(t *testing.T) {
 func TestShrinkFleet(t *testing.T) {
 	fs := GenerateFleet(99)
 	fs.MTBFH = 12
-	min := ShrinkFleet(fs, func(c FleetScenario) bool { return c.MTBFH == 12 })
+	min := Shrink(fs, func(c FleetScenario) bool { return c.MTBFH == 12 })
 	if min.Fields() != 1 || min.MTBFH != 12 {
 		t.Errorf("shrink kept %d fields (%s), want just mtbf", min.Fields(), min)
 	}
 	// A passing scenario is returned untouched.
-	if got := ShrinkFleet(fs, func(FleetScenario) bool { return false }); got != fs {
+	if got := Shrink(fs, func(FleetScenario) bool { return false }); got != fs {
 		t.Errorf("shrink of passing scenario changed it: %+v", got)
 	}
 }

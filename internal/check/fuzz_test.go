@@ -1,0 +1,84 @@
+package check
+
+import (
+	"reflect"
+	"testing"
+)
+
+// A shrunk repro is only replayable if the spec formats round-trip: a spec
+// that parses and is valid must re-parse, from its canonical String, to an
+// equal scenario, and that String must be a fixed point.
+
+func FuzzScenarioRoundTrip(f *testing.F) {
+	for _, spec := range []string{
+		"seed=2",
+		"seed=3 f=node-crash:tgt@2",
+		"seed=5 ckpt f=node-crash:src@2",
+		"seed=7 sp=3 ckpt f=rack-fail:src@2",
+		"seed=4 f=link-flap:src@2",
+		"seed=6 ckpt f=link-flap:tgt@1",
+		"seed=8 f=node-crash:spare2@2",
+		"seed=11 perturb=42 ckpt f=node-crash:tgt@2 f=ftb-delay:FTB_RESTART:50@3",
+		"seed=5 f=node-crash:src@t15",
+		"seed=430 r=4 ppn=1 sp=3 trig=21 f=hca-fail:tgt@t366 f=disk-fail:src@1",
+		"seed=430 r=4 ppn=1 f=hca-fail:tgt@t366",
+		"seed=1442018065 r=16 ppn=4 sp=3 trig=38 strat=reactive-cr f=hca-fail:src@t236 f=hca-fail:tgt@1",
+		"k=BT r=8",
+		"sp=1 f=disk-fail:spare2@2",
+		"f=ftb-drop:MIGRATE_REQUEST@1",
+		"strat=bogus",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		sc, err := Parse(spec)
+		if err != nil {
+			return
+		}
+		canon := sc.String()
+		back, err := Parse(canon)
+		if err != nil {
+			t.Fatalf("Parse(%q) ok, but its String %q does not parse: %v", spec, canon, err)
+		}
+		if !reflect.DeepEqual(back, sc) {
+			t.Fatalf("round trip of %q via %q: %+v != %+v", spec, canon, back, sc)
+		}
+		if again := back.String(); again != canon {
+			t.Fatalf("String not stable for %q: %q then %q", spec, canon, again)
+		}
+	})
+}
+
+func FuzzFleetSpecRoundTrip(f *testing.F) {
+	for _, spec := range []string{
+		"flt seed=1",
+		"flt seed=3 n=64 rk=8 mtbf=24 rep=6 sp=8 auto fifo d=5 j=40 w=12 work=12",
+		"flt n=64 rk=100",
+		"flt w=70 n=64",
+		"flt sp=90",
+		"flt d=400",
+		"seed=1",
+	} {
+		f.Add(spec)
+	}
+	for seed := int64(1); seed <= 8; seed++ {
+		f.Add(GenerateFleet(seed).String())
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		fs, err := ParseFleet(spec)
+		if err != nil {
+			return
+		}
+		canon := fs.String()
+		back, err := ParseFleet(canon)
+		if err != nil {
+			t.Fatalf("ParseFleet(%q) ok, but its String %q does not parse: %v", spec, canon, err)
+		}
+		if back != fs {
+			t.Fatalf("round trip of %q via %q: %+v != %+v", spec, canon, back, fs)
+		}
+		if again := back.String(); again != canon {
+			t.Fatalf("String not stable for %q: %q then %q", spec, canon, again)
+		}
+	})
+}

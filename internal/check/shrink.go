@@ -1,22 +1,32 @@
 package check
 
-// Shrink greedily minimizes a failing scenario: it tries candidate
-// simplifications (drop a fault, reset a field to its Default() value) and
+// shrinkable is what the shrinker reduces: a Scenario or a FleetScenario.
+// Valid rejects candidates the runner cannot execute, Fields measures the
+// distance from the default spec, and candidates enumerates one-step
+// simplifications.
+type shrinkable[S any] interface {
+	Valid() error
+	Fields() int
+	candidates() []S
+}
+
+// Shrink greedily minimizes a failing spec: it tries candidate
+// simplifications (drop a fault, reset a field to its default value) and
 // keeps any valid candidate that still fails, looping to a fixed point. The
 // result is the smallest spec this reducer can reach that still reproduces
 // the failure — typically 1–3 fields plus the seed.
 //
-// fails decides what "still fails" means. Production callers pass
-// Fails (re-run and check invariants); tests pass synthetic predicates so
-// the reducer's behavior is checkable without a real protocol bug.
-func Shrink(sc Scenario, fails func(Scenario) bool) Scenario {
-	if !fails(sc) {
-		return sc
+// fails decides what "still fails" means. Production callers pass Fails or
+// FailsFleet (re-run and check invariants); tests pass synthetic predicates
+// so the reducer's behavior is checkable without a real protocol bug.
+func Shrink[S shrinkable[S]](s S, fails func(S) bool) S {
+	if !fails(s) {
+		return s
 	}
-	cur := sc
+	cur := s
 	for changed := true; changed; {
 		changed = false
-		for _, cand := range candidates(cur) {
+		for _, cand := range cur.candidates() {
 			if cand.Valid() != nil || cand.Fields() >= cur.Fields() {
 				continue
 			}
@@ -36,7 +46,7 @@ func Fails(sc Scenario) bool { return RunScenario(sc).Failed() }
 
 // candidates enumerates one-step simplifications of sc, most aggressive
 // first (dropping a whole fault beats resetting a field).
-func candidates(sc Scenario) []Scenario {
+func (sc Scenario) candidates() []Scenario {
 	d := Default()
 	var out []Scenario
 	for i := range sc.Faults {

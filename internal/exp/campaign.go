@@ -196,16 +196,17 @@ func armSnapshot(name string, baselineNS int64, elapsed sim.Duration, fw *core.F
 	return u
 }
 
-// RunCampaignLive is RunCampaign with a live rollup stream: while the arms
-// run, each emits periodic ArmUpdates (progress, goodput-so-far, MTTR,
-// attempts) through update, ending with one Done update per arm. The baseline
-// is measured first — serially — so goodput-so-far is computable from the
-// first rollup; the arms then race in parallel exactly as in RunCampaign, and
-// the returned result is identical to RunCampaign's (the callback is
+// RunCampaign runs the failure-free baseline and then every strategy arm (in
+// parallel across engines, slot-stable) and returns the assembled comparison.
+//
+// update, if non-nil, receives a live rollup stream: while the arms run, each
+// emits periodic ArmUpdates (progress, goodput-so-far, MTTR, attempts),
+// ending with one Done update per arm. The baseline is measured first so
+// goodput-so-far is computable from the first rollup. The callback is
 // host-side bookkeeping on each arm's poll loop and cannot perturb the
-// simulation). update is called concurrently from the arm engines' goroutines
-// and must be goroutine-safe; nil degrades to RunCampaign behavior.
-func RunCampaignLive(spec CampaignSpec, update func(ArmUpdate)) *CampaignResult {
+// simulation, so the result is the same with or without it. update is called
+// concurrently from the arm engines' goroutines and must be goroutine-safe.
+func RunCampaign(spec CampaignSpec, update func(ArmUpdate)) *CampaignResult {
 	spec = spec.withDefaults()
 	out := &CampaignResult{Spec: spec, Results: make([]StrategyResult, len(spec.Strategies))}
 	out.BaselineNS = int64(campaignBaseline(spec))
@@ -213,7 +214,7 @@ func RunCampaignLive(spec CampaignSpec, update func(ArmUpdate)) *CampaignResult 
 	for i, name := range spec.Strategies {
 		i, name := i, name
 		tasks = append(tasks, func() {
-			out.Results[i] = runCampaignArmLive(spec, name, out.BaselineNS, update)
+			out.Results[i] = runArm(spec, name, out.BaselineNS, update)
 		})
 	}
 	RunParallel(tasks...)
@@ -269,31 +270,6 @@ func buildSchedule(spec CampaignSpec, c *cluster.Cluster, w npb.Workload) failur
 	return s
 }
 
-// RunCampaign runs the baseline and every strategy arm (in parallel across
-// engines, slot-stable) and returns the assembled comparison.
-func RunCampaign(spec CampaignSpec) *CampaignResult {
-	spec = spec.withDefaults()
-	out := &CampaignResult{Spec: spec, Results: make([]StrategyResult, len(spec.Strategies))}
-	tasks := make([]func(), 0, len(spec.Strategies)+1)
-	tasks = append(tasks, func() {
-		out.BaselineNS = int64(campaignBaseline(spec))
-	})
-	for i, name := range spec.Strategies {
-		i, name := i, name
-		tasks = append(tasks, func() {
-			out.Results[i] = runCampaignArm(spec, name)
-		})
-	}
-	RunParallel(tasks...)
-	for i := range out.Results {
-		r := &out.Results[i]
-		if r.Completed && r.AppNS > 0 {
-			r.GoodputPct = 100 * float64(out.BaselineNS) / float64(r.AppNS)
-		}
-	}
-	return out
-}
-
 // CrossoverSweep runs one campaign per failure count under an otherwise
 // identical spec — the migration-vs-CR crossover experiment. Returned results
 // are in failureCounts order.
@@ -302,7 +278,7 @@ func CrossoverSweep(spec CampaignSpec, failureCounts []int) []*CampaignResult {
 	for i, k := range failureCounts {
 		s := spec
 		s.Failures = k
-		out[i] = RunCampaign(s)
+		out[i] = RunCampaign(s, nil)
 	}
 	return out
 }
@@ -384,15 +360,10 @@ func campaignBaseline(spec CampaignSpec) sim.Duration {
 	return d
 }
 
-// runCampaignArm runs one strategy against the shared failure schedule.
-func runCampaignArm(spec CampaignSpec, name string) StrategyResult {
-	return runCampaignArmLive(spec, name, 0, nil)
-}
-
-// runCampaignArmLive is runCampaignArm with optional live rollups: when
+// runArm runs one strategy against the shared failure schedule. When
 // update is non-nil, the control loop emits an ArmUpdate every armUpdateEvery
 // polls and a final Done update after the engine shuts down.
-func runCampaignArmLive(spec CampaignSpec, name string, baselineNS int64, update func(ArmUpdate)) StrategyResult {
+func runArm(spec CampaignSpec, name string, baselineNS int64, update func(ArmUpdate)) StrategyResult {
 	strat, err := strategy.ByName(name)
 	if err != nil {
 		panic("exp: " + err.Error())

@@ -26,9 +26,9 @@ func TestCampaignDeterministicAndSlotStable(t *testing.T) {
 	old := Parallelism()
 	defer SetParallelism(old)
 	SetParallelism(1)
-	a := RunCampaign(quickCampaign(2))
+	a := RunCampaign(quickCampaign(2), nil)
 	SetParallelism(4)
-	b := RunCampaign(quickCampaign(2))
+	b := RunCampaign(quickCampaign(2), nil)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("campaign differs across parallelism:\n  %+v\n  %+v", a, b)
 	}
@@ -44,7 +44,7 @@ func TestCrossoverMigrationVsCR(t *testing.T) {
 	// the first is predicted: the proactive job dies with the first
 	// unpredicted death (it holds no checkpoint), while reactive CR restarts
 	// through every one and finishes.
-	one := RunCampaign(quickCampaign(1))
+	one := RunCampaign(quickCampaign(1), nil)
 	pro, rea := arm(t, one, "proactive"), arm(t, one, "reactive-cr")
 	if !pro.Completed || pro.Migrations != 1 {
 		t.Fatalf("proactive under 1 predicted failure: %+v, want a completed migration", pro)
@@ -57,7 +57,7 @@ func TestCrossoverMigrationVsCR(t *testing.T) {
 			pro.GoodputPct, rea.GoodputPct)
 	}
 
-	burst := RunCampaign(quickCampaign(3))
+	burst := RunCampaign(quickCampaign(3), nil)
 	pro, rea = arm(t, burst, "proactive"), arm(t, burst, "reactive-cr")
 	if !pro.JobLost || pro.GoodputPct != 0 {
 		t.Fatalf("proactive under a 3-failure burst: %+v, want the job lost", pro)
@@ -85,7 +85,7 @@ func TestCorrelatedRackFailure(t *testing.T) {
 	// backstop and survives the peer's death.
 	spec := quickCampaign(1)
 	spec.Correlated = true
-	res := RunCampaign(spec)
+	res := RunCampaign(spec, nil)
 	pro, ada := arm(t, res, "proactive"), arm(t, res, "adaptive")
 	if !pro.JobLost {
 		t.Fatalf("proactive under a rack failure: %+v, want the job lost", pro)
@@ -106,7 +106,7 @@ func TestCampaignWithFlakyLink(t *testing.T) {
 	// a terminal state, with the proactive arm completing as usual.
 	spec := quickCampaign(1)
 	spec.FlakyLink = true
-	res := RunCampaign(spec)
+	res := RunCampaign(spec, nil)
 	for i := range res.Results {
 		r := &res.Results[i]
 		if !r.Completed && !r.JobLost {
@@ -119,7 +119,7 @@ func TestCampaignWithFlakyLink(t *testing.T) {
 }
 
 func TestCampaignBestPicksHighestGoodput(t *testing.T) {
-	res := RunCampaign(quickCampaign(1))
+	res := RunCampaign(quickCampaign(1), nil)
 	best := res.Best()
 	if best == nil {
 		t.Fatal("no completed arm")

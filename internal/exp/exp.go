@@ -15,6 +15,7 @@ import (
 	"ibmig/internal/cr"
 	"ibmig/internal/metrics"
 	"ibmig/internal/npb"
+	"ibmig/internal/obs"
 	"ibmig/internal/sim"
 )
 
@@ -82,26 +83,77 @@ func (s *session) midNode() string {
 	return s.c.Compute[len(s.c.Compute)/2].Name
 }
 
+// MigrationSpec configures one migration experiment.
+type MigrationSpec struct {
+	Kernel npb.Kernel
+	Scale  Scale
+	Opts   core.Options
+	// ToCompletion runs the application to the end and reports its duration.
+	ToCompletion bool
+	// Observe attaches an obs collector to the engine. Spans, metrics and
+	// device-utilization tracks are gathered while the virtual timeline stays
+	// bit-identical to the unobserved run: the collector only reads the clock.
+	Observe bool
+	// StreamRing > 0 also subscribes a live sink with a ring of that capacity
+	// (implies Observe). It is drained on a separate goroutine while the
+	// engine runs — the deployment shape of cmd/obsserve, condensed for tests
+	// and benchmarks. Publication is host-side work and never touches the
+	// event queue, so the timeline stays bit-identical here too.
+	StreamRing int
+}
+
 // MigrationOutcome is the result of one migration experiment.
 type MigrationOutcome struct {
 	Workload    npb.Workload
 	Report      *metrics.Report
-	AppDuration sim.Duration // end-to-end app time (RunToCompletion only)
+	AppDuration sim.Duration // end-to-end app time (ToCompletion only)
 	Events      uint64       // kernel events dispatched (simulator telemetry)
+	// Collector is the finished collector (open spans closed, usage tracks
+	// integrated to the final time) when the spec asked to observe.
+	Collector *obs.Collector
+	Stream    StreamStats // what the live sink saw (StreamRing > 0 only)
+}
+
+// StreamStats summarizes what a live sink saw during a streamed run.
+type StreamStats struct {
+	Events  uint64 // events delivered to (and drained from) the subscriber
+	Dropped uint64 // events lost to ring overflow
 }
 
 // RunMigration triggers one migration mid-run and returns its phase report.
-// If toCompletion is set, the application runs to the end and its duration is
-// reported.
-func RunMigration(k npb.Kernel, sc Scale, opts core.Options, toCompletion bool) MigrationOutcome {
-	s := newSession(k, sc, sc.Ranks, sc.PPN, 1, 0, opts)
-	var out MigrationOutcome
-	out.Workload = s.w
+func RunMigration(spec MigrationSpec) MigrationOutcome {
+	sc := spec.Scale
+	s := newSession(spec.Kernel, sc, sc.Ranks, sc.PPN, 1, 0, spec.Opts)
+	out := MigrationOutcome{Workload: s.w}
+	if spec.Observe || spec.StreamRing > 0 {
+		out.Collector = obs.Enable(s.e)
+	}
+	var sub *obs.Subscriber
+	var streamed uint64
+	var drained chan struct{}
+	if spec.StreamRing > 0 {
+		sub = out.Collector.Subscribe(spec.StreamRing)
+		drained = make(chan struct{})
+		go func() {
+			defer close(drained)
+			buf := make([]obs.Event, 0, 256)
+			for {
+				buf = sub.Drain(buf[:0])
+				streamed += uint64(len(buf))
+				if len(buf) == 0 {
+					if sub.Closed() {
+						return
+					}
+					<-sub.Notify()
+				}
+			}
+		}()
+	}
 	s.drive(func(p *sim.Proc) {
 		start := p.Now()
 		p.Sleep(s.triggerAt())
 		s.fw.TriggerMigration(p, s.midNode()).Wait(p)
-		if toCompletion {
+		if spec.ToCompletion {
 			s.fw.W.WaitDone(p)
 			out.AppDuration = p.Now().Sub(start)
 		}
@@ -110,6 +162,12 @@ func RunMigration(k npb.Kernel, sc Scale, opts core.Options, toCompletion bool) 
 		out.Report = s.fw.Reports[len(s.fw.Reports)-1]
 	}
 	out.Events = s.e.Events()
+	out.Collector.Finish(s.e.Now())
+	if sub != nil {
+		out.Collector.Unsubscribe(sub)
+		<-drained
+		out.Stream = StreamStats{Events: streamed, Dropped: sub.Dropped()}
+	}
 	return out
 }
 

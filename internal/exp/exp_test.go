@@ -14,7 +14,7 @@ import (
 var tiny = Scale{Class: npb.ClassS, Ranks: 16, PPN: 2, Seed: 7}
 
 func TestRunMigrationProducesFourPhases(t *testing.T) {
-	out := RunMigration(npb.LU, tiny, core.Options{}, false)
+	out := RunMigration(MigrationSpec{Kernel: npb.LU, Scale: tiny})
 	if out.Report == nil {
 		t.Fatal("no migration report")
 	}
@@ -184,8 +184,8 @@ func TestFormatters(t *testing.T) {
 }
 
 func TestDeterministicExperiments(t *testing.T) {
-	a := RunMigration(npb.LU, tiny, core.Options{}, false)
-	b := RunMigration(npb.LU, tiny, core.Options{}, false)
+	a := RunMigration(MigrationSpec{Kernel: npb.LU, Scale: tiny})
+	b := RunMigration(MigrationSpec{Kernel: npb.LU, Scale: tiny})
 	if a.Report.Total() != b.Report.Total() || a.Report.BytesMoved != b.Report.BytesMoved {
 		t.Fatal("experiment not reproducible")
 	}

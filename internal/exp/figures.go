@@ -76,7 +76,7 @@ func Fig4(sc Scale) []PhaseRow {
 	for i, k := range ks {
 		i, k := i, k
 		tasks[i] = func() {
-			out := RunMigration(k, sc, core.Options{}, false)
+			out := RunMigration(MigrationSpec{Kernel: k, Scale: sc})
 			rows[i] = phaseRow(fmt.Sprintf("%s.%c.%d", k, sc.Class, sc.Ranks), out.Report)
 		}
 	}
@@ -111,7 +111,9 @@ func Fig5(sc Scale) []Fig5Row {
 		rows[i].Label = fmt.Sprintf("%s.%c.%d", k, sc.Class, sc.Ranks)
 		tasks = append(tasks,
 			func() { rows[i].BaseSec = RunBaseline(k, sc).Seconds() },
-			func() { rows[i].MigratedSec = RunMigration(k, sc, core.Options{}, true).AppDuration.Seconds() },
+			func() {
+				rows[i].MigratedSec = RunMigration(MigrationSpec{Kernel: k, Scale: sc, ToCompletion: true}).AppDuration.Seconds()
+			},
 		)
 	}
 	RunParallel(tasks...)
@@ -131,7 +133,7 @@ func Fig6(sc Scale) []PhaseRow {
 			s := sc
 			s.Ranks = nodes * ppn
 			s.PPN = ppn
-			out := RunMigration(npb.LU, s, core.Options{}, false)
+			out := RunMigration(MigrationSpec{Kernel: npb.LU, Scale: s})
 			rows[i] = phaseRow(fmt.Sprintf("%d proc/node", ppn), out.Report)
 		}
 	}
@@ -213,10 +215,10 @@ func AblationPool(sc Scale) []PoolPoint {
 	for i, cfg := range cfgs {
 		i, cfg := i, cfg
 		tasks[i] = func() {
-			out := RunMigration(npb.LU, sc, core.Options{
+			out := RunMigration(MigrationSpec{Kernel: npb.LU, Scale: sc, Opts: core.Options{
 				BufferPoolBytes: cfg.poolMB << 20,
 				ChunkBytes:      cfg.chunkKB << 10,
-			}, false)
+			}})
 			pts[i] = PoolPoint{
 				PoolMB:     cfg.poolMB,
 				ChunkKB:    cfg.chunkKB,
@@ -248,7 +250,7 @@ func AblationRestartMode(sc Scale) []PhaseRow {
 		for mi, m := range modes {
 			i, k, m := ki*len(modes)+mi, k, m
 			tasks = append(tasks, func() {
-				out := RunMigration(k, sc, core.Options{RestartMode: m.mode}, false)
+				out := RunMigration(MigrationSpec{Kernel: k, Scale: sc, Opts: core.Options{RestartMode: m.mode}})
 				rows[i] = phaseRow(fmt.Sprintf("%s %s", k, m.name), out.Report)
 			})
 		}
@@ -263,11 +265,11 @@ func AblationTransport(sc Scale) []PhaseRow {
 	rows := make([]PhaseRow, 2)
 	RunParallel(
 		func() {
-			out := RunMigration(npb.LU, sc, core.Options{Transport: core.TransportRDMA}, false)
+			out := RunMigration(MigrationSpec{Kernel: npb.LU, Scale: sc, Opts: core.Options{Transport: core.TransportRDMA}})
 			rows[0] = phaseRow("RDMA pull", out.Report)
 		},
 		func() {
-			out := RunMigration(npb.LU, sc, core.Options{Transport: core.TransportSocket}, false)
+			out := RunMigration(MigrationSpec{Kernel: npb.LU, Scale: sc, Opts: core.Options{Transport: core.TransportSocket}})
 			rows[1] = phaseRow("socket staging", out.Report)
 		},
 	)

@@ -171,8 +171,16 @@ func TestSinkAttachDetachRace(t *testing.T) {
 // drops) and leaves the simulated outcome identical to the observed run.
 func TestRunMigrationStreamedMatchesObserved(t *testing.T) {
 	sc := Scale{Class: npb.ClassS, Ranks: 8, PPN: 2, Seed: 5}
-	obsOut, _ := RunMigrationObserved(npb.LU, sc, core.Options{}, false)
-	strOut, col, stats := RunMigrationStreamed(npb.LU, sc, core.Options{}, false, 1<<16)
+	obsOut := RunMigration(MigrationSpec{Kernel: npb.LU, Scale: sc, Observe: true})
+	strOut := RunMigration(MigrationSpec{Kernel: npb.LU, Scale: sc, StreamRing: 1 << 16})
+	col, stats := strOut.Collector, strOut.Stream
+	if obsOut.Collector == nil || col == nil {
+		t.Fatal("observed run returned no collector")
+	}
+	if obsOut.Stream != (StreamStats{}) {
+		t.Fatalf("unstreamed run reported stream stats %+v", obsOut.Stream)
+	}
+	obsOut.Collector, strOut.Collector, strOut.Stream = nil, nil, StreamStats{}
 	if !reflect.DeepEqual(obsOut, strOut) {
 		t.Fatalf("streamed outcome diverged:\n  observed %+v\n  streamed %+v", obsOut, strOut)
 	}
@@ -187,16 +195,17 @@ func TestRunMigrationStreamedMatchesObserved(t *testing.T) {
 	}
 }
 
-// TestRunCampaignLiveEquivalence requires the live campaign to produce a
-// result deeply equal to the batch one, with per-arm updates that move
-// forward in simulated time and end in a terminal Done update.
+// TestRunCampaignLiveEquivalence requires a campaign with a live update
+// callback to produce a result deeply equal to one without, with per-arm
+// updates that move forward in simulated time and end in a terminal Done
+// update.
 func TestRunCampaignLiveEquivalence(t *testing.T) {
 	spec := quickCampaign(2)
-	batch := RunCampaign(spec)
+	batch := RunCampaign(spec, nil)
 
 	var mu sync.Mutex
 	updates := map[string][]ArmUpdate{}
-	live := RunCampaignLive(spec, func(u ArmUpdate) {
+	live := RunCampaign(spec, func(u ArmUpdate) {
 		mu.Lock()
 		updates[u.Strategy] = append(updates[u.Strategy], u)
 		mu.Unlock()
@@ -223,10 +232,5 @@ func TestRunCampaignLiveEquivalence(t *testing.T) {
 		if last.Completed != final.Completed || last.JobLost != final.JobLost {
 			t.Errorf("arm %q terminal update %+v disagrees with result %+v", name, last, final)
 		}
-	}
-
-	// nil update callback must work (it is the batch path's implementation).
-	if again := RunCampaignLive(spec, nil); !reflect.DeepEqual(again, batch) {
-		t.Fatal("RunCampaignLive(spec, nil) diverged from RunCampaign")
 	}
 }

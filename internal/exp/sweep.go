@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"ibmig/internal/core"
 	"ibmig/internal/metrics"
 	"ibmig/internal/npb"
 )
@@ -58,7 +57,7 @@ func ScaleSweep(sc Scale, ranks []int) []SweepPoint {
 		tasks[i] = func() {
 			s := Scale{Class: sc.Class, Ranks: r, PPN: sc.PPN, Seed: sc.Seed}
 			start := time.Now()
-			out := RunMigration(npb.LU, s, core.Options{}, false)
+			out := RunMigration(MigrationSpec{Kernel: npb.LU, Scale: s})
 			pts[i] = SweepPoint{
 				Ranks:  r,
 				Nodes:  r / sc.PPN,

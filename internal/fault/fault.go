@@ -9,6 +9,7 @@ package fault
 
 import (
 	"fmt"
+	"strings"
 
 	"ibmig/internal/cluster"
 	"ibmig/internal/ftb"
@@ -91,6 +92,39 @@ func (sp Spec) String() string {
 		return fmt.Sprintf("%v(%s)", sp.Kind, sp.Event)
 	}
 	return fmt.Sprintf("%v(%s)", sp.Kind, sp.Node)
+}
+
+// migrationFaults are the named faults the command-line tools (migsim,
+// obsserve) can land on one migration from node src to the spare tgt.
+var migrationFaults = []struct {
+	name string
+	spec func(src, tgt string) Spec
+}{
+	{"src-crash", func(src, _ string) Spec { return Spec{Kind: NodeCrash, Node: src} }},
+	{"tgt-crash", func(_, tgt string) Spec { return Spec{Kind: NodeCrash, Node: tgt} }},
+	{"link", func(_, tgt string) Spec { return Spec{Kind: HCAFail, Node: tgt} }},
+	{"disk", func(_, tgt string) Spec { return Spec{Kind: DiskFail, Node: tgt} }},
+	{"drop-restart", func(_, _ string) Spec { return Spec{Kind: FTBDrop, Event: ftb.EventRestart} }},
+}
+
+// MigrationFaultNames lists the names MigrationFault accepts, comma-separated.
+func MigrationFaultNames() string {
+	names := make([]string, len(migrationFaults))
+	for i, f := range migrationFaults {
+		names[i] = f.name
+	}
+	return strings.Join(names, ", ")
+}
+
+// MigrationFault returns the fault a named command-line fault injects into a
+// migration from src to the spare tgt.
+func MigrationFault(name, src, tgt string) (Spec, error) {
+	for _, f := range migrationFaults {
+		if f.name == name {
+			return f.spec(src, tgt), nil
+		}
+	}
+	return Spec{}, fmt.Errorf("unknown fault %q (want one of: %s)", name, MigrationFaultNames())
 }
 
 // PhaseSource is anything that announces migration phase entries —

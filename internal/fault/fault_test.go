@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -174,5 +175,34 @@ func TestNodeCrashSpec(t *testing.T) {
 	e.Shutdown()
 	if c.NodeAlive("node02") {
 		t.Fatal("NodeCrash left the node alive")
+	}
+}
+
+func TestMigrationFaultNames(t *testing.T) {
+	cases := []struct {
+		name string
+		want Spec
+	}{
+		{"src-crash", Spec{Kind: NodeCrash, Node: "src"}},
+		{"tgt-crash", Spec{Kind: NodeCrash, Node: "tgt"}},
+		{"link", Spec{Kind: HCAFail, Node: "tgt"}},
+		{"disk", Spec{Kind: DiskFail, Node: "tgt"}},
+		{"drop-restart", Spec{Kind: FTBDrop, Event: ftb.EventRestart}},
+	}
+	for _, tc := range cases {
+		got, err := MigrationFault(tc.name, "src", "tgt")
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if got != tc.want {
+			t.Errorf("%s = %+v, want %+v", tc.name, got, tc.want)
+		}
+	}
+	if len(cases) != len(migrationFaults) {
+		t.Errorf("table covers %d names, %d registered", len(cases), len(migrationFaults))
+	}
+	if _, err := MigrationFault("meteor", "src", "tgt"); err == nil || !strings.Contains(err.Error(), `"meteor"`) {
+		t.Errorf("unknown name: err = %v, want an error naming it", err)
 	}
 }

@@ -412,13 +412,9 @@ func (q *QP) TryRecv() (Message, bool) { return q.recvQ.TryRecv() }
 // closed or connection broken) — flows poll it after draining TryRecv.
 func (q *QP) RecvClosed() bool { return q.recvQ.Closed() }
 
-// FlowRecvPark parks the calling flow as a blocked receiver on this
-// endpoint's receive queue (see sim.Queue.FlowRecvPark).
+// FlowRecvPark parks flow p as a blocked receiver on this endpoint's receive
+// queue, or adopts an already-parked flow as one (see sim.Queue.FlowRecvPark).
 func (q *QP) FlowRecvPark(p *sim.Proc) { q.recvQ.FlowRecvPark(p) }
-
-// AdoptRecvWaiter registers an already-parked flow as a blocked receiver on
-// this endpoint's receive queue (see sim.Queue.AdoptRecvWaiter).
-func (q *QP) AdoptRecvWaiter(p *sim.Proc) { q.recvQ.AdoptRecvWaiter(p) }
 
 // RecvLen returns the number of delivered-but-unconsumed messages.
 func (q *QP) RecvLen() int { return q.recvQ.Len() }

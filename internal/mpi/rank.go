@@ -86,8 +86,8 @@ func (c *conn) materialize() {
 	mrb := hb.RegisterMRPrepaid(newRendezvousRegion(w.cfg.RendezvousBufSize, b.r.id, a.r.id))
 	a.qp, a.mr, a.peerRKey = qa, mra, mrb.RKey()
 	b.qp, b.mr, b.peerRKey = qb, mrb, mra.RKey()
-	qa.AdoptRecvWaiter(a.pump)
-	qb.AdoptRecvWaiter(b.pump)
+	qa.FlowRecvPark(a.pump)
+	qb.FlowRecvPark(b.pump)
 }
 
 // destroy tears down this endpoint. Materialized: revoke the pinned buffer,

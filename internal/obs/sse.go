@@ -15,7 +15,7 @@ import (
 
 // WireEvent is the JSON shape of one streamed telemetry event. The base
 // fields mirror Event; the campaign fields are used only by the server-side
-// "campaign" kind (exp.RunCampaignLive rollups: goodput-so-far, MTTR,
+// "campaign" kind (exp.RunCampaign rollups: goodput-so-far, MTTR,
 // attempts), and "done" marks the end of a stream.
 type WireEvent struct {
 	Kind   string `json:"kind"`

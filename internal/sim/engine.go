@@ -336,20 +336,8 @@ func (e *Engine) After(d Duration, fn func()) {
 // and the start event is a plain resume bound to the current token, so
 // steady-state process churn allocates nothing.
 func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
-	e.nextPID++
-	var p *Proc
-	if n := len(e.procFree); n > 0 {
-		p = e.procFree[n-1]
-		e.procFree[n-1] = nil
-		e.procFree = e.procFree[:n-1]
-		p.token++ // retire any registration that survived the previous life
-		p.started, p.done = false, false
-	} else {
-		p = &Proc{e: e}
-	}
-	p.name, p.id, p.fn = name, e.nextPID, fn
-	e.live++
-	e.procs[p.id] = p
+	p := e.newProc(&e.procFree, name)
+	p.fn = fn
 	e.scheduleResume(p, e.now, wakeStart)
 	return p
 }
@@ -368,24 +356,42 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 // coroutine, no switches, no per-spawn allocation (retired flow Procs
 // are recycled through a freelist).
 func (e *Engine) SpawnFlow(name string, step func(*Proc, int)) *Proc {
+	p := e.newProc(&e.flowFree, name)
+	p.step = step
+	// The start event is a plain resume bound to the current token, like
+	// Spawn's; the first wakeup of a flow doubles as its start (resumeFlow).
+	e.scheduleResume(p, e.now, wakeSignal)
+	return p
+}
+
+// newProc begins a process life: it pops a retired Proc from free (procFree
+// for coroutine Procs, flowFree for flows) or allocates one, and registers it
+// as live under the next pid.
+func (e *Engine) newProc(free *[]*Proc, name string) *Proc {
 	var p *Proc
-	if n := len(e.flowFree); n > 0 {
-		p = e.flowFree[n-1]
-		e.flowFree[n-1] = nil
-		e.flowFree = e.flowFree[:n-1]
+	if n := len(*free); n > 0 {
+		p = (*free)[n-1]
+		(*free)[n-1] = nil
+		*free = (*free)[:n-1]
 		p.token++ // retire any registration that survived the previous life
 		p.started, p.done = false, false
 	} else {
 		p = &Proc{e: e}
 	}
 	e.nextPID++
-	p.name, p.id, p.step = name, e.nextPID, step
+	p.name, p.id = name, e.nextPID
 	e.live++
 	e.procs[p.id] = p
-	// The start event is a plain resume bound to the current token: one push,
-	// exactly like Spawn's start callback, but with no closure allocation.
-	e.scheduleResume(p, e.now, wakeSignal)
 	return p
+}
+
+// endProc ends a process life, coroutine or flow: it marks p done, drops it
+// from the live set and emits its proc.end record.
+func (e *Engine) endProc(p *Proc) {
+	p.done = true
+	e.live--
+	delete(e.procs, p.id)
+	e.tracer.Trace(e.now, "proc.end", p.name, "")
 }
 
 // recycleFlow returns a finished flow Proc to the freelist. The token is
@@ -407,10 +413,7 @@ func (e *Engine) runProc(p *Proc) {
 				e.failure = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
 			}
 		}
-		p.done = true
-		e.live--
-		delete(e.procs, p.id)
-		e.tracer.Trace(e.now, "proc.end", p.name, "")
+		e.endProc(p)
 		p.name = ""
 		p.blockKind, p.blockName = "", ""
 		e.procFree = append(e.procFree, p)
@@ -432,10 +435,7 @@ func (e *Engine) resumeFlow(p *Proc, reason int) {
 				e.failure = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
 			}
 			if !p.done {
-				p.done = true
-				e.live--
-				delete(e.procs, p.id)
-				e.tracer.Trace(e.now, "proc.end", p.name, "")
+				e.endProc(p)
 			}
 		}
 	}()
@@ -709,10 +709,7 @@ func (e *Engine) Shutdown() {
 			if victim.step != nil {
 				// Flows have no coroutine; retiring one is bookkeeping plus
 				// the same proc.end record a killed process would emit.
-				victim.done = true
-				e.live--
-				delete(e.procs, victim.id)
-				e.tracer.Trace(e.now, "proc.end", victim.name, "")
+				e.endProc(victim)
 				continue
 			}
 			victim.reason = wakeKill

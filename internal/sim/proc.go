@@ -97,7 +97,7 @@ func (p *Proc) FlowSleep(d Duration) {
 
 // FlowPark parks the flow on an externally-managed wait: no event is
 // scheduled and no waiter is registered anywhere. Some other party must
-// later wake it with WakeDetached or register it with Queue.AdoptRecvWaiter.
+// later wake it with WakeDetached or register it with Queue.FlowRecvPark.
 // kind and name label the blocked-on state for deadlock reports. Must be the
 // last simulated action of the current step.
 func (p *Proc) FlowPark(kind, name string) { p.flowPark(kind, name) }
@@ -113,10 +113,7 @@ func (p *Proc) WakeDetached() { waiter{p, p.token}.wake(wakeSignal) }
 // coroutine-backed process emits when its function returns. The Proc is
 // recycled; the caller must not touch it afterwards.
 func (p *Proc) FlowEnd() {
-	p.done = true
-	p.e.live--
-	delete(p.e.procs, p.id)
-	p.e.tracer.Trace(p.e.now, "proc.end", p.name, "")
+	p.e.endProc(p)
 	p.e.recycleFlow(p)
 }
 

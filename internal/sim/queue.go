@@ -152,21 +152,14 @@ func (q *Queue[T]) wakeOneSend() {
 	}
 }
 
-// FlowRecvPark registers the calling flow as a blocked receiver and parks
-// it: the flow counterpart of Recv's empty-queue branch. The flow's step
-// function is re-invoked when an item arrives or the queue closes; the step
-// then drains with TryRecv and checks Closed. Must be the last simulated
-// action of the current step.
+// FlowRecvPark registers flow p as a blocked receiver and parks it: the flow
+// counterpart of Recv's empty-queue branch. The flow's step function is
+// re-invoked when an item arrives or the queue closes; the step then drains
+// with TryRecv and checks Closed. Called from p's own step, it must be the
+// last simulated action of that step. It may also adopt a flow already parked
+// with FlowPark, from engine context, when the flow's wait target
+// materializes after it parked: the queue takes the flow without waking it.
 func (q *Queue[T]) FlowRecvPark(p *Proc) {
-	q.recvQ.push(waiter{p, p.token})
-	p.flowPark("queue.recv", q.name)
-}
-
-// AdoptRecvWaiter registers an already-parked flow as a blocked receiver, as
-// if it had called FlowRecvPark itself. Used when a dormant flow's wait
-// target materializes after the flow parked (see Proc.FlowPark): the owner
-// hands the flow to the queue without waking it.
-func (q *Queue[T]) AdoptRecvWaiter(p *Proc) {
 	q.recvQ.push(waiter{p, p.token})
 	p.flowPark("queue.recv", q.name)
 }
