@@ -57,7 +57,7 @@ func main() {
 		*obsOn = true
 	}
 
-	if *partitions > 1 || *workers > 1 {
+	if *partitions != 1 || *workers > 1 {
 		runPartitioned(*app, *class, *np, *seed, *partitions, *workers, *iters, *trace)
 		return
 	}
@@ -211,6 +211,10 @@ func main() {
 func runPartitioned(app, class string, np int, seed int64, parts, workers, iters int, trace bool) {
 	if npb.Kernel(app) != npb.LU {
 		fmt.Fprintln(os.Stderr, "-partitions supports only -app LU (the sharded wavefront workload)")
+		os.Exit(2)
+	}
+	if err := exp.CheckPartitions(np, parts); err != nil {
+		fmt.Fprintln(os.Stderr, "-partitions:", err)
 		os.Exit(2)
 	}
 	sc := exp.Scale{Class: npb.Class(class[0]), Ranks: np, PPN: 1, Seed: seed}

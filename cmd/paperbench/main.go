@@ -108,6 +108,25 @@ func main() {
 	}
 	sc.Seed = *seed
 
+	// The partitioned experiment shards the top sweep point; reject bad
+	// shard and worker lists before anything runs.
+	partRanks, partIters := exp.DefaultSweepRanks[len(exp.DefaultSweepRanks)-1], 4
+	if *scaleName == "quick" {
+		partRanks, partIters = exp.QuickSweepRanks[len(exp.QuickSweepRanks)-1], 10
+	}
+	var workers []int
+	if *which == "partitioned" {
+		var err error
+		if workers, err = parseWorkers(*workersFlag); err != nil {
+			fmt.Fprintln(os.Stderr, "-workers:", err)
+			os.Exit(2)
+		}
+		if err := exp.CheckPartitions(partRanks, *partitions); err != nil {
+			fmt.Fprintln(os.Stderr, "-partitions:", err)
+			os.Exit(2)
+		}
+	}
+
 	run := func(name string, fn func()) {
 		if *which != "all" && *which != name {
 			return
@@ -246,21 +265,10 @@ func main() {
 	// which at paper scale is a multi-minute run in its own right.
 	if *which == "partitioned" {
 		run("partitioned", func() {
-			workers, err := parseWorkers(*workersFlag)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "-workers:", err)
-				os.Exit(2)
-			}
-			ranks := exp.DefaultSweepRanks[len(exp.DefaultSweepRanks)-1]
-			iters := 4
-			if *scaleName == "quick" {
-				ranks = exp.QuickSweepRanks[len(exp.QuickSweepRanks)-1]
-				iters = 10
-			}
-			psc := exp.Scale{Class: sc.Class, Ranks: ranks, PPN: sc.PPN, Seed: sc.Seed}
+			psc := exp.Scale{Class: sc.Class, Ranks: partRanks, PPN: sc.PPN, Seed: sc.Seed}
 			fmt.Printf("Partitioned engine — conservative time-windowed execution (LU.%c, %d ranks, %d shards)\n",
-				sc.Class, ranks, *partitions)
-			fmt.Println(exp.FormatPartitionedScaling(exp.PartitionedScaling(psc, *partitions, workers, iters)))
+				sc.Class, partRanks, *partitions)
+			fmt.Println(exp.FormatPartitionedScaling(exp.PartitionedScaling(psc, *partitions, workers, partIters)))
 		})
 	}
 

@@ -170,7 +170,7 @@ func runPartScenario(seed int64, parts, workers int) partRun {
 		}
 	}
 	for _, r := range recs {
-		out.hashes = append(out.hashes, traceFNV(r))
+		out.hashes = append(out.hashes, r.Fingerprint())
 	}
 	out.events = pe.Events()
 	out.windows = pe.Windows()
@@ -178,19 +178,6 @@ func runPartScenario(seed int64, parts, workers int) partRun {
 	out.now = pe.Now()
 	pe.Shutdown()
 	return out
-}
-
-// traceFNV fingerprints a recorded trace (same scheme as the golden tests).
-func traceFNV(rec *sim.Recorder) uint64 {
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
-	for _, r := range rec.Records {
-		s := fmt.Sprintf("%d|%s|%s|%s\n", int64(r.T), r.Kind, r.Who, r.Detail)
-		for i := 0; i < len(s); i++ {
-			h = (h ^ uint64(s[i])) * prime
-		}
-	}
-	return h
 }
 
 // RunPartScenario executes one seeded partitioned scenario at the given

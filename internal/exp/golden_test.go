@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
@@ -39,14 +38,6 @@ func goldenRun() (records int, hash uint64, totalNS int64, moved int64) {
 // goldenRunWith optionally attaches an observability collector to the engine
 // (TestGoldenTraceObsEnabled uses it to prove the collector is passive).
 func goldenRunWith(enableObs bool) (records int, hash uint64, totalNS int64, moved int64, col *obs.Collector) {
-	const fnvOffset = 14695981039346656037
-	const fnvPrime = 1099511628211
-	hashStr := func(h uint64, s string) uint64 {
-		for i := 0; i < len(s); i++ {
-			h = (h ^ uint64(s[i])) * fnvPrime
-		}
-		return h
-	}
 	sc := goldenScale
 	s := newSession(npb.LU, sc, sc.Ranks, sc.PPN, 1, 0, core.Options{})
 	rec := &sim.Recorder{}
@@ -59,12 +50,8 @@ func goldenRunWith(enableObs bool) (records int, hash uint64, totalNS int64, mov
 		s.fw.TriggerMigration(p, s.midNode()).Wait(p)
 	})
 	col.Finish(s.e.Now())
-	h := uint64(fnvOffset)
-	for _, r := range rec.Records {
-		h = hashStr(h, fmt.Sprintf("%d|%s|%s|%s\n", int64(r.T), r.Kind, r.Who, r.Detail))
-	}
 	rep := s.fw.Reports[len(s.fw.Reports)-1]
-	return len(rec.Records), h, int64(rep.Total()), rep.BytesMoved, col
+	return len(rec.Records), rec.Fingerprint(), int64(rep.Total()), rep.BytesMoved, col
 }
 
 // TestGoldenTraceUnchanged asserts that the full event trace of a migration

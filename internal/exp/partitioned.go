@@ -1,14 +1,16 @@
 package exp
 
-// Partitioned-execution scenario: the LU wavefront workload sharded across
-// sim.Partitioned logical processes.
+// Partitioned-execution scenario: npb's LU wavefront sharded across
+// sim.Partitioned logical processes. This file is only the harness: the
+// kernel is npb's LU, run once per shard as an npb.Slice, and the harness
+// supplies the boundary edges and the hierarchical all-reduce.
 //
-// The 2-D LU process grid (nx columns x ny rows, row-major ranks) is cut into
-// `parts` horizontal shards of ny/parts rows. Each shard is a self-contained
-// partition: its own engine, its own InfiniBand fabric (one node per rank),
-// and its own mpi.World running the shard's slice of the wavefront sweeps.
-// Only the grid-row boundary between adjacent shards crosses partitions, and
-// it does so over sim.CrossLinks:
+// The 2-D LU process grid (nx columns x ny rows, row-major ranks, see
+// npb.LUGrid) is cut into `parts` horizontal shards of ny/parts rows. Each
+// shard is a self-contained partition: its own engine, its own InfiniBand
+// fabric (one node per rank), and its own mpi.World running the shard's band
+// of the wavefront sweeps. Only the grid-row boundary between adjacent shards
+// crosses partitions, and it does so over sim.CrossLinks:
 //
 //   - face links carry the wavefront k-block faces a boundary row sends to
 //     its off-shard neighbour (south during the lower sweep, north during the
@@ -70,9 +72,9 @@ type shard struct {
 	e     *sim.Engine
 	w     *mpi.World
 	rec   *sim.Recorder
-	nx    int // grid columns
-	rps   int // rows per shard
-	first int // first global rank of the shard
+	nx    int          // grid columns
+	first int          // first global rank of the shard
+	bc    sim.Duration // compute per k-block, the promise unit
 
 	// Cross-partition plumbing (nil at the grid edges).
 	sendDown, sendUp *sim.CrossLink        // faces to shard id+1 / id-1
@@ -105,50 +107,16 @@ type PartitionedOutcome struct {
 
 const fnvOffset, fnvPrime = 14695981039346656037, 1099511628211
 
-func fnvString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * fnvPrime
+// CheckPartitions reports whether a ranks-wide LU grid can be cut into
+// parts shards of whole grid rows.
+func CheckPartitions(ranks, parts int) error {
+	if ranks < 1 {
+		return fmt.Errorf("exp: rank count %d must be positive", ranks)
 	}
-	return h
-}
-
-// recordHash fingerprints a recorded trace the same way the golden tests do.
-func recordHash(rec *sim.Recorder) uint64 {
-	h := uint64(fnvOffset)
-	for _, r := range rec.Records {
-		h = fnvString(h, fmt.Sprintf("%d|%s|%s|%s\n", int64(r.T), r.Kind, r.Who, r.Detail))
+	if _, rows := npb.LUGrid(ranks); parts < 1 || rows%parts != 0 {
+		return fmt.Errorf("exp: partition count %d must divide the LU grid rows %d", parts, rows)
 	}
-	return h
-}
-
-// fold mirrors npb's verification accumulator so partitioned results stay
-// content-sensitive the same way.
-func fold(acc uint64, b payload.Buffer) uint64 {
-	n := b.Size()
-	if n > 4096 {
-		n = 4096
-	}
-	return acc*fnvPrime ^ b.Slice(0, n).Checksum()
-}
-
-// factor2D mirrors npb's most-square grid decomposition.
-func factor2D(n int) (nx, ny int) {
-	nx = 1
-	for d := 2; d*d <= n; d++ {
-		if n%d == 0 {
-			nx = n / d
-			if d > nx {
-				nx = d
-			}
-		}
-	}
-	for n%nx != 0 {
-		nx--
-	}
-	if ny = n / nx; nx > ny {
-		nx, ny = ny, nx
-	}
-	return nx, ny
+	return nil
 }
 
 // RunPartitionedLU runs the LU wavefront workload sharded over `parts`
@@ -162,18 +130,14 @@ func RunPartitionedLU(sc Scale, parts, workers, iterations int, trace bool) Part
 	if iterations > 0 {
 		w.Iterations = iterations
 	}
-	nx, ny := factor2D(sc.Ranks)
-	if parts < 1 || ny%parts != 0 {
-		panic(fmt.Sprintf("exp: partition count %d must divide the LU grid rows %d", parts, ny))
+	if err := CheckPartitions(sc.Ranks, parts); err != nil {
+		panic(err.Error())
 	}
+	nx, ny := npb.LUGrid(sc.Ranks)
 	rps := ny / parts
 	localN := rps * nx
 
-	bc := w.PerIterCompute / (2 * npb.LUBlocks)
-	blockFace := w.FaceBytes / npb.LUBlocks
-	if blockFace < 128 {
-		blockFace = 128
-	}
+	bc, blockFace := w.LUBlock()
 	faceLat := calib.IBLatency + sim.Duration(float64(blockFace)/float64(calib.IBBandwidth)*1e9)
 	ctlLat := calib.IBLatency + sim.Duration(40*1e9/calib.IBBandwidth)
 
@@ -181,16 +145,13 @@ func RunPartitionedLU(sc Scale, parts, workers, iterations int, trace bool) Part
 	// on when any rank can send, which seeds every link's initial promise.
 	conns := localN * (localN - 1) / 2
 	ready := sim.Time(0).Add(calib.IBQPSetup * sim.Duration(conns))
-	firstRound := w.NormEvery
-	if w.Iterations < firstRound {
-		firstRound = w.Iterations
-	}
+	firstRound := min(w.NormEvery, w.Iterations)
 
 	pe := sim.NewPartitioned(sc.Seed, parts)
 	res := npb.NewResult(sc.Ranks)
 	shards := make([]*shard, parts)
 	for s := 0; s < parts; s++ {
-		sh := &shard{id: s, e: pe.Engine(s), nx: nx, rps: rps, first: s * localN}
+		sh := &shard{id: s, e: pe.Engine(s), nx: nx, first: s * localN, bc: bc}
 		if trace {
 			sh.rec = &sim.Recorder{}
 			sh.e.SetTracer(sh.rec)
@@ -239,7 +200,7 @@ func RunPartitionedLU(sc Scale, parts, workers, iterations int, trace bool) Part
 	}
 
 	for _, sh := range shards {
-		sh.w.Start(sh.app(w, bc, blockFace, res))
+		sh.w.Start(w.SliceApp(res, sh.slice(w)))
 	}
 
 	start := time.Now()
@@ -261,7 +222,7 @@ func RunPartitionedLU(sc Scale, parts, workers, iterations int, trace bool) Part
 	if trace {
 		out.Fingerprint = fnvOffset
 		for _, sh := range shards {
-			h := recordHash(sh.rec)
+			h := sh.rec.Fingerprint()
 			out.PartitionHashes = append(out.PartitionHashes, h)
 			out.Fingerprint = (out.Fingerprint ^ h) * fnvPrime
 		}
@@ -332,20 +293,24 @@ func minTime(ts []sim.Time) sim.Time {
 	return m
 }
 
-// crossFace sends one boundary face over a cross link, charging the same
-// per-message overhead an in-fabric send pays, and advances the link's
-// promise from the per-column next-send lower bounds: the next face from
-// this column is at least one k-block of compute away (17 blocks across the
-// sweep turnaround, never again after the final sweep).
-func (sh *shard) crossFace(r *mpi.Rank, l *sim.CrossLink, next []sim.Time, ix, tag int, n int64, gapBlocks int, bc sim.Duration) {
+// crossFace sends one boundary face over the down (south) or up (north)
+// face link, charging the same per-message overhead an in-fabric send pays,
+// and advances the link's promise from the per-column next-send lower
+// bounds: the next face from this column is gapBlocks k-blocks of compute
+// away, or never when gapBlocks is 0.
+func (sh *shard) crossFace(r *mpi.Rank, down bool, ix, tag int, n int64, gapBlocks int) {
+	l, next := sh.sendUp, sh.upNext
+	if down {
+		l, next = sh.sendDown, sh.downNext
+	}
 	p := r.Proc()
 	p.Sleep(calib.MPIPerMessageOverhead)
-	g := sh.first + ix // boundary rank's global id seeds the payload
+	g := sh.first + ix // the column's first-row global rank seeds the payload
 	l.Send(faceMsg{ix: ix, tag: tag, data: payload.Synth(uint64(g)<<40^uint64(tag)<<20, 0, n)})
 	if gapBlocks == 0 {
 		next[ix] = farFuture
 	} else {
-		next[ix] = p.Now().Add(bc * sim.Duration(gapBlocks))
+		next[ix] = p.Now().Add(sh.bc * sim.Duration(gapBlocks))
 	}
 	l.Promise(minTime(next))
 }
@@ -392,7 +357,7 @@ func bcastData(r *mpi.Rank, root, tag int, data payload.Buffer) payload.Buffer {
 // a checksum chain through the shard representatives to shard 0 and back,
 // and a local broadcast of the combined payload. itersLeft drives the
 // control links' next-round promises; final rounds retire them.
-func (sh *shard) hierAllreduce(r *mpi.Rank, round, itersLeft int, final bool, bc sim.Duration) payload.Buffer {
+func (sh *shard) hierAllreduce(r *mpi.Rank, round, itersLeft int, final bool) payload.Buffer {
 	local := r.Allreduce(40)
 	if r.ID() != 0 {
 		return bcastData(r, 0, tagHier+round, payload.Buffer{})
@@ -429,113 +394,46 @@ func (sh *shard) hierAllreduce(r *mpi.Rank, round, itersLeft int, final bool, bc
 		if final {
 			l.Promise(farFuture)
 		} else if itersLeft > 0 { // next round after itersLeft more iterations
-			l.Promise(p.Now().Add(bc * sim.Duration(32*itersLeft)))
+			l.Promise(p.Now().Add(sh.bc * sim.Duration(32*itersLeft)))
 		}
 	}
 	return bcastData(r, 0, tagHier+round, payload.Synth(g, 0, 40))
 }
 
-// app builds the shard's rank function: npb's LU wavefront sweeps with the
-// off-shard north/south edges rerouted over the cross links.
-func (sh *shard) app(w npb.Workload, bc sim.Duration, blockFace int64, res *npb.Result) func(*mpi.Rank) {
-	nx, rps := sh.nx, sh.rps
-	return func(r *mpi.Rank) {
-		local := r.ID()
-		ix, ly := local%nx, local/nx
-		g := sh.first + local // global rank for result accounting
-
-		// Local neighbours; -1 means either a grid edge or a shard boundary.
-		north, south, west, east := -1, -1, -1, -1
-		if ly > 0 {
-			north = local - nx
-		}
-		if ly < rps-1 {
-			south = local + nx
-		}
-		if ix > 0 {
-			west = local - 1
-		}
-		if ix < nx-1 {
-			east = local + 1
-		}
-		crossNorth := ly == 0 && sh.northIn != nil     // neighbour in shard id-1
-		crossSouth := ly == rps-1 && sh.southIn != nil // neighbour in shard id+1
-
-		var acc uint64
-		lastIter := w.Iterations - 1
-		// sweep mirrors npb.luApp's pipelined wavefront with cross-shard
-		// edges: dirSouth selects the lower sweep (deps north/west, sends
-		// south/east) vs the upper (deps south/east, sends north/west).
-		sweep := func(tagBase, it int, dirSouth bool) {
-			for b := 0; b < npb.LUBlocks; b++ {
-				tag := tagBase + b
-				gap := 1
-				if b == npb.LUBlocks-1 {
-					gap = 17
-					if it == lastIter {
-						gap = 0
-					}
-				}
-				if dirSouth {
-					if north >= 0 {
-						buf, _ := r.Recv(north, tag)
-						acc = fold(acc, buf)
-					} else if crossNorth {
-						acc = fold(acc, crossRecv(r.Proc(), sh.northIn[ix], tag))
-					}
-					if west >= 0 {
-						buf, _ := r.Recv(west, tag)
-						acc = fold(acc, buf)
-					}
-					r.Compute(bc)
-					if south >= 0 {
-						r.Send(south, tag, blockFace)
-					} else if crossSouth {
-						sh.crossFace(r, sh.sendDown, sh.downNext, ix, tag, blockFace, gap, bc)
-					}
-					if east >= 0 {
-						r.Send(east, tag, blockFace)
-					}
-				} else {
-					if south >= 0 {
-						buf, _ := r.Recv(south, tag)
-						acc = fold(acc, buf)
-					} else if crossSouth {
-						acc = fold(acc, crossRecv(r.Proc(), sh.southIn[ix], tag))
-					}
-					if east >= 0 {
-						buf, _ := r.Recv(east, tag)
-						acc = fold(acc, buf)
-					}
-					r.Compute(bc)
-					if north >= 0 {
-						r.Send(north, tag, blockFace)
-					} else if crossNorth {
-						sh.crossFace(r, sh.sendUp, sh.upNext, ix, tag, blockFace, gap, bc)
-					}
-					if west >= 0 {
-						r.Send(west, tag, blockFace)
-					}
+// slice places the shard in the LU grid as an npb.Slice: boundary rows'
+// faces cross over the face links, and the residual all-reduce is the
+// hierarchical chain.
+func (sh *shard) slice(w npb.Workload) *npb.Slice {
+	return &npb.Slice{
+		Cols: sh.nx, First: sh.first,
+		Above: sh.northIn != nil, Below: sh.southIn != nil,
+		RecvEdge: func(r *mpi.Rank, col, tag int, down bool) payload.Buffer {
+			if down {
+				return crossRecv(r.Proc(), sh.northIn[col], tag)
+			}
+			return crossRecv(r.Proc(), sh.southIn[col], tag)
+		},
+		SendEdge: func(r *mpi.Rank, col, tag int, n int64, down bool) {
+			// A column's next face is one k-block away, 17 across the sweep
+			// turnaround after a sweep's last block, and never after the
+			// final iteration's.
+			gap := 1
+			if tag%npb.LUBlocks == npb.LUBlocks-1 {
+				gap = 17
+				if tag/(2*npb.LUBlocks) == w.Iterations-1 {
+					gap = 0
 				}
 			}
-		}
-		round := 0
-		for it := 0; it < w.Iterations; it++ {
-			sweep(it*2*npb.LUBlocks, it, true)
-			sweep((it*2+1)*npb.LUBlocks, it, false)
-			if (it+1)%w.NormEvery == 0 {
+			sh.crossFace(r, down, col, tag, n, gap)
+		},
+		Allreduce: func(r *mpi.Rank, done int, final bool) payload.Buffer {
+			round, left := done/w.NormEvery, 0
+			if final {
 				round++
-				left := w.Iterations - (it + 1)
-				if left > w.NormEvery {
-					left = w.NormEvery
-				}
-				acc = fold(acc, sh.hierAllreduce(r, round, left, false, bc))
+			} else {
+				left = min(w.Iterations-done, w.NormEvery)
 			}
-			res.IterDone[g] = it + 1
-		}
-		r.Barrier()
-		acc = fold(acc, sh.hierAllreduce(r, round+1, 0, true, bc))
-		res.RankSums[g] = acc
-		res.FinishedAt[g] = r.Proc().Now()
+			return sh.hierAllreduce(r, round, left, final)
+		},
 	}
 }

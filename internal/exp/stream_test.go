@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -17,14 +16,6 @@ import (
 // recorder, both attached before the engine starts. It exists to prove the
 // streaming layer is as passive as the collector itself.
 func goldenRunStreamed(ring int) (records int, hash uint64, totalNS int64, moved int64, streamed uint64, fr *obs.FlightRecorder) {
-	const fnvOffset = 14695981039346656037
-	const fnvPrime = 1099511628211
-	hashStr := func(h uint64, s string) uint64 {
-		for i := 0; i < len(s); i++ {
-			h = (h ^ uint64(s[i])) * fnvPrime
-		}
-		return h
-	}
 	sc := goldenScale
 	s := newSession(npb.LU, sc, sc.Ranks, sc.PPN, 1, 0, core.Options{})
 	rec := &sim.Recorder{}
@@ -56,12 +47,8 @@ func goldenRunStreamed(ring int) (records int, hash uint64, totalNS int64, moved
 	col.Finish(s.e.Now())
 	col.Unsubscribe(sub)
 	<-done
-	h := uint64(fnvOffset)
-	for _, r := range rec.Records {
-		h = hashStr(h, fmt.Sprintf("%d|%s|%s|%s\n", int64(r.T), r.Kind, r.Who, r.Detail))
-	}
 	rep := s.fw.Reports[len(s.fw.Reports)-1]
-	return len(rec.Records), h, int64(rep.Total()), rep.BytesMoved, n + sub.Dropped(), fr
+	return len(rec.Records), rec.Fingerprint(), int64(rep.Total()), rep.BytesMoved, n + sub.Dropped(), fr
 }
 
 // TestGoldenTraceStreamEnabled pins the central claim of the telemetry plane:
@@ -144,17 +131,8 @@ func TestSinkAttachDetachRace(t *testing.T) {
 			close(stop)
 			wg.Wait()
 
-			const fnvOffset = 14695981039346656037
-			const fnvPrime = 1099511628211
-			h := uint64(fnvOffset)
-			for _, r := range rec.Records {
-				line := fmt.Sprintf("%d|%s|%s|%s\n", int64(r.T), r.Kind, r.Who, r.Detail)
-				for j := 0; j < len(line); j++ {
-					h = (h ^ uint64(line[j])) * fnvPrime
-				}
-			}
 			rep := s.fw.Reports[len(s.fw.Reports)-1]
-			got[i] = fp{len(rec.Records), h, int64(rep.Total()), rep.BytesMoved}
+			got[i] = fp{len(rec.Records), rec.Fingerprint(), int64(rep.Total()), rep.BytesMoved}
 		}
 	}
 	RunParallel(tasks...)

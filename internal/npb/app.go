@@ -1,6 +1,8 @@
 package npb
 
 import (
+	"fmt"
+
 	"ibmig/internal/mpi"
 	"ibmig/internal/payload"
 	"ibmig/internal/sim"
@@ -52,7 +54,7 @@ func fold(acc uint64, b payload.Buffer) uint64 {
 // App returns the rank function for this workload, writing into res.
 func (w Workload) App(res *Result) func(*mpi.Rank) {
 	if w.Kernel == LU {
-		return w.luApp(res)
+		return w.luApp(res, nil)
 	}
 	return w.adiApp(res)
 }
@@ -64,77 +66,132 @@ func (w Workload) App(res *Result) func(*mpi.Rank) {
 // serializing the whole diagonal.
 const luBlocks = 16
 
-// LUBlocks exposes the LU pipeline block count to drivers that must replicate
-// the sweep cadence externally — the partitioned-execution scenario keys its
-// cross-partition lookahead promises to the per-block compute time
-// PerIterCompute / (2*LUBlocks).
+// LUBlocks exposes the LU pipeline block count to drivers that key
+// lookahead promises to the sweep cadence rather than copy the sweep: block
+// b of iteration it's lower (upper) sweep carries tag (2*it)*LUBlocks+b
+// ((2*it+1)*LUBlocks+b), and each block costs LUBlock's compute.
 const LUBlocks = luBlocks
+
+// LUBlock returns the compute time and face bytes of one LU k-block.
+func (w Workload) LUBlock() (compute sim.Duration, face int64) {
+	return w.PerIterCompute / (2 * luBlocks), max(w.FaceBytes/luBlocks, 128)
+}
+
+// Slice places one MPI world as a band of whole rows inside a larger LU
+// grid, so an engine that shards the grid can run each band in its own
+// world. Only the vertical wavefront edge leaves the world; the hooks carry
+// it and the residual all-reduce across bands.
+type Slice struct {
+	Cols  int // global grid columns; the world holds Size()/Cols rows
+	First int // global rank of local rank 0
+
+	Above, Below bool // rows exist above / below this world
+
+	// RecvEdge returns the k-block face the off-world neighbour of grid
+	// column col sent under tag: from above when down is set (lower sweep),
+	// from below otherwise.
+	RecvEdge func(r *mpi.Rank, col, tag int, down bool) payload.Buffer
+	// SendEdge sends an n-byte k-block face to the off-world neighbour:
+	// below when down is set, above otherwise.
+	SendEdge func(r *mpi.Rank, col, tag int, n int64, down bool)
+	// Allreduce runs the residual all-reduce across every band after done
+	// iterations; final marks the closing one after the last iteration.
+	Allreduce func(r *mpi.Rank, done int, final bool) payload.Buffer
+}
+
+// SliceApp returns the LU rank function for the band s describes, writing
+// into res at global rank indices.
+func (w Workload) SliceApp(res *Result, s *Slice) func(*mpi.Rank) {
+	if w.Kernel != LU {
+		panic(fmt.Sprintf("npb: %s has no LU grid to slice", w.Kernel))
+	}
+	return w.luApp(res, s)
+}
 
 // luApp is the SSOR solver skeleton: per iteration, a lower-triangular
 // wavefront sweep (dependencies from north and west) and an upper-triangular
 // sweep (dependencies from south and east) across a 2-D process grid, each
-// pipelined in k-blocks, with a periodic residual all-reduce.
-func (w Workload) luApp(res *Result) func(*mpi.Rank) {
+// pipelined in k-blocks, with a periodic residual all-reduce. A nil slice
+// runs the whole grid in one world.
+func (w Workload) luApp(res *Result, s *Slice) func(*mpi.Rank) {
 	return func(r *mpi.Rank) {
-		n := r.Size()
-		nx, ny := factor2D(n)
-		ix, iy := r.ID()%nx, r.ID()/nx
+		id := r.ID()
+		nx, ny := factor2D(r.Size())
+		first, above, below := 0, false, false
+		if s != nil {
+			nx, ny = s.Cols, r.Size()/s.Cols
+			first, above, below = s.First, s.Above, s.Below
+		}
+		ix, iy := id%nx, id/nx
 		north, south, west, east := -1, -1, -1, -1
 		if iy > 0 {
-			north = r.ID() - nx
+			north = id - nx
 		}
 		if iy < ny-1 {
-			south = r.ID() + nx
+			south = id + nx
 		}
 		if ix > 0 {
-			west = r.ID() - 1
+			west = id - 1
 		}
 		if ix < nx-1 {
-			east = r.ID() + 1
+			east = id + 1
+		}
+		// Off-world vertical edges: the band's top row has a neighbour above,
+		// its bottom row one below.
+		above = above && iy == 0
+		below = below && iy == ny-1
+		allreduce := func(done int, final bool) payload.Buffer {
+			if s == nil {
+				return r.Allreduce(40)
+			}
+			return s.Allreduce(r, done, final)
 		}
 		var acc uint64
-		blockCompute := w.PerIterCompute / (2 * luBlocks)
-		blockFace := w.FaceBytes / luBlocks
-		if blockFace < 128 {
-			blockFace = 128
-		}
-		// sweep runs one pipelined wavefront: recv deps, compute a k-block,
-		// forward to the downstream neighbours — luBlocks times.
-		sweep := func(tagBase int, recvA, recvB, sendA, sendB int) {
-			for b := 0; b < luBlocks; b++ {
-				tag := tagBase + b
-				if recvA >= 0 {
-					buf, _ := r.Recv(recvA, tag)
-					acc = fold(acc, buf)
+		blockCompute, blockFace := w.LUBlock()
+		for it := 0; it < w.Iterations; it++ {
+			// Lower sweep (down) runs from the north-west corner, the upper
+			// sweep from the south-east; each recvs its deps, computes a
+			// k-block and forwards downstream, luBlocks times.
+			for _, down := range [2]bool{true, false} {
+				vin, hin, vout, hout, edgeIn, edgeOut := north, west, south, east, above, below
+				tagBase := it * 2 * luBlocks
+				if !down {
+					vin, hin, vout, hout, edgeIn, edgeOut = south, east, north, west, below, above
+					tagBase += luBlocks
 				}
-				if recvB >= 0 {
-					buf, _ := r.Recv(recvB, tag)
-					acc = fold(acc, buf)
-				}
-				r.Compute(blockCompute)
-				if sendA >= 0 {
-					r.Send(sendA, tag, blockFace)
-				}
-				if sendB >= 0 {
-					r.Send(sendB, tag, blockFace)
+				for b := 0; b < luBlocks; b++ {
+					tag := tagBase + b
+					if vin >= 0 {
+						buf, _ := r.Recv(vin, tag)
+						acc = fold(acc, buf)
+					} else if edgeIn {
+						acc = fold(acc, s.RecvEdge(r, ix, tag, down))
+					}
+					if hin >= 0 {
+						buf, _ := r.Recv(hin, tag)
+						acc = fold(acc, buf)
+					}
+					r.Compute(blockCompute)
+					if vout >= 0 {
+						r.Send(vout, tag, blockFace)
+					} else if edgeOut {
+						s.SendEdge(r, ix, tag, blockFace, down)
+					}
+					if hout >= 0 {
+						r.Send(hout, tag, blockFace)
+					}
 				}
 			}
-		}
-		for it := 0; it < w.Iterations; it++ {
-			// Lower sweep: wavefront from the north-west corner.
-			sweep(it*2*luBlocks, north, west, south, east)
-			// Upper sweep: wavefront from the south-east corner.
-			sweep((it*2+1)*luBlocks, south, east, north, west)
 			r.TouchMemory(uint64(it))
 			if (it+1)%w.NormEvery == 0 {
-				acc = fold(acc, r.Allreduce(40))
+				acc = fold(acc, allreduce(it+1, false))
 			}
-			res.IterDone[r.ID()] = it + 1
+			res.IterDone[first+id] = it + 1
 		}
 		r.Barrier()
-		acc = fold(acc, r.Allreduce(40))
-		res.RankSums[r.ID()] = acc
-		res.FinishedAt[r.ID()] = r.Proc().Now()
+		acc = fold(acc, allreduce(w.Iterations, true))
+		res.RankSums[first+id] = acc
+		res.FinishedAt[first+id] = r.Proc().Now()
 	}
 }
 

@@ -17,6 +17,11 @@
 //
 // Other classes scale memory and compute by (grid/162)³ and message sizes by
 // (grid/162)², with NPB-specified iteration counts.
+//
+// LU is defined once, for every engine: App runs the whole grid in one MPI
+// world, and SliceApp runs a band of whole grid rows with the off-world
+// wavefront edges and the residual all-reduce delegated to a Slice's hooks,
+// which is how the partitioned engine (exp.RunPartitionedLU) shards it.
 package npb
 
 import (
@@ -195,6 +200,10 @@ func isqrt(n int) int {
 	}
 	return r
 }
+
+// LUGrid returns LU's most-square process grid for a rank count: cols*rows
+// = ranks with cols <= rows, ranks numbered row-major.
+func LUGrid(ranks int) (cols, rows int) { return factor2D(ranks) }
 
 // factor2D returns the most-square nx*ny = n decomposition (LU's 2-D grid).
 func factor2D(n int) (nx, ny int) {

@@ -127,41 +127,46 @@ func TestMirrorChromeTraceValidates(t *testing.T) {
 	}
 }
 
+// sseGoodStream and sseBadStreams are TestValidateSSE's fixtures and
+// FuzzValidateSSE's seed corpus.
+var sseGoodStream = strings.Join([]string{
+	": a comment line",
+	"",
+	`data: {"kind":"span_open","t_ns":100,"name":"m","actor":"jm","span":1}`,
+	"",
+	`data: {"kind":"counter","t_ns":100,"name":"ib.reads","value":1}`,
+	"",
+	`data: {"kind":"heartbeat","t_ns":200,"value":4096}`,
+	"",
+	`data: {"kind":"campaign","t_ns":50,"strategy":"proactive","progress_pct":10}`,
+	"",
+	`data: {"kind":"span_close","t_ns":300,"span":1}`,
+	"",
+	`data: {"kind":"done","t_ns":300}`,
+	"",
+}, "\n")
+
+var sseBadStreams = map[string]string{
+	"empty":                   "",
+	"comments-only":           ": nothing\n\n",
+	"not-sse":                 "hello world\n",
+	"bad-json":                "data: {nope\n",
+	"unknown-kind":            `data: {"kind":"mystery","t_ns":1}` + "\n",
+	"negative-time":           `data: {"kind":"heartbeat","t_ns":-5}` + "\n",
+	"open-needs-name":         `data: {"kind":"span_open","t_ns":1,"span":2}` + "\n",
+	"open-needs-span":         `data: {"kind":"span_open","t_ns":1,"name":"m"}` + "\n",
+	"close-needs-span":        `data: {"kind":"span_close","t_ns":1}` + "\n",
+	"counter-needs-name":      `data: {"kind":"counter","t_ns":1,"value":2}` + "\n",
+	"campaign-needs-strategy": `data: {"kind":"campaign","t_ns":1}` + "\n",
+	"time-goes-backwards": `data: {"kind":"heartbeat","t_ns":100}` + "\n" +
+		`data: {"kind":"heartbeat","t_ns":50}` + "\n",
+}
+
 func TestValidateSSE(t *testing.T) {
-	okStream := strings.Join([]string{
-		": a comment line",
-		"",
-		`data: {"kind":"span_open","t_ns":100,"name":"m","actor":"jm","span":1}`,
-		"",
-		`data: {"kind":"counter","t_ns":100,"name":"ib.reads","value":1}`,
-		"",
-		`data: {"kind":"heartbeat","t_ns":200,"value":4096}`,
-		"",
-		`data: {"kind":"campaign","t_ns":50,"strategy":"proactive","progress_pct":10}`,
-		"",
-		`data: {"kind":"span_close","t_ns":300,"span":1}`,
-		"",
-		`data: {"kind":"done","t_ns":300}`,
-		"",
-	}, "\n")
-	if err := ValidateSSE([]byte(okStream)); err != nil {
+	if err := ValidateSSE([]byte(sseGoodStream)); err != nil {
 		t.Fatalf("valid stream rejected: %v", err)
 	}
-	for name, bad := range map[string]string{
-		"empty":                   "",
-		"comments-only":           ": nothing\n\n",
-		"not-sse":                 "hello world\n",
-		"bad-json":                "data: {nope\n",
-		"unknown-kind":            `data: {"kind":"mystery","t_ns":1}` + "\n",
-		"negative-time":           `data: {"kind":"heartbeat","t_ns":-5}` + "\n",
-		"open-needs-name":         `data: {"kind":"span_open","t_ns":1,"span":2}` + "\n",
-		"open-needs-span":         `data: {"kind":"span_open","t_ns":1,"name":"m"}` + "\n",
-		"close-needs-span":        `data: {"kind":"span_close","t_ns":1}` + "\n",
-		"counter-needs-name":      `data: {"kind":"counter","t_ns":1,"value":2}` + "\n",
-		"campaign-needs-strategy": `data: {"kind":"campaign","t_ns":1}` + "\n",
-		"time-goes-backwards": `data: {"kind":"heartbeat","t_ns":100}` + "\n" +
-			`data: {"kind":"heartbeat","t_ns":50}` + "\n",
-	} {
+	for name, bad := range sseBadStreams {
 		if err := ValidateSSE([]byte(bad)); err == nil {
 			t.Fatalf("%s: invalid stream accepted", name)
 		}

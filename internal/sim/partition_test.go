@@ -8,23 +8,6 @@ import (
 	"time"
 )
 
-// traceHash fingerprints a recorder's records (FNV-1a over the rendered
-// fields, the same shape the golden-trace tests in internal/exp pin).
-func traceHash(rec *Recorder) uint64 {
-	const fnvOffset = 14695981039346656037
-	const fnvPrime = 1099511628211
-	h := uint64(fnvOffset)
-	mix := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h = (h ^ uint64(s[i])) * fnvPrime
-		}
-	}
-	for _, r := range rec.Records {
-		mix(fmt.Sprintf("%d|%s|%s|%s\n", int64(r.T), r.Kind, r.Who, r.Detail))
-	}
-	return h
-}
-
 // buildPingScenario populates one engine with a self-contained workload:
 // a producer/consumer pair plus a ticker, enough to exercise spawn, queue
 // handoffs, and timers.
@@ -67,7 +50,7 @@ func TestPartitionedDegeneratesToSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if g, w := traceHash(partRec), traceHash(serialRec); g != w {
+	if g, w := partRec.Fingerprint(), serialRec.Fingerprint(); g != w {
 		t.Fatalf("one-partition trace hash %#x differs from serial %#x", g, w)
 	}
 	if g, w := pe.Events(), serial.Events(); g != w {
@@ -145,7 +128,7 @@ func runRing(t *testing.T, workers int) ringResult {
 	}
 	res := ringResult{win: pe.Windows(), cross: pe.CrossMessages(), logs: logs}
 	for i := 0; i < parts; i++ {
-		res.hashes = append(res.hashes, traceHash(recs[i]))
+		res.hashes = append(res.hashes, recs[i].Fingerprint())
 		res.events = append(res.events, pe.Engine(i).Events())
 		res.spanned = append(res.spanned, len(seen[i]))
 	}

@@ -45,6 +45,21 @@ func (r *Recorder) Trace(t Time, kind, who, detail string) {
 	r.Records = append(r.Records, Record{t, kind, who, detail})
 }
 
+// Fingerprint is a 64-bit FNV-1a over every record rendered as
+// "T|Kind|Who|Detail\n" (T in integer nanoseconds): the trace identity the
+// golden and determinism tests pin.
+func (r *Recorder) Fingerprint() uint64 {
+	const offset, prime = 14695981039346656037, 1099511628211
+	h := uint64(offset)
+	for _, rec := range r.Records {
+		s := fmt.Sprintf("%d|%s|%s|%s\n", int64(rec.T), rec.Kind, rec.Who, rec.Detail)
+		for i := 0; i < len(s); i++ {
+			h = (h ^ uint64(s[i])) * prime
+		}
+	}
+	return h
+}
+
 // Dump writes all records to w.
 func (r *Recorder) Dump(w io.Writer) {
 	for _, rec := range r.Records {
