@@ -1,25 +1,21 @@
-// Command benchbaseline measures the simulator's performance baseline and
-// writes it to a JSON file (BENCH_sim.json at the repo root, by convention)
-// so kernel regressions show up as a diff, not a feeling.
+// Command benchbaseline takes the large-scale host timings that nothing
+// else in the repository measures, and writes them to a JSON file
+// (BENCH_sim.json at the repo root, by convention):
 //
-// It records three layers:
+//   - sweep: the whole rank ladder (LU, 64 to 2048 ranks at paper scale) at
+//     each exp.RunParallel worker count up to the host's CPU count
+//   - memory: the extent-arena footprint of the top two sweep points
+//   - partitioned: the conservative partitioned engine at the top sweep
+//     point, serial full-mesh baseline vs sharded worlds at each worker
+//     count up to the host's CPU count
+//   - telemetry: the observed paper-scale migration with the live sink off
+//     and on
 //
-//   - kernel microbenchmarks: event throughput, queue ping-pong, same-time
-//     batch dispatch — ns/op and events/sec, via testing.Benchmark
-//   - payload checksum throughput: generator-lane fold (cold) and memoized
-//     (warm) paths
-//   - experiment macrobenchmark: wall time and events/sec of the paper-scale
-//     LU migration-vs-CR comparison (the Fig. 7 workhorse), plus the scale
-//     sweep at increasing -parallel settings with measured speedups
-//   - robustness: head-to-head strategy campaigns (per-strategy goodput and
-//     MTTR under identical fault schedules), so recovery-quality regressions
-//     are tracked next to performance ones
-//   - fleet: the fleet control-plane economics campaign (1,000 nodes, 200
-//     jobs, 30 simulated days per policy arm) — goodput, node-hours lost,
-//     MTTI/MTTR and queue waits per scheduling × spare-pool policy
-//   - partitioned scaling: the conservative time-windowed partitioned engine
-//     at the top sweep point — serial full-mesh baseline vs sharded worlds at
-//     increasing worker counts, with wall-clock speedups
+// Every section carries its own measured_at, num_cpu, go_max_procs and
+// scale stamp. Per-layer host cost lives elsewhere: bench/ and the Go
+// benchmarks in internal/*. Simulated results (the paper's figures, the
+// strategy campaigns, the fleet arms, the observed-migration digest) are
+// pinned in internal/exp/testdata/results.json by TestPublishedResults.
 //
 // Usage:
 //
@@ -27,8 +23,7 @@
 //
 // -quick substitutes the reduced scale (class W / 16 ranks, short sweep
 // ladder) for CI smoke runs. -only re-measures one entry of the sections
-// table into an existing file. Numbers are host-dependent; the committed
-// BENCH_sim.json records the machine it was measured on.
+// table into an existing file and re-stamps only that section.
 package main
 
 import (
@@ -39,25 +34,30 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"testing"
 	"time"
 
-	"ibmig/internal/core"
 	"ibmig/internal/exp"
-	"ibmig/internal/fleet"
-	"ibmig/internal/mem"
 	"ibmig/internal/metrics"
 	"ibmig/internal/npb"
-	"ibmig/internal/obs"
 	"ibmig/internal/payload"
-	"ibmig/internal/sim"
 )
 
-// Micro is one kernel microbenchmark result.
-type Micro struct {
-	NsPerOp      float64 `json:"ns_per_op"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	AllocsPerOp  int64   `json:"allocs_per_op"`
+// Stamp records when, where and at which scale a section was measured.
+// Sections are re-measured one at a time (-only), so each carries its own.
+type Stamp struct {
+	MeasuredAt string `json:"measured_at"`
+	NumCPU     int    `json:"num_cpu"`
+	GoMaxProcs int    `json:"go_max_procs"`
+	Scale      string `json:"scale"`
+}
+
+func stampNow(c config) Stamp {
+	return Stamp{
+		MeasuredAt: time.Now().UTC().Format(time.RFC3339),
+		NumCPU:     runtime.NumCPU(),
+		GoMaxProcs: runtime.GOMAXPROCS(0),
+		Scale:      c.scale,
+	}
 }
 
 // Sweep is one parallelism setting of the scaling study.
@@ -65,69 +65,33 @@ type Sweep struct {
 	Parallelism int     `json:"parallelism"`
 	WallS       float64 `json:"wall_s"`
 	SpeedupX    float64 `json:"speedup_x"`
-	// Oversubscribed marks points whose parallelism exceeds the host's CPU
-	// count: their speedup measures scheduling overhead, not scaling, and
-	// must not be read as a parallel-efficiency regression.
-	Oversubscribed bool `json:"oversubscribed,omitempty"`
 }
 
 // Baseline is the whole report.
 type Baseline struct {
 	GeneratedBy string `json:"generated_by"`
-	MeasuredAt  string `json:"measured_at"`
-	NumCPU      int    `json:"num_cpu"`
-	GoMaxProcs  int    `json:"go_max_procs"`
-	Scale       string `json:"scale"`
 
-	Kernel  map[string]Micro `json:"kernel"`
-	Payload struct {
-		ChecksumColdMBps float64 `json:"checksum_cold_MBps"`
-		ChecksumWarmNsOp float64 `json:"checksum_warm_ns_per_op"`
-	} `json:"payload"`
-
-	PaperComparison struct {
-		Kernel  string  `json:"kernel"`
-		WallS   float64 `json:"wall_s"`
-		Events  uint64  `json:"events"`
-		MevPerS float64 `json:"mev_per_s"`
-	} `json:"paper_comparison"`
-
-	SweepScaling []Sweep `json:"sweep_scaling"`
+	// SweepScaling times the whole rank ladder at each exp.RunParallel
+	// worker count up to the host's CPU count.
+	SweepScaling struct {
+		Stamp
+		Points []Sweep `json:"points"`
+	} `json:"sweep_scaling"`
 
 	// PartitionedScaling records the conservative partitioned engine at the
 	// top sweep point: the first point is the serial parts=1 full-mesh
 	// baseline, the rest shard the same workload across `parts` partitions at
-	// each worker count. On a single-core host the speedup comes from the
-	// O((ranks/parts)^2) per-shard connection mesh, not from the workers.
+	// each worker count up to the host's CPU count. Most of the speedup comes
+	// from the O((ranks/parts)^2) per-shard connection mesh, not from the
+	// workers.
 	PartitionedScaling struct {
+		Stamp
 		Kernel     string      `json:"kernel"`
 		Ranks      int         `json:"ranks"`
 		Iterations int         `json:"iterations"`
 		Parts      int         `json:"parts"`
 		Points     []PartPoint `json:"points"`
 	} `json:"partitioned_scaling"`
-
-	// DataPlane records the zero-copy data-plane telemetry: splice/merge
-	// activity and — the headline number — how few bytes the paper-scale
-	// comparison and the largest sweep point ever materialize.
-	DataPlane struct {
-		Comparison struct {
-			RegionWrites      uint64 `json:"region_writes"`
-			ExtentSplits      uint64 `json:"extent_splits"`
-			ExtentMerges      uint64 `json:"extent_merges"`
-			MaterializedBytes uint64 `json:"materialized_bytes"`
-		} `json:"paper_comparison"`
-		TopSweepPoint struct {
-			Ranks             int     `json:"ranks"`
-			WallS             float64 `json:"wall_s"`
-			Events            uint64  `json:"events"`
-			RegionWrites      uint64  `json:"region_writes"`
-			LiveExtents       int64   `json:"live_extents"`
-			MaterializedBytes uint64  `json:"materialized_bytes"`
-			AllocMB           float64 `json:"alloc_mb"`
-		} `json:"top_sweep_point"`
-		RegionWriteChurn Micro `json:"region_write_churn"`
-	} `json:"data_plane"`
 
 	// MemoryFootprint records the extent-arena footprint study: the large
 	// sweep points re-run standalone with peak tracking rebaselined, so the
@@ -136,57 +100,10 @@ type Baseline struct {
 	// reclamation story (how many node allocations were recycled vs minted,
 	// and how many nodes epoch closes returned).
 	MemoryFootprint struct {
+		Stamp
 		Kernel string           `json:"kernel"`
 		Points []FootprintPoint `json:"points"`
 	} `json:"memory_footprint"`
-
-	// Obs characterizes the observability layer on an observed paper-scale
-	// LU migration: the RDMA chunk-latency distribution, the hottest IB link,
-	// companion latency histograms, and the cost accounting (disabled-path
-	// ns/op must stay within the ≤2% overhead budget; observed wall time
-	// shows the enabled cost at full scale).
-	Obs struct {
-		Kernel             string  `json:"kernel"`
-		RDMAChunks         int64   `json:"rdma_chunks"`
-		RDMAChunkP50US     float64 `json:"rdma_chunk_p50_us"`
-		RDMAChunkP99US     float64 `json:"rdma_chunk_p99_us"`
-		PeakLink           string  `json:"peak_link"`
-		PeakLinkBusyFrac   float64 `json:"peak_link_busy_frac"`
-		AggWaitP99US       float64 `json:"agg_wait_p99_us"`
-		FTBDeliveryP50US   float64 `json:"ftb_delivery_p50_us"`
-		Spans              int     `json:"spans"`
-		ObservedWallS      float64 `json:"observed_wall_s"`
-		DisabledPathNsOp   float64 `json:"disabled_path_ns_per_op"`
-		DisabledPathAllocs int64   `json:"disabled_path_allocs_per_op"`
-	} `json:"obs"`
-
-	// Robustness records the head-to-head fault-tolerance campaigns so
-	// BENCH_sim.json tracks recovery quality alongside performance: every
-	// strategy runs the same job under an identical fault schedule, at the
-	// paper's headline point (one well-predicted failure) and at the burst
-	// point that reverses the verdict (three failures, only the first
-	// predicted). The simulated numbers are deterministic; only wall_s is
-	// host-dependent.
-	Robustness struct {
-		Kernel       string        `json:"kernel"`
-		WallS        float64       `json:"wall_s"`
-		OnePredicted []StrategyArm `json:"one_predicted_failure"`
-		Burst3       []StrategyArm `json:"three_failure_burst"`
-	} `json:"robustness"`
-
-	// Fleet records the fleet control-plane economics campaign: every policy
-	// arm (FIFO/backfill × fixed/autoscaled spare pool) schedules the same
-	// workload against the same failure realization, so the per-arm goodput,
-	// node-hours-lost, MTTI/MTTR and queue-wait numbers are pure policy
-	// signal. All simulated numbers are deterministic; only wall_s is
-	// host-dependent.
-	Fleet struct {
-		Nodes       int                  `json:"nodes"`
-		Jobs        int                  `json:"jobs"`
-		HorizonDays float64              `json:"horizon_days"`
-		WallS       float64              `json:"wall_s"`
-		Arms        []exp.FleetArmResult `json:"arms"`
-	} `json:"fleet"`
 
 	// Telemetry records the streaming-telemetry overhead: the same observed
 	// paper-scale migration run with the live sink off and on (a subscriber
@@ -194,6 +111,7 @@ type Baseline struct {
 	// results are bit-identical either way (TestGoldenTraceStreamEnabled);
 	// this section prices the host-side cost of watching.
 	Telemetry struct {
+		Stamp
 		Kernel string `json:"kernel"`
 		// Engine events per wall second with no sink vs a live sink attached,
 		// and the relative slowdown.
@@ -206,11 +124,6 @@ type Baseline struct {
 		SinkEvents  uint64 `json:"sink_events"`
 		SinkDropped uint64 `json:"sink_dropped"`
 	} `json:"telemetry"`
-
-	// PreOptimization pins the numbers measured on the same host immediately
-	// before the hot-path overhaul (ready-ring batching, event freelist, ring
-	// wait lists, checksum memoization), for before/after comparison.
-	PreOptimization map[string]any `json:"pre_optimization"`
 }
 
 // FootprintPoint is one rank count of the memory-footprint study.
@@ -230,17 +143,24 @@ type FootprintPoint struct {
 	CompactedExts    uint64  `json:"compacted_extents"`
 }
 
+// workerCounts is the 1, 2, 4, 8 worker ladder cut at the host's CPU count:
+// a point with more workers than CPUs measures scheduling overhead, not
+// scaling.
+func workerCounts() []int {
+	var ws []int
+	for w := 1; w <= 8 && w <= runtime.NumCPU(); w *= 2 {
+		ws = append(ws, w)
+	}
+	return ws
+}
+
 // measureSweepScaling fills the sweep_scaling section: the whole rank ladder
-// at growing exp.RunParallel worker counts, flagging oversubscribed points
-// (parallelism beyond the host's CPUs) so a sub-1x "speedup" on a small host
-// is never mistaken for a scaling regression.
+// at each exp.RunParallel worker count.
 func measureSweepScaling(b *Baseline, c config) {
-	b.SweepScaling = nil
+	b.SweepScaling.Stamp = stampNow(c)
+	b.SweepScaling.Points = nil
 	var serialWall float64
-	for _, par := range []int{1, 2, 4, 8} {
-		if par > 2*runtime.NumCPU() && par > 2 {
-			break // oversubscribing further tells us nothing
-		}
+	for _, par := range workerCounts() {
 		fmt.Fprintf(os.Stderr, "sweep at parallelism %d...\n", par)
 		exp.SetParallelism(par)
 		payload.ResetChecksumCache()
@@ -250,11 +170,11 @@ func measureSweepScaling(b *Baseline, c config) {
 		if par == 1 {
 			serialWall = w
 		}
-		sp := Sweep{Parallelism: par, WallS: w, Oversubscribed: par > runtime.NumCPU()}
+		sp := Sweep{Parallelism: par, WallS: w}
 		if w > 0 {
 			sp.SpeedupX = serialWall / w
 		}
-		b.SweepScaling = append(b.SweepScaling, sp)
+		b.SweepScaling.Points = append(b.SweepScaling.Points, sp)
 	}
 	exp.SetParallelism(1)
 }
@@ -262,14 +182,14 @@ func measureSweepScaling(b *Baseline, c config) {
 // measureMemory fills the memory_footprint section: the top two sweep points
 // run standalone, with the GC settled and the peak-live-extents high-water
 // mark rebaselined before each, so peaks and allocation deltas belong to the
-// point alone. The largest point also fills data_plane.top_sweep_point, so
-// the two sections always describe the same standalone run.
+// point alone.
 func measureMemory(b *Baseline, c config) {
 	sc := c.sc
 	pts := c.sweepRanks
 	if len(pts) > 2 {
 		pts = pts[len(pts)-2:]
 	}
+	b.MemoryFootprint.Stamp = stampNow(c)
 	b.MemoryFootprint.Kernel = "LU"
 	b.MemoryFootprint.Points = nil
 	for _, ranks := range pts {
@@ -280,32 +200,19 @@ func measureMemory(b *Baseline, c config) {
 		runtime.ReadMemStats(&ms0)
 		payload.ResetPeakLiveExtents()
 		arBefore := metrics.CaptureArena()
-		dpBefore := metrics.CaptureDataPlane()
 		start := time.Now()
 		out := exp.RunMigration(exp.MigrationSpec{Kernel: npb.LU, Scale: exp.Scale{Class: sc.Class, Ranks: ranks, PPN: sc.PPN, Seed: sc.Seed}})
 		wall := time.Since(start).Seconds()
 		var ms1 runtime.MemStats
 		runtime.ReadMemStats(&ms1)
 		ar := metrics.CaptureArena().Delta(arBefore)
-		dp := metrics.CaptureDataPlane()
-		allocMB := float64(ms1.TotalAlloc-ms0.TotalAlloc) / (1 << 20)
-		if ranks == c.sweepRanks[len(c.sweepRanks)-1] {
-			d := dp.Delta(dpBefore)
-			b.DataPlane.TopSweepPoint.Ranks = ranks
-			b.DataPlane.TopSweepPoint.WallS = wall
-			b.DataPlane.TopSweepPoint.Events = out.Events
-			b.DataPlane.TopSweepPoint.RegionWrites = d.RegionWrites
-			b.DataPlane.TopSweepPoint.LiveExtents = d.LiveExtents
-			b.DataPlane.TopSweepPoint.MaterializedBytes = d.MaterializedBytes
-			b.DataPlane.TopSweepPoint.AllocMB = allocMB
-		}
 		b.MemoryFootprint.Points = append(b.MemoryFootprint.Points, FootprintPoint{
 			Ranks:            ranks,
 			WallS:            wall,
 			Events:           out.Events,
 			PeakLiveExtents:  ar.PeakLiveExtents,
-			FinalLiveExtents: dp.LiveExtents,
-			AllocMB:          allocMB,
+			FinalLiveExtents: metrics.CaptureDataPlane().LiveExtents,
+			AllocMB:          float64(ms1.TotalAlloc-ms0.TotalAlloc) / (1 << 20),
 			ArenaChunks:      ar.Chunks,
 			ArenaRecycled:    ar.Recycled,
 			ArenaMinted:      ar.Minted,
@@ -328,91 +235,6 @@ type PartPoint struct {
 	SpeedupX      float64 `json:"speedup_x"`
 }
 
-// StrategyArm is one strategy's outcome in a robustness campaign.
-type StrategyArm struct {
-	Strategy        string  `json:"strategy"`
-	Completed       bool    `json:"completed"`
-	GoodputPct      float64 `json:"goodput_pct"`
-	MTTRS           float64 `json:"mttr_s"`
-	ReworkS         float64 `json:"rework_s"`
-	NodeSecondsLost float64 `json:"node_seconds_lost"`
-	Migrations      int     `json:"migrations"`
-	Restarts        int     `json:"restarts"`
-	ReplicaRestores int     `json:"replica_restores"`
-}
-
-func armsOf(cr *exp.CampaignResult) []StrategyArm {
-	var out []StrategyArm
-	for i := range cr.Results {
-		r := &cr.Results[i]
-		out = append(out, StrategyArm{
-			Strategy:        r.Strategy,
-			Completed:       r.Completed,
-			GoodputPct:      r.GoodputPct,
-			MTTRS:           time.Duration(r.MTTRNS).Seconds(),
-			ReworkS:         time.Duration(r.ReworkNS).Seconds(),
-			NodeSecondsLost: r.NodeSecondsLost,
-			Migrations:      r.Migrations,
-			Restarts:        r.ReactiveRestarts,
-			ReplicaRestores: r.ReplicaRestores,
-		})
-	}
-	return out
-}
-
-// measureRobustness fills the robustness section from two strategy campaigns
-// on the shared failure schedule.
-func measureRobustness(b *Baseline, c config) {
-	fmt.Fprintln(os.Stderr, "strategy campaigns (robustness section)...")
-	old := exp.Parallelism()
-	exp.SetParallelism(0)
-	defer exp.SetParallelism(old)
-	start := time.Now()
-	spec := exp.CampaignSpec{Kernel: npb.LU, Scale: c.sc, Failures: 1}
-	one := exp.RunCampaign(spec, nil)
-	spec.Failures = 3
-	burst := exp.RunCampaign(spec, nil)
-	b.Robustness.Kernel = "LU"
-	b.Robustness.WallS = time.Since(start).Seconds()
-	b.Robustness.OnePredicted = armsOf(one)
-	b.Robustness.Burst3 = armsOf(burst)
-}
-
-// measureFleet fills the fleet section: the acceptance-criteria campaign
-// (1,000 nodes, 200 jobs, 30 simulated days) at paper scale, a one-week
-// 128-node fleet at quick scale.
-func measureFleet(b *Baseline, c config) {
-	// MeanWork is sized so total demand slightly exceeds fleet capacity over
-	// the horizon: a queue forms and the scheduling arms actually diverge
-	// (an underloaded fleet makes backfill indistinguishable from FIFO).
-	base := fleet.Config{
-		Nodes:    1000,
-		RackSize: 10,
-		NodeMTBF: 4 * 24 * time.Hour,
-		Horizon:  30 * 24 * time.Hour,
-		Jobs:     200,
-		MaxWidth: 64,
-		MeanWork: 120 * time.Hour,
-		Seed:     c.sc.Seed,
-	}
-	if c.quick {
-		base.Nodes, base.RackSize = 128, 8
-		base.Horizon = 7 * 24 * time.Hour
-		base.Jobs, base.MaxWidth, base.MeanWork = 64, 24, 18*time.Hour
-	}
-	fmt.Fprintf(os.Stderr, "fleet campaign (%d nodes, %d jobs)...\n", base.Nodes, base.Jobs)
-	old := exp.Parallelism()
-	exp.SetParallelism(0)
-	defer exp.SetParallelism(old)
-	start := time.Now()
-	res := exp.RunFleetCampaign(exp.FleetCampaignSpec{Base: base})
-	b.Fleet.Nodes = base.Nodes
-	b.Fleet.Jobs = base.Jobs
-	b.Fleet.HorizonDays = base.Horizon.Hours() / 24
-	b.Fleet.WallS = time.Since(start).Seconds()
-	b.Fleet.Arms = res.Arms
-}
-
 // measurePartitioned fills the partitioned_scaling section: the top sweep
 // point on the conservative partitioned engine, serial baseline first. The
 // iteration count is trimmed so setup and steady state both show in wall
@@ -426,7 +248,8 @@ func measurePartitioned(b *Baseline, c config) {
 		iters = 10
 	}
 	psc := exp.Scale{Class: sc.Class, Ranks: top, PPN: sc.PPN, Seed: sc.Seed}
-	pts := exp.PartitionedScaling(psc, 8, []int{1, 2, 4, 8}, iters)
+	b.PartitionedScaling.Stamp = stampNow(c)
+	pts := exp.PartitionedScaling(psc, 8, workerCounts(), iters)
 	b.PartitionedScaling.Kernel = "LU"
 	b.PartitionedScaling.Ranks = top
 	b.PartitionedScaling.Iterations = pts[0].Iterations
@@ -445,60 +268,12 @@ func measurePartitioned(b *Baseline, c config) {
 	}
 }
 
-func microOf(r testing.BenchmarkResult, events uint64) Micro {
-	m := Micro{NsPerOp: float64(r.NsPerOp()), AllocsPerOp: r.AllocsPerOp()}
-	if s := r.T.Seconds(); s > 0 {
-		m.EventsPerSec = float64(events) / s
-	}
-	return m
-}
-
-// measureObs fills the obs section from one observed migration plus the
-// disabled-path microbenchmark.
-func measureObs(b *Baseline, c config) {
-	fmt.Fprintln(os.Stderr, "observed migration (obs section)...")
-	payload.ResetChecksumCache()
-	start := time.Now()
-	col := exp.RunMigration(exp.MigrationSpec{Kernel: npb.LU, Scale: c.sc, Observe: true}).Collector
-	b.Obs.ObservedWallS = time.Since(start).Seconds()
-	b.Obs.Kernel = "LU"
-	h := col.Histogram("ib.rdma_read_us")
-	b.Obs.RDMAChunks = h.Count()
-	b.Obs.RDMAChunkP50US = h.Quantile(0.50)
-	b.Obs.RDMAChunkP99US = h.Quantile(0.99)
-	b.Obs.AggWaitP99US = col.Histogram("core.agg_wait_us").Quantile(0.99)
-	b.Obs.FTBDeliveryP50US = col.Histogram("ftb.delivery_us").Quantile(0.50)
-	b.Obs.Spans = len(col.Spans())
-	// All capacity-1 links peak at 100%, so "hottest" means busiest fraction
-	// of its active window, not highest instantaneous peak.
-	var peakName string
-	var peakBusy float64
-	for _, name := range col.TopTracks("ib.") {
-		if busy := col.Track(name).BusyFraction(); busy > peakBusy {
-			peakName, peakBusy = name, busy
-		}
-	}
-	b.Obs.PeakLink, b.Obs.PeakLinkBusyFrac = peakName, peakBusy
-
-	r := testing.Benchmark(func(tb *testing.B) {
-		tb.ReportAllocs()
-		e := sim.NewEngine(1)
-		for i := 0; i < tb.N; i++ {
-			c := obs.Get(e)
-			id := c.StartSpan(e.Now(), "x", "a", 0)
-			c.EndSpan(e.Now(), id)
-			c.Hist("h", obs.LatencyBucketsUS).Observe(1)
-		}
-	})
-	b.Obs.DisabledPathNsOp = float64(r.NsPerOp())
-	b.Obs.DisabledPathAllocs = r.AllocsPerOp()
-}
-
-// measureTelemetry fills the telemetry section: the observed paper-scale
-// migration with the sink off, then again with a live subscriber ring drained
-// concurrently, priced as engine events per wall second.
+// measureTelemetry fills the telemetry section: the observed migration with
+// the sink off, then again with a live subscriber ring drained concurrently,
+// priced as engine events per wall second.
 func measureTelemetry(b *Baseline, c config) {
 	fmt.Fprintln(os.Stderr, "streaming telemetry overhead (telemetry section)...")
+	b.Telemetry.Stamp = stampNow(c)
 	b.Telemetry.Kernel = "LU"
 	payload.ResetChecksumCache()
 	start := time.Now()
@@ -510,60 +285,60 @@ func measureTelemetry(b *Baseline, c config) {
 	onWall := time.Since(start).Seconds()
 	if offWall > 0 {
 		b.Telemetry.SinkOffEventsPerSec = float64(offOut.Events) / offWall
+		b.Telemetry.OverheadPct = (onWall/offWall - 1) * 100
 	}
 	if onWall > 0 {
 		b.Telemetry.SinkOnEventsPerSec = float64(onOut.Events) / onWall
-	}
-	if offWall > 0 {
-		b.Telemetry.OverheadPct = (onWall/offWall - 1) * 100
 	}
 	b.Telemetry.SinkEvents = onOut.Stream.Events
 	b.Telemetry.SinkDropped = onOut.Stream.Dropped
 }
 
-// config is what every section measures against: the experiment scale, the
-// sweep's rank ladder, and whether this is a -quick run.
+// config is what every section measures against: the experiment scale and
+// its name, and the sweep's rank ladder.
 type config struct {
 	sc         exp.Scale
+	scale      string
 	sweepRanks []int
-	quick      bool
+}
+
+func newConfig(quick bool, seed int64) config {
+	c := config{sc: exp.PaperScale, scale: "paper", sweepRanks: exp.DefaultSweepRanks}
+	if quick {
+		c = config{sc: exp.QuickScale, scale: "quick", sweepRanks: exp.QuickSweepRanks}
+	}
+	c.sc.Seed = seed
+	return c
 }
 
 // section is one re-measurable part of the baseline. A full run measures
-// every section in table order after the kernel, payload and paper-comparison
-// readings; -only re-measures one section into an existing file.
+// every section in table order; -only re-measures one section into an
+// existing file. Each measure stamps its own section.
 type section struct {
 	name    string
 	measure func(b *Baseline, c config)
 	summary func(b *Baseline) string
 }
 
+// memory comes first: the extent arena's chunk and live-extent levels are
+// process-wide, so every run before it would show up in its peaks.
 var sections = []section{
-	{"sweep", measureSweepScaling, func(b *Baseline) string {
-		last := b.SweepScaling[len(b.SweepScaling)-1]
-		return fmt.Sprintf("%d points, last: parallelism %d, %.1fs, %.2fx, oversubscribed=%v",
-			len(b.SweepScaling), last.Parallelism, last.WallS, last.SpeedupX, last.Oversubscribed)
-	}},
 	{"memory", measureMemory, func(b *Baseline) string {
 		top := b.MemoryFootprint.Points[len(b.MemoryFootprint.Points)-1]
 		return fmt.Sprintf("%d ranks: peak %d live extents, %.0f MB allocated, %d recycled / %d minted",
 			top.Ranks, top.PeakLiveExtents, top.AllocMB, top.ArenaRecycled, top.ArenaMinted)
+	}},
+	{"sweep", measureSweepScaling, func(b *Baseline) string {
+		pts := b.SweepScaling.Points
+		last := pts[len(pts)-1]
+		return fmt.Sprintf("%d points, last: parallelism %d, %.1fs, %.2fx",
+			len(pts), last.Parallelism, last.WallS, last.SpeedupX)
 	}},
 	{"partitioned", measurePartitioned, func(b *Baseline) string {
 		ps := b.PartitionedScaling
 		last := ps.Points[len(ps.Points)-1]
 		return fmt.Sprintf("%d ranks, serial %.1fs vs %d shards x %d workers %.1fs, %.2fx",
 			ps.Ranks, ps.Points[0].WallS, last.Parts, last.Workers, last.WallS, last.SpeedupX)
-	}},
-	{"robustness", measureRobustness, func(b *Baseline) string {
-		return fmt.Sprintf("%d arms per campaign, %.1fs wall", len(b.Robustness.OnePredicted), b.Robustness.WallS)
-	}},
-	{"fleet", measureFleet, func(b *Baseline) string {
-		return fmt.Sprintf("%d nodes, %d jobs, %d arms, %.1fs wall", b.Fleet.Nodes, b.Fleet.Jobs, len(b.Fleet.Arms), b.Fleet.WallS)
-	}},
-	{"obs", measureObs, func(b *Baseline) string {
-		return fmt.Sprintf("p50=%.1fµs p99=%.1fµs over %d chunks, hottest link %s at %.1f%%",
-			b.Obs.RDMAChunkP50US, b.Obs.RDMAChunkP99US, b.Obs.RDMAChunks, b.Obs.PeakLink, b.Obs.PeakLinkBusyFrac*100)
 	}},
 	{"telemetry", measureTelemetry, func(b *Baseline) string {
 		return fmt.Sprintf("sink off %.2f Mev/s, on %.2f Mev/s, overhead %.1f%%, %d events streamed, %d dropped",
@@ -587,6 +362,21 @@ func sectionNames() string {
 		names[i] = sec.name
 	}
 	return strings.Join(names, ", ")
+}
+
+// refresh re-measures one section into the baseline file at path and leaves
+// every other section, stamp included, as it was.
+func refresh(path string, sec section, c config) (*Baseline, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var b Baseline
+	if err := json.Unmarshal(data, &b); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	sec.measure(&b, c)
+	return &b, writeBaseline(path, &b)
 }
 
 func main() {
@@ -626,22 +416,7 @@ func main() {
 		}
 	}()
 
-	var b Baseline
-	b.GeneratedBy = "cmd/benchbaseline"
-	b.MeasuredAt = time.Now().UTC().Format(time.RFC3339)
-	b.NumCPU = runtime.NumCPU()
-	b.GoMaxProcs = runtime.GOMAXPROCS(0)
-	b.Kernel = map[string]Micro{}
-
-	cfg := config{sc: exp.PaperScale, sweepRanks: exp.DefaultSweepRanks, quick: *quick}
-	b.Scale = "paper"
-	if *quick {
-		cfg.sc = exp.QuickScale
-		cfg.sweepRanks = exp.QuickSweepRanks
-		b.Scale = "quick"
-	}
-	cfg.sc.Seed = *seed
-	sc := cfg.sc
+	cfg := newConfig(*quick, *seed)
 
 	// Incremental mode: a full regeneration takes minutes, so -only re-measures
 	// one section into the existing file and leaves the rest untouched.
@@ -651,174 +426,31 @@ func main() {
 			fmt.Fprintf(os.Stderr, "unsupported -only section %q (supported: %s)\n", *only, sectionNames())
 			os.Exit(2)
 		}
-		data, err := os.ReadFile(*out)
+		b, err := refresh(*out, sec, cfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		if err := json.Unmarshal(data, &b); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", *out, err)
-			os.Exit(1)
-		}
-		sec.measure(&b, cfg)
-		writeBaseline(*out, &b)
-		fmt.Printf("updated %s section of %s (%s)\n", sec.name, *out, sec.summary(&b))
+		fmt.Printf("updated %s section of %s (%s)\n", sec.name, *out, sec.summary(b))
 		return
 	}
 
-	// --- kernel microbenchmarks ------------------------------------------
-	fmt.Fprintln(os.Stderr, "kernel microbenchmarks...")
-	var lastEvents uint64
-	r := testing.Benchmark(func(tb *testing.B) {
-		e := sim.NewEngine(1)
-		e.Spawn("ticker", func(p *sim.Proc) {
-			for i := 0; i < tb.N; i++ {
-				p.Sleep(time.Microsecond)
-			}
-		})
-		tb.ResetTimer()
-		if err := e.Run(); err != nil {
-			tb.Fatal(err)
-		}
-		lastEvents = e.Events()
-	})
-	b.Kernel["event_throughput"] = microOf(r, lastEvents)
-
-	r = testing.Benchmark(func(tb *testing.B) {
-		e := sim.NewEngine(1)
-		q1 := sim.NewQueue[int](e, "q1", 0)
-		q2 := sim.NewQueue[int](e, "q2", 0)
-		e.Spawn("a", func(p *sim.Proc) {
-			for i := 0; i < tb.N; i++ {
-				q1.Send(p, i)
-				q2.Recv(p)
-			}
-		})
-		e.Spawn("b", func(p *sim.Proc) {
-			for i := 0; i < tb.N; i++ {
-				q1.Recv(p)
-				q2.Send(p, i)
-			}
-		})
-		tb.ResetTimer()
-		if err := e.Run(); err != nil {
-			tb.Fatal(err)
-		}
-		lastEvents = e.Events()
-	})
-	b.Kernel["ping_pong"] = microOf(r, lastEvents)
-
-	// Persistent driver, shared worker body, reusable WaitGroup — the same
-	// shape as sim's BenchmarkSameTimeBatch, so allocs/op measures the kernel's
-	// pooled spawn path rather than per-iteration closure construction.
-	r = testing.Benchmark(func(tb *testing.B) {
-		tb.ReportAllocs()
-		e := sim.NewEngine(1)
-		wg := sim.NewWaitGroup(e)
-		worker := func(p *sim.Proc) {
-			p.Sleep(time.Microsecond)
-			wg.Done()
-		}
-		e.Spawn("driver", func(p *sim.Proc) {
-			for i := 0; i < tb.N; i++ {
-				wg.Add(256)
-				for w := 0; w < 256; w++ {
-					p.SpawnChild("w", worker)
-				}
-				wg.Wait(p)
-			}
-		})
-		tb.ResetTimer()
-		if err := e.Run(); err != nil {
-			tb.Fatal(err)
-		}
-		lastEvents = e.Events()
-	})
-	b.Kernel["same_time_batch_256"] = microOf(r, lastEvents)
-
-	// --- payload ----------------------------------------------------------
-	fmt.Fprintln(os.Stderr, "payload checksum...")
-	r = testing.Benchmark(func(tb *testing.B) {
-		tb.SetBytes(1 << 20)
-		for i := 0; i < tb.N; i++ {
-			_ = payload.Synth(uint64(i)+1, 0, 1<<20).Checksum()
-		}
-	})
-	b.Payload.ChecksumColdMBps = float64(r.Bytes*int64(r.N)) / (1 << 20) / r.T.Seconds()
-	warm := payload.Synth(1, 0, 1<<20)
-	warm.Checksum() // populate cache
-	r = testing.Benchmark(func(tb *testing.B) {
-		for i := 0; i < tb.N; i++ {
-			_ = warm.Checksum()
-		}
-	})
-	b.Payload.ChecksumWarmNsOp = float64(r.NsPerOp())
-
-	// --- paper-scale comparison ------------------------------------------
-	// Events come from a separate untimed migration run (RunComparison does
-	// not expose its engine); the Mev/s figure uses that count as a proxy for
-	// per-run event volume.
-	fmt.Fprintln(os.Stderr, "paper-scale LU comparison...")
-	migOut := exp.RunMigration(exp.MigrationSpec{Kernel: npb.LU, Scale: sc})
-	payload.ResetChecksumCache()
-	dpBefore := metrics.CaptureDataPlane()
-	start := time.Now()
-	exp.RunComparison(npb.LU, sc, core.Options{})
-	wall := time.Since(start).Seconds()
-	dpCmp := metrics.CaptureDataPlane().Delta(dpBefore)
-	b.PaperComparison.Kernel = "LU"
-	b.PaperComparison.WallS = wall
-	b.PaperComparison.Events = migOut.Events
-	if wall > 0 {
-		b.PaperComparison.MevPerS = float64(migOut.Events) / wall / 1e6
-	}
-	b.DataPlane.Comparison.RegionWrites = dpCmp.RegionWrites
-	b.DataPlane.Comparison.ExtentSplits = dpCmp.ExtentSplits
-	b.DataPlane.Comparison.ExtentMerges = dpCmp.ExtentMerges
-	b.DataPlane.Comparison.MaterializedBytes = dpCmp.MaterializedBytes
-
-	// --- data plane -------------------------------------------------------
-	// Region-write churn: sustained random overwrites of one region. The
-	// interesting numbers are allocs/op (descriptor splicing, no content
-	// rebuild) and that it stays flat as the region fills.
-	r = testing.Benchmark(func(tb *testing.B) {
-		tb.ReportAllocs()
-		reg := mem.NewRegion(64<<20, 1)
-		for i := 0; i < tb.N; i++ {
-			off := int64(i%8191) * 8192 % (64<<20 - 1<<16)
-			reg.Write(off, payload.Synth(uint64(i)+2, 0, 1<<16))
-		}
-	})
-	// One region write is one op; events/sec here means sustained writes/sec
-	// (it was accidentally left at zero before).
-	b.DataPlane.RegionWriteChurn = microOf(r, uint64(r.N))
-
+	b := Baseline{GeneratedBy: "cmd/benchbaseline"}
 	for _, sec := range sections {
 		sec.measure(&b, cfg)
+		fmt.Printf("%s: %s\n", sec.name, sec.summary(&b))
 	}
-
-	// Measured 2026-08-05 on the same host (1 vCPU) at commit 6f7b7e9,
-	// immediately before the overhaul.
-	b.PreOptimization = map[string]any{
-		"event_throughput_ns_per_op": 620.9,
-		"ping_pong_ns_per_op":        1540.0,
-		"paper_fig7_all_wall_s":      12.1,
-		"paper_lu_comparison_wall_s": 8.82,
-	}
-
-	writeBaseline(*out, &b)
-	fmt.Printf("wrote %s (paper comparison %.2fs wall, %.2f Mev/s)\n",
-		*out, b.PaperComparison.WallS, b.PaperComparison.MevPerS)
-}
-
-func writeBaseline(path string, b *Baseline) {
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		panic(err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := writeBaseline(*out, &b); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	fmt.Printf("wrote %s\n", *out)
+}
+
+func writeBaseline(path string, b *Baseline) error {
+	data, err := json.MarshalIndent(b, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

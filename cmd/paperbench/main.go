@@ -51,7 +51,6 @@ import (
 
 	"ibmig/internal/core"
 	"ibmig/internal/exp"
-	"ibmig/internal/fleet"
 	"ibmig/internal/metrics"
 	"ibmig/internal/npb"
 	"ibmig/internal/obs"
@@ -195,14 +194,7 @@ func main() {
 			fmt.Printf("RDMA chunk latency: p50=%.1fµs p99=%.1fµs over %d chunks\n",
 				h.Quantile(0.50), h.Quantile(0.99), h.Count())
 		}
-		var hot string
-		var hotBusy float64
-		for _, name := range col.TopTracks("ib.") {
-			if b := col.Track(name).BusyFraction(); b > hotBusy {
-				hot, hotBusy = name, b
-			}
-		}
-		if hot != "" {
+		if hot, hotBusy := col.BusiestTrack("ib."); hot != "" {
 			fmt.Printf("hottest IB link: %s (busy %.1f%% of its active window)\n", hot, hotBusy*100)
 		}
 		if *traceOut != "" {
@@ -230,24 +222,7 @@ func main() {
 		fmt.Println(exp.FormatCrossover([]*exp.CampaignResult{exp.RunCampaign(corr, nil)}))
 	})
 	run("fleet", func() {
-		// Sized so total demand slightly exceeds capacity over the horizon: a
-		// queue forms and the scheduling arms diverge (an underloaded fleet
-		// makes backfill indistinguishable from FIFO).
-		base := fleet.Config{
-			Nodes:    1000,
-			RackSize: 10,
-			NodeMTBF: 4 * 24 * time.Hour,
-			Horizon:  30 * 24 * time.Hour,
-			Jobs:     200,
-			MaxWidth: 64,
-			MeanWork: 120 * time.Hour,
-			Seed:     sc.Seed,
-		}
-		if *scaleName == "quick" {
-			base.Nodes, base.RackSize = 128, 8
-			base.Horizon = 7 * 24 * time.Hour
-			base.Jobs, base.MaxWidth, base.MeanWork = 64, 24, 18*time.Hour
-		}
+		base := exp.FleetEconomics(sc.Seed, *scaleName == "quick")
 		fmt.Printf("Fleet economics — %d nodes, %d jobs, %.0f-day horizon, per-policy rollups\n",
 			base.Nodes, base.Jobs, base.Horizon.Hours()/24)
 		fmt.Println(exp.FormatFleet(exp.RunFleetCampaign(exp.FleetCampaignSpec{Base: base})))

@@ -9,11 +9,43 @@ package exp
 
 import (
 	"fmt"
+	"time"
 
 	"ibmig/internal/fleet"
 	"ibmig/internal/metrics"
 	"ibmig/internal/sim"
 )
+
+// FleetEconomics returns the base configuration of EXPERIMENTS.md's fleet
+// economics campaign: 1,000 nodes, 200 jobs and 30 simulated days, or a
+// one-week 128-node fleet when quick is set. MeanWork is sized so total
+// demand slightly exceeds capacity over the horizon: a queue forms and the
+// scheduling arms diverge (an underloaded fleet makes backfill
+// indistinguishable from FIFO).
+func FleetEconomics(seed int64, quick bool) fleet.Config {
+	if quick {
+		return fleet.Config{
+			Nodes:    128,
+			RackSize: 8,
+			NodeMTBF: 4 * 24 * time.Hour,
+			Horizon:  7 * 24 * time.Hour,
+			Jobs:     64,
+			MaxWidth: 24,
+			MeanWork: 18 * time.Hour,
+			Seed:     seed,
+		}
+	}
+	return fleet.Config{
+		Nodes:    1000,
+		RackSize: 10,
+		NodeMTBF: 4 * 24 * time.Hour,
+		Horizon:  30 * 24 * time.Hour,
+		Jobs:     200,
+		MaxWidth: 64,
+		MeanWork: 120 * time.Hour,
+		Seed:     seed,
+	}
+}
 
 // FleetArmSpec names one campaign arm: a policy plus its spare-pool regime.
 type FleetArmSpec struct {

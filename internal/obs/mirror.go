@@ -13,82 +13,26 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 
 	"ibmig/internal/sim"
 )
 
-// Mirror accumulates applied events. All methods are goroutine-safe.
+// Mirror accumulates applied events into a Collector of its own, the same
+// aggregation core the engine side uses. All methods are goroutine-safe.
 type Mirror struct {
-	mu       sync.Mutex
-	spans    []Span
-	byID     map[SpanID]int // wire span id -> index into spans
-	counters map[string]int64
-	gauges   map[string]float64
-	hists    map[string]*Histogram
-	usage    map[string]*usageAgg
-	lastT    sim.Time
-	events   uint64
-	dropped  uint64
-}
-
-// usageAgg is the streaming reduction of one device's usage samples — enough
-// state for busy-fraction, mean and peak utilization without keeping the
-// timeline.
-type usageAgg struct {
-	capacity     int64
-	first, last  sim.Time
-	lastUsed     int64
-	busy         sim.Duration
-	usedIntegral float64
-	peak         int64
-	started      bool
-}
-
-func (u *usageAgg) sample(t sim.Time, used, capacity int64) {
-	if capacity > u.capacity {
-		u.capacity = capacity
-	}
-	if !u.started {
-		u.started = true
-		u.first = t
-	} else if dt := t.Sub(u.last); dt > 0 {
-		if u.lastUsed > 0 {
-			u.busy += dt
-		}
-		u.usedIntegral += float64(u.lastUsed) * float64(dt)
-	}
-	u.last, u.lastUsed = t, used
-	if used > u.peak {
-		u.peak = used
-	}
-}
-
-func (u *usageAgg) busyFraction() float64 {
-	if !u.started || u.last <= u.first {
-		return 0
-	}
-	return float64(u.busy) / float64(u.last.Sub(u.first))
-}
-
-func (u *usageAgg) peakUtilization() float64 {
-	if u.capacity == 0 {
-		return 0
-	}
-	return float64(u.peak) / float64(u.capacity)
+	mu      sync.Mutex
+	col     *Collector
+	spanIDs map[SpanID]SpanID // wire span id -> local id; they differ once a span open is dropped
+	lastT   sim.Time
+	events  uint64
+	dropped uint64
 }
 
 // NewMirror returns an empty mirror.
 func NewMirror() *Mirror {
-	return &Mirror{
-		byID:     make(map[SpanID]int),
-		counters: make(map[string]int64),
-		gauges:   make(map[string]float64),
-		hists:    make(map[string]*Histogram),
-		usage:    make(map[string]*usageAgg),
-	}
+	return &Mirror{col: New(), spanIDs: make(map[SpanID]SpanID)}
 }
 
 // Apply folds one streamed event into the replica.
@@ -99,45 +43,28 @@ func (m *Mirror) Apply(ev Event) {
 	if ev.T > m.lastT {
 		m.lastT = ev.T
 	}
+	c := m.col
 	switch ev.Kind {
 	case EvSpanOpen:
-		m.byID[ev.Span] = len(m.spans)
-		m.spans = append(m.spans, Span{
-			Name: ev.Name, Actor: ev.Actor, Start: ev.T, End: ev.T, Parent: ev.Parent, open: true,
-		})
+		m.spanIDs[ev.Span] = c.StartSpan(ev.T, ev.Name, ev.Actor, m.spanIDs[ev.Parent])
 	case EvSpanClose:
-		if i, ok := m.byID[ev.Span]; ok {
-			m.spans[i].End = ev.T
-			m.spans[i].open = false
-		}
+		c.EndSpan(ev.T, m.spanIDs[ev.Span])
 	case EvSpanAttr:
-		if i, ok := m.byID[ev.Span]; ok {
-			m.spans[i].Attrs = append(m.spans[i].Attrs, Attr{ev.Name, ev.Str})
-		}
+		c.SpanAttr(m.spanIDs[ev.Span], ev.Name, ev.Str)
 	case EvCounter:
-		m.counters[ev.Name] += int64(ev.Value)
+		c.Add(ev.Name, int64(ev.Value))
 	case EvGauge:
-		m.gauges[ev.Name] = ev.Value
+		c.SetGauge(ev.Name, ev.Value)
 	case EvUsage:
-		u := m.usage[ev.Name]
-		if u == nil {
-			u = &usageAgg{}
-			m.usage[ev.Name] = u
-		}
-		u.sample(ev.T, int64(ev.Value), ev.Capacity)
+		c.Usage(ev.T, ev.Name, int64(ev.Value), ev.Capacity)
 	case EvHist:
-		h := m.hists[ev.Name]
-		if h == nil {
-			bounds := ev.bounds
-			if bounds == nil {
-				bounds = LatencyBucketsUS
-			}
-			h = newHistogram(bounds)
-			m.hists[ev.Name] = h
+		bounds := ev.bounds
+		if bounds == nil {
+			bounds = LatencyBucketsUS
 		}
-		h.Observe(ev.Value)
+		c.Hist(ev.Name, bounds).Observe(ev.Value)
 	case EvHeartbeat:
-		m.gauges["engine.events"] = ev.Value
+		c.SetGauge("engine.events", ev.Value)
 	}
 }
 
@@ -202,18 +129,19 @@ func (m *Mirror) PrometheusText(w io.Writer) error {
 	bw.str("# TYPE ibmig_stream_dropped_total counter\n")
 	bw.str(fmt.Sprintf("ibmig_stream_dropped_total %d\n", m.dropped))
 	bw.str("# TYPE ibmig_spans_total counter\n")
-	bw.str(fmt.Sprintf("ibmig_spans_total %d\n", len(m.spans)))
+	c := m.col
+	bw.str(fmt.Sprintf("ibmig_spans_total %d\n", len(c.spans)))
 
-	for _, name := range sortedKeys(m.counters) {
+	for _, name := range c.CounterNames() {
 		pn := promName(name) + "_total"
-		bw.str(fmt.Sprintf("# TYPE %s counter\n%s %d\n", pn, pn, m.counters[name]))
+		bw.str(fmt.Sprintf("# TYPE %s counter\n%s %d\n", pn, pn, c.counters[name]))
 	}
-	for _, name := range sortedKeys(m.gauges) {
+	for _, name := range c.GaugeNames() {
 		pn := promName(name)
-		bw.str(fmt.Sprintf("# TYPE %s gauge\n%s %g\n", pn, pn, m.gauges[name]))
+		bw.str(fmt.Sprintf("# TYPE %s gauge\n%s %g\n", pn, pn, c.gauges[name]))
 	}
-	for _, name := range sortedKeys(m.hists) {
-		h := m.hists[name]
+	for _, name := range c.HistNames() {
+		h := c.hists[name]
 		pn := promName(name)
 		bw.str(fmt.Sprintf("# TYPE %s histogram\n", pn))
 		var cum int64
@@ -225,19 +153,14 @@ func (m *Mirror) PrometheusText(w io.Writer) error {
 		bw.str(fmt.Sprintf("%s_sum %g\n", pn, h.Sum))
 		bw.str(fmt.Sprintf("%s_count %d\n", pn, h.N))
 	}
-	if len(m.usage) > 0 {
-		devices := make([]string, 0, len(m.usage))
-		for name := range m.usage {
-			devices = append(devices, name)
-		}
-		sort.Strings(devices)
+	if devices := c.TrackNames(); len(devices) > 0 {
 		bw.str("# TYPE ibmig_device_busy_fraction gauge\n")
 		for _, d := range devices {
-			bw.str(fmt.Sprintf("ibmig_device_busy_fraction{device=%q} %g\n", d, m.usage[d].busyFraction()))
+			bw.str(fmt.Sprintf("ibmig_device_busy_fraction{device=%q} %g\n", d, c.tracks[d].BusyFraction()))
 		}
 		bw.str("# TYPE ibmig_device_peak_utilization gauge\n")
 		for _, d := range devices {
-			bw.str(fmt.Sprintf("ibmig_device_peak_utilization{device=%q} %g\n", d, m.usage[d].peakUtilization()))
+			bw.str(fmt.Sprintf("ibmig_device_peak_utilization{device=%q} %g\n", d, c.tracks[d].PeakUtilization()))
 		}
 	}
 	return bw.err
@@ -248,8 +171,8 @@ func (m *Mirror) PrometheusText(w io.Writer) error {
 // events continue to arrive — it snapshots under the lock.
 func (m *Mirror) ChromeTrace(w io.Writer) error {
 	m.mu.Lock()
-	snap := &Collector{spans: make([]Span, len(m.spans))}
-	copy(snap.spans, m.spans)
+	snap := &Collector{spans: make([]Span, len(m.col.spans))}
+	copy(snap.spans, m.col.spans)
 	last := m.lastT
 	m.mu.Unlock()
 	for i := range snap.spans {

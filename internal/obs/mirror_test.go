@@ -41,33 +41,33 @@ func TestMirrorReplicatesCollector(t *testing.T) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.spans) != len(c.Spans()) {
-		t.Fatalf("mirror has %d spans, collector %d", len(m.spans), len(c.Spans()))
+	if len(m.col.spans) != len(c.Spans()) {
+		t.Fatalf("mirror has %d spans, collector %d", len(m.col.spans), len(c.Spans()))
 	}
-	for i, s := range m.spans {
+	for i, s := range m.col.spans {
 		o := c.Spans()[i]
 		if s.Name != o.Name || s.Actor != o.Actor || s.Start != o.Start || s.End != o.End || s.Parent != o.Parent {
 			t.Fatalf("span %d diverged: %+v vs %+v", i, s, o)
 		}
 	}
-	if len(m.spans[1].Attrs) != 1 || m.spans[1].Attrs[0] != (Attr{"src", "node03"}) {
-		t.Fatalf("mirrored attrs %v", m.spans[1].Attrs)
+	if len(m.col.spans[1].Attrs) != 1 || m.col.spans[1].Attrs[0] != (Attr{"src", "node03"}) {
+		t.Fatalf("mirrored attrs %v", m.col.spans[1].Attrs)
 	}
-	if m.counters["ib.rdma_reads"] != 5 {
-		t.Fatalf("mirrored counter %d", m.counters["ib.rdma_reads"])
+	if m.col.counters["ib.rdma_reads"] != 5 {
+		t.Fatalf("mirrored counter %d", m.col.counters["ib.rdma_reads"])
 	}
-	if m.gauges["pool.free"] != 7 {
-		t.Fatalf("mirrored gauge %v", m.gauges["pool.free"])
+	if m.col.gauges["pool.free"] != 7 {
+		t.Fatalf("mirrored gauge %v", m.col.gauges["pool.free"])
 	}
-	h := m.hists["core.lat_us"]
+	h := m.col.hists["core.lat_us"]
 	if h == nil || h.Count() != 2 || len(h.Bounds) != 3 {
 		t.Fatalf("mirrored hist %+v", h)
 	}
-	u := m.usage["disk.n0"]
-	if u == nil || u.capacity != 2 || u.peak != 1 {
+	u := m.col.tracks["disk.n0"]
+	if u == nil || u.Capacity != 2 || u.Peak != 1 {
 		t.Fatalf("mirrored usage %+v", u)
 	}
-	if got := u.busyFraction(); got != 1.0 { // busy the whole 300..700 window
+	if got := u.BusyFraction(); got != 1.0 { // busy the whole 300..700 window
 		t.Fatalf("busy fraction %v", got)
 	}
 }
@@ -188,5 +188,30 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 	if err := ValidateSSE(buf.Bytes()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMirrorDroppedSpanOpen feeds a stream that lost a span open: the
+// surviving span keeps its close and attributes, and its parent, which the
+// mirror never saw, becomes the root.
+func TestMirrorDroppedSpanOpen(t *testing.T) {
+	m := NewMirror()
+	m.ApplyAll([]Event{
+		// wire span 1 ("lost") was dropped by the ring
+		{Kind: EvSpanOpen, T: 20, Name: "phase1", Actor: "jm", Span: 2, Parent: 1},
+		{Kind: EvSpanAttr, T: 20, Name: "src", Str: "node03", Span: 2},
+		{Kind: EvSpanClose, T: 50, Span: 2},
+		{Kind: EvSpanClose, T: 60, Span: 1},
+	})
+	spans := m.col.Spans()
+	if len(spans) != 1 {
+		t.Fatalf("mirror has %d spans, want 1", len(spans))
+	}
+	s := spans[0]
+	if s.Name != "phase1" || s.Parent != 0 || s.Start != 20 || s.End != 50 || s.open {
+		t.Fatalf("surviving span %+v", s)
+	}
+	if len(s.Attrs) != 1 || s.Attrs[0] != (Attr{"src", "node03"}) {
+		t.Fatalf("surviving span attrs %v", s.Attrs)
 	}
 }

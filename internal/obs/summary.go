@@ -123,3 +123,15 @@ func (c *Collector) TopTracks(prefix string) []string {
 	})
 	return names
 }
+
+// BusiestTrack returns the track matching prefix with the highest busy
+// fraction, and that fraction. Capacity-1 links all peak at 100%, so this,
+// not the head of TopTracks, names the hottest link of a run.
+func (c *Collector) BusiestTrack(prefix string) (name string, busy float64) {
+	for _, n := range c.TopTracks(prefix) {
+		if b := c.tracks[n].BusyFraction(); b > busy {
+			name, busy = n, b
+		}
+	}
+	return name, busy
+}

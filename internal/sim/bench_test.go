@@ -7,7 +7,7 @@ import (
 )
 
 // reportEventsPerSec attaches the kernel's dispatched-events-per-wall-second
-// rate, the headline number tracked in BENCH_sim.json.
+// rate; bench/ tracks the same dispatch cost as sim.dispatch_ns.
 func reportEventsPerSec(b *testing.B, e *Engine) {
 	if s := b.Elapsed().Seconds(); s > 0 {
 		b.ReportMetric(float64(e.Events())/s, "events/sec")
