@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"strconv"
 
 	"ibmig/internal/calib"
 	"ibmig/internal/ib"
@@ -164,6 +165,9 @@ type Rank struct {
 	collSeq int
 	sendSeq uint64
 
+	// Process names, formatted once in NewWorld rather than per spawn.
+	procName, sendrecvName, isendName string
+
 	BytesSent   int64
 	MsgsSent    int64
 	ComputeTime sim.Duration
@@ -198,7 +202,12 @@ func (r *Rank) poll() {
 // goroutine pump it replaced: one start event at spawn, one wake per
 // delivery batch, one end event at teardown.
 func (r *Rank) startPump(c *conn) {
-	c.pump = r.w.E.SpawnFlow(fmt.Sprintf("mpi.pump.%d<-%d", r.id, c.peer), c.pumpStep)
+	var buf [32]byte
+	name := append(buf[:0], "mpi.pump."...)
+	name = strconv.AppendInt(name, int64(r.id), 10)
+	name = append(name, "<-"...)
+	name = strconv.AppendInt(name, int64(c.peer), 10)
+	c.pump = r.w.E.SpawnFlow(string(name), c.pumpStep)
 }
 
 // pumpStep is the pump flow's state machine. While the connection is lazy
@@ -444,7 +453,7 @@ func (r *Rank) SendrecvData(to, sendTag int, data payload.Buffer, from, recvTag 
 	}
 	sent := sim.NewEvent(r.w.E)
 	r.beginOp()
-	r.p.SpawnChild(fmt.Sprintf("mpi.sendrecv.%d", r.id), func(sp *sim.Proc) {
+	r.p.SpawnChild(r.sendrecvName, func(sp *sim.Proc) {
 		defer r.endOp()
 		defer sent.Fire()
 		sp.Sleep(calib.MPIPerMessageOverhead)

@@ -43,7 +43,7 @@ func (r *Rank) IsendData(to, tag int, data payload.Buffer) *Request {
 	r.poll()
 	req := &Request{rank: r, done: sim.NewEvent(r.w.E)}
 	r.beginOp()
-	r.p.SpawnChild(fmt.Sprintf("mpi.isend.%d", r.id), func(sp *sim.Proc) {
+	r.p.SpawnChild(r.isendName, func(sp *sim.Proc) {
 		defer r.endOp()
 		defer req.done.Fire()
 		sp.Sleep(calib.MPIPerMessageOverhead)

@@ -19,7 +19,7 @@
 package mpi
 
 import (
-	"fmt"
+	"strconv"
 
 	"ibmig/internal/calib"
 	"ibmig/internal/ib"
@@ -100,13 +100,17 @@ func NewWorld(e *sim.Engine, fabric *ib.Fabric, placement []string, cfg Config) 
 		if fabric.HCA(node) == nil {
 			panic("mpi: no HCA for node " + node)
 		}
+		id := strconv.Itoa(i)
 		w.ranks = append(w.ranks, &Rank{
-			w:       w,
-			id:      i,
-			node:    node,
-			mailbox: sim.NewQueue[inMsg](e, fmt.Sprintf("mpi.mbox.%d", i), 0),
-			conns:   make([]*conn, len(placement)),
-			opsIdle: sim.NewGate(e, true),
+			w:            w,
+			id:           i,
+			node:         node,
+			mailbox:      sim.NewQueue[inMsg](e, "mpi.mbox."+id, 0),
+			conns:        make([]*conn, len(placement)),
+			opsIdle:      sim.NewGate(e, true),
+			procName:     "mpi.rank." + id,
+			sendrecvName: "mpi.sendrecv." + id,
+			isendName:    "mpi.isend." + id,
 		})
 		w.hookNode(node)
 	}
@@ -181,7 +185,7 @@ func (w *World) Start(app func(r *Rank)) {
 		w.ready.Fire()
 		for _, r := range w.ranks {
 			r := r
-			w.E.Spawn(fmt.Sprintf("mpi.rank.%d", r.id), func(rp *sim.Proc) {
+			w.E.Spawn(r.procName, func(rp *sim.Proc) {
 				r.p = rp
 				app(r)
 				// A suspension requested as the app exits must still be

@@ -20,6 +20,11 @@
 //   - events carry resume targets (process, token, reason) inline, so waking
 //     a process allocates no closure;
 //   - retired events are recycled through a freelist;
+//   - future events sit in a typed binary heap (eventHeap) compared by an
+//     inlined before(a, b), with no interface Less/Swap call per step;
+//   - live processes are an intrusive doubly-linked list in pid order
+//     (Proc.prevLive/nextLive), so spawn and exit are a few pointer writes
+//     with no map hashing, and Shutdown unwinds the head until it is empty;
 //   - wakeups scheduled for the current instant — the overwhelmingly common
 //     case: queue handoffs, event broadcasts, resource admissions — bypass
 //     the time-ordered heap entirely and go through a FIFO ready ring, which
@@ -37,12 +42,12 @@
 //     from 827–1,183 to 394–878 ns/op on a 2-vCPU host (more in
 //     docs/ARCHITECTURE.md §8).
 //
-// Pop order is still exactly (time, seq), so none of this is observable in
-// simulation results; see TestGoldenTraceUnchanged in internal/exp.
+// Pop order is still exactly (time, key, seq) — key is 0 unless schedule
+// perturbation is on — so none of this is observable in simulation results;
+// see TestGoldenTraceUnchanged in internal/exp.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -104,27 +109,80 @@ type event struct {
 	next   *event // freelist link
 }
 
+// eventHeap is a binary min-heap of future events in pop order (see
+// before). It is typed and inlined rather than container/heap's interface
+// Less/Swap, which cost a dynamic call per comparison and per swap on every
+// pop. (A 4-ary heap measured no faster: every comparison dereferences an
+// event, so its shallower tree buys nothing.)
 type eventHeap []*event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
+// before reports whether a pops before b: by time, then perturbation key,
+// then scheduling order. seq is unique, so this is a strict total order and
+// any correct heap pops events in exactly one sequence.
+func before(a, b *event) bool {
+	if a.t != b.t {
+		return a.t < b.t
 	}
-	if h[i].key != h[j].key {
-		return h[i].key < h[j].key
+	if a.key != b.key {
+		return a.key < b.key
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() (popped any) {
-	old := *h
-	n := len(old)
-	popped = old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return
+
+// push adds ev to the heap.
+func (h *eventHeap) push(ev *event) {
+	*h = append(*h, ev)
+	s := *h
+	i := len(s) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !before(ev, s[parent]) {
+			break
+		}
+		s[i] = s[parent]
+		i = parent
+	}
+	s[i] = ev
+}
+
+// pop removes and returns the first event. The heap must not be empty.
+func (h *eventHeap) pop() *event {
+	s := *h
+	n := len(s) - 1
+	top, last := s[0], s[n]
+	s[n] = nil
+	*h = s[:n]
+	if n > 0 {
+		s[:n].down(0, last)
+	}
+	return top
+}
+
+// down places ev at slot i, or below it, moving smaller children up.
+func (h eventHeap) down(i int, ev *event) {
+	n := len(h)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && before(h[c+1], h[c]) {
+			c++
+		}
+		if !before(h[c], ev) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = ev
+}
+
+// init restores the heap order after keys were changed in place.
+func (h eventHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i, h[i])
+	}
 }
 
 // Engine is a discrete-event simulation engine. Create one with NewEngine,
@@ -135,7 +193,7 @@ func (h *eventHeap) Pop() (popped any) {
 type Engine struct {
 	now    Time
 	seq    uint64
-	events eventHeap    // future events, ordered by (t, seq)
+	events eventHeap    // future events, ordered by (t, key, seq)
 	ready  ring[*event] // events at exactly `now`, in seq order (the batch path)
 	free   *event       // retired-event freelist
 	rng    *rand.Rand
@@ -151,9 +209,13 @@ type Engine struct {
 
 	live     int // processes spawned and not yet finished
 	nextPID  int
-	procs    map[int]*Proc // live processes, for deadlock reporting
-	flowFree []*Proc       // retired flow Procs, recycled by SpawnFlow
-	procFree []*Proc       // retired coroutine-backed Procs, recycled by Spawn
+	flowFree []*Proc // retired flow Procs, recycled by SpawnFlow
+	procFree []*Proc // retired coroutine-backed Procs, recycled by Spawn
+
+	// first/last are the ends of the live list, every process spawned and
+	// not yet finished, linked through Proc.prevLive/nextLive. pids only grow
+	// and newProc appends, so the list is in pid order; unlinking is O(1).
+	first, last *Proc
 
 	tracer  Tracer
 	failure error          // first process panic, aborts the run
@@ -180,7 +242,6 @@ func NewEngine(seed int64) *Engine {
 	return &Engine{
 		rng:    rand.New(rand.NewSource(seed)),
 		seed:   seed,
-		procs:  make(map[int]*Proc),
 		tracer: nopTracer{},
 	}
 }
@@ -276,7 +337,7 @@ func (e *Engine) pushEvent(ev *event) {
 	if e.perturb != nil {
 		ev.key = e.perturb.Uint64()
 	}
-	heap.Push(&e.events, ev)
+	e.events.push(ev)
 }
 
 // EnablePerturbation turns on schedule perturbation: events scheduled for the
@@ -298,12 +359,12 @@ func (e *Engine) EnablePerturbation(seed int64) {
 	for e.ready.len() > 0 {
 		ev := e.ready.pop()
 		ev.key = e.perturb.Uint64()
-		heap.Push(&e.events, ev)
+		e.events.push(ev)
 	}
 	for _, ev := range e.events {
 		ev.key = e.perturb.Uint64()
 	}
-	heap.Init(&e.events)
+	e.events.init()
 }
 
 // Perturbed reports whether schedule perturbation is enabled.
@@ -365,8 +426,8 @@ func (e *Engine) SpawnFlow(name string, step func(*Proc, int)) *Proc {
 }
 
 // newProc begins a process life: it pops a retired Proc from free (procFree
-// for coroutine Procs, flowFree for flows) or allocates one, and registers it
-// as live under the next pid.
+// for coroutine Procs, flowFree for flows) or allocates one, and appends it
+// to the live list under the next pid.
 func (e *Engine) newProc(free *[]*Proc, name string) *Proc {
 	var p *Proc
 	if n := len(*free); n > 0 {
@@ -381,8 +442,29 @@ func (e *Engine) newProc(free *[]*Proc, name string) *Proc {
 	e.nextPID++
 	p.name, p.id = name, e.nextPID
 	e.live++
-	e.procs[p.id] = p
+	p.prevLive = e.last
+	if e.last != nil {
+		e.last.nextLive = p
+	} else {
+		e.first = p
+	}
+	e.last = p
 	return p
+}
+
+// unlinkLive drops p from the live list.
+func (e *Engine) unlinkLive(p *Proc) {
+	if p.prevLive != nil {
+		p.prevLive.nextLive = p.nextLive
+	} else {
+		e.first = p.nextLive
+	}
+	if p.nextLive != nil {
+		p.nextLive.prevLive = p.prevLive
+	} else {
+		e.last = p.prevLive
+	}
+	p.prevLive, p.nextLive = nil, nil
 }
 
 // endProc ends a process life, coroutine or flow: it marks p done, drops it
@@ -390,7 +472,7 @@ func (e *Engine) newProc(free *[]*Proc, name string) *Proc {
 func (e *Engine) endProc(p *Proc) {
 	p.done = true
 	e.live--
-	delete(e.procs, p.id)
+	e.unlinkLive(p)
 	e.tracer.Trace(e.now, "proc.end", p.name, "")
 }
 
@@ -488,18 +570,13 @@ func (e *Engine) RunUntil(deadline Time) error {
 	return e.run(deadline)
 }
 
-// popEvent removes the globally next event by (t, seq). Both sources are
-// individually ordered — the ready ring holds only current-time events in seq
-// order, the heap is ordered by (t, seq) — so comparing heads is enough.
+// popEvent removes the globally next event by (t, key, seq). Both sources
+// are individually ordered — the ready ring holds only current-time events in
+// seq order, the heap is ordered by (t, key, seq) — so comparing heads is
+// enough. The ring is only used with perturbation off, when every key is 0.
 func (e *Engine) popEvent() *event {
-	if e.ready.len() == 0 {
-		return heap.Pop(&e.events).(*event)
-	}
-	if e.events.Len() > 0 {
-		rh, hh := *e.ready.at(0), e.events[0]
-		if hh.t < rh.t || (hh.t == rh.t && hh.seq < rh.seq) {
-			return heap.Pop(&e.events).(*event)
-		}
+	if e.ready.len() == 0 || (len(e.events) > 0 && before(e.events[0], *e.ready.at(0))) {
+		return e.events.pop()
 	}
 	return e.ready.pop()
 }
@@ -537,7 +614,7 @@ func (e *Engine) run(deadline Time) error {
 // returns 0; a process yields without a handoff and stays suspended until a
 // later run resumes it or Shutdown unwinds it.
 func (e *Engine) dispatch(self *Proc) int {
-	for e.failure == nil && e.cbPanic == nil && !e.stopped && (e.ready.len() > 0 || e.events.Len() > 0) {
+	for e.failure == nil && e.cbPanic == nil && !e.stopped && (e.ready.len() > 0 || len(e.events) > 0) {
 		if e.deadline >= 0 && e.nextTime() > e.deadline {
 			e.now = e.deadline
 			break
@@ -640,7 +717,7 @@ func (e *Engine) At(t Time, fn func()) {
 // (0, false) when no events are queued. The partitioned executor derives the
 // next safe window horizon from it.
 func (e *Engine) NextEventTime() (Time, bool) {
-	if e.ready.len() == 0 && e.events.Len() == 0 {
+	if e.ready.len() == 0 && len(e.events) == 0 {
 		return 0, false
 	}
 	return e.nextTime(), true
@@ -651,7 +728,7 @@ func (e *Engine) NextEventTime() (Time, bool) {
 // executor can aggregate liveness reports across engines.
 func (e *Engine) BlockedProcs() []string {
 	var blocked []string
-	for _, p := range e.procs {
+	for p := e.first; p != nil; p = p.nextLive {
 		blocked = append(blocked, fmt.Sprintf("%s: %s", p.name, p.blockReason()))
 	}
 	sort.Strings(blocked)
@@ -677,44 +754,33 @@ func (e *Engine) Shutdown() {
 	// park, or Proc.coro once the life ends — runs no event and yields the
 	// baton straight back here.
 	e.stopped = true
-	for e.live > 0 {
-		// Unwind in ascending-id order (deterministic). The id list is
-		// snapshotted and sorted once per pass rather than rescanning the
-		// map per victim, which was quadratic at cluster scale; a second
-		// pass only happens if a dying process's defer spawned new ones.
-		ids := make([]int, 0, len(e.procs))
-		for id := range e.procs {
-			ids = append(ids, id)
+	// Unwind the head of the live list until it is empty: ascending pid
+	// order (deterministic), and a process spawned by a dying defer joins
+	// the tail, after every older one.
+	for e.first != nil {
+		victim := e.first
+		if !victim.started {
+			// Its start event never fired (the run stopped first). A fresh
+			// Proc has no coroutine yet; a recycled one has its pooled
+			// coroutine idle between lives, awaiting the life that now never
+			// begins — retire it directly.
+			if victim.next != nil {
+				victim.stop()
+			}
+			victim.done = true
+			victim.fn = nil
+			e.live--
+			e.unlinkLive(victim)
+			continue
 		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			victim, ok := e.procs[id]
-			if !ok || victim.done {
-				continue
-			}
-			if !victim.started {
-				// Its start event never fired (the run stopped first). A
-				// fresh Proc has no coroutine yet; a recycled one has its
-				// pooled coroutine idle between lives, awaiting the life
-				// that now never begins — retire it directly.
-				if victim.next != nil {
-					victim.stop()
-				}
-				victim.done = true
-				victim.fn = nil
-				e.live--
-				delete(e.procs, victim.id)
-				continue
-			}
-			if victim.step != nil {
-				// Flows have no coroutine; retiring one is bookkeeping plus
-				// the same proc.end record a killed process would emit.
-				e.endProc(victim)
-				continue
-			}
-			victim.reason = wakeKill
-			e.resume(victim)
+		if victim.step != nil {
+			// Flows have no coroutine; retiring one is bookkeeping plus the
+			// same proc.end record a killed process would emit.
+			e.endProc(victim)
+			continue
 		}
+		victim.reason = wakeKill
+		e.resume(victim)
 	}
 	// Retire the idle pooled coroutines (including those of processes killed
 	// above, which re-entered the pool on their way out).

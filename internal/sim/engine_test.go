@@ -3,9 +3,11 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestSleepAdvancesVirtualTime(t *testing.T) {
@@ -606,5 +608,143 @@ func TestShutdownHandlesUnstartedProcs(t *testing.T) {
 	e.Shutdown()
 	if e.LiveProcs() != 0 {
 		t.Fatalf("live = %d after shutdown", e.LiveProcs())
+	}
+}
+
+// endOrderTracer records the name of every proc.end and, for each, whether
+// the process a dying defer spawned during Shutdown had already been retired.
+type endOrderTracer struct {
+	ends     []string
+	late     *Proc
+	lateDone []bool
+}
+
+func (tr *endOrderTracer) Trace(_ Time, kind, who, _ string) {
+	if kind == "proc.end" {
+		tr.ends = append(tr.ends, who)
+		tr.lateDone = append(tr.lateDone, tr.late != nil && tr.late.done)
+	}
+}
+
+// TestShutdownLiveListPidOrder churns coroutine processes and flows through
+// spawn, end and recycle, so recycled Procs take new, higher pids, then
+// stops with long-lived processes of both kinds parked and a few never
+// started. BlockedProcs must list every live process, and Shutdown must end
+// them in ascending pid order — a process spawned by a dying defer after
+// every older one — and leave nothing live.
+func TestShutdownLiveListPidOrder(t *testing.T) {
+	e := NewEngine(1)
+	tr := &endOrderTracer{}
+	e.SetTracer(tr)
+	q := NewQueue[int](e, "never", 0)
+	pid := map[string]int{}
+	spawn := func(name string, fn func(*Proc)) { pid[name] = e.Spawn(name, fn).ID() }
+	spawnFlow := func(name string, step func(*Proc, int)) { pid[name] = e.SpawnFlow(name, step).ID() }
+	var live []string
+	spawn("spawner", func(p *Proc) {
+		for i := 0; i < 200; i++ {
+			p.Sleep(time.Microsecond)
+			d := Duration(i%4) * time.Microsecond
+			spawn(fmt.Sprintf("short%d", i), func(p *Proc) { p.Sleep(d) })
+			slept := false
+			spawnFlow(fmt.Sprintf("shortflow%d", i), func(p *Proc, _ int) {
+				if !slept {
+					slept = true
+					p.FlowSleep(d)
+					return
+				}
+				p.FlowEnd()
+			})
+			if i%10 != 5 {
+				continue
+			}
+			name := fmt.Sprintf("daemon%d", i)
+			live = append(live, name)
+			dying := i%20 == 5
+			spawn(name, func(p *Proc) {
+				if dying {
+					defer func() {
+						late := e.Spawn("late-"+name, func(*Proc) {})
+						if e.last != late {
+							t.Errorf("%s: process spawned during Shutdown is not the tail of the live list", name)
+						}
+						if tr.late == nil {
+							tr.late = late
+						}
+					}()
+				}
+				q.Recv(p)
+			})
+			name = fmt.Sprintf("parked%d", i)
+			live = append(live, name)
+			spawnFlow(name, func(p *Proc, _ int) { p.FlowPark("test", "idle") })
+		}
+	})
+	spawn("stopper", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		e.Stop()
+		spawn("unstarted", func(*Proc) {})
+		spawnFlow("unstartedflow", func(*Proc, int) {})
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	live = append(live, "unstarted", "unstartedflow")
+	if e.LiveProcs() != len(live) {
+		t.Fatalf("LiveProcs = %d, want %d", e.LiveProcs(), len(live))
+	}
+	blocked := e.BlockedProcs()
+	if len(blocked) != len(live) {
+		t.Fatalf("BlockedProcs lists %d processes, want %d: %v", len(blocked), len(live), blocked)
+	}
+	listed := map[string]bool{}
+	for _, b := range blocked {
+		listed[b[:strings.Index(b, ":")]] = true
+	}
+	for _, name := range live {
+		if !listed[name] {
+			t.Errorf("BlockedProcs omits live process %s", name)
+		}
+	}
+	prev := 0
+	for p := e.first; p != nil; p = p.nextLive {
+		if p.id <= prev {
+			t.Fatalf("live list out of pid order: %d after %d", p.id, prev)
+		}
+		prev = p.id
+	}
+
+	atStop := len(tr.ends)
+	e.Shutdown()
+	if e.LiveProcs() != 0 || e.first != nil || e.last != nil {
+		t.Fatalf("after Shutdown: LiveProcs = %d, list empty = %v", e.LiveProcs(), e.first == nil && e.last == nil)
+	}
+	ends := tr.ends[atStop:]
+	// The unstarted processes, and those the dying defers spawned, are
+	// retired without a proc.end; every other live process emits one.
+	if want := len(live) - 2; len(ends) != want {
+		t.Fatalf("Shutdown emitted %d proc.end records, want %d: %v", len(ends), want, ends)
+	}
+	for i := 1; i < len(ends); i++ {
+		if pid[ends[i]] <= pid[ends[i-1]] {
+			t.Fatalf("Shutdown ended %s (pid %d) after %s (pid %d)", ends[i], pid[ends[i]], ends[i-1], pid[ends[i-1]])
+		}
+	}
+	if tr.late == nil || !tr.late.done {
+		t.Fatal("the process spawned by a dying defer was not retired")
+	}
+	for i, done := range tr.lateDone[atStop:] {
+		if done {
+			t.Fatalf("the process spawned by a dying defer was retired before %s", ends[i])
+		}
+	}
+}
+
+// TestProcSizeClass guards Proc's allocation size class. With the live-list
+// links a Proc is 144 bytes, a size class of its own; a field that pushes it
+// into the next class (160 bytes) raises every run's allocation per process.
+func TestProcSizeClass(t *testing.T) {
+	if s := unsafe.Sizeof(Proc{}); s > 144 {
+		t.Fatalf("unsafe.Sizeof(Proc{}) = %d bytes, want <= 144", s)
 	}
 }

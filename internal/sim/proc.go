@@ -43,6 +43,10 @@ type Proc struct {
 	// joins them only for deadlock reports.
 	blockKind string
 	blockName string
+
+	// prevLive/nextLive link the process into the engine's live list while
+	// it is spawned and not yet finished (see Engine.first).
+	prevLive, nextLive *Proc
 }
 
 // Name returns the process name given at Spawn.
