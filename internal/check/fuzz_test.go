@@ -82,3 +82,70 @@ func FuzzFleetSpecRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzFaultSpecRoundTrip fuzzes the fault anchor format (`kind:where@N` or
+// `kind:where@tMS`) on its own: a fault that parses must re-parse, from its
+// String, to an equal FaultSpec, and that String must be a fixed point. The
+// seeds include the shrunk repros protocheck has reported.
+func FuzzFaultSpecRoundTrip(f *testing.F) {
+	for _, s := range []string{
+		"hca-fail:tgt@t366",
+		"disk-fail:src@1",
+		"hca-fail:src@t236",
+		"hca-fail:tgt@1",
+		"node-crash:src@t15",
+		"rack-fail:src@2",
+		"link-flap:tgt@1",
+		"ftb-drop:FTB_MIGRATE@2",
+		"ftb-delay:FTB_RESTART:50@3",
+		"ftb-delay:FTB_RESTART:50@t40",
+		"node-crash:src@t0",
+		"node-crash:src@t-5",
+		"node-crash:src@t",
+		"node-crash:src@",
+		"node-crash:src",
+		"node-crash@2",
+		"@t1",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		fs, err := parseFault(s)
+		if err != nil {
+			return
+		}
+		canon := fs.String()
+		back, err := parseFault(canon)
+		if err != nil {
+			t.Fatalf("parseFault(%q) ok, but its String %q does not parse: %v", s, canon, err)
+		}
+		if back != fs {
+			t.Fatalf("round trip of %q via %q: %+v != %+v", s, canon, back, fs)
+		}
+		if again := back.String(); again != canon {
+			t.Fatalf("String not stable for %q: %q then %q", s, canon, again)
+		}
+	})
+}
+
+// TestParseFaultRejectsBadAnchors pins the anchors parseFault refuses: an
+// absolute anchor must be a positive number of milliseconds (`@t0` would
+// otherwise read back as phase 0), and a phase anchor must be a number.
+func TestParseFaultRejectsBadAnchors(t *testing.T) {
+	for _, s := range []string{
+		"node-crash:src",
+		"node-crash:src@",
+		"node-crash:src@t",
+		"node-crash:src@t0",
+		"node-crash:src@t-5",
+		"node-crash:src@tx",
+		"node-crash:src@x",
+		"node-crash:src@1x",
+		"node-crash:src@t1@2",
+		"ftb-delay:FTB_RESTART:50@t-1",
+	} {
+		if fs, err := parseFault(s); err == nil {
+			t.Errorf("parseFault(%q) = %+v, want an error", s, fs)
+		}
+	}
+}

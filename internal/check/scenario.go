@@ -130,6 +130,11 @@ func parseFault(s string) (FaultSpec, error) {
 		if f.AtMS, err = strconv.Atoi(ms); err != nil {
 			return f, fmt.Errorf("check: fault %q: bad absolute anchor: %v", s, err)
 		}
+		if f.AtMS <= 0 {
+			// FaultSpec reads AtMS 0 as "phase anchor", so @t0 would come
+			// back as @0.
+			return f, fmt.Errorf("check: fault %q: absolute anchor must be a positive number of ms", s)
+		}
 	} else if f.Phase, err = strconv.Atoi(anchor); err != nil {
 		return f, fmt.Errorf("check: fault %q: bad phase: %v", s, err)
 	}

@@ -532,6 +532,10 @@ func (q *QP) RDMAWrite(p *sim.Proc, rk RemoteKey, off int64, data payload.Buffer
 // primitive beneath the Phase-1 message drain.
 func (q *QP) WaitIdle(p *sim.Proc) { q.idle.Wait(p) }
 
+// Idle reports whether the endpoint has no wire operations in flight, that
+// is, whether WaitIdle would return without blocking.
+func (q *QP) Idle() bool { return q.idle.IsOpen() }
+
 // Inflight returns the number of outstanding wire operations.
 func (q *QP) Inflight() int { return q.inflight }
 

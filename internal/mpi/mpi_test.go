@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"ibmig/internal/calib"
 	"ibmig/internal/ib"
 	"ibmig/internal/payload"
 	"ibmig/internal/sim"
@@ -532,4 +533,81 @@ func TestIsendDuringSuspensionDrains(t *testing.T) {
 		e.Stop()
 	})
 	run(t, e)
+}
+
+// TestSuspendDrainWaitsForRendezvous pins one 16-rank suspend/resume cycle
+// at the mpi layer. At BeginSuspend rank 15 has a 2 MiB rendezvous message
+// to rank 0 on the wire and a burst of eager messages queued behind it on the
+// same endpoint, so its drain finds that endpoint busy after the flush round
+// and must wait. The test requires rank 15's drained event to fire only after
+// the endpoint goes idle, every message to arrive, and the cycle to dispatch
+// exactly as many events and end at exactly the instant it did before the
+// drain, teardown and rebuild loops became SleepSeqs.
+func TestSuspendDrainWaitsForRendezvous(t *testing.T) {
+	const (
+		wantEvents = 2331
+		wantEnd    = sim.Time(251877550)
+		eager      = 16
+	)
+	e, _, w := newTestWorld(4, 16)
+	w.Start(func(r *Rank) {
+		n := r.Size()
+		switch r.ID() {
+		case 15:
+			req := r.Isend(0, 1, 2<<20)
+			for i := 0; i < eager; i++ {
+				r.Send(0, 2+i, 8<<10)
+			}
+			// The suspension interrupts this receive at once, while the
+			// messages are still on the wire.
+			r.Recv(0, 99)
+			req.Wait()
+		case 0:
+			for tag := 1; tag <= 1+eager; tag++ {
+				if got, _ := r.Recv(15, tag); got.Size() == 0 {
+					t.Errorf("message with tag %d lost", tag)
+				}
+			}
+			r.Send(15, 99, 64)
+		default:
+			// A ring over ranks 1..14 materializes their connections.
+			id, m := r.ID()-1, n-2
+			r.Sendrecv(1+(id+1)%m, 0, 64<<10, 1+(id-1+m)%m, 0)
+			r.Compute(20 * time.Millisecond)
+		}
+	})
+	var idleAt, drainedAt sim.Time
+	e.Spawn("coordinator", func(p *sim.Proc) {
+		w.WaitReady(p)
+		p.Sleep(500 * time.Microsecond)
+		c := w.Rank(15).conns[0]
+		if c.qp == nil || c.qp.Idle() {
+			t.Fatal("rank 15's endpoint to rank 0 is not busy at BeginSuspend")
+		}
+		s := w.BeginSuspend()
+		e.Spawn("idle-watch", func(p *sim.Proc) {
+			c.qp.WaitIdle(p)
+			idleAt = p.Now()
+		})
+		e.Spawn("drain-watch", func(p *sim.Proc) {
+			w.Rank(15).cycle.drained.Wait(p)
+			drainedAt = p.Now()
+		})
+		s.WaitAllDrained(p)
+		s.CompleteTeardown()
+		s.WaitAllSuspended(p)
+		s.Resume()
+		s.WaitAllResumed(p)
+		w.WaitDone(p)
+		e.Stop()
+	})
+	run(t, e)
+	// The first flush round ends before the endpoint is idle; the other 14
+	// follow the wait.
+	if idleAt == 0 || drainedAt != idleAt.Add(14*calib.DrainRoundCost) {
+		t.Fatalf("rank 15 drained at %v, its endpoint went idle at %v; want 14 flush rounds after", drainedAt, idleAt)
+	}
+	if e.Events() != wantEvents || e.Now() != wantEnd {
+		t.Fatalf("cycle dispatched %d events and ended at %d ns, want %d and %d", e.Events(), e.Now(), wantEvents, wantEnd)
+	}
 }

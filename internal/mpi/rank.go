@@ -14,7 +14,7 @@ import (
 
 // conn is one rank's endpoint of a rank-pair connection.
 //
-// Connections are lazy: connectPair pays the full setup cost (QP bring-up
+// Connections are lazy: connectSeq pays the full setup cost (QP bring-up
 // plus both rendezvous-buffer registrations) up front — so the simulated
 // timeline is identical to an eagerly built mesh — but defers the fabric
 // state (QP endpoints, pinned regions, remote keys) until the first message
@@ -58,7 +58,7 @@ func (c *conn) brokenNow() bool {
 }
 
 // ensure materializes the pair on first use. No simulated time passes — the
-// setup cost was paid at connectPair — so the event sequence is untouched.
+// setup cost was paid at connectSeq — so the event sequence is untouched.
 func (c *conn) ensure() error {
 	if c.qp != nil {
 		return nil
@@ -74,7 +74,7 @@ func (c *conn) ensure() error {
 // prepaid QPs, prepaid rendezvous-buffer registrations, crossed remote keys.
 // The dormant pump flows are adopted as receivers on the new queues without
 // waking them, so no event is scheduled. Orientation is canonical (lower
-// rank first), matching the argument order an eager connectPair used.
+// rank first), matching the argument order an eager connection used.
 func (c *conn) materialize() {
 	a, b := c, c.buddy
 	if b.r.id < a.r.id {
@@ -390,7 +390,11 @@ func (r *Rank) reconnectFT(to int) {
 	if hi.id < lo.id {
 		lo, hi = hi, lo
 	}
-	r.w.connectPair(r.p, lo, hi)
+	r.p.SleepSeq(r.w.connectSeq(func() (a, b *Rank, ok bool) {
+		a, b, ok = lo, hi, lo != nil
+		lo = nil
+		return a, b, ok
+	}))
 	delete(r.w.rebuilding, key)
 }
 

@@ -97,7 +97,10 @@ func (s *Suspension) WaitAllResumed(p *sim.Proc) {
 
 // doSuspend executes the rank-local side of the suspension protocol. It is
 // invoked at MPI call boundaries (poll) or from a blocked receive when the
-// control message arrives.
+// control message arrives. Its three per-connection loops — drain, teardown
+// and rebuild — each run as a SleepSeq: every rank sleeps once per peer, and
+// with all ranks in lockstep nearly every one of those wakes would otherwise
+// be a switch into a different coroutine.
 func (r *Rank) doSuspend() {
 	cy := r.cycle
 	if cy == nil {
@@ -113,41 +116,54 @@ func (r *Rank) doSuspend() {
 	// endpoint has nothing on the wire. Peers are visited in ascending order
 	// (the slice index); a still-lazy pair has nothing in flight by
 	// construction, matching an eager endpoint whose idle gate is open —
-	// neither schedules an event.
-	for _, c := range r.conns {
-		if c == nil {
-			continue
+	// neither schedules an event. The rounds run as one SleepSeq, which is
+	// left only when the endpoint just flushed is still busy: the rank waits
+	// for it here and re-enters.
+	k := 0
+	var cur *conn // the connection whose flush round is under way
+	drain := func() (sim.Duration, bool) {
+		if cur != nil && cur.qp != nil && !cur.qp.Idle() {
+			return 0, false
 		}
-		r.p.Sleep(calib.DrainRoundCost)
-		if c.qp != nil {
-			c.qp.WaitIdle(r.p)
+		if cur = r.nextConn(&k); cur == nil {
+			return 0, false
 		}
+		return calib.DrainRoundCost, true
+	}
+	for r.p.SleepSeq(drain); cur != nil; r.p.SleepSeq(drain) {
+		cur.qp.WaitIdle(r.p)
 	}
 	cy.drained.Fire()
 	cy.sus.teardownCmd.Wait(r.p)
 
 	// Teardown: revoke the pinned buffer (invalidating the remote key the
 	// peer cached — InfiniBand state that must not survive a checkpoint) and
-	// close the endpoint.
-	for i, c := range r.conns {
+	// close the endpoint, one connection per step.
+	k = 0
+	r.p.SleepSeq(func() (sim.Duration, bool) {
+		c := r.nextConn(&k)
 		if c == nil {
-			continue
+			return 0, false
 		}
 		c.destroy()
-		r.conns[i] = nil
-		r.p.Sleep(calib.TeardownPerConn)
-	}
+		r.conns[c.peer] = nil
+		return calib.TeardownPerConn, true
+	})
 	cy.suspended.Fire()
 	cy.sus.resumeCmd.Wait(r.p)
 
 	// Rebuild: the lower rank of each pair re-establishes the connection
 	// (QPs, pinned buffers, fresh remote keys) from the ranks' *current*
 	// nodes — a migrated rank reconnects from its new home.
-	for _, other := range r.w.ranks {
-		if other.id > r.id && !other.finished {
-			r.w.connectPair(r.p, r, other)
+	k = r.id
+	r.p.SleepSeq(r.w.connectSeq(func() (a, b *Rank, ok bool) {
+		for k++; k < len(r.w.ranks); k++ {
+			if other := r.w.ranks[k]; !other.finished {
+				return r, other, true
+			}
 		}
-	}
+		return nil, nil, false
+	}))
 	// Endpoint information is re-exchanged through the central job-launch
 	// coordinator, which serializes the per-rank updates.
 	r.w.pmi.Hold(r.p, 1, r.w.cfg.PMIExchangePerRank)
@@ -158,4 +174,16 @@ func (r *Rank) doSuspend() {
 	r.suspendReq = false
 	r.cycle = nil
 	cy.resumed.Fire()
+}
+
+// nextConn returns the first connection at or after index *k and moves *k
+// past it, or returns nil when none is left.
+func (r *Rank) nextConn(k *int) *conn {
+	for ; *k < len(r.conns); *k++ {
+		if c := r.conns[*k]; c != nil {
+			*k++
+			return c
+		}
+	}
+	return nil
 }

@@ -174,14 +174,24 @@ func (w *World) RanksOn(node string) []*Rank {
 // Start builds the full connection mesh and launches app on every rank. The
 // Ready event fires when the mesh is up (immediately before rank 0 starts);
 // Done fires when every rank's app function has returned.
+//
+// One launcher process connects the N(N-1)/2 pairs in ascending (i, j)
+// order as a single SleepSeq, which the engine steps from wake to wake.
 func (w *World) Start(app func(r *Rank)) {
 	w.running = len(w.ranks)
 	w.E.Spawn("mpi.launch", func(p *sim.Proc) {
-		for i := range w.ranks {
-			for j := i + 1; j < len(w.ranks); j++ {
-				w.connectPair(p, w.ranks[i], w.ranks[j])
+		n := len(w.ranks)
+		i, j := 0, 0
+		p.SleepSeq(w.connectSeq(func() (a, b *Rank, ok bool) {
+			if j++; j == n {
+				i++
+				j = i + 1
 			}
-		}
+			if j >= n {
+				return nil, nil, false
+			}
+			return w.ranks[i], w.ranks[j], true
+		}))
 		w.ready.Fire()
 		for _, r := range w.ranks {
 			r := r
@@ -271,17 +281,37 @@ func (w *World) BytesSent() int64 {
 	return n
 }
 
-// connectPair establishes the reliable connection between two ranks. The
-// calling process pays the full setup cost here — QP bring-up plus both
-// rendezvous-buffer registrations, the same three sleeps in the same order
-// the eager mesh paid — but the fabric state itself is created lazily on
-// first use (see conn.materialize with the prepaid ib constructors). Each
-// side's receive pump is spawned now as a dormant flow, so the process
-// start/end trace records match the eager mesh exactly.
-func (w *World) connectPair(p *sim.Proc, a, b *Rank) {
-	p.Sleep(calib.IBQPSetup)
-	p.Sleep(ib.MRRegisterCost(w.cfg.RendezvousBufSize))
-	p.Sleep(ib.MRRegisterCost(w.cfg.RendezvousBufSize))
+// connectSeq returns a SleepSeq step function that connects the rank pairs
+// pairs yields, one after another. Each pair costs the three sleeps the
+// eager mesh paid, in its order — QP bring-up, then both rendezvous-buffer
+// registrations — but the fabric state itself is created lazily on first use
+// (see conn.materialize with the prepaid ib constructors). When the third
+// sleep ends the pair gets its endpoints and each side's receive pump,
+// spawned as a dormant flow so the process start/end trace records match the
+// eager mesh exactly; pairs is then asked for the next pair at that same
+// instant. The calling process pays the whole cost.
+func (w *World) connectSeq(pairs func() (a, b *Rank, ok bool)) func() (sim.Duration, bool) {
+	var a, b *Rank
+	stage := 0 // 0: no pair yet; 1, 2: registrations due; 3: pair paid for
+	return func() (sim.Duration, bool) {
+		switch stage {
+		case 1, 2:
+			stage++
+			return ib.MRRegisterCost(w.cfg.RendezvousBufSize), true
+		case 3:
+			w.connect(a, b)
+		}
+		var ok bool
+		if a, b, ok = pairs(); !ok {
+			return 0, false
+		}
+		stage = 1
+		return calib.IBQPSetup, true
+	}
+}
+
+// connect gives a paid-for pair its (lazy) endpoints and receive pumps.
+func (w *World) connect(a, b *Rank) {
 	ca := &conn{r: a, peer: b.id}
 	cb := &conn{r: b, peer: a.id}
 	ca.buddy, cb.buddy = cb, ca

@@ -48,5 +48,5 @@ func (p *Proc) suspend() int {
 	if !p.yield(struct{}{}) {
 		return wakeRetire
 	}
-	return p.reason
+	return int(p.reason)
 }

@@ -17,6 +17,10 @@ type Proc struct {
 	started bool
 	done    bool
 
+	// reason is the wake reason of the resume the trampoline delivers next.
+	// It is an int32 so that it packs beside started/done.
+	reason int32
+
 	// fn holds the body of a spawned process between Spawn and its start
 	// event; the start hands it to the (possibly pooled) coroutine.
 	fn func(*Proc)
@@ -28,8 +32,10 @@ type Proc struct {
 	stop  func()
 	yield func(struct{}) bool
 
-	// reason is the wake reason of the resume the trampoline delivers next.
-	reason int
+	// seq, when non-nil, is the step function of the SleepSeq the process
+	// is parked in: the engine calls it at each wake instead of resuming the
+	// coroutine (see Engine.stepSeq).
+	seq func() (Duration, bool)
 
 	// step, when non-nil, marks this process as a flow: a state machine
 	// driven by engine callbacks instead of a coroutine (see Engine.SpawnFlow).
@@ -138,6 +144,37 @@ func (p *Proc) Sleep(d Duration) {
 	}
 	p.e.scheduleResume(p, p.e.now.Add(d), wakeSignal)
 	p.park("sleep", "")
+}
+
+// SleepSeq runs a sequence of sleeps without resuming the process between
+// them. next is called first here, at the current instant, and then at each
+// wake, in engine context: it performs that instant's side effects and
+// returns the next sleep, or false to end the sequence, in which case
+// SleepSeq returns at that same instant.
+//
+// Each sleep pushes exactly the resume event Sleep would push, with the same
+// time and token, and next runs exactly where the code after that Sleep would
+// have run, so a SleepSeq is event-for-event identical to the loop
+//
+//	for d, ok := next(); ok; d, ok = next() { p.Sleep(d) }
+//
+// (TestSleepSeqMatchesSleepLoop pins this). What it saves is the coroutine
+// switches: when another process holds the baton, a wake costs a call of
+// next instead of a handoff into this process and back.
+//
+// next must not block: no Sleep, Wait, Recv, Acquire or any other primitive
+// that parks a process, since it runs on whichever coroutine holds the baton.
+// It may spawn processes, fire events, send on queues and schedule
+// callbacks. A panic in next is recorded as this process's failure. A loop
+// that must sometimes block ends the sequence, blocks, and calls SleepSeq
+// again.
+func (p *Proc) SleepSeq(next func() (Duration, bool)) {
+	d, ok := next()
+	if !ok {
+		return
+	}
+	p.seq = next
+	p.Sleep(d)
 }
 
 // Yield gives other same-time events a chance to run.
