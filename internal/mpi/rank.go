@@ -256,8 +256,48 @@ func (r *Rank) endOp() {
 // blocking per MPI semantics: eager messages return once posted, rendezvous
 // messages once delivered.
 func (r *Rank) Send(to, tag int, n int64) {
+	r.SendData(to, tag, r.synth(tag, n))
+}
+
+// synth returns the payload of the rank's next synthetic send: n bytes
+// seeded by rank, tag and send count, so no two sends carry the same bytes.
+func (r *Rank) synth(tag int, n int64) payload.Buffer {
 	r.sendSeq++
-	r.SendData(to, tag, payload.Synth(uint64(r.id)<<40^uint64(tag)<<20^r.sendSeq, 0, n))
+	return payload.Synth(uint64(r.id)<<40^uint64(tag)<<20^r.sendSeq, 0, n)
+}
+
+// spawnSend sends data to rank `to` from a child process named name, which
+// fires done once the message is posted (eager) or delivered (rendezvous).
+// op names the operation in the panic a failed send raises.
+func (r *Rank) spawnSend(name string, done *sim.Event, op string, to, tag int, data payload.Buffer) {
+	r.beginOp()
+	r.p.SpawnChild(name, func(sp *sim.Proc) {
+		defer r.endOp()
+		defer done.Fire()
+		sp.Sleep(calib.MPIPerMessageOverhead)
+		r.BytesSent += data.Size()
+		r.MsgsSent++
+		if to == r.id {
+			r.mailbox.TrySend(inMsg{from: r.id, tag: tag, data: data})
+			return
+		}
+		c := r.conns[to]
+		if c == nil {
+			panic(fmt.Sprintf("mpi: rank %d has no connection to %d", r.id, to))
+		}
+		m := ib.Message{Meta: wireHdr{From: r.id, Tag: tag}, MetaSize: wireHdrSize, Data: data}
+		err := c.ensure()
+		if err == nil {
+			if data.Size() <= r.w.cfg.EagerThreshold {
+				err = c.qp.PostSend(m)
+			} else {
+				err = c.qp.Send(sp, m)
+			}
+		}
+		if err != nil {
+			panic(fmt.Sprintf("mpi: rank %d %s to %d: %v", r.id, op, to, err))
+		}
+	})
 }
 
 // SendData transmits an explicit payload (content preserved end to end).
@@ -438,9 +478,7 @@ func (r *Rank) Recv(from, tag int) (payload.Buffer, int) {
 // neighbour exchange NPB kernels rely on).
 func (r *Rank) Sendrecv(to, sendTag int, n int64, from, recvTag int) payload.Buffer {
 	r.poll()
-	r.sendSeq++
-	data := payload.Synth(uint64(r.id)<<40^uint64(sendTag)<<20^r.sendSeq, 0, n)
-	return r.SendrecvData(to, sendTag, data, from, recvTag)
+	return r.SendrecvData(to, sendTag, r.synth(sendTag, n), from, recvTag)
 }
 
 // SendrecvData is Sendrecv with an explicit outgoing payload.
@@ -456,34 +494,7 @@ func (r *Rank) SendrecvData(to, sendTag int, data payload.Buffer, from, recvTag 
 		return got
 	}
 	sent := sim.NewEvent(r.w.E)
-	r.beginOp()
-	r.p.SpawnChild(r.sendrecvName, func(sp *sim.Proc) {
-		defer r.endOp()
-		defer sent.Fire()
-		sp.Sleep(calib.MPIPerMessageOverhead)
-		r.BytesSent += data.Size()
-		r.MsgsSent++
-		if to == r.id {
-			r.mailbox.TrySend(inMsg{from: r.id, tag: sendTag, data: data})
-			return
-		}
-		c := r.conns[to]
-		if c == nil {
-			panic(fmt.Sprintf("mpi: rank %d has no connection to %d", r.id, to))
-		}
-		m := ib.Message{Meta: wireHdr{From: r.id, Tag: sendTag}, MetaSize: wireHdrSize, Data: data}
-		err := c.ensure()
-		if err == nil {
-			if data.Size() <= r.w.cfg.EagerThreshold {
-				err = c.qp.PostSend(m)
-			} else {
-				err = c.qp.Send(sp, m)
-			}
-		}
-		if err != nil {
-			panic(fmt.Sprintf("mpi: rank %d sendrecv to %d: %v", r.id, to, err))
-		}
-	})
+	r.spawnSend(r.sendrecvName, sent, "sendrecv", to, sendTag, data)
 	got, _ := r.Recv(from, recvTag)
 	sent.Wait(r.p)
 	return got

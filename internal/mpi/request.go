@@ -1,10 +1,6 @@
 package mpi
 
 import (
-	"fmt"
-
-	"ibmig/internal/calib"
-	"ibmig/internal/ib"
 	"ibmig/internal/payload"
 	"ibmig/internal/sim"
 )
@@ -34,42 +30,14 @@ func (req *Request) Done() bool { return req.done.Fired() }
 // that completes when the message has been delivered (rendezvous) or posted
 // (eager).
 func (r *Rank) Isend(to, tag int, n int64) *Request {
-	r.sendSeq++
-	return r.IsendData(to, tag, payload.Synth(uint64(r.id)<<40^uint64(tag)<<20^r.sendSeq, 0, n))
+	return r.IsendData(to, tag, r.synth(tag, n))
 }
 
 // IsendData is Isend with an explicit payload.
 func (r *Rank) IsendData(to, tag int, data payload.Buffer) *Request {
 	r.poll()
 	req := &Request{rank: r, done: sim.NewEvent(r.w.E)}
-	r.beginOp()
-	r.p.SpawnChild(r.isendName, func(sp *sim.Proc) {
-		defer r.endOp()
-		defer req.done.Fire()
-		sp.Sleep(calib.MPIPerMessageOverhead)
-		r.BytesSent += data.Size()
-		r.MsgsSent++
-		if to == r.id {
-			r.mailbox.TrySend(inMsg{from: r.id, tag: tag, data: data})
-			return
-		}
-		c := r.conns[to]
-		if c == nil {
-			panic(fmt.Sprintf("mpi: rank %d has no connection to %d", r.id, to))
-		}
-		m := ib.Message{Meta: wireHdr{From: r.id, Tag: tag}, MetaSize: wireHdrSize, Data: data}
-		err := c.ensure()
-		if err == nil {
-			if data.Size() <= r.w.cfg.EagerThreshold {
-				err = c.qp.PostSend(m)
-			} else {
-				err = c.qp.Send(sp, m)
-			}
-		}
-		if err != nil {
-			panic(fmt.Sprintf("mpi: rank %d isend to %d: %v", r.id, to, err))
-		}
-	})
+	r.spawnSend(r.isendName, req.done, "isend", to, tag, data)
 	return req
 }
 

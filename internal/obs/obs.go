@@ -72,9 +72,6 @@ type Collector struct {
 	flags  atomic.Uint32
 	flight *FlightRecorder
 	lastT  sim.Time
-
-	// ActiveAt query index (built lazily, invalidated by span appends).
-	idx *activeIndex
 }
 
 // New returns an empty Collector.
@@ -163,97 +160,12 @@ func (c *Collector) Spans() []Span {
 	return c.spans
 }
 
-// activeIndexBlock is the block size of the index's max-End summary: one
-// pruning comparison covers this many start-sorted spans.
-const activeIndexBlock = 256
-
-// activeIndex accelerates ActiveAt: span indices argsorted by Start (Merge
-// concatenates collectors, so insertion order is not start order), plus a
-// per-block maximum End so whole blocks with no interval reaching t are
-// skipped. Built lazily on first query, rebuilt when spans were appended
-// since. Ends may change after the build (EndSpan closing an open span), but
-// only downward from the +∞ an open span contributes — the block maxima stay
-// conservative, so queries remain exact (they re-check the live span data).
-type activeIndex struct {
-	builtLen int        // len(c.spans) at build time
-	order    []int32    // span indices sorted by (Start, index)
-	starts   []sim.Time // c.spans[order[i]].Start, ascending
-	blockMax []sim.Time // max effective End per activeIndexBlock of order
-}
-
-const openEnd = sim.Time(1<<63 - 1)
-
-func (c *Collector) buildActiveIndex() *activeIndex {
-	idx := &activeIndex{builtLen: len(c.spans)}
-	idx.order = make([]int32, len(c.spans))
-	for i := range idx.order {
-		idx.order[i] = int32(i)
-	}
-	sort.SliceStable(idx.order, func(a, b int) bool {
-		return c.spans[idx.order[a]].Start < c.spans[idx.order[b]].Start
-	})
-	idx.starts = make([]sim.Time, len(idx.order))
-	idx.blockMax = make([]sim.Time, (len(idx.order)+activeIndexBlock-1)/activeIndexBlock)
-	for i, si := range idx.order {
-		s := &c.spans[si]
-		idx.starts[i] = s.Start
-		end := s.End
-		if s.open {
-			end = openEnd
-		}
-		if b := i / activeIndexBlock; end > idx.blockMax[b] {
-			idx.blockMax[b] = end
-		}
-	}
-	return idx
-}
-
 // ActiveAt returns "actor/name" labels for every span whose interval covers
 // time t (still-open spans count as covering [Start, ∞)), in span insertion
 // order. The invariant checker uses it to attach span context to a
-// violation's timestamp; the start-sorted block index keeps each query
-// sublinear in the run's total span count (see BenchmarkActiveAt).
+// violation's timestamp, a handful of queries per run, so a linear scan is
+// enough.
 func (c *Collector) ActiveAt(t sim.Time) []string {
-	if c == nil {
-		return nil
-	}
-	if c.idx == nil || c.idx.builtLen != len(c.spans) {
-		c.idx = c.buildActiveIndex()
-	}
-	idx := c.idx
-	// Binary search: spans at positions >= hi start after t and cannot cover it.
-	hi := sort.Search(len(idx.starts), func(i int) bool { return idx.starts[i] > t })
-	var hits []int32
-	for b := 0; b*activeIndexBlock < hi; b++ {
-		if idx.blockMax[b] < t {
-			continue // every interval in this block ended before t
-		}
-		lo, end := b*activeIndexBlock, (b+1)*activeIndexBlock
-		if end > hi {
-			end = hi
-		}
-		for i := lo; i < end; i++ {
-			s := &c.spans[idx.order[i]]
-			if s.open || t <= s.End {
-				hits = append(hits, idx.order[i])
-			}
-		}
-	}
-	if len(hits) == 0 {
-		return nil
-	}
-	sort.Slice(hits, func(a, b int) bool { return hits[a] < hits[b] })
-	out := make([]string, len(hits))
-	for i, si := range hits {
-		s := &c.spans[si]
-		out[i] = s.Actor + "/" + s.Name
-	}
-	return out
-}
-
-// activeAtScan is the pre-index linear implementation, kept as the oracle
-// for TestActiveAtMatchesScan and the benchmark baseline.
-func (c *Collector) activeAtScan(t sim.Time) []string {
 	if c == nil {
 		return nil
 	}

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -179,76 +178,47 @@ func TestStrictHistBoundsMismatch(t *testing.T) {
 	c.Hist("lat", []float64{1, 2, 3})
 }
 
-// TestActiveAtMatchesScan cross-checks the block index against the linear
-// oracle on randomized span soups: open spans, appends between queries (index
-// rebuilds), and Merge output (insertion order is not start order).
-func TestActiveAtMatchesScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	mk := func(n int) *Collector {
-		c := New()
-		for i := 0; i < n; i++ {
-			start := sim.Time(rng.Int63n(10_000))
-			id := c.StartSpan(start, "s", "a", 0)
-			if rng.Intn(10) > 0 { // ~10% stay open
-				c.EndSpan(start.Add(sim.Duration(rng.Int63n(800))), id)
-			}
-		}
-		return c
-	}
-	check := func(t *testing.T, c *Collector) {
-		t.Helper()
-		for q := 0; q < 200; q++ {
-			at := sim.Time(rng.Int63n(11_000))
-			got, want := c.ActiveAt(at), c.activeAtScan(at)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("ActiveAt(%d): %d hits, oracle %d", at, len(got), len(want))
-			}
-		}
-	}
-	c := mk(3000)
-	check(t, c)
-	// Appends after a query invalidate the index; it must rebuild.
-	for i := 0; i < 500; i++ {
-		start := sim.Time(rng.Int63n(10_000))
-		c.EndSpan(start.Add(100), c.StartSpan(start, "late", "b", 0))
-	}
-	check(t, c)
-	// CloseOpen moves Ends down from the open-span +inf; queries stay exact.
-	c.CloseOpen(12_000)
-	check(t, c)
-	check(t, Merge(mk(800), mk(800)))
-	if New().ActiveAt(5) != nil {
-		t.Fatal("empty collector returned hits")
-	}
-}
-
-// benchSpans builds a collector with n closed spans at increasing starts —
-// the shape a long run produces.
-func benchSpans(n int) *Collector {
+// TestActiveAt pins ActiveAt's contract: a closed span covers [Start, End]
+// inclusive, an open one [Start, ∞), hits come in span insertion order, Merge
+// output (whose insertion order is not start order) answers the same way, and
+// a nil or empty collector has no hits.
+func TestActiveAt(t *testing.T) {
 	c := New()
-	for i := 0; i < n; i++ {
-		start := sim.Time(int64(i) * 50)
-		c.EndSpan(start.Add(200), c.StartSpan(start, "s", "a", 0))
+	c.EndSpan(30, c.StartSpan(20, "late", "a", 0))
+	c.StartSpan(10, "open", "b", 0)
+	c.EndSpan(15, c.StartSpan(10, "early", "c", 0))
+	c.EndSpan(10, c.StartSpan(10, "instant", "d", 0))
+	for _, tc := range []struct {
+		at   sim.Time
+		want []string
+	}{
+		{9, nil},
+		{10, []string{"b/open", "c/early", "d/instant"}},
+		{11, []string{"b/open", "c/early"}},
+		{15, []string{"b/open", "c/early"}},
+		{16, []string{"b/open"}},
+		{20, []string{"a/late", "b/open"}},
+		{30, []string{"a/late", "b/open"}},
+		{31, []string{"b/open"}},
+		{1 << 62, []string{"b/open"}},
+	} {
+		if got := c.ActiveAt(tc.at); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("ActiveAt(%d) = %q, want %q", tc.at, got, tc.want)
+		}
 	}
-	return c
-}
 
-// BenchmarkActiveAt vs BenchmarkActiveAtScan is the satellite win: the block
-// index answers point queries sublinearly while the old implementation
-// scanned every span ever recorded.
-func BenchmarkActiveAt(b *testing.B) {
-	c := benchSpans(100_000)
-	c.ActiveAt(0) // build the index outside the timed loop
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.ActiveAt(sim.Time(int64(i%100_000) * 50))
+	other := New()
+	other.EndSpan(12, other.StartSpan(5, "first", "e", 0))
+	m := Merge(c, other)
+	if got, want := m.ActiveAt(11), []string{"b/open", "c/early", "e/first"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Merge: ActiveAt(11) = %q, want %q", got, want)
 	}
-}
+	if got, want := m.ActiveAt(5), []string{"e/first"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Merge: ActiveAt(5) = %q, want %q", got, want)
+	}
 
-func BenchmarkActiveAtScan(b *testing.B) {
-	c := benchSpans(100_000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.activeAtScan(sim.Time(int64(i%100_000) * 50))
+	var nilc *Collector
+	if nilc.ActiveAt(5) != nil || New().ActiveAt(5) != nil {
+		t.Fatal("nil or empty collector returned hits")
 	}
 }

@@ -283,6 +283,24 @@ func waitGoroutines(t *testing.T, base int) {
 	}
 }
 
+// settledGoroutines samples the goroutine count once goroutines on their way
+// out have exited: the count must hold for several consecutive samples. A
+// test's goroutine signals its end before it exits, so the next test can
+// start while it still counts; a baseline taken then sits one too high, and
+// a lower bound measured from it comes up one short.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for same, deadline := 0, time.Now().Add(time.Second); same < 5 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			same++
+		} else {
+			n, same = m, 0
+		}
+	}
+	return n
+}
+
 // TestBatonStopStormShutdownNoLeak: Stop lands in the middle of a
 // same-instant storm — pooled workers yielding at one instant, some spawned
 // but never started — and Shutdown then reaps every coroutine, over 100
@@ -332,7 +350,7 @@ func TestBatonStopStormShutdownNoLeak(t *testing.T) {
 // parked in a simulated operation, and recycled Procs spawned but never
 // started.
 func TestShutdownAfterRunUntilNoLeak(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := settledGoroutines()
 	e := NewEngine(1)
 	q := NewQueue[int](e, "never", 0)
 	const n = 8

@@ -41,13 +41,18 @@
 //     goroutines handing off over channels, BenchmarkProcessPingPong went
 //     from 827–1,183 to 394–878 ns/op on a 2-vCPU host (more in
 //     docs/ARCHITECTURE.md §8);
-//   - a run of sleeps with side effects between them can be driven from the
-//     event loop (Proc.SleepSeq): the engine calls the step function at each
-//     wake on whichever coroutine holds the baton, so the wake costs a call
-//     instead of a handoff into the sleeper and back. MPI's per-connection
+//   - work that never blocks mid-computation is driven from the event loop
+//     by one step mechanism, Proc.step: the engine calls the step at each
+//     wake on whichever coroutine holds the baton (Engine.resumeFlow), so
+//     the wake costs a call instead of a handoff into the process and back.
+//     A flow (Engine.SpawnFlow, ib's wire work) is stepped for its whole
+//     life; a coroutine process is stepped for the length of a SleepSeq, a
+//     run of sleeps with side effects between them. MPI's per-connection
 //     loops (launch, drain, teardown, rebuild) run this way; on a 256-rank
 //     LU.C migration op the trampoline's coroutine resumes fell from 394,395
-//     to 166,682 with the same 963,266 events.
+//     to 166,682 with the same 963,266 events. The coroutine primitives are
+//     the step forms followed by Proc.wait (Sleep is FlowSleep + wait), so
+//     each primitive's register and grant logic exists once.
 //
 // Pop order is still exactly (time, key, seq) — key is 0 unless schedule
 // perturbation is on — so none of this is observable in simulation results;
@@ -503,7 +508,7 @@ func (e *Engine) runProc(p *Proc) {
 			}
 		}
 		e.endProc(p)
-		p.seq = nil
+		p.step = nil
 		p.name = ""
 		p.blockKind, p.blockName = "", ""
 		e.procFree = append(e.procFree, p)
@@ -513,20 +518,28 @@ func (e *Engine) runProc(p *Proc) {
 	fn(p)
 }
 
-// resumeFlow advances a flow in engine context. The first wakeup doubles as
-// the start event (tracing proc.start, as dispatch does for a coroutine
-// process's wakeStart); the token bump mirrors park's increment-on-wake. A
-// panic in the step function is converted into the run failure exactly like
-// a process panic, including the proc.end record.
-func (e *Engine) resumeFlow(p *Proc, reason int) {
+// resumeFlow runs p's step at a wake, in engine context, and reports whether
+// p stays parked: a flow always does, a coroutine process until its step
+// (a SleepSeq) clears itself, at which point the caller resumes the
+// coroutine. A flow's first wake doubles as its start event (tracing
+// proc.start, as dispatch does for a coroutine process's wakeStart). The
+// token bump and the cleared block state mirror wait's on every wake; the
+// coroutine's own wait bumps the token again when it resumes, which nothing
+// observes, since tokens are only compared with captured values and a step
+// cannot register p anywhere before it parks. A panic in the step is
+// converted into the run failure exactly like a process panic: a flow gets
+// its proc.end record, and a coroutine process stays parked until Shutdown
+// unwinds it.
+func (e *Engine) resumeFlow(p *Proc, reason int) (parked bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			if e.failure == nil {
 				e.failure = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
 			}
-			if !p.done {
+			if p.next == nil && !p.done {
 				e.endProc(p)
 			}
+			parked = true
 		}
 	}()
 	if !p.started {
@@ -536,37 +549,7 @@ func (e *Engine) resumeFlow(p *Proc, reason int) {
 	p.token++
 	p.blockKind, p.blockName = "", ""
 	p.step(p, reason)
-}
-
-// stepSeq runs one step of the SleepSeq that p is parked in, at p's wake and
-// in engine context. While the sequence goes on it bumps p's token, as park
-// does on every wake, schedules p's next sleep and reports true: p stays
-// parked and nobody switches into it. The bump comes after the step rather
-// than before it, which nothing can observe, since a step must not park p.
-// When the sequence ends it reports false and the caller resumes p, whose
-// park makes the bump. A panic in the step is recorded as p's failure, like a
-// flow step's in resumeFlow; p stays parked until Shutdown unwinds it.
-func (e *Engine) stepSeq(p *Proc) (parked bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			p.seq = nil
-			if e.failure == nil {
-				e.failure = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
-			}
-			parked = true
-		}
-	}()
-	d, ok := p.seq()
-	if !ok {
-		p.seq = nil
-		return false
-	}
-	p.token++
-	if d < 0 {
-		d = 0
-	}
-	e.scheduleResume(p, e.now.Add(d), wakeSignal)
-	return true
+	return p.next == nil || p.step != nil
 }
 
 // scheduleResume schedules a wakeup of p at time t, bound to p's current wait
@@ -575,13 +558,6 @@ func (e *Engine) scheduleResume(p *Proc, t Time, reason int) {
 	ev := e.allocEvent()
 	ev.t, ev.p, ev.token, ev.reason = t, p, p.token, reason
 	e.pushEvent(ev)
-}
-
-// wakeNow schedules an immediate (current-time) wakeup of p. It lands on the
-// ready ring: when a broadcast makes many processes runnable at once, each
-// costs an O(1) ring append rather than an O(log n) heap insert.
-func (e *Engine) wakeNow(p *Proc, reason int) {
-	e.scheduleResume(p, e.now, reason)
 }
 
 // DeadlockError reports that the event queue drained while processes were
@@ -680,11 +656,7 @@ func (e *Engine) dispatch(self *Proc) int {
 		if p.done || p.token != token {
 			continue // stale: e.g. a timeout firing after the event it guarded
 		}
-		if p.step != nil {
-			e.resumeFlow(p, reason)
-			continue
-		}
-		if p.seq != nil && e.stepSeq(p) {
+		if p.step != nil && e.resumeFlow(p, reason) {
 			continue
 		}
 		if reason == wakeStart {
@@ -815,9 +787,10 @@ func (e *Engine) Shutdown() {
 			e.unlinkLive(victim)
 			continue
 		}
-		if victim.step != nil {
-			// Flows have no coroutine; retiring one is bookkeeping plus the
-			// same proc.end record a killed process would emit.
+		if victim.next == nil {
+			// A started process with no coroutine is a flow; retiring one is
+			// bookkeeping plus the same proc.end record a killed process
+			// would emit.
 			e.endProc(victim)
 			continue
 		}

@@ -32,16 +32,12 @@ type Proc struct {
 	stop  func()
 	yield func(struct{}) bool
 
-	// seq, when non-nil, is the step function of the SleepSeq the process
-	// is parked in: the engine calls it at each wake instead of resuming the
-	// coroutine (see Engine.stepSeq).
-	seq func() (Duration, bool)
-
-	// step, when non-nil, marks this process as a flow: a state machine
-	// driven by engine callbacks instead of a coroutine (see Engine.SpawnFlow).
-	// The engine invokes step on every wakeup; the function parks by setting
-	// blockKind and returning, so a flow costs no coroutine, no switch, and
-	// no stack — only the events it schedules.
+	// step, when non-nil, is run by the engine at each wake in place of a
+	// coroutine resume (see Engine.resumeFlow). A flow (Engine.SpawnFlow) is
+	// driven by it for its whole life and has no coroutine at all; a
+	// coroutine process installs one for the length of a SleepSeq. The step
+	// parks with a Flow* primitive and returns, so a wake costs a call: no
+	// switch and no stack, only the events it schedules.
 	step func(p *Proc, reason int)
 
 	// blockKind/blockName describe what the process is blocked on, kept as
@@ -68,14 +64,20 @@ func (p *Proc) Engine() *Engine { return p.e }
 func (p *Proc) Now() Time { return p.e.now }
 
 // park blocks the process until a wakeup arrives, returning the wake reason.
-// The process holds the baton, so it runs the dispatcher itself (see
-// Engine.dispatch): when its own wakeup is the next event it returns with no
-// switch; otherwise it hands the baton to the process being resumed and
-// stays suspended until the trampoline resumes it. kind names the operation
-// ("queue.recv"), name the primitive ("mpi.eager:n3"); both are only read if
-// the simulation deadlocks.
+// kind names the operation ("queue.recv"), name the primitive
+// ("mpi.eager:n3"); both are only read if the simulation deadlocks.
 func (p *Proc) park(kind, name string) int {
-	p.blockKind, p.blockName = kind, name
+	p.flowPark(kind, name)
+	return p.wait()
+}
+
+// wait blocks a process that has parked with a Flow* primitive until a
+// wakeup arrives, and returns the wake reason: each coroutine primitive is
+// its step form followed by wait. The process holds the baton, so it runs the
+// dispatcher itself (see Engine.dispatch): when its own wakeup is the next
+// event it returns with no switch; otherwise it hands the baton to the
+// process being resumed and stays suspended until the trampoline resumes it.
+func (p *Proc) wait() int {
 	r := p.e.dispatch(p)
 	if r == wakeKill {
 		panic(killSentinel{})
@@ -85,18 +87,18 @@ func (p *Proc) park(kind, name string) int {
 	return r
 }
 
-// flowPark records what a flow is blocked on and returns control to the
-// engine. The flow's step function will be re-invoked by the next matching
-// wakeup; unlike park there is no coroutine to suspend, so parking is just
-// two field writes.
+// flowPark records what a process is blocked on. A flow then returns control
+// to the engine, and its step function is re-invoked by the next matching
+// wakeup; a coroutine process goes on to wait. Parking itself is just two
+// field writes.
 func (p *Proc) flowPark(kind, name string) {
 	p.blockKind, p.blockName = kind, name
 }
 
-// FlowSleep schedules the flow's next step after d of virtual time. It
-// pushes exactly the same resume event Sleep does, so replacing a
-// coroutine-backed process with a flow is invisible to the event sequence.
-// It must be the last simulated action of the current step.
+// FlowSleep schedules the process's next wake after d of virtual time. Sleep
+// is FlowSleep followed by wait, so both push exactly the same resume event,
+// and replacing a coroutine-backed process with a flow is invisible to the
+// event sequence. In a step it must be the last simulated action.
 func (p *Proc) FlowSleep(d Duration) {
 	if d < 0 {
 		d = 0
@@ -135,15 +137,12 @@ func (p *Proc) blockReason() string {
 	return p.blockKind + ":" + p.blockName
 }
 
-// Sleep advances the process by d of virtual time.
+// Sleep advances the process by d of virtual time. Even a zero-length sleep
+// yields to the scheduler so that other same-time events can interleave
+// deterministically.
 func (p *Proc) Sleep(d Duration) {
-	if d <= 0 {
-		// Even a zero-length sleep yields to the scheduler so that other
-		// same-time events can interleave deterministically.
-		d = 0
-	}
-	p.e.scheduleResume(p, p.e.now.Add(d), wakeSignal)
-	p.park("sleep", "")
+	p.FlowSleep(d)
+	p.wait()
 }
 
 // SleepSeq runs a sequence of sleeps without resuming the process between
@@ -158,9 +157,12 @@ func (p *Proc) Sleep(d Duration) {
 //
 //	for d, ok := next(); ok; d, ok = next() { p.Sleep(d) }
 //
-// (TestSleepSeqMatchesSleepLoop pins this). What it saves is the coroutine
-// switches: when another process holds the baton, a wake costs a call of
-// next instead of a handoff into this process and back.
+// (TestSleepSeqMatchesSleepLoop pins this). The sequence runs as the
+// process's step, the same mechanism that drives a flow: at each wake the
+// engine calls next, which FlowSleeps again or clears the step, and only the
+// wake that ends the sequence resumes the coroutine. When another process
+// holds the baton, a wake thus costs a call of next instead of a handoff into
+// this process and back.
 //
 // next must not block: no Sleep, Wait, Recv, Acquire or any other primitive
 // that parks a process, since it runs on whichever coroutine holds the baton.
@@ -173,7 +175,13 @@ func (p *Proc) SleepSeq(next func() (Duration, bool)) {
 	if !ok {
 		return
 	}
-	p.seq = next
+	p.step = func(p *Proc, _ int) {
+		if d, ok := next(); ok {
+			p.FlowSleep(d)
+		} else {
+			p.step = nil
+		}
+	}
 	p.Sleep(d)
 }
 

@@ -80,8 +80,8 @@ func (q *Queue[T]) Recv(p *Proc) (v T, ok bool) {
 		if q.closed {
 			return v, false
 		}
-		q.recvQ.push(waiter{p, p.token})
-		p.park("queue.recv", q.name)
+		q.FlowRecvPark(p)
+		p.wait()
 	}
 	return q.pop(), true
 }
@@ -152,8 +152,8 @@ func (q *Queue[T]) wakeOneSend() {
 	}
 }
 
-// FlowRecvPark registers flow p as a blocked receiver and parks it: the flow
-// counterpart of Recv's empty-queue branch. The flow's step function is
+// FlowRecvPark registers flow p as a blocked receiver and parks it: the step
+// form of Recv's empty-queue branch. The flow's step function is
 // re-invoked when an item arrives or the queue closes; the step then drains
 // with TryRecv and checks Closed. Called from p's own step, it must be the
 // last simulated action of that step. It may also adopt a flow already parked

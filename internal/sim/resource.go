@@ -46,44 +46,18 @@ func (r *Resource) noteUsage() {
 }
 
 // Acquire blocks p until n units are available and p is at the head of the
-// wait queue. n must be in (0, capacity].
-//
-// There is no timeout path into the wait queue, so entries cannot go stale
-// the way Queue receivers can; spurious wakeups are handled by re-registering
-// the current token below.
+// wait queue. n must be in (0, capacity]. It is the coroutine form of
+// FlowAcquireStart/FlowAcquireRetry.
 func (r *Resource) Acquire(p *Proc, n int64) {
-	if n <= 0 || n > r.capacity {
-		panic("sim: invalid acquire amount on " + r.name)
-	}
-	if r.waitq.len() == 0 && r.used+n <= r.capacity {
-		r.used += n
-		r.noteUsage()
-		return
-	}
-	r.waitq.push(resWaiter{waiter{p, p.token}, n})
-	for {
-		p.park("resource.acquire", r.name)
-		if r.waitq.len() > 0 && r.waitq.at(0).w.p == p && r.used+n <= r.capacity {
-			r.waitq.pop()
-			r.used += n
-			r.noteUsage()
-			r.admit()
-			return
-		}
-		// Spurious wake (not at head, or capacity taken): re-register token.
-		for i := 0; i < r.waitq.len(); i++ {
-			if rw := r.waitq.at(i); rw.w.p == p {
-				rw.w.token = p.token
-			}
-		}
+	for ok := r.FlowAcquireStart(p, n); !ok; ok = r.FlowAcquireRetry(p, n) {
+		p.wait()
 	}
 }
 
 // FlowAcquireStart begins acquiring n units for flow p. It returns true when
-// the units were granted immediately (the same condition under which Acquire
-// returns without parking); otherwise the flow is enqueued and parked, and
-// its step function must call FlowAcquireRetry on each subsequent wakeup
-// until that returns true.
+// the units were granted immediately; otherwise the flow is enqueued and
+// parked, and its step function must call FlowAcquireRetry on each
+// subsequent wakeup until that returns true.
 func (r *Resource) FlowAcquireStart(p *Proc, n int64) bool {
 	if n <= 0 || n > r.capacity {
 		panic("sim: invalid acquire amount on " + r.name)
@@ -98,10 +72,11 @@ func (r *Resource) FlowAcquireStart(p *Proc, n int64) bool {
 	return false
 }
 
-// FlowAcquireRetry re-attempts a parked flow acquisition after a wakeup,
-// mirroring the woken branch of Acquire exactly: grant if p heads the queue
-// and its request fits (admitting the next waiter), otherwise re-register the
-// current token and park again.
+// FlowAcquireRetry re-attempts a parked flow acquisition after a wakeup:
+// grant if p heads the queue and its request fits (admitting the next
+// waiter), otherwise re-register the current token and park again. There is
+// no timeout path into the wait queue, so entries cannot go stale the way
+// Queue receivers can; a spurious wakeup only needs the new token.
 func (r *Resource) FlowAcquireRetry(p *Proc, n int64) bool {
 	if r.waitq.len() > 0 && r.waitq.at(0).w.p == p && r.used+n <= r.capacity {
 		r.waitq.pop()

@@ -334,8 +334,11 @@ func TestSleepSeqPanicBlamesItsProcess(t *testing.T) {
 }
 
 // TestSleepSeqRecycledProcHasNoSequence checks that a process killed in the
-// middle of a SleepSeq leaves nothing behind for the next life of its Proc.
+// middle of a SleepSeq leaves nothing behind: Shutdown unwinds its coroutine
+// like any parked process's, rather than retiring it as a flow, and the next
+// life of its Proc has no sequence.
 func TestSleepSeqRecycledProcHasNoSequence(t *testing.T) {
+	base := settledGoroutines()
 	e := NewEngine(1)
 	first := e.Spawn("first", func(p *Proc) {
 		p.SleepSeq(func() (Duration, bool) { return 1, true })
@@ -343,14 +346,15 @@ func TestSleepSeqRecycledProcHasNoSequence(t *testing.T) {
 	if err := e.RunUntil(10); err != nil {
 		t.Fatal(err)
 	}
-	if first.seq == nil {
+	if first.step == nil {
 		t.Fatal("the endless sequence is not in progress")
 	}
 	// Shutdown unwinds "first" like any parked process.
 	e.Shutdown()
-	if first.seq != nil || e.LiveProcs() != 0 {
-		t.Fatalf("after Shutdown: seq set %v, %d live", first.seq != nil, e.LiveProcs())
+	if first.step != nil || e.LiveProcs() != 0 {
+		t.Fatalf("after Shutdown: seq set %v, %d live", first.step != nil, e.LiveProcs())
 	}
+	waitGoroutines(t, base)
 
 	e = NewEngine(1)
 	var woke int
