@@ -20,13 +20,10 @@ package exp
 //     the shard chain to shard 0 and fan the combined seed back down, and
 //     each shard broadcasts the combined payload locally.
 //
-// The scenario drives lookahead promises from the workload's own cadence:
-// a k-block costs PerIterCompute/(2*npb.LUBlocks) of compute, so after a
-// boundary send the link cannot deliver again for at least one block (17
-// blocks across the sweep turnaround), and the control links are quiet for
-// NormEvery*2*LUBlocks blocks between all-reduce rounds. Those promises are
-// what makes the windows big enough to batch thousands of events per barrier
-// instead of degenerating to lockstep.
+// Every cross link carries one lookahead promise: nothing crosses before its
+// source shard's MPI mesh is up (mpi.World.MeshCost), so the whole launch —
+// most of the events of a large shard — runs as one window. After that the
+// windows are bounded by the links' raw latency.
 //
 // parts=1 degenerates to the exact same scenario on one plain engine driven
 // by the proven serial dispatcher; any parts/workers combination produces
@@ -44,13 +41,9 @@ import (
 	"ibmig/internal/sim"
 )
 
-// farFuture marks a link that will never send again; it effectively removes
-// the link from horizon computation so the final drain runs in one window.
-const farFuture = sim.Time(1 << 62)
-
 // tagHier is the application tag base for the hierarchical all-reduce
-// broadcast, far above the face tags (Iterations*2*LUBlocks) and far below
-// the collective-internal block at 1<<20.
+// broadcast, far above the face tags (one per k-block per sweep) and far
+// below the collective-internal block at 1<<20.
 const tagHier = 1 << 18
 
 // faceMsg is one wavefront k-block face crossing a shard boundary.
@@ -72,13 +65,11 @@ type shard struct {
 	e     *sim.Engine
 	w     *mpi.World
 	rec   *sim.Recorder
-	nx    int          // grid columns
-	first int          // first global rank of the shard
-	bc    sim.Duration // compute per k-block, the promise unit
+	nx    int // grid columns
+	first int // first global rank of the shard
 
 	// Cross-partition plumbing (nil at the grid edges).
 	sendDown, sendUp *sim.CrossLink        // faces to shard id+1 / id-1
-	downNext, upNext []sim.Time            // per-column next-send lower bounds
 	northIn, southIn []*sim.Queue[faceMsg] // per-column inbound mailboxes
 	ctlUp, ctlDown   *sim.CrossLink        // all-reduce chain to id-1 / id+1
 	ctlFromAbove     *sim.Queue[ctlMsg]
@@ -137,21 +128,15 @@ func RunPartitionedLU(sc Scale, parts, workers, iterations int, trace bool) Part
 	rps := ny / parts
 	localN := rps * nx
 
-	bc, blockFace := w.LUBlock()
+	_, blockFace := w.LUBlock()
 	faceLat := calib.IBLatency + sim.Duration(float64(blockFace)/float64(calib.IBBandwidth)*1e9)
 	ctlLat := calib.IBLatency + sim.Duration(40*1e9/calib.IBBandwidth)
-
-	// Serial QP setup dominates launch; conns*IBQPSetup is a hard lower bound
-	// on when any rank can send, which seeds every link's initial promise.
-	conns := localN * (localN - 1) / 2
-	ready := sim.Time(0).Add(calib.IBQPSetup * sim.Duration(conns))
-	firstRound := min(w.NormEvery, w.Iterations)
 
 	pe := sim.NewPartitioned(sc.Seed, parts)
 	res := npb.NewResult(sc.Ranks)
 	shards := make([]*shard, parts)
 	for s := 0; s < parts; s++ {
-		sh := &shard{id: s, e: pe.Engine(s), nx: nx, first: s * localN, bc: bc}
+		sh := &shard{id: s, e: pe.Engine(s), nx: nx, first: s * localN}
 		if trace {
 			sh.rec = &sim.Recorder{}
 			sh.e.SetTracer(sh.rec)
@@ -182,24 +167,16 @@ func RunPartitionedLU(sc Scale, parts, workers, iterations int, trace bool) Part
 		hi.ctlFromAbove = sim.NewQueue[ctlMsg](hi.e, fmt.Sprintf("ctl.above.%d", s+1), 0)
 		sim.BindQueue(hi.ctlUp, lo.ctlFromBelow)
 		sim.BindQueue(lo.ctlDown, hi.ctlFromAbove)
-
-		// Initial promises: the wavefront cannot reach the bottom boundary of
-		// a shard before rps pipelined blocks (plus column skew), nor start
-		// the upper sweep before a full lower sweep; the all-reduce chain is
-		// quiet until the first NormEvery iterations complete.
-		lo.downNext = make([]sim.Time, nx)
-		hi.upNext = make([]sim.Time, nx)
-		for ix := 0; ix < nx; ix++ {
-			lo.downNext[ix] = ready.Add(bc * sim.Duration(ix+rps))
-			hi.upNext[ix] = ready.Add(bc * sim.Duration(17))
-		}
-		lo.sendDown.Promise(minTime(lo.downNext))
-		hi.sendUp.Promise(minTime(hi.upNext))
-		hi.ctlUp.Promise(ready.Add(bc * sim.Duration(32*firstRound)))
-		lo.ctlDown.Promise(ready.Add(bc * sim.Duration(32*firstRound)))
 	}
 
 	for _, sh := range shards {
+		// No rank sends before its world's mesh is up, MeshCost after this
+		// Start at time zero: that instant is each outgoing link's promise.
+		for _, l := range []*sim.CrossLink{sh.sendDown, sh.sendUp, sh.ctlUp, sh.ctlDown} {
+			if l != nil {
+				l.Promise(sim.Time(0).Add(sh.w.MeshCost()))
+			}
+		}
 		sh.w.Start(w.SliceApp(res, sh.slice(w)))
 	}
 
@@ -283,36 +260,16 @@ func bindFaceColumns(e *sim.Engine, name string, nx int, from *sim.CrossLink) []
 	return qs
 }
 
-func minTime(ts []sim.Time) sim.Time {
-	m := ts[0]
-	for _, t := range ts[1:] {
-		if t < m {
-			m = t
-		}
-	}
-	return m
-}
-
 // crossFace sends one boundary face over the down (south) or up (north)
-// face link, charging the same per-message overhead an in-fabric send pays,
-// and advances the link's promise from the per-column next-send lower
-// bounds: the next face from this column is gapBlocks k-blocks of compute
-// away, or never when gapBlocks is 0.
-func (sh *shard) crossFace(r *mpi.Rank, down bool, ix, tag int, n int64, gapBlocks int) {
-	l, next := sh.sendUp, sh.upNext
+// face link, charging the same per-message overhead an in-fabric send pays.
+func (sh *shard) crossFace(r *mpi.Rank, ix, tag int, n int64, down bool) {
+	l := sh.sendUp
 	if down {
-		l, next = sh.sendDown, sh.downNext
+		l = sh.sendDown
 	}
-	p := r.Proc()
-	p.Sleep(calib.MPIPerMessageOverhead)
+	r.Proc().Sleep(calib.MPIPerMessageOverhead)
 	g := sh.first + ix // the column's first-row global rank seeds the payload
 	l.Send(faceMsg{ix: ix, tag: tag, data: payload.Synth(uint64(g)<<40^uint64(tag)<<20, 0, n)})
-	if gapBlocks == 0 {
-		next[ix] = farFuture
-	} else {
-		next[ix] = p.Now().Add(sh.bc * sim.Duration(gapBlocks))
-	}
-	l.Promise(minTime(next))
 }
 
 // crossRecv consumes one boundary face from a per-column mailbox; faces per
@@ -355,9 +312,8 @@ func bcastData(r *mpi.Rank, root, tag int, data payload.Buffer) payload.Buffer {
 
 // hierAllreduce is the cross-shard residual all-reduce: a local all-reduce,
 // a checksum chain through the shard representatives to shard 0 and back,
-// and a local broadcast of the combined payload. itersLeft drives the
-// control links' next-round promises; final rounds retire them.
-func (sh *shard) hierAllreduce(r *mpi.Rank, round, itersLeft int, final bool) payload.Buffer {
+// and a local broadcast of the combined payload.
+func (sh *shard) hierAllreduce(r *mpi.Rank, round int) payload.Buffer {
 	local := r.Allreduce(40)
 	if r.ID() != 0 {
 		return bcastData(r, 0, tagHier+round, payload.Buffer{})
@@ -387,16 +343,6 @@ func (sh *shard) hierAllreduce(r *mpi.Rank, round, itersLeft int, final bool) pa
 		p.Sleep(calib.MPIPerMessageOverhead)
 		sh.ctlDown.Send(ctlMsg{round: round, sum: g})
 	}
-	for _, l := range []*sim.CrossLink{sh.ctlUp, sh.ctlDown} {
-		if l == nil {
-			continue
-		}
-		if final {
-			l.Promise(farFuture)
-		} else if itersLeft > 0 { // next round after itersLeft more iterations
-			l.Promise(p.Now().Add(sh.bc * sim.Duration(32*itersLeft)))
-		}
-	}
 	return bcastData(r, 0, tagHier+round, payload.Synth(g, 0, 40))
 }
 
@@ -413,27 +359,13 @@ func (sh *shard) slice(w npb.Workload) *npb.Slice {
 			}
 			return crossRecv(r.Proc(), sh.southIn[col], tag)
 		},
-		SendEdge: func(r *mpi.Rank, col, tag int, n int64, down bool) {
-			// A column's next face is one k-block away, 17 across the sweep
-			// turnaround after a sweep's last block, and never after the
-			// final iteration's.
-			gap := 1
-			if tag%npb.LUBlocks == npb.LUBlocks-1 {
-				gap = 17
-				if tag/(2*npb.LUBlocks) == w.Iterations-1 {
-					gap = 0
-				}
-			}
-			sh.crossFace(r, down, col, tag, n, gap)
-		},
+		SendEdge: sh.crossFace,
 		Allreduce: func(r *mpi.Rank, done int, final bool) payload.Buffer {
-			round, left := done/w.NormEvery, 0
+			round := done / w.NormEvery
 			if final {
 				round++
-			} else {
-				left = min(w.Iterations-done, w.NormEvery)
 			}
-			return sh.hierAllreduce(r, round, left, final)
+			return sh.hierAllreduce(r, round)
 		},
 	}
 }

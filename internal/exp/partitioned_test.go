@@ -95,6 +95,27 @@ func TestPartitionedLUPinned(t *testing.T) {
 	}
 }
 
+// TestPartitionedLUWindows pins the exact window counts, which no
+// fingerprint covers. Each cross link's one promise is its shard's launch
+// cost (mpi.World.MeshCost); a launch bound that understates it splits the
+// launch into latency-wide windows, which the launch-heavy case (32 ranks a
+// shard, one iteration) shows most.
+func TestPartitionedLUWindows(t *testing.T) {
+	for _, c := range []struct {
+		name         string
+		sc           Scale
+		parts, iters int
+		want         uint64
+	}{
+		{"partScale", partScale, 4, partIters, 2586},
+		{"launch-heavy", Scale{Class: npb.ClassS, Ranks: 64, PPN: 1, Seed: 7}, 2, 1, 231},
+	} {
+		if got := RunPartitionedLU(c.sc, c.parts, 2, c.iters, false).Windows; got != c.want {
+			t.Errorf("%s: %d windows, want %d", c.name, got, c.want)
+		}
+	}
+}
+
 // TestCheckPartitions covers the shard-count check the commands run before
 // RunPartitionedLU: the count must be positive and divide the grid rows.
 func TestCheckPartitions(t *testing.T) {

@@ -611,3 +611,48 @@ func TestSuspendDrainWaitsForRendezvous(t *testing.T) {
 		t.Fatalf("cycle dispatched %d events and ended at %d ns, want %d and %d", e.Events(), e.Now(), wantEvents, wantEnd)
 	}
 }
+
+// TestReadyAtMeshCost checks MeshCost, the launch-cost model, against the
+// engine: Ready fires exactly MeshCost after Start, for several world sizes,
+// a non-default rendezvous buffer, and a launch that starts late.
+func TestReadyAtMeshCost(t *testing.T) {
+	for _, c := range []struct {
+		ranks int
+		rbuf  int64
+		at    sim.Duration
+	}{
+		{1, 0, 0},
+		{2, 0, 0},
+		{5, 0, 0},
+		{16, 0, 0},
+		{5, 3 * calib.RendezvousBufSize, 0},
+		{5, 0, 7 * time.Millisecond},
+	} {
+		e := sim.NewEngine(42)
+		fab := ib.NewFabric(e, ib.Config{})
+		placement := make([]string, c.ranks)
+		for i := range placement {
+			placement[i] = fmt.Sprintf("n%02d", i)
+			fab.AttachHCA(placement[i])
+		}
+		w := NewWorld(e, fab, placement, Config{RendezvousBufSize: c.rbuf})
+		if c.ranks > 1 && w.MeshCost() <= 0 {
+			t.Fatalf("ranks=%d: MeshCost %v, want positive", c.ranks, w.MeshCost())
+		}
+		var ready, started sim.Time
+		e.Spawn("launch", func(p *sim.Proc) {
+			p.Sleep(c.at)
+			started = p.Now()
+			w.Start(func(*Rank) {})
+			w.WaitReady(p)
+			ready = p.Now()
+			w.WaitDone(p)
+			e.Stop()
+		})
+		run(t, e)
+		if got := ready.Sub(started); got != w.MeshCost() {
+			t.Errorf("ranks=%d rbuf=%d at=%v: Ready after %v, MeshCost %v",
+				c.ranks, c.rbuf, c.at, got, w.MeshCost())
+		}
+	}
+}

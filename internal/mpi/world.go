@@ -172,8 +172,9 @@ func (w *World) RanksOn(node string) []*Rank {
 }
 
 // Start builds the full connection mesh and launches app on every rank. The
-// Ready event fires when the mesh is up (immediately before rank 0 starts);
-// Done fires when every rank's app function has returned.
+// Ready event fires when the mesh is up, MeshCost after Start and
+// immediately before rank 0 starts; Done fires when every rank's app
+// function has returned.
 //
 // One launcher process connects the N(N-1)/2 pairs in ascending (i, j)
 // order as a single SleepSeq, which the engine steps from wake to wake.
@@ -281,32 +282,48 @@ func (w *World) BytesSent() int64 {
 	return n
 }
 
+// pairCosts are the three sleeps connectSeq charges each rank pair, in its
+// order: QP bring-up, then both rendezvous-buffer registrations.
+func (w *World) pairCosts() [3]sim.Duration {
+	reg := ib.MRRegisterCost(w.cfg.RendezvousBufSize)
+	return [3]sim.Duration{calib.IBQPSetup, reg, reg}
+}
+
+// MeshCost returns how long Start's launch runs before Ready fires: the
+// N(N-1)/2 rank pairs are connected one after another, each paying the
+// pairCosts that connectSeq sleeps. A world started at t is Ready at exactly
+// t + MeshCost, and no rank sends before then.
+func (w *World) MeshCost() sim.Duration {
+	c := w.pairCosts()
+	n := sim.Duration(len(w.ranks))
+	return n * (n - 1) / 2 * (c[0] + c[1] + c[2])
+}
+
 // connectSeq returns a SleepSeq step function that connects the rank pairs
-// pairs yields, one after another. Each pair costs the three sleeps the
-// eager mesh paid, in its order — QP bring-up, then both rendezvous-buffer
-// registrations — but the fabric state itself is created lazily on first use
-// (see conn.materialize with the prepaid ib constructors). When the third
-// sleep ends the pair gets its endpoints and each side's receive pump,
-// spawned as a dormant flow so the process start/end trace records match the
-// eager mesh exactly; pairs is then asked for the next pair at that same
-// instant. The calling process pays the whole cost.
+// pairs yields, one after another. Each pair costs the three pairCosts
+// sleeps the eager mesh paid, but the fabric state itself is created lazily
+// on first use (see conn.materialize with the prepaid ib constructors). When
+// the third sleep ends the pair gets its endpoints and each side's receive
+// pump, spawned as a dormant flow so the process start/end trace records
+// match the eager mesh exactly; pairs is then asked for the next pair at
+// that same instant. The calling process pays the whole cost.
 func (w *World) connectSeq(pairs func() (a, b *Rank, ok bool)) func() (sim.Duration, bool) {
+	costs := w.pairCosts()
 	var a, b *Rank
-	stage := 0 // 0: no pair yet; 1, 2: registrations due; 3: pair paid for
+	stage := 0 // sleeps of the current pair already returned
 	return func() (sim.Duration, bool) {
-		switch stage {
-		case 1, 2:
-			stage++
-			return ib.MRRegisterCost(w.cfg.RendezvousBufSize), true
-		case 3:
+		if stage == len(costs) {
 			w.connect(a, b)
+			stage = 0
 		}
-		var ok bool
-		if a, b, ok = pairs(); !ok {
-			return 0, false
+		if stage == 0 {
+			var ok bool
+			if a, b, ok = pairs(); !ok {
+				return 0, false
+			}
 		}
-		stage = 1
-		return calib.IBQPSetup, true
+		stage++
+		return costs[stage-1], true
 	}
 }
 

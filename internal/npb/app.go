@@ -66,12 +66,6 @@ func (w Workload) App(res *Result) func(*mpi.Rank) {
 // serializing the whole diagonal.
 const luBlocks = 16
 
-// LUBlocks exposes the LU pipeline block count to drivers that key
-// lookahead promises to the sweep cadence rather than copy the sweep: block
-// b of iteration it's lower (upper) sweep carries tag (2*it)*LUBlocks+b
-// ((2*it+1)*LUBlocks+b), and each block costs LUBlock's compute.
-const LUBlocks = luBlocks
-
 // LUBlock returns the compute time and face bytes of one LU k-block.
 func (w Workload) LUBlock() (compute sim.Duration, face int64) {
 	return w.PerIterCompute / (2 * luBlocks), max(w.FaceBytes/luBlocks, 128)

@@ -17,15 +17,17 @@ package sim
 // message produced inside the window can be delivered before the horizon:
 // a message sent at s >= nextEvent(i) over a link of latency L arrives at
 // s + L >= nextEvent(i) + latency(l) >= horizon. Applications that know
-// their next send is further out than the raw link latency (e.g. a block
-// cadence) can raise the bound with CrossLink.Promise, which widens windows
-// without changing results. At the window edge a barrier collects every
-// link's outbox and injects the messages into their destination engines in
-// deterministic (deliver time, link registration order, link FIFO order),
-// so destination-side event seq assignment — and therefore the trace — is
-// bit-identical at any worker count. This is null-message-style conservative
-// synchronization (no rollback); violations of a link's promise or latency
-// panic inside the sending process.
+// their next send is further out than the raw link latency (e.g. nothing
+// crosses before a job's launch ends) can raise the bound with
+// CrossLink.Promise, which widens windows without changing results. At the
+// window edge a barrier collects every link's outbox and injects the
+// messages into their destination engines in deterministic (deliver time,
+// link registration order, link FIFO order), so destination-side event seq
+// assignment — and therefore the trace — is bit-identical at any worker
+// count. This is null-message-style conservative synchronization (no
+// rollback); violations of a link's promise or latency panic inside the
+// sending process, and a delivery behind its destination's clock panics at
+// the barrier.
 //
 // workers=1 runs the partitions sequentially in partition order on the
 // calling goroutine — the proven serial dispatcher, same results. parts=1
@@ -241,7 +243,8 @@ func (pe *Partitioned) computeHorizon() (Time, bool) {
 // deterministic (delivery time, link registration order, link FIFO order)
 // and injected serially into the destination engines — so the seq numbers a
 // destination assigns (and therefore its trace) do not depend on how many
-// workers executed the window.
+// workers executed the window. A delivery behind its destination's clock
+// panics, naming the link.
 func (pe *Partitioned) exchange() {
 	pe.merge = pe.merge[:0]
 	for li, l := range pe.links {
@@ -268,8 +271,13 @@ func (pe *Partitioned) exchange() {
 		if l.deliver == nil {
 			panic(fmt.Sprintf("sim: cross link %q has traffic but no Bind", l.name))
 		}
-		t, v, deliver := m.t, m.v, l.deliver
-		pe.engines[l.to].At(t, func() { deliver(t, v) })
+		t, v, deliver, dst := m.t, m.v, l.deliver, pe.engines[l.to]
+		if t < dst.now {
+			// Engine.At would clamp it to the clock and hide the violation.
+			panic(fmt.Sprintf("sim: conservative violation on link %q: delivery at %v behind partition %d's clock %v",
+				l.name, t, l.to, dst.now))
+		}
+		dst.At(t, func() { deliver(t, v) })
 		l.delivered++
 		pe.exchanged++
 		pe.merge[i].v = nil

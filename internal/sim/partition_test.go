@@ -250,6 +250,29 @@ func TestConservativeViolationFails(t *testing.T) {
 	pe.Shutdown()
 }
 
+// TestExchangeRejectsPastDelivery forges a delivery behind the destination
+// engine's clock: exchange must panic naming the link instead of letting
+// Engine.At clamp it to the present.
+func TestExchangeRejectsPastDelivery(t *testing.T) {
+	pe := NewPartitioned(1, 2)
+	l := pe.Connect("forged", 0, 1, 10*time.Microsecond)
+	l.Bind(func(Time, any) {})
+	pe.Engine(1).Spawn("sleeper", func(p *Proc) { p.Sleep(50 * time.Microsecond) })
+	if err := pe.Engine(1).RunUntil(Time(100 * time.Microsecond)); err != nil {
+		t.Fatal(err)
+	}
+	l.outbox = append(l.outbox, crossMsg{t: Time(20 * time.Microsecond), v: "stale"})
+	r := func() (r any) {
+		defer func() { r = recover() }()
+		pe.exchange()
+		return nil
+	}()
+	if msg, _ := r.(string); !strings.Contains(msg, "conservative violation") || !strings.Contains(msg, `"forged"`) {
+		t.Fatalf("exchange recovered %v, want a conservative violation naming the link", r)
+	}
+	pe.Shutdown()
+}
+
 // TestPartitionedStopPropagates pins that one partition's Stop ends the
 // whole ensemble even while other partitions still have unbounded work.
 func TestPartitionedStopPropagates(t *testing.T) {
