@@ -236,22 +236,6 @@ func Restart(p *sim.Proc, src Source, table *proc.Table, opts RestartOptions) (*
 	return pr, nil
 }
 
-// StreamInfo parses only the file header of a stream (cheap peek used by the
-// NLA to learn rank/pid of arriving images).
-func StreamInfo(p *sim.Proc, src Source) (pid, rank int, total int64, err error) {
-	if src.Size() < headerSize {
-		return 0, 0, 0, ErrShortStream
-	}
-	fh := src.ReadAt(p, 0, headerSize).Materialize()
-	if binary.LittleEndian.Uint64(fh[0:]) != magic {
-		return 0, 0, 0, ErrBadMagic
-	}
-	pid = int(binary.LittleEndian.Uint64(fh[8:]))
-	rank = int(int64(binary.LittleEndian.Uint64(fh[16:])))
-	total = int64(binary.LittleEndian.Uint64(fh[32:]))
-	return pid, rank, total, nil
-}
-
 func trimZero(b []byte) string {
 	for i, c := range b {
 		if c == 0 {

@@ -186,27 +186,6 @@ func TestCallbacksFire(t *testing.T) {
 	}
 }
 
-func TestStreamInfoPeek(t *testing.T) {
-	e := sim.NewEngine(1)
-	srcT := proc.NewTable("a")
-	pr := testProcess(srcT, 7, 128<<10)
-	e.Spawn("main", func(p *sim.Proc) {
-		sink := &BufferSink{}
-		info, err := Checkpoint(p, pr, nil, sink, Options{Hash: true})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		pid, rank, total, err := StreamInfo(p, &BufferSource{Buf: sink.Buf})
-		if err != nil || pid != pr.PID || rank != 7 || total != info.Bytes {
-			t.Errorf("peek: pid=%d rank=%d total=%d err=%v", pid, rank, total, err)
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAdoptDuplicatePIDFails(t *testing.T) {
 	e := sim.NewEngine(1)
 	srcT := proc.NewTable("a")

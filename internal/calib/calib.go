@@ -69,12 +69,6 @@ const (
 
 	// MemcpyBandwidth is per-core copy bandwidth (FSB-limited Clovertown).
 	MemcpyBandwidth int64 = 2500 << 20
-
-	// CoresPerNode matches the testbed (two quad-core sockets).
-	CoresPerNode = 8
-
-	// NodeMemory per compute node (era-typical 8 GB).
-	NodeMemory int64 = 8 << 30
 )
 
 // ---------------------------------------------------------------------------
@@ -129,7 +123,9 @@ const (
 	// which see every client (a striped file keeps all spindles busy) but
 	// schedule whole 1 MB stripes through Trove. Anchor: 64 clients yield
 	// ~110 MB/s aggregate over 4 servers (BT.C.64 PVFS checkpoint: 2470.4 MB
-	// in 23.4 s) — eff(64) = 0.60 gives penalty 0.0106.
+	// in 23.4 s) — eff(64) = 0.60 gives penalty 0.0106. The cluster
+	// package's TestPVFSAggregateMatchesPaperAnchor measures the anchor on
+	// the engine.
 	PVFSStreamPenalty = 0.0106
 
 	// PageCachePerNode is the memory available for the page cache; writes go
@@ -146,14 +142,9 @@ const (
 // ---------------------------------------------------------------------------
 
 const (
-	PVFSServers      = 4
 	PVFSStripeSize   = 1 << 20
-	PVFSServerDiskBW = DiskWriteBandwidth // same disk class as compute nodes
 	PVFSMetaOpCost   = 300 * time.Microsecond
 	PVFSPerStripeCPU = 40 * time.Microsecond
-	// PVFSServerSyncWrites: PVFS2 Trove syncs data to disk, so checkpoint
-	// writes are disk-bound on the servers, not cache-bound.
-	PVFSServerSyncWrites = true
 )
 
 // ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ const (
 type Config struct {
 	ComputeNodes int // default 8
 	SpareNodes   int // default 1
-	PVFSServers  int // default 4 (0 disables PVFS)
+	PVFSServers  int // no default: 0 disables PVFS
 	FTBFanout    int // default 4
 
 	// RackSize groups compute and spare nodes into racks (switch domains)
@@ -146,14 +146,6 @@ func New(e *sim.Engine, cfg Config) *Cluster {
 	c.topo = NewTopology(names, cfg.RackSize)
 	return c
 }
-
-// Topology returns the cluster's rack layout (compute then spare nodes, in
-// order; empty when rack topology is disabled).
-func (c *Cluster) Topology() *Topology { return c.topo }
-
-// RackOf returns the rack index of a node, or -1 when the node is not part
-// of the rack sequence (login, I/O servers, or rack topology disabled).
-func (c *Cluster) RackOf(name string) int { return c.topo.RackOf(name) }
 
 // RackMembers returns the node names sharing a rack with name (including
 // name itself). Without rack topology the node is its own failure domain.

@@ -6,16 +6,15 @@ package cluster
 // the locality unit rack-aware placement packs against. A zero RackSize means
 // no rack structure: every node is its own failure domain.
 type Topology struct {
-	rackSize int
-	rackOf   map[string]int
-	racks    [][]string
+	rackOf map[string]int
+	racks  [][]string
 }
 
 // NewTopology racks the named nodes in order: node i belongs to rack
 // i/rackSize. With rackSize <= 0 the topology is empty (RackOf returns -1
 // for every name).
 func NewTopology(names []string, rackSize int) *Topology {
-	t := &Topology{rackSize: rackSize, rackOf: make(map[string]int)}
+	t := &Topology{rackOf: make(map[string]int)}
 	if rackSize <= 0 {
 		return t
 	}
@@ -29,12 +28,6 @@ func NewTopology(names []string, rackSize int) *Topology {
 	}
 	return t
 }
-
-// RackSize returns the configured nodes-per-rack (0 = no rack structure).
-func (t *Topology) RackSize() int { return t.rackSize }
-
-// Racks returns the number of racks.
-func (t *Topology) Racks() int { return len(t.racks) }
 
 // RackOf returns the rack index of a node, or -1 when the node is not part
 // of the rack sequence.

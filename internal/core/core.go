@@ -500,9 +500,6 @@ func (fw *Framework) NLA(node string) *NLA { return fw.nlas[node] }
 // JobManager returns the job manager.
 func (fw *Framework) JobManager() *JobManager { return fw.jm }
 
-// Options returns the framework options.
-func (fw *Framework) Options() Options { return fw.opts }
-
 // TriggerMigration requests migration of the given source node (the paper's
 // user-initiated trigger: "our design also enables direct user intervention
 // to trigger a migration"). The Job Manager picks the spare. The returned
@@ -530,22 +527,6 @@ func (fw *Framework) AttachPredictor(predictions *sim.Queue[string]) {
 			fw.TriggerMigration(p, node)
 		}
 	})
-}
-
-// ReactivateNode returns a repaired, vacated node to the spare pool
-// (MIGRATION_INACTIVE -> MIGRATION_SPARE), completing the paper's cycle:
-// "the Job Migration cycle is now complete and is ready for the next cycle."
-// It fails if the node is not currently inactive.
-func (fw *Framework) ReactivateNode(node string) error {
-	nla := fw.nlas[node]
-	if nla == nil {
-		return fmt.Errorf("core: no NLA on %s", node)
-	}
-	if nla.State() != StateInactive {
-		return fmt.Errorf("core: %s is %v, not MIGRATION_INACTIVE", node, nla.State())
-	}
-	nla.setState(StateSpare)
-	return nil
 }
 
 // Checkpoint takes a coordinated full-job checkpoint and keeps it as the
@@ -586,6 +567,3 @@ func (fw *Framework) Checkpoint(p *sim.Proc, target cr.Target) (*metrics.Report,
 	}
 	return rep, nil
 }
-
-// Shutdown tears down the MPI world's connections (daemon pumps exit).
-func (fw *Framework) Shutdown() { fw.W.Shutdown() }

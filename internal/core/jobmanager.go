@@ -36,10 +36,6 @@ type JobManager struct {
 	fw     *Framework
 	client *ftb.Client
 
-	// spawnTree maps each node to its parent in the (ScELA-style) launch
-	// tree; migrations re-home the moved node under the login root.
-	spawnTree map[string]string
-
 	pending           []string
 	completionWaiters []*sim.Event
 
@@ -98,13 +94,9 @@ func newJobManager(fw *Framework) *JobManager {
 	jm := &JobManager{
 		fw:        fw,
 		client:    fw.C.FTB.Connect(fw.C.Login.Name, "job-manager"),
-		spawnTree: make(map[string]string),
 		unhealthy: make(map[string]bool),
 		warns:     make(map[string]int),
 		shadows:   make(map[string]*replica),
-	}
-	for _, n := range fw.C.Compute {
-		jm.spawnTree[n.Name] = fw.C.Login.Name
 	}
 	sub := jm.client.Subscribe("", "") // MVAPICH protocol + cluster + health
 	fw.C.E.Spawn("core.jobmanager", func(p *sim.Proc) { jm.loop(p, sub) })
@@ -471,10 +463,10 @@ func (jm *JobManager) onPIIC(p *sim.Proc, ev ftb.Event) {
 	m.piicAt = p.Now()
 	m.beginPhase(jm.fw.obsC(), p.Now(), "phase3.restart")
 	m.phase = 3
-	// Re-home the target under the login root; the source leaves the tree.
-	delete(jm.spawnTree, m.src)
-	jm.spawnTree[m.dst] = jm.fw.C.Login.Name
-	p.Sleep(time.Millisecond) // tree surgery bookkeeping
+	// Re-homing the target under the login root of the (ScELA-style)
+	// launch tree, and dropping the source from it, is a millisecond of
+	// bookkeeping.
+	p.Sleep(time.Millisecond)
 	jm.fw.notifyPhase(p, m.seq, 3)
 	jm.publishRestart(p, m)
 }
@@ -1073,13 +1065,4 @@ func (jm *JobManager) fireCompletions() {
 	}
 	jm.completionWaiters[0].Fire()
 	jm.completionWaiters = jm.completionWaiters[1:]
-}
-
-// SpawnTree returns a copy of the current launch-tree parent map.
-func (jm *JobManager) SpawnTree() map[string]string {
-	out := make(map[string]string, len(jm.spawnTree))
-	for k, v := range jm.spawnTree {
-		out[k] = v
-	}
-	return out
 }

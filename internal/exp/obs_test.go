@@ -77,40 +77,41 @@ func TestGoldenTraceObsEnabled(t *testing.T) {
 	}
 }
 
-// TestObservedParallelMerge runs the observed golden scenario on concurrent
-// engines (one collector per engine, the RunParallel contract) and checks the
-// slot-order merge is deterministic and sums per-engine totals.
+// TestObservedParallelMerge runs the observed golden scenario on four
+// concurrent engines (one collector per engine, the RunParallel contract).
+// Nothing merges the collectors: each one must match a serial run's on RDMA
+// reads, spans and the RDMA read latency histogram.
 func TestObservedParallelMerge(t *testing.T) {
 	old := Parallelism()
 	defer SetParallelism(old)
 	SetParallelism(4)
 
-	run := func() *obs.Collector {
-		const n = 4
-		cols := make([]*obs.Collector, n)
-		tasks := make([]func(), n)
-		for i := range tasks {
-			i := i
-			tasks[i] = func() {
-				_, _, _, _, col := goldenRunWith(true)
-				cols[i] = col
-			}
+	const n = 4
+	cols := make([]*obs.Collector, n)
+	tasks := make([]func(), n)
+	for i := range tasks {
+		i := i
+		tasks[i] = func() {
+			_, _, _, _, col := goldenRunWith(true)
+			cols[i] = col
 		}
-		RunParallel(tasks...)
-		return obs.Merge(cols...)
 	}
-	m1, m2 := run(), run()
+	RunParallel(tasks...)
 
 	single := goldenObservedCollector(t)
-	if got, want := m1.Counter("ib.rdma_reads"), 4*single.Counter("ib.rdma_reads"); got != want {
-		t.Errorf("merged rdma_reads = %d, want %d", got, want)
+	if single.Counter("ib.rdma_reads") == 0 || single.Histogram("ib.rdma_read_us").Count() == 0 {
+		t.Fatal("serial golden run recorded no RDMA reads")
 	}
-	if got, want := len(m1.Spans()), 4*len(single.Spans()); got != want {
-		t.Errorf("merged spans = %d, want %d", got, want)
-	}
-	if len(m1.Spans()) != len(m2.Spans()) || m1.Counter("ib.rdma_reads") != m2.Counter("ib.rdma_reads") ||
-		m1.Histogram("ib.rdma_read_us").Count() != m2.Histogram("ib.rdma_read_us").Count() {
-		t.Error("merge differs between identical parallel runs")
+	for i, c := range cols {
+		if got, want := c.Counter("ib.rdma_reads"), single.Counter("ib.rdma_reads"); got != want {
+			t.Errorf("engine %d: rdma_reads = %d, want %d", i, got, want)
+		}
+		if got, want := len(c.Spans()), len(single.Spans()); got != want {
+			t.Errorf("engine %d: spans = %d, want %d", i, got, want)
+		}
+		if got, want := c.Histogram("ib.rdma_read_us").Count(), single.Histogram("ib.rdma_read_us").Count(); got != want {
+			t.Errorf("engine %d: rdma_read_us count = %d, want %d", i, got, want)
+		}
 	}
 }
 

@@ -343,8 +343,7 @@ type System struct {
 	Drains      []DrainRecord
 	Interrupts  int // unpredicted failure hits on leased nodes
 
-	onTransition func(t sim.Time, n *Node, from, to NodeState)
-	onPlacement  func(ev PlacementEvent)
+	onPlacement func(ev PlacementEvent)
 
 	mttr      []sim.Duration
 	activity  uint64 // bumps on every transition/placement; serveNodes' fixpoint detector
@@ -391,21 +390,8 @@ func (s *System) clampTarget(k int) int {
 	return k
 }
 
-// OnTransition registers a probe called before every lifecycle transition
-// commits (the node still shows the from-state).
-func (s *System) OnTransition(fn func(t sim.Time, n *Node, from, to NodeState)) {
-	s.onTransition = fn
-}
-
 // OnPlacement registers a probe called on every node acquisition/release.
 func (s *System) OnPlacement(fn func(ev PlacementEvent)) { s.onPlacement = fn }
-
-// Schedule returns the pre-sampled failure realization (shared-schedule
-// campaigns and the check shrinker read it).
-func (s *System) Schedule() Schedule { return s.sched }
-
-// Workload returns the pre-sampled job specs.
-func (s *System) Workload() []JobSpec { return s.work }
 
 // PoolSize returns the current spare-pool population.
 func (s *System) PoolSize() int { return len(s.pool) }

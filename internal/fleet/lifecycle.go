@@ -87,7 +87,7 @@ type Node struct {
 }
 
 // to moves the node to state s at time t, panicking on an illegal
-// transition and notifying the system's accounting and probes.
+// transition and notifying the system's accounting.
 func (s *System) to(t sim.Time, n *Node, next NodeState) {
 	if !LegalTransition(n.State, next) {
 		panic(fmt.Sprintf("fleet: illegal lifecycle transition %s -> %s on %s at %v",
@@ -96,9 +96,6 @@ func (s *System) to(t sim.Time, n *Node, next NodeState) {
 	s.account(t, n)
 	s.activity++
 	s.Transitions[n.State][next]++
-	if s.onTransition != nil {
-		s.onTransition(t, n, n.State, next)
-	}
 	n.State = next
 	n.Since = t
 }

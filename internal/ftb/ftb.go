@@ -146,9 +146,6 @@ func Deploy(e *sim.Engine, net *gige.Network, nodes []string, fanout int) *Backp
 	return bp
 }
 
-// Agent returns the agent on the given node, or nil.
-func (bp *Backplane) Agent(node string) *Agent { return bp.agents[node] }
-
 // KillAgent simulates the death of a node's FTB agent: all its tree links
 // drop and its clients stop receiving events. Children self-heal by
 // re-attaching to the nearest live ancestor.
@@ -302,11 +299,6 @@ func (c *Client) Subscribe(namespace, name string) *Subscription {
 
 // Recv blocks until a matching event arrives.
 func (s *Subscription) Recv(p *sim.Proc) (Event, bool) { return s.q.Recv(p) }
-
-// RecvTimeout blocks up to d for a matching event.
-func (s *Subscription) RecvTimeout(p *sim.Proc, d sim.Duration) (Event, bool) {
-	return s.q.RecvTimeout(p, d)
-}
 
 // TryRecv returns a queued event without blocking.
 func (s *Subscription) TryRecv() (Event, bool) { return s.q.TryRecv() }

@@ -99,21 +99,6 @@ func (p Params) expectedFactor(tau float64) float64 {
 	return base / (1 - mig)
 }
 
-// ExpectedRuntime returns the expected wall time to complete solve time of
-// useful work when checkpointing every interval, under Daly's exponential
-// model plus the expected proactive-migration overhead. Saturates at the
-// maximum duration instead of overflowing.
-func (p Params) ExpectedRuntime(solve time.Duration, interval time.Duration) time.Duration {
-	if err := p.Validate(); err != nil {
-		panic(err)
-	}
-	t := p.expectedFactor(float64(interval)) * float64(solve)
-	if math.IsInf(t, 1) || t > float64(math.MaxInt64) {
-		return time.Duration(math.MaxInt64)
-	}
-	return time.Duration(t)
-}
-
 // OptimalInterval minimizes the expected runtime over the checkpoint
 // interval by golden-section search (deterministic; the objective is
 // unimodal in τ).
@@ -151,14 +136,4 @@ func (p Params) OptimalInterval() time.Duration {
 // Efficiency is useful work over expected wall time at the optimal interval.
 func (p Params) Efficiency() float64 {
 	return 1 / p.expectedFactor(float64(p.OptimalInterval()))
-}
-
-// YoungInterval is the first-order optimum sqrt(2·δ·M_u), for reference and
-// testing.
-func (p Params) YoungInterval() time.Duration {
-	mu := p.uncoveredMTBF()
-	if math.IsInf(mu, 1) {
-		return time.Duration(math.MaxInt64)
-	}
-	return time.Duration(math.Sqrt(2 * float64(p.CheckpointCost) * mu))
 }

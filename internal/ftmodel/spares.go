@@ -119,8 +119,3 @@ func (p SpareParams) OptimalSpares() int {
 	}
 	return best
 }
-
-// OptimalSpareFraction is OptimalSpares over the fleet size.
-func (p SpareParams) OptimalSpareFraction() float64 {
-	return float64(p.OptimalSpares()) / float64(p.Nodes)
-}

@@ -86,9 +86,6 @@ type Endpoint struct {
 	nextFD  int
 }
 
-// Node returns the host name.
-func (ep *Endpoint) Node() string { return ep.node }
-
 // Accept blocks until an inbound connection arrives.
 func (ep *Endpoint) Accept(p *sim.Proc) (*Conn, bool) {
 	return ep.backlog.Recv(p)
@@ -134,9 +131,6 @@ type Conn struct {
 	in   *sim.Queue[Message]
 	open bool
 }
-
-// LocalNode returns this end's host.
-func (c *Conn) LocalNode() string { return c.ep.node }
 
 // RemoteNode returns the peer host.
 func (c *Conn) RemoteNode() string { return c.peer.ep.node }

@@ -1,7 +1,6 @@
 // Package ib models an InfiniBand fabric at the verbs level: host channel
 // adapters (HCAs), reliable-connection queue pairs (QPs), registered memory
-// regions (MRs) with remote keys, send/receive, and one-sided RDMA Read and
-// RDMA Write.
+// regions (MRs) with remote keys, send/receive, and one-sided RDMA Read.
 //
 // Timing comes from link occupancy: each HCA has an egress (tx) and ingress
 // (rx) serialization resource; a transfer of n bytes holds the source tx for
@@ -68,9 +67,6 @@ type Fabric struct {
 func NewFabric(e *sim.Engine, cfg Config) *Fabric {
 	return &Fabric{E: e, cfg: cfg.withDefaults(), hcas: make(map[string]*HCA)}
 }
-
-// Bandwidth returns the configured per-link bandwidth in bytes/sec.
-func (f *Fabric) Bandwidth() int64 { return f.cfg.Bandwidth }
 
 // AttachHCA adds a node's adapter to the fabric. Node names must be unique.
 func (f *Fabric) AttachHCA(node string) *HCA {
@@ -187,9 +183,6 @@ func (h *HCA) Recover() { h.failed = false }
 
 // Node returns the owning node's name.
 func (h *HCA) Node() string { return h.node }
-
-// Fabric returns the fabric this HCA is attached to.
-func (h *HCA) Fabric() *Fabric { return h.f }
 
 // MRRegisterCost returns the simulated time ibv_reg_mr takes to pin size
 // bytes (base + per-page), for callers that pay the cost up front and
@@ -346,12 +339,6 @@ func (q *QP) Open() bool { return q.open }
 // rebuilt.
 func (q *QP) Broken() bool { return q.err() != nil }
 
-// Node returns the local node name.
-func (q *QP) Node() string { return q.hca.node }
-
-// PeerNode returns the remote node name.
-func (q *QP) PeerNode() string { return q.peer.hca.node }
-
 func (q *QP) addInflight(n int) {
 	q.inflight += n
 	if q.inflight == 0 {
@@ -415,9 +402,6 @@ func (q *QP) RecvClosed() bool { return q.recvQ.Closed() }
 // FlowRecvPark parks flow p as a blocked receiver on this endpoint's receive
 // queue, or adopts an already-parked flow as one (see sim.Queue.FlowRecvPark).
 func (q *QP) FlowRecvPark(p *sim.Proc) { q.recvQ.FlowRecvPark(p) }
-
-// RecvLen returns the number of delivered-but-unconsumed messages.
-func (q *QP) RecvLen() int { return q.recvQ.Len() }
 
 // RDMARead pulls [off, off+n) from the remote region identified by rk into
 // the calling process, returning the data. The requester pays the request
@@ -493,41 +477,6 @@ func (q *QP) rdmaRead(p *sim.Proc, rk RemoteKey, off, n int64) (payload.Buffer, 
 	return data, nil
 }
 
-// RDMAWrite pushes data into the remote region identified by rk at offset
-// off. The calling process performs the wire work.
-func (q *QP) RDMAWrite(p *sim.Proc, rk RemoteKey, off int64, data payload.Buffer) error {
-	if err := q.err(); err != nil {
-		return err
-	}
-	target := q.hca.f.hcas[rk.Node]
-	if target == nil {
-		return ErrUnknownNode
-	}
-	if target.failed {
-		return ErrHCADown
-	}
-	mr := target.mrs[rk.Key]
-	if mr == nil || !mr.valid {
-		return ErrInvalidRKey
-	}
-	n := data.Size()
-	if off < 0 || off+n > mr.region.Size() {
-		return ErrOutOfBounds
-	}
-	q.addInflight(1)
-	defer q.addInflight(-1)
-	q.hca.f.transfer(p, q.hca, target, n)
-	if target.failed || q.hca.failed {
-		return ErrHCADown
-	}
-	// Re-validate: the registration may have been revoked mid-flight.
-	if !mr.Valid() {
-		return ErrInvalidRKey
-	}
-	mr.region.Write(off, data)
-	return nil
-}
-
 // WaitIdle blocks until the endpoint has no wire operations in flight — the
 // primitive beneath the Phase-1 message drain.
 func (q *QP) WaitIdle(p *sim.Proc) { q.idle.Wait(p) }
@@ -535,9 +484,6 @@ func (q *QP) WaitIdle(p *sim.Proc) { q.idle.Wait(p) }
 // Idle reports whether the endpoint has no wire operations in flight, that
 // is, whether WaitIdle would return without blocking.
 func (q *QP) Idle() bool { return q.idle.IsOpen() }
-
-// Inflight returns the number of outstanding wire operations.
-func (q *QP) Inflight() int { return q.inflight }
 
 // Close tears down this endpoint. In-flight messages to a closed endpoint
 // are dropped (RC would error them; the MPI layer drains before closing).

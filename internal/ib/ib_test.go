@@ -175,29 +175,12 @@ func TestRDMAReadOutOfBounds(t *testing.T) {
 		if _, err := qa.RDMARead(p, mr.RKey(), 4000, 200); err != ErrOutOfBounds {
 			t.Errorf("err = %v, want ErrOutOfBounds", err)
 		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRDMAWrite(t *testing.T) {
-	e, f := testFabric(t)
-	a, b := f.AttachHCA("a"), f.AttachHCA("b")
-	region := mem.NewRegion(1<<16, 5)
-	data := payload.Synth(42, 0, 1024)
-	e.Spawn("main", func(p *sim.Proc) {
-		qa, _ := ConnectQP(p, a, b)
-		mr := b.RegisterMR(p, region)
-		if err := qa.RDMAWrite(p, mr.RKey(), 512, data); err != nil {
-			t.Error(err)
+		if _, err := qa.RDMARead(p, RemoteKey{Node: "ghost", Key: 1}, 0, 10); err != ErrUnknownNode {
+			t.Errorf("unknown node read: err = %v, want ErrUnknownNode", err)
 		}
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
-	}
-	if !region.Read(512, 1024).Equal(data) {
-		t.Fatal("RDMA write did not land")
 	}
 }
 
@@ -233,11 +216,11 @@ func TestWaitIdleDrainsInflight(t *testing.T) {
 		}
 		qa.WaitIdle(p)
 		idleAt = p.Now()
-		if qa.Inflight() != 0 {
+		if qa.inflight != 0 {
 			t.Error("inflight != 0 after WaitIdle")
 		}
-		if qb.RecvLen() != 3 {
-			t.Errorf("delivered %d messages, want 3", qb.RecvLen())
+		if qb.recvQ.Len() != 3 {
+			t.Errorf("delivered %d messages, want 3", qb.recvQ.Len())
 		}
 	})
 	if err := e.Run(); err != nil {
@@ -335,29 +318,6 @@ func TestTransferUnknownNode(t *testing.T) {
 	e.Spawn("main", func(p *sim.Proc) {
 		if err := f.Transfer(p, "a", "ghost", 100); err != ErrUnknownNode {
 			t.Errorf("err = %v, want ErrUnknownNode", err)
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRDMAWriteErrorPaths(t *testing.T) {
-	e, f := testFabric(t)
-	a, b := f.AttachHCA("a"), f.AttachHCA("b")
-	region := mem.NewRegion(4096, 1)
-	e.Spawn("main", func(p *sim.Proc) {
-		qa, _ := ConnectQP(p, a, b)
-		mr := b.RegisterMR(p, region)
-		if err := qa.RDMAWrite(p, mr.RKey(), 4000, payload.Synth(1, 0, 200)); err != ErrOutOfBounds {
-			t.Errorf("oob write: %v", err)
-		}
-		mr.Deregister()
-		if err := qa.RDMAWrite(p, mr.RKey(), 0, payload.Synth(1, 0, 10)); err != ErrInvalidRKey {
-			t.Errorf("stale write: %v", err)
-		}
-		if err := qa.RDMAWrite(p, RemoteKey{Node: "ghost", Key: 1}, 0, payload.Synth(1, 0, 10)); err != ErrUnknownNode {
-			t.Errorf("unknown node write: %v", err)
 		}
 	})
 	if err := e.Run(); err != nil {

@@ -33,7 +33,7 @@ func RegionWrites() uint64 { return regionWrites.Load() }
 type Region struct {
 	size int64
 	t    payload.Tree
-	// writes counts Write calls, a cheap generation number for cache logic.
+	// writes counts Write calls; every compactEvery-th one may compact.
 	writes int64
 	// seed is the synthetic fill; valid only while !filled.
 	seed uint64
@@ -79,9 +79,6 @@ func (r *Region) fill() {
 
 // Size returns the region size in bytes.
 func (r *Region) Size() int64 { return r.size }
-
-// Generation returns a counter incremented on every Write.
-func (r *Region) Generation() int64 { return r.writes }
 
 // Extents returns the number of extent descriptors backing the region. A
 // never-written region reports its logical single synthetic extent even
@@ -140,15 +137,6 @@ func (r *Region) Checksum() uint64 {
 		return payload.Synth(r.seed, 0, r.size).Checksum()
 	}
 	return r.t.Checksum()
-}
-
-// Compact re-coalesces the region's extent tree (see payload.Tree.Compact)
-// and returns the number of extents eliminated.
-func (r *Region) Compact() int {
-	if !r.filled {
-		return 0
-	}
-	return r.t.Compact()
 }
 
 // Release returns the region's extent nodes to the payload arena and resets

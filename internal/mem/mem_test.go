@@ -38,18 +38,6 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestGenerationCounts(t *testing.T) {
-	r := NewRegion(100, 1)
-	if r.Generation() != 0 {
-		t.Fatal("fresh region has nonzero generation")
-	}
-	r.Write(0, payload.Synth(1, 0, 10))
-	r.Write(50, payload.Synth(2, 0, 10))
-	if r.Generation() != 2 {
-		t.Fatalf("generation = %d, want 2", r.Generation())
-	}
-}
-
 func TestOutOfRangePanics(t *testing.T) {
 	r := NewRegion(100, 1)
 	for _, fn := range []func(){

@@ -8,133 +8,26 @@ import (
 	"ibmig/internal/sim"
 )
 
-func TestGatherConcatenatesInRankOrder(t *testing.T) {
-	e, _, w := newTestWorld(3, 6)
-	var rootBuf payload.Buffer
-	w.Start(func(r *Rank) {
-		got := r.Gather(2, 512)
-		if r.ID() == 2 {
-			rootBuf = got
-		} else if got.Size() != 0 {
-			t.Errorf("rank %d got %d bytes from Gather", r.ID(), got.Size())
-		}
-	})
-	e.Spawn("ctl", func(p *sim.Proc) { w.WaitDone(p); e.Stop() })
-	run(t, e)
-	if rootBuf.Size() != 6*512 {
-		t.Fatalf("root gathered %d bytes", rootBuf.Size())
-	}
-}
-
-func TestScatterDeliversDistinctSlices(t *testing.T) {
-	e, _, w := newTestWorld(2, 4)
-	var got [4]payload.Buffer
-	w.Start(func(r *Rank) {
-		got[r.ID()] = r.Scatter(1, 1024)
-	})
-	e.Spawn("ctl", func(p *sim.Proc) { w.WaitDone(p); e.Stop() })
-	run(t, e)
-	for i := 0; i < 4; i++ {
-		if got[i].Size() != 1024 {
-			t.Fatalf("rank %d scatter size %d", i, got[i].Size())
-		}
-		for j := i + 1; j < 4; j++ {
-			if got[i].Equal(got[j]) {
-				t.Fatalf("ranks %d and %d received identical scatter slices", i, j)
-			}
-		}
-	}
-}
-
-func TestScatterGatherRoundTrip(t *testing.T) {
-	// Gathering what was scattered must reproduce the root's source buffer.
-	e, _, w := newTestWorld(2, 4)
-	var scattered, gathered payload.Buffer
-	w.Start(func(r *Rank) {
-		mine := r.Scatter(0, 2048)
-		if r.ID() == 0 {
-			scattered = mine
-		}
-		// Send the slice back via p2p gather.
-		seqTag := 100
-		if r.ID() != 0 {
-			r.SendData(0, seqTag, mine)
-		} else {
-			parts := make([]payload.Buffer, 4)
-			parts[0] = mine
-			for i := 0; i < 3; i++ {
-				data, src := r.Recv(AnySource, seqTag)
-				parts[src] = data
-			}
-			for _, p := range parts {
-				gathered.AppendBuffer(p)
-			}
-		}
-	})
-	e.Spawn("ctl", func(p *sim.Proc) { w.WaitDone(p); e.Stop() })
-	run(t, e)
-	if !gathered.Slice(0, 2048).Equal(scattered) {
-		t.Fatal("rank 0 slice mismatch")
-	}
-	if gathered.Size() != 4*2048 {
-		t.Fatalf("gathered %d bytes", gathered.Size())
-	}
-}
-
-func TestAllgatherIdenticalEverywhere(t *testing.T) {
-	e, _, w := newTestWorld(3, 5) // odd size exercises the ring wrap
-	var got [5]payload.Buffer
-	w.Start(func(r *Rank) {
-		got[r.ID()] = r.Allgather(256)
-	})
-	e.Spawn("ctl", func(p *sim.Proc) { w.WaitDone(p); e.Stop() })
-	run(t, e)
-	for i := 1; i < 5; i++ {
-		if !got[i].Equal(got[0]) {
-			t.Fatalf("rank %d allgather differs from rank 0", i)
-		}
-	}
-	if got[0].Size() != 5*256 {
-		t.Fatalf("allgather size %d", got[0].Size())
-	}
-}
-
-func TestAlltoallBlocksRouteCorrectly(t *testing.T) {
-	e, _, w := newTestWorld(2, 4)
-	var got [4]payload.Buffer
-	w.Start(func(r *Rank) {
-		got[r.ID()] = r.Alltoall(128)
-	})
-	e.Spawn("ctl", func(p *sim.Proc) { w.WaitDone(p); e.Stop() })
-	run(t, e)
-	// got[dst] block src must equal what src generated for dst: both sides
-	// derive it from (src, dst, seq), so cross-check the symmetry.
-	for dst := 0; dst < 4; dst++ {
-		if got[dst].Size() != 4*128 {
-			t.Fatalf("rank %d alltoall size %d", dst, got[dst].Size())
-		}
-		for src := 0; src < 4; src++ {
-			block := got[dst].Slice(int64(src)*128, 128)
-			// Reference: the sender's deterministic block function with the
-			// same collective sequence number (0 for the first collective).
-			want := payload.Synth(uint64(src)<<32^uint64(dst)<<16^uint64(0)^0xA2A, 0, 128)
-			if !block.Equal(want) {
-				t.Fatalf("block src=%d dst=%d corrupted", src, dst)
-			}
-		}
-	}
-}
-
+// TestCollectivesSurviveSuspension runs the collectives the NPB kernels use
+// (Barrier, Bcast and Allreduce) across a suspend/drain/rebuild/resume
+// cycle: every rank must finish every round, and each round's broadcast and
+// allreduce must deliver the root's payload to every rank.
 func TestCollectivesSurviveSuspension(t *testing.T) {
+	const rounds = 12
 	e, _, w := newTestWorld(4, 8)
 	counts := make([]int, 8)
+	bcast := make([][]payload.Buffer, rounds)
+	allred := make([][]payload.Buffer, rounds)
+	for i := range bcast {
+		bcast[i] = make([]payload.Buffer, 8)
+		allred[i] = make([]payload.Buffer, 8)
+	}
 	w.Start(func(r *Rank) {
-		for it := 0; it < 12; it++ {
+		for it := 0; it < rounds; it++ {
 			r.Compute(2 * time.Millisecond)
-			r.Allgather(512)
-			r.Alltoall(256)
-			r.Gather(it%8, 128)
-			r.Scatter((it+3)%8, 128)
+			r.Barrier()
+			bcast[it][r.ID()] = r.Bcast(it%8, 4096)
+			allred[it][r.ID()] = r.Allreduce(512)
 			counts[r.ID()]++
 		}
 	})
@@ -152,8 +45,18 @@ func TestCollectivesSurviveSuspension(t *testing.T) {
 	})
 	run(t, e)
 	for i, n := range counts {
-		if n != 12 {
-			t.Fatalf("rank %d completed %d/12 collective rounds", i, n)
+		if n != rounds {
+			t.Fatalf("rank %d completed %d/%d collective rounds", i, n, rounds)
+		}
+	}
+	for it := 0; it < rounds; it++ {
+		for id := 0; id < 8; id++ {
+			if got := bcast[it][id]; got.Size() != 4096 || !got.Equal(bcast[it][it%8]) {
+				t.Fatalf("round %d: rank %d's Bcast differs from root %d's", it, id, it%8)
+			}
+			if got := allred[it][id]; got.Size() != 512 || !got.Equal(allred[it][0]) {
+				t.Fatalf("round %d: rank %d's Allreduce differs from rank 0's", it, id)
+			}
 		}
 	}
 }

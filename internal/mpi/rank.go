@@ -183,9 +183,6 @@ func (r *Rank) Size() int { return len(r.w.ranks) }
 // Node returns the rank's current node.
 func (r *Rank) Node() string { return r.node }
 
-// World returns the owning world.
-func (r *Rank) World() *World { return r.w }
-
 // Proc returns the rank's driving simulation process.
 func (r *Rank) Proc() *sim.Proc { return r.p }
 

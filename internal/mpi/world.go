@@ -225,9 +225,6 @@ func (w *World) Start(app func(r *Rank)) {
 // when its destination rank has already finished.
 func (w *World) SetFaultTolerant(on bool) { w.ftMode = on }
 
-// FaultTolerant reports whether the fault-tolerant send path is active.
-func (w *World) FaultTolerant() bool { return w.ftMode }
-
 // FTDropped returns the number of messages abandoned because their
 // destination rank had already finished.
 func (w *World) FTDropped() int64 { return w.ftDropped }
@@ -246,20 +243,6 @@ func (w *World) WaitDone(p *sim.Proc) { w.done.Wait(p) }
 
 // Done reports whether all ranks have finished.
 func (w *World) Done() bool { return w.done.Fired() }
-
-// Shutdown tears down all connections so pump daemons exit, releasing every
-// rendezvous buffer's extents back to the arena.
-func (w *World) Shutdown() {
-	for _, r := range w.ranks {
-		for i, c := range r.conns {
-			if c == nil {
-				continue
-			}
-			c.destroy()
-			r.conns[i] = nil
-		}
-	}
-}
 
 // Rebind moves a rank to a new node (after its process image has been
 // restarted there) and attaches the restored OS process. Must only be called

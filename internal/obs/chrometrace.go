@@ -22,14 +22,13 @@ import (
 // the intervals allow it.
 
 type chromeEvent struct {
-	Name string            `json:"name"`
-	Ph   string            `json:"ph"`
-	TS   float64           `json:"ts"` // microseconds
-	PID  int               `json:"pid"`
-	TID  int               `json:"tid"`
-	Args map[string]any    `json:"args,omitempty"`
-	Cat  string            `json:"cat,omitempty"`
-	meta map[string]string // unexported: attrs for span events
+	Name string         `json:"name"`
+	Ph   string         `json:"ph"`
+	TS   float64        `json:"ts"` // microseconds
+	PID  int            `json:"pid"`
+	TID  int            `json:"tid"`
+	Args map[string]any `json:"args,omitempty"`
+	Cat  string         `json:"cat,omitempty"`
 }
 
 // WriteChromeTrace writes the collector as Chrome trace-event JSON. Call

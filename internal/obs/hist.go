@@ -54,9 +54,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// ObserveDur records a virtual duration in microseconds.
-func (h *Histogram) ObserveDur(d float64) { h.Observe(d) }
-
 func (h *Histogram) bucket(v float64) int {
 	lo, hi := 0, len(h.Bounds)
 	for lo < hi {
@@ -142,26 +139,4 @@ func (h *Histogram) Quantile(q float64) float64 {
 		cum += n
 	}
 	return h.MaxV
-}
-
-// merge adds o's observations into h. Bounds must match (enforced by the
-// caller, Merge, which only merges same-named histograms created from the
-// same ladder).
-func (h *Histogram) merge(o *Histogram) {
-	if o == nil || o.N == 0 {
-		return
-	}
-	if h.N == 0 || o.MinV < h.MinV {
-		h.MinV = o.MinV
-	}
-	if h.N == 0 || o.MaxV > h.MaxV {
-		h.MaxV = o.MaxV
-	}
-	h.N += o.N
-	h.Sum += o.Sum
-	for i := range o.Counts {
-		if i < len(h.Counts) {
-			h.Counts[i] += o.Counts[i]
-		}
-	}
 }

@@ -17,8 +17,7 @@
 //
 // A Collector, like a sim.Recorder, is engine-local state and is not
 // goroutine-safe: under exp.RunParallel each engine must own its own
-// Collector; merge them afterwards with Merge, which is deterministic in
-// slot order. The two exceptions are Subscribe/Unsubscribe and draining the
+// Collector. The two exceptions are Subscribe/Unsubscribe and draining the
 // returned Subscriber (see sink.go), which are safe from any goroutine —
 // that is how a live telemetry consumer rides along a running engine.
 package obs

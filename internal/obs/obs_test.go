@@ -148,52 +148,6 @@ func TestUsageTrack(t *testing.T) {
 	}
 }
 
-func TestMergeDeterministic(t *testing.T) {
-	mk := func(actor string, n int64) *Collector {
-		c := New()
-		root := c.StartSpan(0, "root", actor, 0)
-		c.EndSpan(10, c.StartSpan(5, "child", actor, root))
-		c.EndSpan(20, root)
-		c.Add("count", n)
-		c.SetGauge("g", float64(n))
-		c.Hist("lat", LatencyBucketsUS).Observe(float64(n))
-		c.Usage(0, "dev", n, 10)
-		c.Finish(30)
-		return c
-	}
-	a, b := mk("a", 1), mk("b", 2)
-	m := Merge(a, nil, b)
-	spans := m.Spans()
-	if len(spans) != 4 {
-		t.Fatalf("%d merged spans", len(spans))
-	}
-	// Parent ids re-based: b's child points at b's root in the merged space.
-	if spans[3].Parent != 3 {
-		t.Fatalf("rebased parent %d, want 3", spans[3].Parent)
-	}
-	if spans[1].Parent != 1 {
-		t.Fatalf("slot-0 parent %d, want 1", spans[1].Parent)
-	}
-	if m.Counter("count") != 3 {
-		t.Fatalf("merged counter %d", m.Counter("count"))
-	}
-	if m.Gauge("g") != 2 { // last slot wins
-		t.Fatalf("merged gauge %v", m.Gauge("g"))
-	}
-	h := m.Histogram("lat")
-	if h.Count() != 2 || h.Min() != 1 || h.Max() != 2 {
-		t.Fatalf("merged hist n=%d min=%v max=%v", h.Count(), h.Min(), h.Max())
-	}
-	if tr := m.Track("dev"); tr.Peak != 2 {
-		t.Fatalf("merged track peak %d", tr.Peak)
-	}
-	// Same inputs, same order, same result.
-	m2 := Merge(mk("a", 1), nil, mk("b", 2))
-	if len(m2.Spans()) != len(spans) || m2.Counter("count") != m.Counter("count") {
-		t.Fatal("merge is not deterministic")
-	}
-}
-
 func TestEnableGet(t *testing.T) {
 	e := sim.NewEngine(1)
 	defer e.Shutdown()

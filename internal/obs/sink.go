@@ -298,6 +298,3 @@ var strictMode atomic.Bool
 // silently tolerated in production — currently Hist() re-use with different
 // bucket bounds — panics instead. Results are unchanged either way.
 func SetStrict(on bool) { strictMode.Store(on) }
-
-// Strict reports whether strict mode is on.
-func Strict() bool { return strictMode.Load() }

@@ -109,37 +109,3 @@ func (tr *UsageTrack) PeakUtilization() float64 {
 	}
 	return float64(tr.Peak) / float64(tr.Capacity)
 }
-
-// merge folds o into tr (same device observed by different engines: the
-// aggregates sum, the peak maxes, timelines concatenate up to the cap).
-func (tr *UsageTrack) merge(o *UsageTrack) {
-	if o == nil || !o.started {
-		return
-	}
-	if !tr.started {
-		tr.started = true
-		tr.First = o.First
-	} else if o.First < tr.First {
-		tr.First = o.First
-	}
-	if o.Last > tr.Last {
-		tr.Last = o.Last
-	}
-	tr.lastT, tr.lastUsed = tr.Last, 0
-	tr.BusyTime += o.BusyTime
-	tr.UsedIntegral += o.UsedIntegral
-	if o.Peak > tr.Peak {
-		tr.Peak = o.Peak
-	}
-	if o.Capacity > tr.Capacity {
-		tr.Capacity = o.Capacity
-	}
-	room := maxUsageSamples - len(tr.Samples)
-	if room >= len(o.Samples) {
-		tr.Samples = append(tr.Samples, o.Samples...)
-	} else {
-		tr.Samples = append(tr.Samples, o.Samples[:room]...)
-		tr.Truncated = true
-	}
-	tr.Truncated = tr.Truncated || o.Truncated
-}

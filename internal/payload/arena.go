@@ -93,12 +93,6 @@ var (
 // (someone kept using it after retirement) or retiring a node twice panics.
 func SetPoisonFreed(on bool) (prev bool) { return poisonFreed.Swap(on) }
 
-// PoisonFreed reports whether poison mode is active.
-func PoisonFreed() bool { return poisonFreed.Load() }
-
-// Epoch returns the currently open reclamation epoch.
-func Epoch() uint64 { return currentEpoch.Load() }
-
 // AdvanceEpoch closes the current reclamation epoch and opens the next one.
 // Nodes retired under a closed epoch become reusable the next time their
 // tree allocates or retires (the check is one comparison, paid lazily so an

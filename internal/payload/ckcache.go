@@ -1,9 +1,6 @@
 package payload
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Checksum cache for large synthetic parts.
 //
@@ -24,8 +21,7 @@ import (
 // Go's randomized map iteration order.
 //
 // The cache is bounded: each shard evicts a quarter of its entries once it
-// reaches its share of the configured cap, and evictions are counted so a
-// sweep can tell cache pressure apart from cold misses.
+// reaches its share of the cap.
 
 type ckKey struct {
 	seed uint64
@@ -38,10 +34,10 @@ const (
 	ckShardCount = 16       // power of two
 	ckMinBytes   = 64 << 10 // don't cache parts smaller than this
 
-	// DefaultChecksumCacheCap bounds the cache across all shards. At 32
-	// bytes per entry this caps the memo at ~2 MiB of keys+values — enough
-	// for every image in a 2048-rank sweep, small enough to never matter.
-	DefaultChecksumCacheCap = 16 << 12
+	// ckShardCap bounds each shard. Across all shards, at 32 bytes per
+	// entry, this caps the memo at ~2 MiB of keys+values — enough for every
+	// image in a 2048-rank sweep, small enough to never matter.
+	ckShardCap = (16 << 12) / ckShardCount
 )
 
 type ckShard struct {
@@ -49,28 +45,7 @@ type ckShard struct {
 	m  map[ckKey]uint64
 }
 
-var (
-	ckShards    [ckShardCount]ckShard
-	ckHits      atomic.Uint64
-	ckMisses    atomic.Uint64
-	ckEvictions atomic.Uint64
-	ckShardCap  atomic.Int64
-)
-
-func init() { ckShardCap.Store(DefaultChecksumCacheCap / ckShardCount) }
-
-// SetChecksumCacheCap replaces the total entry cap and returns the previous
-// value. cap <= 0 restores the default. Shards enforce cap/ckShardCount each.
-func SetChecksumCacheCap(entries int) (prev int) {
-	if entries <= 0 {
-		entries = DefaultChecksumCacheCap
-	}
-	per := entries / ckShardCount
-	if per < 1 {
-		per = 1
-	}
-	return int(ckShardCap.Swap(int64(per))) * ckShardCount
-}
+var ckShards [ckShardCount]ckShard
 
 func ckIndex(k ckKey) int {
 	return int(mix64(k.seed^uint64(k.off)*0x9e3779b97f4a7c15^uint64(k.n)^k.hIn) & (ckShardCount - 1))
@@ -82,47 +57,32 @@ func ckLookup(seed uint64, off, n int64, hIn uint64) (uint64, bool) {
 	sh.mu.Lock()
 	v, ok := sh.m[k]
 	sh.mu.Unlock()
-	if ok {
-		ckHits.Add(1)
-	} else {
-		ckMisses.Add(1)
-	}
 	return v, ok
 }
 
 func ckStore(seed uint64, off, n int64, hIn, hOut uint64) {
 	k := ckKey{seed, off, n, hIn}
 	sh := &ckShards[ckIndex(k)]
-	cap := int(ckShardCap.Load())
 	sh.mu.Lock()
 	if sh.m == nil {
-		sh.m = make(map[ckKey]uint64, cap/4)
-	} else if len(sh.m) >= cap {
+		sh.m = make(map[ckKey]uint64, ckShardCap/4)
+	} else if len(sh.m) >= ckShardCap {
 		// Evict a quarter of the shard. Which quarter is up to the map's
 		// iteration order; a memo cache only trades wall time for memory,
 		// so the choice cannot affect simulated results.
 		drop := len(sh.m)/4 + 1
-		evicted := uint64(0)
 		for k := range sh.m {
 			delete(sh.m, k)
-			evicted++
-			if evicted == uint64(drop) {
+			if drop--; drop == 0 {
 				break
 			}
 		}
-		ckEvictions.Add(evicted)
 	}
 	sh.m[k] = hOut
 	sh.mu.Unlock()
 }
 
-// ChecksumCacheStats returns cumulative hit/miss/eviction counts for the
-// synthetic checksum cache (for benchmarks and tests).
-func ChecksumCacheStats() (hits, misses, evictions uint64) {
-	return ckHits.Load(), ckMisses.Load(), ckEvictions.Load()
-}
-
-// ResetChecksumCache empties the cache and zeroes its counters.
+// ResetChecksumCache empties the cache.
 func ResetChecksumCache() {
 	for i := range ckShards {
 		sh := &ckShards[i]
@@ -130,7 +90,4 @@ func ResetChecksumCache() {
 		sh.m = nil
 		sh.mu.Unlock()
 	}
-	ckHits.Store(0)
-	ckMisses.Store(0)
-	ckEvictions.Store(0)
 }

@@ -41,9 +41,6 @@ func (p Part) Size() int64 {
 	return p.N
 }
 
-// Synthetic reports whether the part is a synthetic reference.
-func (p Part) Synthetic() bool { return p.Bytes == nil }
-
 // Slice returns the sub-part [off, off+n). It panics if out of range.
 func (p Part) Slice(off, n int64) Part {
 	if off < 0 || n < 0 || off+n > p.Size() {
@@ -160,9 +157,6 @@ func Synth(seed uint64, off, n int64) Buffer {
 
 // Size returns the buffer length in bytes.
 func (b Buffer) Size() int64 { return b.size }
-
-// Parts returns the underlying parts (read-only).
-func (b Buffer) Parts() []Part { return b.parts }
 
 // sliceIndexMin is the part count above which Append maintains the
 // cumulative-offset index. Below it a Slice scan touches so few parts that

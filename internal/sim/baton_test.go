@@ -313,7 +313,7 @@ func TestBatonStopStormShutdownNoLeak(t *testing.T) {
 		yields, stopAt := 0, 2*32*4+i%97 // in the third round
 		worker := func(p *Proc) {
 			for k := 0; k < 4; k++ {
-				p.Yield()
+				p.Sleep(0)
 				if yields++; yields == stopAt {
 					e.Stop()
 					p.SpawnChild("never-started", func(p *Proc) { p.Sleep(time.Hour) })

@@ -97,7 +97,7 @@ func (t Time) String() string { return Duration(t).String() }
 // wake reasons delivered to a parked process.
 const (
 	wakeSignal  = iota // the condition the process waited on was met
-	wakeTimeout        // a WaitTimeout/RecvTimeout deadline expired
+	wakeTimeout        // a WaitTimeout deadline expired
 	wakeKill           // engine shutdown: unwind the process coroutine
 	wakeStart          // a spawned process's start event (see Engine.Spawn)
 	wakeRetire         // shutdown of an idle pooled coroutine (see Proc.suspend)

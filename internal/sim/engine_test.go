@@ -232,30 +232,6 @@ func TestQueueClose(t *testing.T) {
 	}
 }
 
-func TestQueueRecvTimeout(t *testing.T) {
-	e := NewEngine(1)
-	q := NewQueue[int](e, "q", 0)
-	e.Spawn("recv", func(p *Proc) {
-		if _, ok := q.RecvTimeout(p, 3*time.Millisecond); ok {
-			t.Error("expected timeout")
-		}
-		if p.Now() != Time(3*1e6) {
-			t.Errorf("timed out at %v, want 3ms", p.Now())
-		}
-		v, ok := q.RecvTimeout(p, 10*time.Millisecond)
-		if !ok || v != 42 {
-			t.Errorf("got %v,%v want 42,true", v, ok)
-		}
-	})
-	e.Spawn("send", func(p *Proc) {
-		p.Sleep(5 * time.Millisecond)
-		q.Send(p, 42)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestResourceSerializesFIFO(t *testing.T) {
 	e := NewEngine(1)
 	r := NewResource(e, "link", 1)

@@ -155,9 +155,6 @@ func NewPartitioned(seed int64, parts int) *Partitioned {
 	return pe
 }
 
-// Parts returns the partition count.
-func (pe *Partitioned) Parts() int { return len(pe.engines) }
-
 // Engine returns partition i's engine, for building that partition's slice
 // of the scenario (spawning processes, attaching fabrics, installing
 // tracers).

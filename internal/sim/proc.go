@@ -57,9 +57,6 @@ func (p *Proc) Name() string { return p.name }
 // ID returns the unique process id assigned at Spawn.
 func (p *Proc) ID() int { return p.id }
 
-// Engine returns the engine driving this process.
-func (p *Proc) Engine() *Engine { return p.e }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.e.now }
 
@@ -184,9 +181,6 @@ func (p *Proc) SleepSeq(next func() (Duration, bool)) {
 	}
 	p.Sleep(d)
 }
-
-// Yield gives other same-time events a chance to run.
-func (p *Proc) Yield() { p.Sleep(0) }
 
 // SpawnChild spawns another process from within this one.
 func (p *Proc) SpawnChild(name string, fn func(*Proc)) *Proc {

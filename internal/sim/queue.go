@@ -86,30 +86,6 @@ func (q *Queue[T]) Recv(p *Proc) (v T, ok bool) {
 	return q.pop(), true
 }
 
-// RecvTimeout dequeues the oldest item, giving up after d. ok is false on
-// timeout or on a closed, drained queue.
-func (q *Queue[T]) RecvTimeout(p *Proc, d Duration) (v T, ok bool) {
-	deadline := p.e.now.Add(d)
-	for q.items.len() == 0 {
-		if q.closed || p.e.now >= deadline {
-			return v, false
-		}
-		q.recvQ.push(waiter{p, p.token})
-		p.e.scheduleResume(p, deadline, wakeTimeout)
-		if p.park("queue.recv-timeout", q.name) == wakeTimeout {
-			// Woken by the deadline, not by a sender: our recvQ entry was
-			// never popped and is now stale. Purge it, or a later Send's
-			// wakeOneRecv would spend its one wakeup on the stale entry and
-			// leave a live receiver asleep forever (the lost-wakeup bug).
-			q.purgeRecv(p)
-			if q.items.len() == 0 {
-				return v, false
-			}
-		}
-	}
-	return q.pop(), true
-}
-
 // TryRecv dequeues the oldest item without blocking, reporting success.
 func (q *Queue[T]) TryRecv() (v T, ok bool) {
 	if q.items.len() == 0 {
@@ -124,9 +100,9 @@ func (q *Queue[T]) pop() T {
 	return v
 }
 
-// wakeOneRecv wakes the oldest live receiver. Stale entries (receivers that
-// timed out since registering) are skipped and discarded rather than allowed
-// to consume the wakeup — belt alongside the purge in RecvTimeout's braces.
+// wakeOneRecv wakes the oldest live receiver. Stale entries (receivers whose
+// token moved on since registering) are skipped and discarded rather than
+// allowed to consume the wakeup.
 func (q *Queue[T]) wakeOneRecv() {
 	for q.recvQ.len() > 0 {
 		w := q.recvQ.pop()
@@ -162,14 +138,4 @@ func (q *Queue[T]) wakeOneSend() {
 func (q *Queue[T]) FlowRecvPark(p *Proc) {
 	q.recvQ.push(waiter{p, p.token})
 	p.flowPark("queue.recv", q.name)
-}
-
-// purgeRecv drops p's stale registration from the receiver wait list.
-func (q *Queue[T]) purgeRecv(p *Proc) {
-	for i := 0; i < q.recvQ.len(); i++ {
-		if q.recvQ.at(i).p == p {
-			q.recvQ.removeAt(i)
-			return
-		}
-	}
 }

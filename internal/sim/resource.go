@@ -26,15 +26,6 @@ func NewResource(e *Engine, name string, capacity int64) *Resource {
 	return &Resource{e: e, name: name, capacity: capacity}
 }
 
-// Capacity returns the configured capacity.
-func (r *Resource) Capacity() int64 { return r.capacity }
-
-// InUse returns the currently acquired amount.
-func (r *Resource) InUse() int64 { return r.used }
-
-// Waiting returns the number of queued acquirers.
-func (r *Resource) Waiting() int { return r.waitq.len() }
-
 // noteUsage reports a usage transition to the engine's ResourceObserver, if
 // any. The call is pure bookkeeping on the observer side, so it cannot
 // change simulation results; when observability is off it costs one nil

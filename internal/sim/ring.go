@@ -50,20 +50,6 @@ func (r *ring[T]) at(i int) *T {
 	return &r.buf[(r.head+i)&(len(r.buf)-1)]
 }
 
-// removeAt deletes the i-th element (from the head), preserving FIFO order
-// of the rest.
-func (r *ring[T]) removeAt(i int) {
-	if i < 0 || i >= r.n {
-		panic("sim: ring remove out of range")
-	}
-	for j := i; j < r.n-1; j++ {
-		*r.at(j) = *r.at(j + 1)
-	}
-	var zero T
-	*r.at(r.n - 1) = zero
-	r.n--
-}
-
 // clear empties the ring, zeroing all live slots.
 func (r *ring[T]) clear() {
 	var zero T

@@ -55,27 +55,6 @@ func TestRingOrderAcrossGrowth(t *testing.T) {
 	}
 }
 
-func TestRingRemoveAt(t *testing.T) {
-	var r ring[int]
-	for i := 0; i < 10; i++ {
-		r.push(i)
-	}
-	r.removeAt(0)           // head
-	r.removeAt(3)           // middle (element 4)
-	r.removeAt(r.len() - 1) // tail (element 9)
-	want := []int{1, 2, 3, 5, 6, 7, 8}
-	for i, w := range want {
-		if got := *r.at(i); got != w {
-			t.Fatalf("at(%d) = %d, want %d", i, got, w)
-		}
-	}
-	for _, w := range want {
-		if got := r.pop(); got != w {
-			t.Fatalf("pop = %d, want %d", got, w)
-		}
-	}
-}
-
 // TestRingCapacityBounded is the memory-retention regression test: the old
 // `items = items[1:]` idiom grew the backing array in proportion to total
 // traffic, not live population. A ring with a small steady-state population
@@ -122,80 +101,6 @@ func TestQueueSteadyStateCapacityBounded(t *testing.T) {
 	e.Shutdown()
 	if c := q.items.capacity(); c > 64 {
 		t.Errorf("queue backing capacity %d after %d sends with small backlog; retention bug", c, rounds)
-	}
-}
-
-// TestRecvTimeoutStaleWaiterDoesNotEatWakeup is the lost-wakeup regression
-// test. Scenario: P1 registers in recvQ via RecvTimeout and times out; P2
-// then blocks in Recv; P3 sends one item. Before the fix, the sender's single
-// wakeup was spent on P1's stale registration and P2 slept forever — the run
-// ended in a deadlock with P2 still blocked. With the fix (timeout purges the
-// stale entry, and wakeOneRecv skips stale entries), P2 receives the item.
-func TestRecvTimeoutStaleWaiterDoesNotEatWakeup(t *testing.T) {
-	e := NewEngine(1)
-	q := NewQueue[int](e, "q", 0)
-	got := -1
-	e.Spawn("p1-timeout", func(p *Proc) {
-		if _, ok := q.RecvTimeout(p, time.Millisecond); ok {
-			t.Error("p1: expected timeout")
-		}
-		// P1 stays alive doing unrelated work, so its stale recvQ entry
-		// cannot be excused as a dead process.
-		p.Sleep(time.Second)
-	})
-	e.Spawn("p2-recv", func(p *Proc) {
-		p.Sleep(2 * time.Millisecond) // arrive after P1's timeout
-		v, ok := q.Recv(p)
-		if !ok {
-			t.Error("p2: queue closed unexpectedly")
-		}
-		got = v
-	})
-	e.Spawn("p3-send", func(p *Proc) {
-		p.Sleep(3 * time.Millisecond)
-		q.Send(p, 7)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("lost wakeup: %v", err)
-	}
-	e.Shutdown()
-	if got != 7 {
-		t.Errorf("p2 received %d, want 7", got)
-	}
-}
-
-// TestRecvTimeoutRace covers the boundary where a send lands at the exact
-// moment a receiver's deadline fires: whichever way the engine orders the two
-// same-time events, the item must not be lost and the run must not deadlock.
-func TestRecvTimeoutRace(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		e := NewEngine(seed)
-		q := NewQueue[int](e, "q", 0)
-		delivered := false
-		e.Spawn("recv", func(p *Proc) {
-			v, ok := q.RecvTimeout(p, time.Millisecond)
-			if ok {
-				if v != 9 {
-					t.Errorf("seed %d: got %d, want 9", seed, v)
-				}
-				delivered = true
-			}
-		})
-		e.Spawn("send", func(p *Proc) {
-			p.Sleep(time.Millisecond) // exactly the deadline
-			q.Send(p, 9)
-		})
-		e.Spawn("sweeper", func(p *Proc) {
-			// If the receiver timed out, drain the item so Run terminates
-			// with an empty queue either way.
-			p.Sleep(2 * time.Millisecond)
-			q.TryRecv()
-		})
-		if err := e.Run(); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		e.Shutdown()
-		_ = delivered // either outcome is legal; absence of deadlock is the assertion
 	}
 }
 

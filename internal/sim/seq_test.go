@@ -154,6 +154,7 @@ func runSeqProg(g seqProg, seq bool) seqOutcome {
 			})
 		}
 	}
+	senders := len(g.procs)
 	for pi, segs := range g.procs {
 		name := fmt.Sprintf("p%d", pi)
 		e.Spawn(name, func(p *Proc) {
@@ -182,11 +183,16 @@ func runSeqProg(g seqProg, seq bool) seqOutcome {
 					note("%s woke on event %d", name, seg.wait)
 				}
 			}
+			// The last sender to finish closes the queue, releasing the
+			// consumer.
+			if senders--; senders == 0 {
+				q.Close()
+			}
 		})
 	}
 	e.Spawn("consumer", func(p *Proc) {
 		for {
-			v, ok := q.RecvTimeout(p, 4)
+			v, ok := q.Recv(p)
 			if !ok {
 				return
 			}

@@ -52,9 +52,6 @@ func (c *content) readAt(off, n int64) payload.Buffer {
 // data returns the full content as a buffer sharing extent storage.
 func (c *content) data() payload.Buffer { return c.t.Buffer() }
 
-// extents returns the number of extent descriptors backing the store.
-func (c *content) extents() int { return c.t.Extents() }
-
 // release returns the store's extent nodes to the payload arena and resets
 // it to empty. Called when the file's lifecycle ends: truncation by Create,
 // or Remove.

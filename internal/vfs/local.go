@@ -110,9 +110,6 @@ func (fs *FileSystem) Open(p *sim.Proc, name string) (*File, error) {
 	return f, nil
 }
 
-// Exists reports whether the named file exists.
-func (fs *FileSystem) Exists(name string) bool { return fs.files[name] != nil }
-
 // Remove deletes a file and discards its cache.
 func (fs *FileSystem) Remove(name string) {
 	f := fs.files[name]
@@ -280,26 +277,6 @@ func (fs *FileSystem) writeback(p *sim.Proc, n int64) error {
 			return err
 		}
 	}
-	return nil
-}
-
-// SyncAll flushes every dirty byte (called by the CR framework before
-// declaring a checkpoint stable).
-func (fs *FileSystem) SyncAll(p *sim.Proc) error {
-	for _, f := range fs.order {
-		if f.dirtyB > 0 {
-			n := f.dirtyB
-			f.dirtyB = 0
-			fs.dirty -= n
-			if err := fs.disk.Write(p, n); err != nil {
-				return err
-			}
-		}
-	}
-	if fs.disk.failed {
-		return ErrDiskFailed
-	}
-	fs.disk.Op(p)
 	return nil
 }
 

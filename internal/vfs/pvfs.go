@@ -62,9 +62,6 @@ func NewPVFS(e *sim.Engine, fabric *ib.Fabric, serverNodes []string, stripe int6
 // Servers returns the data servers.
 func (pv *PVFS) Servers() []*PVFSServer { return pv.servers }
 
-// StripeSize returns the striping unit.
-func (pv *PVFS) StripeSize() int64 { return pv.stripe }
-
 type pvfsFile struct {
 	name        string
 	c           content
@@ -121,9 +118,6 @@ func (pv *PVFS) open(f *pvfsFile, clientNode string) *Handle {
 	}
 	return &Handle{pv: pv, f: f, clientNode: clientNode}
 }
-
-// Exists reports whether the named file exists.
-func (pv *PVFS) Exists(name string) bool { return pv.files[name] != nil }
 
 // Remove deletes a file, returning its extent nodes to the payload arena.
 func (pv *PVFS) Remove(name string) {

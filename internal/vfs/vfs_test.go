@@ -200,7 +200,7 @@ func TestRemoveReleasesCache(t *testing.T) {
 		if fs.CachedBytes() != 0 || fs.DirtyBytes() != 0 {
 			t.Errorf("cache not released: cached=%d dirty=%d", fs.CachedBytes(), fs.DirtyBytes())
 		}
-		if fs.Exists("f") {
+		if fs.files["f"] != nil {
 			t.Error("file still exists")
 		}
 	})
@@ -393,31 +393,6 @@ func TestCacheEvictionRespectsCapacity(t *testing.T) {
 	}
 	if fs.CachedBytes() > 4<<20 {
 		t.Fatalf("cache %d exceeds capacity", fs.CachedBytes())
-	}
-}
-
-func TestSyncAllFlushesEverything(t *testing.T) {
-	e := sim.NewEngine(1)
-	fs := NewFileSystem(e, "n0", NewDisk(e, "d0", slowDisk), FSConfig{})
-	e.Spawn("main", func(p *sim.Proc) {
-		for i := 0; i < 3; i++ {
-			f := fs.Create(p, string(rune('a'+i)))
-			f.Append(p, payload.Synth(uint64(i), 0, 1<<20))
-			f.Close()
-		}
-		if fs.DirtyBytes() != 3<<20 {
-			t.Errorf("dirty before SyncAll = %d", fs.DirtyBytes())
-		}
-		fs.SyncAll(p)
-		if fs.DirtyBytes() != 0 {
-			t.Errorf("dirty after SyncAll = %d", fs.DirtyBytes())
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fs.Disk().BytesWritten != 3<<20 {
-		t.Fatalf("disk saw %d bytes", fs.Disk().BytesWritten)
 	}
 }
 
