@@ -225,7 +225,7 @@ func main() {
 		base := exp.FleetEconomics(sc.Seed, *scaleName == "quick")
 		fmt.Printf("Fleet economics — %d nodes, %d jobs, %.0f-day horizon, per-policy rollups\n",
 			base.Nodes, base.Jobs, base.Horizon.Hours()/24)
-		fmt.Println(exp.FormatFleet(exp.RunFleetCampaign(exp.FleetCampaignSpec{Base: base})))
+		fmt.Println(exp.FormatFleet(exp.RunFleetCampaign(base)))
 	})
 	run("sweep", func() {
 		ranks := exp.DefaultSweepRanks

@@ -281,6 +281,32 @@ func TestLinkFlapSurvivedWithoutHang(t *testing.T) {
 	}
 }
 
+// TestBystanderLinkFlapUnderEveryStrategy flaps the link of a compute node
+// the migration does not involve, 300 ms into a 650 ms run (the outage
+// delays the job by about 21 ms): under every strategy the
+// fault-tolerant send path must retry through the outage, hold every
+// invariant, and reach a terminal outcome.
+func TestBystanderLinkFlapUnderEveryStrategy(t *testing.T) {
+	const spec = "seed=4 f=link-flap:other@t300"
+	for _, strat := range strategy.Names() {
+		sc, err := Parse(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc.Strategy = strat
+		res := RunScenario(sc)
+		if res.Failed() {
+			t.Errorf("%s under %s: violations: %v", spec, strat, res.Violations)
+		}
+		if !res.AppDone && !res.JobLost {
+			t.Errorf("%s under %s: neither finished nor lost", spec, strat)
+		}
+		if res.Faults != 1 {
+			t.Errorf("%s under %s: %d faults fired, want 1", spec, strat, res.Faults)
+		}
+	}
+}
+
 // TestRecoveryGapRunsFinish pins two scenarios whose job neither completes
 // nor is declared lost, so only pollBudget ends the controller's poll (the
 // first is check.Generate(430), scenario 430 of `protocheck -n 500 -seed

@@ -22,10 +22,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
-	"ibmig/internal/exp"
 	"ibmig/internal/fleet"
 	"ibmig/internal/sim"
 )
@@ -300,7 +298,7 @@ func RunFleetScenario(fs FleetScenario) (res *FleetResult) {
 	// fleet-drain-terminal: every drain reaches a disposition; only the
 	// horizon may cut one short, and completed drains take exactly the
 	// migration cost.
-	migr := sim.Duration(sys.Cfg.Costs.Migration)
+	migr := sim.Duration(fleet.MigrationCost)
 	for _, d := range sys.Drains {
 		switch d.Outcome {
 		case "spare":
@@ -432,23 +430,12 @@ type FleetSummary struct {
 	FIFORuns      int `json:"scenarios_fifo"`
 }
 
-// FleetSweep runs fleet scenarios GenerateFleet(seed)..(seed+n-1), fanning
-// engines across CPUs via exp.RunParallel with slot-indexed results, so the
-// summary is identical at any parallelism.
+// FleetSweep runs fleet scenarios GenerateFleet(seed)..(seed+n-1) across
+// CPUs (see fanOut).
 func FleetSweep(n int, seed int64, progress func(done int)) *FleetSummary {
-	results := make([]*FleetResult, n)
-	var done atomic.Int64
-	tasks := make([]func(), n)
-	for i := range tasks {
-		i := i
-		tasks[i] = func() {
-			results[i] = RunFleetScenario(GenerateFleet(seed + int64(i)))
-			if progress != nil {
-				progress(int(done.Add(1)))
-			}
-		}
-	}
-	exp.RunParallel(tasks...)
+	results := fanOut(n, progress, func(i int) *FleetResult {
+		return RunFleetScenario(GenerateFleet(seed + int64(i)))
+	})
 	s := &FleetSummary{N: n, Seed: seed, Invariants: map[string]int{}}
 	for _, r := range results {
 		if r == nil {

@@ -341,17 +341,19 @@ func (sc Scenario) Valid() error {
 			return fmt.Errorf("check: fault %v: phase out of range", f)
 		}
 		switch f.Kind {
-		case fault.NodeCrash, fault.HCAFail, fault.RackFail, fault.LinkFlap:
+		case fault.NodeCrash, fault.HCAFail, fault.RackFail:
 			// Crashing a node the migration does not involve kills
 			// unprotected ranks — the framework's docs scope that out, so
 			// the generator does too. (Rack failures DO take bystanders down
 			// with the victim's rack; surviving them is the reactive
 			// strategies' job, and losing the job to one is legitimate.)
 			if f.Role == RoleBystander {
-				return fmt.Errorf("check: fault %v: crash/hca/rack/flap limited to src/tgt/spare2", f)
+				return fmt.Errorf("check: fault %v: crash/hca/rack limited to src/tgt/spare2", f)
 			}
 			fallthrough
-		case fault.DiskFail:
+		case fault.DiskFail, fault.LinkFlap:
+			// A bystander's flapping link is in the envelope: the
+			// fault-tolerant send path must retry through the outage.
 			if f.Role == RoleSpare2 && sc.Spares < 2 {
 				return fmt.Errorf("check: fault %v: no second spare in a %d-spare cluster", f, sc.Spares)
 			}

@@ -36,26 +36,35 @@ type Summary struct {
 }
 
 // Sweep runs scenarios Generate(seed)..Generate(seed+n-1) under the named
-// fault-tolerance strategy ("" = the default proactive policy), fanning
-// engines across CPUs via exp.RunParallel (one engine per goroutine; results
-// land in pre-indexed slots, so the summary is identical at any parallelism).
+// fault-tolerance strategy ("" = the default proactive policy).
 func Sweep(n int, seed int64, strat string, progress func(done int)) *Summary {
-	results := make([]*Result, n)
+	results := fanOut(n, progress, func(i int) *Result {
+		sc := Generate(seed + int64(i))
+		sc.Strategy = strat
+		return RunScenario(sc)
+	})
+	return summarize(results, n, seed, strat)
+}
+
+// fanOut runs run(0)..run(n-1), fanning engines across CPUs via
+// exp.RunParallel (one engine per goroutine). Result i lands in slot i, so
+// what a sweep computes from them is identical at any parallelism. progress,
+// if non-nil, is called with the number of runs finished so far.
+func fanOut[R any](n int, progress func(done int), run func(i int) R) []R {
+	results := make([]R, n)
 	var done atomic.Int64
 	tasks := make([]func(), n)
 	for i := range tasks {
 		i := i
 		tasks[i] = func() {
-			sc := Generate(seed + int64(i))
-			sc.Strategy = strat
-			results[i] = RunScenario(sc)
+			results[i] = run(i)
 			if progress != nil {
 				progress(int(done.Add(1)))
 			}
 		}
 	}
 	exp.RunParallel(tasks...)
-	return summarize(results, n, seed, strat)
+	return results
 }
 
 func summarize(results []*Result, n int, seed int64, strat string) *Summary {

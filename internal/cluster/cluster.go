@@ -27,13 +27,16 @@ const (
 	EventNodeDown = "NODE_DOWN"
 )
 
+// ftbFanout is the FTB backplane's agent tree fanout.
+const ftbFanout = 4
+
 // Config describes the testbed. Zero values fall back to the paper's layout
-// where sensible.
+// where sensible; adapters, disks, file systems and the PVFS stripe always
+// take their calibrated defaults.
 type Config struct {
 	ComputeNodes int // default 8
 	SpareNodes   int // default 1
 	PVFSServers  int // no default: 0 disables PVFS
-	FTBFanout    int // default 4
 
 	// RackSize groups compute and spare nodes into racks (switch domains)
 	// of this many consecutive nodes — the correlated-failure unit: a rack
@@ -41,11 +44,6 @@ type Config struct {
 	// (every node is its own failure domain). The login and I/O nodes sit
 	// outside the rack sequence.
 	RackSize int
-
-	IB     ib.Config
-	Disk   vfs.DiskConfig
-	FS     vfs.FSConfig
-	Stripe int64
 }
 
 // Node is one machine: adapter, local storage, process table.
@@ -85,12 +83,9 @@ func New(e *sim.Engine, cfg Config) *Cluster {
 	if cfg.SpareNodes == 0 {
 		cfg.SpareNodes = 1
 	}
-	if cfg.FTBFanout == 0 {
-		cfg.FTBFanout = 4
-	}
 	c := &Cluster{
 		E:      e,
-		Fabric: ib.NewFabric(e, cfg.IB),
+		Fabric: ib.NewFabric(e, ib.Config{}),
 		Eth:    gige.NewNetwork(e, gige.Config{}),
 		IPoIB: gige.NewNetwork(e, gige.Config{
 			Bandwidth:     calib.IPoIBBandwidth,
@@ -108,7 +103,7 @@ func New(e *sim.Engine, cfg Config) *Cluster {
 			IPoIB: c.IPoIB.Attach(name),
 			Procs: proc.NewTable(name),
 		}
-		n.FS = vfs.NewFileSystem(e, name, vfs.NewDisk(e, name, cfg.Disk), cfg.FS)
+		n.FS = vfs.NewFileSystem(e, name, vfs.NewDisk(e, name, vfs.DiskConfig{}), vfs.FSConfig{})
 		c.nodes[name] = n
 		return n
 	}
@@ -130,13 +125,10 @@ func New(e *sim.Engine, cfg Config) *Cluster {
 			n := mk(fmt.Sprintf("io%02d", i))
 			servers = append(servers, n.Name)
 		}
-		serverDisk := cfg.Disk
-		if serverDisk.StreamPenalty == 0 {
-			serverDisk.StreamPenalty = calib.PVFSStreamPenalty
-		}
-		c.PVFS = vfs.NewPVFS(e, c.Fabric, servers, cfg.Stripe, serverDisk)
+		serverDisk := vfs.DiskConfig{StreamPenalty: calib.PVFSStreamPenalty}
+		c.PVFS = vfs.NewPVFS(e, c.Fabric, servers, calib.PVFSStripeSize, serverDisk)
 	}
-	c.FTB = ftb.Deploy(e, c.Eth, ftbNodes, cfg.FTBFanout)
+	c.FTB = ftb.Deploy(e, c.Eth, ftbNodes, ftbFanout)
 	c.monitor = c.FTB.Connect("login", "cluster-monitor")
 	racked := append(append([]*Node(nil), c.Compute...), c.Spares...)
 	names := make([]string, len(racked))
@@ -224,26 +216,6 @@ func (c *Cluster) Placement(ranks, ranksPerNode int) []string {
 	out := make([]string, ranks)
 	for i := range out {
 		out[i] = c.Compute[i/ranksPerNode].Name
-	}
-	return out
-}
-
-// PlacementOn assigns ranks to an explicit subset of compute nodes in
-// contiguous blocks of ranksPerNode — the multi-job form of Placement: each
-// job leases its own disjoint node set, so several frameworks can coexist on
-// one cluster. Unknown node names and undersized leases panic.
-func (c *Cluster) PlacementOn(nodes []string, ranks, ranksPerNode int) []string {
-	if ranksPerNode <= 0 || ranks > len(nodes)*ranksPerNode {
-		panic("cluster: placement does not fit the leased nodes")
-	}
-	for _, name := range nodes {
-		if c.nodes[name] == nil {
-			panic("cluster: placement on unknown node " + name)
-		}
-	}
-	out := make([]string, ranks)
-	for i := range out {
-		out[i] = nodes[i/ranksPerNode]
 	}
 	return out
 }

@@ -99,21 +99,9 @@ type Options struct {
 	// fault-tolerant send mode. Off, the JM only reacts to faults hitting an
 	// explicitly triggered migration — the historical behaviour.
 	AutoPolicy bool
-	// MaxSpareRetries bounds how many times one trigger's aborted migration
-	// is retried onto a fresh spare before resuming in place (default 3).
-	MaxSpareRetries int
-	// RetryBackoff paces successive spare retries of one trigger (default
-	// strategy.DefaultBackoff; the first retry is always immediate).
-	RetryBackoff strategy.Backoff
 	// CkptInterval overrides the strategy's periodic checkpoint cadence
 	// under AutoPolicy (0 uses Strategy.CheckpointInterval()).
 	CkptInterval sim.Duration
-
-	// Nodes leases an explicit subset of compute nodes to this job (the
-	// multi-job form: several frameworks share one cluster, each on its own
-	// disjoint lease — how a fleet control plane places concurrent jobs).
-	// Empty means the whole compute plane, the single-job default.
-	Nodes []string
 }
 
 func (o Options) withDefaults() Options {
@@ -131,12 +119,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Strategy == nil {
 		o.Strategy = strategy.ProactiveMigrate{}
-	}
-	if o.MaxSpareRetries == 0 {
-		o.MaxSpareRetries = 3
-	}
-	if o.RetryBackoff == (strategy.Backoff{}) {
-		o.RetryBackoff = strategy.DefaultBackoff()
 	}
 	return o
 }
@@ -404,11 +386,7 @@ type FailurePayload struct {
 // binds them to the MPI world, starts the application, and deploys the Job
 // Manager and the NLAs.
 func Launch(c *cluster.Cluster, w npb.Workload, ranksPerNode int, res *npb.Result, opts Options) *Framework {
-	placement := c.Placement(w.Ranks, ranksPerNode)
-	if len(opts.Nodes) > 0 {
-		placement = c.PlacementOn(opts.Nodes, w.Ranks, ranksPerNode)
-	}
-	return LaunchApp(c, w.Name(), placement, w.SegmentSpecs, w.App(res), opts)
+	return LaunchApp(c, w.Name(), c.Placement(w.Ranks, ranksPerNode), w.SegmentSpecs, w.App(res), opts)
 }
 
 // LaunchApp is the generic entry point: any app over any placement, with a

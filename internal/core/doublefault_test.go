@@ -88,33 +88,35 @@ func TestDoubleFaultExhaustsSparePool(t *testing.T) {
 	}
 }
 
-// TestRetryBudgetStopsSpareBurn caps MaxSpareRetries at 1 with three spares:
-// after the first retry's target also dies, a spare is still free but the
-// budget is spent — the job must resume in place with the retry-budget
-// terminal reason, leaving the third spare untouched.
+// TestRetryBudgetStopsSpareBurn kills the target of the first four attempts
+// with five spares: after the third retry's target also dies, a spare is
+// still free but the budget of strategy.MaxSpareRetries is spent — the job
+// must resume in place with the retry-budget terminal reason, leaving the
+// fifth spare untouched.
 func TestRetryBudgetStopsSpareBurn(t *testing.T) {
 	e := sim.NewEngine(17)
-	c := cluster.New(e, cluster.Config{ComputeNodes: 4, SpareNodes: 3, PVFSServers: 2})
+	c := cluster.New(e, cluster.Config{ComputeNodes: 4, SpareNodes: 5, PVFSServers: 2})
 	w := npb.New(npb.LU, npb.ClassS, 8)
 	res := npb.NewResult(w.Ranks)
-	fw := Launch(c, w, 2, res, Options{Hash: true, PhaseDeadline: 2 * time.Second, MaxSpareRetries: 1})
+	fw := Launch(c, w, 2, res, Options{Hash: true, PhaseDeadline: 2 * time.Second})
 	inj := fault.NewInjector(c)
 	inj.Bind(fw)
-	inj.AtPhase(1, 2, fault.Spec{Kind: fault.NodeCrash, Node: "spare01"})
-	inj.AtPhase(2, 2, fault.Spec{Kind: fault.NodeCrash, Node: "spare02"})
+	for seq, spare := range []string{"spare01", "spare02", "spare03", "spare04"} {
+		inj.AtPhase(seq+1, 2, fault.Spec{Kind: fault.NodeCrash, Node: spare})
+	}
 	migrateOnce(t, e, fw, "node02", 30*time.Millisecond)
 	requireJobIntact(t, fw, res, w)
 
 	jm := fw.jm
-	if jm.SpareRetries != 1 || jm.MigrationsDone != 0 {
-		t.Fatalf("retries=%d done=%d, want 1/0", jm.SpareRetries, jm.MigrationsDone)
+	if jm.SpareRetries != strategy.MaxSpareRetries || jm.MigrationsDone != 0 {
+		t.Fatalf("retries=%d done=%d, want %d/0", jm.SpareRetries, jm.MigrationsDone, strategy.MaxSpareRetries)
 	}
 	if jm.SpareExhaustions != 1 || jm.TerminalReason != strategy.ReasonRetryBudget {
 		t.Fatalf("exhaustions=%d reason=%q, want 1/%q",
 			jm.SpareExhaustions, jm.TerminalReason, strategy.ReasonRetryBudget)
 	}
-	if st := fw.NLA("spare03").State(); st != StateSpare {
-		t.Errorf("spare03 NLA = %v, want MIGRATION_SPARE (budget must protect it)", st)
+	if st := fw.NLA("spare05").State(); st != StateSpare {
+		t.Errorf("spare05 NLA = %v, want MIGRATION_SPARE (budget must protect it)", st)
 	}
 }
 

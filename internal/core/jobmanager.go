@@ -219,8 +219,6 @@ type jmView struct {
 	m  *migrationState
 }
 
-func (v jmView) HasCheckpoint() bool { return v.jm.fw.ckpt != nil }
-
 func (v jmView) SpareAvailable() bool {
 	ex := make(map[string]bool)
 	if v.m != nil {
@@ -254,8 +252,6 @@ func (v jmView) Retries() int {
 	}
 	return v.m.retries
 }
-
-func (v jmView) MaxRetries() int { return v.jm.fw.opts.MaxSpareRetries }
 
 func (jm *JobManager) view(m *migrationState) jmView { return jmView{jm: jm, m: m} }
 
@@ -684,7 +680,7 @@ func (jm *JobManager) restoreWithRetry(p *sim.Proc, used map[string]bool) bool {
 			return true
 		}
 		p.Trace("core.jm", fmt.Sprintf("restore attempt %d failed: %v", attempt+1, err))
-		if attempt >= jm.fw.opts.MaxSpareRetries {
+		if attempt >= strategy.MaxSpareRetries {
 			return false
 		}
 	}
@@ -825,9 +821,9 @@ func (jm *JobManager) watchAttempt(m *migrationState) {
 //     close QPs, discard partial images, and retire unusable nodes' NLAs.
 //  3. Consult the strategy (EvAttemptFailed) and apply its decisions in
 //     preference order, falling through when one is infeasible: retry onto
-//     the next usable spare (bounded by MaxSpareRetries, paced by
-//     RetryBackoff), resume in place, restore from the last checkpoint, or
-//     abandon. Under the default ProactiveMigrate strategy this reproduces
+//     the next usable spare (bounded by strategy.MaxSpareRetries, paced
+//     by strategy.RetryDelay), resume in place, restore from the last
+//     checkpoint, or abandon. Under the default ProactiveMigrate strategy this reproduces
 //     the historical tree exactly: spare retry while the source is healthy,
 //     resume in place when spares run out, CR fallback when the source is
 //     gone.
@@ -877,7 +873,7 @@ func (jm *JobManager) recover(p *sim.Proc, m *migrationState, reason string) {
 			}
 			jm.SpareRetries++
 			m.report.Extra["spare_retries"]++
-			if delay := fw.opts.RetryBackoff.Delay(m.retries + 1); delay > 0 {
+			if delay := strategy.RetryDelay(m.retries + 1); delay > 0 {
 				p.Trace("core.jm", fmt.Sprintf("migration #%d: retry backoff %v", m.seq, delay))
 				p.Sleep(delay)
 			}

@@ -67,9 +67,6 @@ func newNLA(fw *Framework, n *cluster.Node, st NLAState) *NLA {
 // State returns the current state.
 func (a *NLA) State() NLAState { return a.state }
 
-// Node returns the agent's node.
-func (a *NLA) Node() *cluster.Node { return a.node }
-
 func (a *NLA) setState(s NLAState) {
 	a.state = s
 	a.Transitions = append(a.Transitions, s)

@@ -2,10 +2,10 @@ package exp
 
 // Head-to-head fault-tolerance campaigns: every registered strategy runs the
 // SAME job under the SAME deterministic failure schedule (a mix of predicted
-// and unpredicted node deaths, optionally correlated across racks, optionally
-// with a flapping link) and the campaign reports, per strategy, whether the
-// job survived, how much goodput it retained against the failure-free
-// baseline, its mean time to recover, and the node-time the failures cost.
+// and unpredicted node deaths, optionally correlated across racks) and the
+// campaign reports, per strategy, whether the job survived, how much goodput
+// it retained against the failure-free baseline, its mean time to recover,
+// and the node-time the failures cost.
 //
 // This is the experiment behind the migration-vs-CR crossover argument: with
 // well-predicted failures the proactive policy wins outright (zero rework, no
@@ -29,7 +29,8 @@ import (
 	"ibmig/internal/strategy"
 )
 
-// CampaignSpec configures one campaign. Zero durations scale off the
+// CampaignSpec configures one campaign. Every arm runs every registered
+// strategy (strategy.Names()); the failure schedule scales off the
 // workload's estimated runtime R, so the same spec shape works at any Scale.
 type CampaignSpec struct {
 	Kernel npb.Kernel
@@ -38,44 +39,22 @@ type CampaignSpec struct {
 	// Failures is the number of distinct compute-node deaths to inject,
 	// spread over the middle of the run.
 	Failures int
-	// Lead is the warning time a predicted failure gives (sensor warnings
-	// plus a predictor event arrive Lead before the kill). Default R/20.
-	Lead sim.Duration
-	// MinPredictGap decides which failures are predicted: a failure is
-	// announced only if it arrives at least this long after the previous
-	// one (back-to-back deaths outrun the predictor). Default 35% of R.
-	MinPredictGap sim.Duration
-	// CkptInterval is the periodic-checkpoint cadence offered to strategies
-	// that take one (reactive-cr, adaptive). Default R/5.
-	CkptInterval sim.Duration
-
 	// Correlated widens every kill to the victim's whole rack.
 	Correlated bool
-	// FlakyLink flaps the HCA of an uninvolved compute node mid-run, on top
-	// of the failure schedule.
-	FlakyLink bool
-
-	RackSize int // nodes per rack (default 2)
-	Spares   int // hot spares (default Failures+1; doubled when Correlated)
-
-	// Strategies names the arms; default strategy.Names() (all of them).
-	Strategies []string
 }
 
-func (spec CampaignSpec) withDefaults() CampaignSpec {
-	if spec.RackSize == 0 {
-		spec.RackSize = 2
+// campaignRackSize is the number of consecutive compute and spare nodes per
+// rack, the unit a correlated failure takes down.
+const campaignRackSize = 2
+
+// spares is the hot-spare count: one more than the failures, doubled when
+// every kill takes a whole rack.
+func (spec CampaignSpec) spares() int {
+	n := spec.Failures + 1
+	if spec.Correlated {
+		n *= 2
 	}
-	if spec.Spares == 0 {
-		spec.Spares = spec.Failures + 1
-		if spec.Correlated {
-			spec.Spares *= 2
-		}
-	}
-	if len(spec.Strategies) == 0 {
-		spec.Strategies = strategy.Names()
-	}
-	return spec
+	return n
 }
 
 // StrategyResult is one arm of a campaign: one strategy's outcome under the
@@ -113,7 +92,7 @@ type StrategyResult struct {
 }
 
 // CampaignResult is the full A/B: the failure-free baseline plus one
-// StrategyResult per arm, in CampaignSpec.Strategies order.
+// StrategyResult per arm, in strategy.Names() order.
 type CampaignResult struct {
 	Spec       CampaignSpec     `json:"spec"`
 	BaselineNS int64            `json:"baseline_ns"`
@@ -207,11 +186,11 @@ func armSnapshot(name string, baselineNS int64, elapsed sim.Duration, fw *core.F
 // simulation, so the result is the same with or without it. update is called
 // concurrently from the arm engines' goroutines and must be goroutine-safe.
 func RunCampaign(spec CampaignSpec, update func(ArmUpdate)) *CampaignResult {
-	spec = spec.withDefaults()
-	out := &CampaignResult{Spec: spec, Results: make([]StrategyResult, len(spec.Strategies))}
+	names := strategy.Names()
+	out := &CampaignResult{Spec: spec, Results: make([]StrategyResult, len(names))}
 	out.BaselineNS = int64(campaignBaseline(spec))
-	tasks := make([]func(), 0, len(spec.Strategies))
-	for i, name := range spec.Strategies {
+	tasks := make([]func(), 0, len(names))
+	for i, name := range names {
 		i, name := i, name
 		tasks = append(tasks, func() {
 			out.Results[i] = runArm(spec, name, out.BaselineNS, update)
@@ -229,7 +208,7 @@ func RunCampaign(spec CampaignSpec, update func(ArmUpdate)) *CampaignResult {
 
 // failureSchedule is the deterministic fault plan every arm shares: failure i
 // kills victims[i] at ready+times[i]; predicted[i] failures announce
-// themselves lead earlier.
+// themselves lead (R/20) earlier.
 type failureSchedule struct {
 	victims   []string
 	times     []sim.Duration
@@ -239,26 +218,20 @@ type failureSchedule struct {
 
 // buildSchedule spreads Failures kills over the middle 40% of the estimated
 // runtime, starting at 45%: t_i = R·(0.45 + 0.4·i/K). A failure is predicted
-// when it trails its predecessor by at least MinPredictGap — so a single
-// failure is always predicted, while a dense burst outruns the predictor.
+// when it trails its predecessor by at least 35% of R — so a single failure
+// is always predicted, while a dense burst outruns the predictor.
 func buildSchedule(spec CampaignSpec, c *cluster.Cluster, w npb.Workload) failureSchedule {
 	R := w.EstimatedRuntime()
 	K := spec.Failures
 	step := 1
 	if spec.Correlated {
-		step = spec.RackSize // one victim per rack, so kills never overlap
+		step = campaignRackSize // one victim per rack, so kills never overlap
 	}
 	if K*step >= len(c.Compute) {
 		panic(fmt.Sprintf("exp: campaign wants %d victims (step %d) from %d compute nodes", K, step, len(c.Compute)))
 	}
-	s := failureSchedule{lead: spec.Lead}
-	if s.lead == 0 {
-		s.lead = R / 20
-	}
-	gapMin := spec.MinPredictGap
-	if gapMin == 0 {
-		gapMin = R * 35 / 100
-	}
+	s := failureSchedule{lead: R / 20}
+	gapMin := R * 35 / 100
 	prev := sim.Duration(0)
 	for i := 0; i < K; i++ {
 		t := R*45/100 + R*40/100*sim.Duration(i)/sim.Duration(K)
@@ -331,9 +304,9 @@ func FormatCrossover(sweep []*CampaignResult) string {
 func campaignCluster(spec CampaignSpec, e *sim.Engine) *cluster.Cluster {
 	return cluster.New(e, cluster.Config{
 		ComputeNodes: spec.Scale.Ranks / spec.Scale.PPN,
-		SpareNodes:   spec.Spares,
+		SpareNodes:   spec.spares(),
 		PVFSServers:  2,
-		RackSize:     spec.RackSize,
+		RackSize:     campaignRackSize,
 	})
 }
 
@@ -378,10 +351,8 @@ func runArm(spec CampaignSpec, name string, baselineNS int64, update func(ArmUpd
 		PhaseDeadline: 10 * time.Second,
 	}
 	if strat.CheckpointInterval() > 0 {
-		opts.CkptInterval = spec.CkptInterval
-		if opts.CkptInterval == 0 {
-			opts.CkptInterval = w.EstimatedRuntime() / 5
-		}
+		// Strategies that checkpoint do so five times per estimated run.
+		opts.CkptInterval = w.EstimatedRuntime() / 5
 	}
 	fw := core.Launch(c, w, spec.Scale.PPN, res, opts)
 	jm := fw.JobManager()
@@ -433,28 +404,6 @@ func runArm(spec CampaignSpec, name string, baselineNS int64, update func(ArmUpd
 				}
 				inj.Apply(p, fault.Spec{Kind: kind, Node: node})
 			}})
-		}
-		if spec.FlakyLink {
-			// Flap a compute node no kill will touch, a third into the run.
-			flapped := ""
-			for _, n := range c.Compute {
-				candidate := n.Name
-				hit := false
-				for _, v := range sched.victims {
-					for _, m := range c.RackMembers(v) {
-						hit = hit || m == candidate
-					}
-				}
-				if !hit {
-					flapped = candidate
-					break
-				}
-			}
-			if flapped != "" {
-				steps = append(steps, step{base.Add(w.EstimatedRuntime() * 30 / 100), func(p *sim.Proc) {
-					inj.Apply(p, fault.Spec{Kind: fault.LinkFlap, Node: flapped})
-				}})
-			}
 		}
 		sort.SliceStable(steps, func(i, j int) bool { return steps[i].at < steps[j].at })
 		for _, st := range steps {

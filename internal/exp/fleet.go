@@ -47,31 +47,21 @@ func FleetEconomics(seed int64, quick bool) fleet.Config {
 	}
 }
 
-// FleetArmSpec names one campaign arm: a policy plus its spare-pool regime.
-type FleetArmSpec struct {
-	Name      string
-	Policy    fleet.Policy
-	SpareFrac float64 // 0 keeps the base config's fraction
-	AutoScale bool
+// fleetArm is one campaign arm: a scheduling policy, and whether the
+// autoscaler retargets the spare pool.
+type fleetArm struct {
+	name      string
+	policy    fleet.Policy
+	autoScale bool
 }
 
-// FleetCampaignSpec configures a fleet campaign. Arms default to the
-// four-way {fifo, backfill} × {fixed, autoscale} grid.
-type FleetCampaignSpec struct {
-	Base fleet.Config
-	Arms []FleetArmSpec
-}
-
-func (spec FleetCampaignSpec) withDefaults() FleetCampaignSpec {
-	if len(spec.Arms) == 0 {
-		spec.Arms = []FleetArmSpec{
-			{Name: "fifo", Policy: fleet.PolicyFIFO},
-			{Name: "backfill", Policy: fleet.PolicyBackfill},
-			{Name: "fifo+auto", Policy: fleet.PolicyFIFO, AutoScale: true},
-			{Name: "backfill+auto", Policy: fleet.PolicyBackfill, AutoScale: true},
-		}
-	}
-	return spec
+// fleetArms is the four-way {fifo, backfill} × {fixed, autoscale} grid
+// every fleet campaign runs.
+var fleetArms = []fleetArm{
+	{name: "fifo", policy: fleet.PolicyFIFO},
+	{name: "backfill", policy: fleet.PolicyBackfill},
+	{name: "fifo+auto", policy: fleet.PolicyFIFO, autoScale: true},
+	{name: "backfill+auto", policy: fleet.PolicyBackfill, autoScale: true},
 }
 
 // FleetArmResult is one arm's economics rollup.
@@ -83,28 +73,23 @@ type FleetArmResult struct {
 // FleetCampaignResult is the full campaign: one rollup per arm, same
 // failure realization throughout.
 type FleetCampaignResult struct {
-	Spec FleetCampaignSpec `json:"-"`
-	Arms []FleetArmResult  `json:"arms"`
+	Arms []FleetArmResult `json:"arms"`
 }
 
-// RunFleetCampaign runs every arm of the campaign, fanned across
-// Parallelism() engines. Arm i writes only slot i, so the result is
+// RunFleetCampaign runs every arm of the campaign on the base config, fanned
+// across Parallelism() engines. Arm i writes only slot i, so the result is
 // independent of the fan-out.
-func RunFleetCampaign(spec FleetCampaignSpec) *FleetCampaignResult {
-	spec = spec.withDefaults()
-	res := &FleetCampaignResult{Spec: spec, Arms: make([]FleetArmResult, len(spec.Arms))}
-	tasks := make([]func(), len(spec.Arms))
-	for i, arm := range spec.Arms {
+func RunFleetCampaign(base fleet.Config) *FleetCampaignResult {
+	res := &FleetCampaignResult{Arms: make([]FleetArmResult, len(fleetArms))}
+	tasks := make([]func(), len(fleetArms))
+	for i, arm := range fleetArms {
 		i, arm := i, arm
 		tasks[i] = func() {
-			cfg := spec.Base
-			cfg.Policy = arm.Policy
-			cfg.AutoScale = arm.AutoScale
-			if arm.SpareFrac != 0 {
-				cfg.SpareFrac = arm.SpareFrac
-			}
+			cfg := base
+			cfg.Policy = arm.policy
+			cfg.AutoScale = arm.autoScale
 			e := sim.NewEngine(cfg.Seed)
-			res.Arms[i] = FleetArmResult{Name: arm.Name, R: fleet.New(e, cfg).Run()}
+			res.Arms[i] = FleetArmResult{Name: arm.name, R: fleet.New(e, cfg).Run()}
 		}
 	}
 	RunParallel(tasks...)

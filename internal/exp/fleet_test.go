@@ -10,14 +10,14 @@ import (
 // goldenFleetSpec is small enough to run in tens of milliseconds yet drives
 // every arm of the default campaign grid through failures, drains, repairs,
 // and both queue disciplines.
-func goldenFleetSpec() FleetCampaignSpec {
-	return FleetCampaignSpec{Base: fleet.Config{
+func goldenFleetSpec() fleet.Config {
+	return fleet.Config{
 		Nodes:    48,
 		NodeMTBF: 2 * 24 * time.Hour,
 		Horizon:  7 * 24 * time.Hour,
 		Jobs:     40,
 		Seed:     7,
-	}}
+	}
 }
 
 // goldenFleetPrints pins the per-arm fleet fingerprints. Like goldenHash for
@@ -63,7 +63,7 @@ func TestFleetCampaignScaleDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1k-node campaign skipped in -short mode")
 	}
-	spec := FleetCampaignSpec{Base: fleet.Config{
+	spec := fleet.Config{
 		Nodes:    1000,
 		RackSize: 10,
 		NodeMTBF: 4 * 24 * time.Hour,
@@ -72,7 +72,7 @@ func TestFleetCampaignScaleDeterminism(t *testing.T) {
 		MaxWidth: 48,
 		MeanWork: 36 * time.Hour,
 		Seed:     11,
-	}}
+	}
 	old := Parallelism()
 	defer SetParallelism(old)
 	SetParallelism(1)

@@ -131,7 +131,7 @@ var publishedTables = []resultTable{
 		add(row, "peak_link_busy_frac", busy)
 	}},
 	{name: "fleet", cells: func(add addCell) {
-		res := RunFleetCampaign(FleetCampaignSpec{Base: FleetEconomics(PaperScale.Seed, false)})
+		res := RunFleetCampaign(FleetEconomics(PaperScale.Seed, false))
 		for _, arm := range res.Arms {
 			r, row := arm.R, arm.Name
 			add(row, "jobs_total", r.JobsTotal)

@@ -9,6 +9,7 @@ import (
 	"ibmig/internal/npb"
 	"ibmig/internal/obs"
 	"ibmig/internal/sim"
+	"ibmig/internal/strategy"
 )
 
 // goldenRunStreamed is goldenRunWith(true) plus the full live-telemetry
@@ -191,7 +192,7 @@ func TestRunCampaignLiveEquivalence(t *testing.T) {
 	if !reflect.DeepEqual(batch, live) {
 		t.Fatalf("live campaign diverged from batch:\n  batch %+v\n  live  %+v", batch, live)
 	}
-	for _, name := range live.Spec.Strategies {
+	for _, name := range strategy.Names() {
 		us := updates[name]
 		if len(us) == 0 {
 			t.Errorf("arm %q emitted no updates", name)

@@ -10,6 +10,7 @@ package fault
 import (
 	"fmt"
 	"strings"
+	"time"
 
 	"ibmig/internal/cluster"
 	"ibmig/internal/ftb"
@@ -44,8 +45,8 @@ const (
 	// degenerates to a single NodeCrash.
 	RackFail
 	// LinkFlap repeatedly downs and restores a node's IB link on a
-	// deterministic schedule: Flaps cycles of (fail, hold Delay, recover,
-	// hold Gap). Connections broken while the link is down stay broken —
+	// deterministic schedule: flapCycles cycles of (fail, hold Delay,
+	// recover, hold flapGap). Connections broken while the link is down stay broken —
 	// the retry paths in ib/mpi must rebuild them. A flap never resurrects
 	// the adapter of a node that has crashed in the meantime.
 	LinkFlap
@@ -74,18 +75,20 @@ func (k Kind) String() string {
 // Spec describes one fault. Node names the victim for NodeCrash / HCAFail /
 // DiskFail / RackFail / LinkFlap; Event names the FTB event for FTBDrop /
 // FTBDelay; Delay is the hold time for FTBDelay and the link-down time per
-// LinkFlap cycle; Flaps and Gap shape the LinkFlap schedule.
+// LinkFlap cycle (default 50ms).
 type Spec struct {
 	Kind  Kind
 	Node  string
 	Event string
 	Delay sim.Duration
-
-	// Flaps is the number of down/up cycles for LinkFlap (default 3).
-	Flaps int
-	// Gap is the link-up hold between LinkFlap cycles (default 30ms).
-	Gap sim.Duration
 }
+
+// The LinkFlap schedule: flapCycles down/up cycles, the link held up for
+// flapGap between them.
+const (
+	flapCycles = 3
+	flapGap    = 30 * time.Millisecond
+)
 
 func (sp Spec) String() string {
 	if sp.Kind == FTBDrop || sp.Kind == FTBDelay {
@@ -225,39 +228,31 @@ func (in *Injector) Apply(p *sim.Proc, sp Spec) {
 	}
 }
 
-// startFlap runs one LinkFlap schedule in its own process: Flaps cycles of
-// (HCA down, hold Delay, HCA up, hold Gap), all on the virtual clock. The
+// startFlap runs one LinkFlap schedule in its own process: flapCycles cycles
+// of (HCA down, hold Delay, HCA up, hold flapGap), all on the virtual clock. The
 // flapping stops — leaving the adapter down — if the node crashes outright
 // mid-schedule: a dead node's link must not come back.
 func (in *Injector) startFlap(sp Spec) {
 	node := in.node(sp.Node)
-	flaps := sp.Flaps
-	if flaps <= 0 {
-		flaps = 3
-	}
 	down := sp.Delay
 	if down <= 0 {
 		down = 50 * 1e6 // 50ms
 	}
-	gap := sp.Gap
-	if gap <= 0 {
-		gap = 30 * 1e6 // 30ms
-	}
 	in.nAt++
 	in.c.E.Spawn(fmt.Sprintf("fault.flap.%s.%d", sp.Node, in.nAt), func(p *sim.Proc) {
-		for i := 0; i < flaps; i++ {
+		for i := 0; i < flapCycles; i++ {
 			if !in.c.NodeAlive(sp.Node) {
 				return
 			}
 			node.HCA.Fail()
-			p.Trace("fault.flap", fmt.Sprintf("%s link down (%d/%d)", sp.Node, i+1, flaps))
+			p.Trace("fault.flap", fmt.Sprintf("%s link down (%d/%d)", sp.Node, i+1, flapCycles))
 			p.Sleep(down)
 			if !in.c.NodeAlive(sp.Node) {
 				return
 			}
 			node.HCA.Recover()
-			p.Trace("fault.flap", fmt.Sprintf("%s link up (%d/%d)", sp.Node, i+1, flaps))
-			p.Sleep(gap)
+			p.Trace("fault.flap", fmt.Sprintf("%s link up (%d/%d)", sp.Node, i+1, flapCycles))
+			p.Sleep(flapGap)
 		}
 	})
 }

@@ -44,20 +44,35 @@ const (
 	PolicyBackfill Policy = "backfill"
 )
 
-// Costs are the fault-tolerance time constants of every job, mirroring
+// The fault-tolerance time constants every job pays, mirroring
 // ftmodel.Params at fleet granularity.
-type Costs struct {
-	// Interval is the checkpoint interval τ: useful work between checkpoints.
-	Interval sim.Duration
-	// Checkpoint is the cost δ of writing one checkpoint.
-	Checkpoint sim.Duration
-	// Restart is the cost R of restarting a job from its last checkpoint
-	// after an unpredicted failure (re-spawn + checkpoint read).
-	Restart sim.Duration
-	// Migration is the cost m of a proactive drain: the job pauses this long
-	// while one node's state moves to the drain target.
-	Migration sim.Duration
-}
+const (
+	// ckptInterval is the checkpoint interval τ: useful work between
+	// checkpoints.
+	ckptInterval = time.Hour
+	// ckptCost is the cost δ of writing one checkpoint.
+	ckptCost = 4 * time.Minute
+	// restartCost is the cost R of restarting a job from its last
+	// checkpoint after an unpredicted failure (re-spawn + checkpoint read).
+	restartCost = 10 * time.Minute
+	// MigrationCost is the cost m of a proactive drain: the job pauses this
+	// long while one node's state moves to the drain target.
+	MigrationCost = 3 * time.Minute
+)
+
+// Operational constants of the health predictor and the autoscaler.
+const (
+	// warnLead is how far ahead a predicted failure is warned, and how long
+	// a false alarm keeps its node cordoned.
+	warnLead = 10 * time.Minute
+	// scaleEvery is the autoscaler's retargeting cadence.
+	scaleEvery = 12 * time.Hour
+	// safetySigma is the autoscaler's pool floor in √m units: burst
+	// headroom over the mean in-repair population m.
+	safetySigma = 2
+	// minSpares is the spare-pool floor.
+	minSpares = 1
+)
 
 // Config describes one fleet run. Zero values fall back to a small but
 // representative setup (64 nodes in racks of 8, MTBF 6 days, repair 12 h);
@@ -71,17 +86,11 @@ type Config struct {
 	NodeMTBF     sim.Duration // per-node mean time between failures, default 144h
 	RepairMean   sim.Duration // mean (exponential) repair time, default 12h
 	Coverage     float64      // fraction of node failures predicted ahead, default 0.7
-	WarnLead     sim.Duration // prediction lead time, default 10m
 	RackFrac     float64      // fraction of failures taking the whole rack, default 0.02
 	AlarmsPerDay float64      // fleet-wide false-alarm rate (cordon, then clear), default 2
 
-	Costs Costs // τ=1h, δ=4m, R=10m, m=3m by default
-
-	SpareFrac   float64      // initial (and, without AutoScale, fixed) spare fraction, default 0.08
-	AutoScale   bool         // retarget the pool from the observed failure rate
-	ScaleEvery  sim.Duration // autoscale cadence, default 12h
-	SafetySigma float64      // autoscale pool floor in √m units (burst headroom), default 2
-	MinSpares   int          // pool floor, default 1
+	SpareFrac float64 // initial (and, without AutoScale, fixed) spare fraction, default 0.08
+	AutoScale bool    // retarget the pool from the observed failure rate
 
 	Policy  Policy       // default PolicyBackfill
 	Horizon sim.Duration // campaign length, default 7 days
@@ -113,9 +122,6 @@ func (c Config) withDefaults() Config {
 	} else if c.Coverage < 0 {
 		c.Coverage = 0
 	}
-	if c.WarnLead == 0 {
-		c.WarnLead = 10 * time.Minute
-	}
 	if c.RackFrac == 0 {
 		c.RackFrac = 0.02
 	} else if c.RackFrac < 0 {
@@ -126,31 +132,10 @@ func (c Config) withDefaults() Config {
 	} else if c.AlarmsPerDay < 0 {
 		c.AlarmsPerDay = 0
 	}
-	if c.Costs.Interval == 0 {
-		c.Costs.Interval = time.Hour
-	}
-	if c.Costs.Checkpoint == 0 {
-		c.Costs.Checkpoint = 4 * time.Minute
-	}
-	if c.Costs.Restart == 0 {
-		c.Costs.Restart = 10 * time.Minute
-	}
-	if c.Costs.Migration == 0 {
-		c.Costs.Migration = 3 * time.Minute
-	}
 	if c.SpareFrac == 0 {
 		c.SpareFrac = 0.08
 	} else if c.SpareFrac < 0 {
 		c.SpareFrac = 0
-	}
-	if c.ScaleEvery == 0 {
-		c.ScaleEvery = 12 * time.Hour
-	}
-	if c.SafetySigma == 0 {
-		c.SafetySigma = 2
-	}
-	if c.MinSpares == 0 {
-		c.MinSpares = 1
 	}
 	if c.Policy == "" {
 		c.Policy = PolicyBackfill
@@ -179,7 +164,7 @@ func (c Config) withDefaults() Config {
 }
 
 // FailEvent is one pre-sampled hardware failure. Predicted failures also get
-// a health warning WarnLead ahead of At; rack failures take every rack member
+// a health warning warnLead ahead of At; rack failures take every rack member
 // down together.
 type FailEvent struct {
 	At        sim.Time
@@ -241,7 +226,7 @@ func BuildSchedule(cfg Config) Schedule {
 		s.Alarms = append(s.Alarms, AlarmEvent{
 			At:    sim.Time(t),
 			Node:  rng.Intn(cfg.Nodes),
-			Clear: cfg.WarnLead,
+			Clear: warnLead,
 		})
 	}
 	return s
@@ -381,8 +366,8 @@ func New(e *sim.Engine, cfg Config) *System {
 }
 
 func (s *System) clampTarget(k int) int {
-	if k < s.Cfg.MinSpares {
-		k = s.Cfg.MinSpares
+	if k < minSpares {
+		k = minSpares
 	}
 	if max := s.Cfg.Nodes / 2; k > max {
 		k = max
@@ -412,7 +397,7 @@ func (s *System) Run() *Result {
 		fe := fe
 		s.E.At(fe.At, func() { s.onFail(fe) })
 		if fe.Predicted {
-			warn := fe.At - sim.Time(s.Cfg.WarnLead)
+			warn := fe.At - sim.Time(warnLead)
 			if warn < 0 {
 				warn = 0
 			}
@@ -425,7 +410,7 @@ func (s *System) Run() *Result {
 		s.E.At(al.At, func() { s.onAlarm(al) })
 	}
 	if s.Cfg.AutoScale {
-		s.armRescale(sim.Time(s.Cfg.ScaleEvery))
+		s.armRescale(sim.Time(scaleEvery))
 	}
 	if err := s.E.RunUntil(horizon); err != nil {
 		panic(fmt.Sprintf("fleet: run failed: %v", err))
@@ -440,7 +425,7 @@ func (s *System) armRescale(at sim.Time) {
 	}
 	s.E.At(at, func() {
 		s.rescale(at)
-		s.armRescale(at + sim.Time(s.Cfg.ScaleEvery))
+		s.armRescale(at + sim.Time(scaleEvery))
 	})
 }
 
@@ -448,7 +433,7 @@ func (s *System) armRescale(at sim.Time) {
 // Bayesian estimate λ̂ (per node-hour) feeds the analytical newsvendor model
 // in internal/ftmodel, which sizes the pool to buffer Poisson bursts of the
 // in-repair population above its self-balancing mean; an operational
-// SafetySigma·√m floor guards the early campaign, when λ̂ still leans on its
+// safetySigma·√m floor guards the early campaign, when λ̂ still leans on its
 // prior.
 func (s *System) rescale(t sim.Time) {
 	exposure := float64(s.Cfg.Nodes) * sim.Duration(t).Hours() // node-hours, slight over-count of dead time
@@ -461,7 +446,7 @@ func (s *System) rescale(t sim.Time) {
 	}
 	m := p.InRepairMean(0)
 	k := p.OptimalSpares()
-	if floor := int(math.Ceil(s.Cfg.SafetySigma * math.Sqrt(m))); k < floor {
+	if floor := int(math.Ceil(safetySigma * math.Sqrt(m))); k < floor {
 		k = floor
 	}
 	s.spareTarget = s.clampTarget(k)
@@ -623,8 +608,8 @@ func (s *System) startDrain(t sim.Time, src, dst *Node) {
 	s.to(t, src, StateDraining)
 	s.release(t, job, src)
 	s.acquire(t, job, dst)
-	s.pause(t, job, pauseMigrate, sim.Time(s.Cfg.Costs.Migration))
-	end := t + sim.Time(s.Cfg.Costs.Migration)
+	s.pause(t, job, pauseMigrate, sim.Time(MigrationCost))
+	end := t + sim.Time(MigrationCost)
 	s.E.At(end, func() { s.endDrainSource(end, src, rec) })
 }
 
@@ -659,7 +644,7 @@ func (s *System) serveNodes(t sim.Time) {
 			if job.missing == 0 {
 				s.waiting = append(s.waiting[:i], s.waiting[i+1:]...)
 				job.StallNS += int64(t - job.suspendStart)
-				s.pause(t, job, pauseRestart, sim.Time(s.Cfg.Costs.Restart))
+				s.pause(t, job, pauseRestart, sim.Time(restartCost))
 			} else {
 				i++
 			}

@@ -118,11 +118,11 @@ func TestDrainsComplete(t *testing.T) {
 	for i, d := range s.Drains {
 		switch d.Outcome {
 		case "spare", "failed":
-			if got := sim.Duration(d.End - d.Start); got != s.Cfg.Costs.Migration {
-				t.Errorf("drain %d: took %v, want %v", i, got, s.Cfg.Costs.Migration)
+			if got := sim.Duration(d.End - d.Start); got != MigrationCost {
+				t.Errorf("drain %d: took %v, want %v", i, got, MigrationCost)
 			}
 		case "cut":
-			if sim.Time(s.Cfg.Horizon)-d.Start > sim.Time(s.Cfg.Costs.Migration) {
+			if sim.Time(s.Cfg.Horizon)-d.Start > sim.Time(MigrationCost) {
 				t.Errorf("drain %d marked cut but started %v before the horizon", i, d.Start)
 			}
 		default:
@@ -188,7 +188,7 @@ func TestCheckpointArithmetic(t *testing.T) {
 		sys := New(e, Config{})
 		return sys, nil
 	}()
-	tau, delta := s.Cfg.Costs.Interval, s.Cfg.Costs.Checkpoint
+	tau, delta := ckptInterval, ckptCost
 	// wallFor: exactly one interval needs no checkpoint; one interval plus a
 	// hair needs one.
 	if got := s.wallFor(tau); got != tau {

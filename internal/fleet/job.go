@@ -92,7 +92,7 @@ func (j *Job) Width() int { return j.Spec.Width }
 // checkpoint per completed interval, minus the final one when the job ends
 // exactly at a boundary (done jobs need no last checkpoint).
 func (s *System) wallFor(w sim.Duration) sim.Duration {
-	tau, delta := s.Cfg.Costs.Interval, s.Cfg.Costs.Checkpoint
+	tau, delta := ckptInterval, ckptCost
 	if w <= 0 {
 		return 0
 	}
@@ -102,7 +102,7 @@ func (s *System) wallFor(w sim.Duration) sim.Duration {
 // cycleSplit decomposes elapsed segment time d into k whole (τ+δ) cycles and
 // a tail o ∈ [0, τ+δ).
 func (s *System) cycleSplit(d int64) (k, o int64) {
-	cycle := int64(s.Cfg.Costs.Interval + s.Cfg.Costs.Checkpoint)
+	cycle := int64(ckptInterval + ckptCost)
 	return d / cycle, d % cycle
 }
 
@@ -113,7 +113,7 @@ func (s *System) bank(t sim.Time, job *Job) {
 	if job.State != JobRunning {
 		return
 	}
-	tau, delta := int64(s.Cfg.Costs.Interval), int64(s.Cfg.Costs.Checkpoint)
+	tau, delta := int64(ckptInterval), int64(ckptCost)
 	k, o := s.cycleSplit(int64(t - job.SegStart))
 	useful := k*tau + min64(o, tau)
 	job.UsefulNS += useful
@@ -179,7 +179,7 @@ func (s *System) resume(t sim.Time, job *Job) {
 // complete finishes the job: the final segment's work and checkpoints are
 // charged, every node is released, and the freed capacity is re-served.
 func (s *System) complete(t sim.Time, job *Job) {
-	tau, delta := s.Cfg.Costs.Interval, s.Cfg.Costs.Checkpoint
+	tau, delta := ckptInterval, ckptCost
 	if rem := job.Spec.Work - job.Done; rem > 0 {
 		job.UsefulNS += int64(rem)
 		job.CkptNS += int64(delta * ((rem - 1) / tau))
@@ -200,7 +200,7 @@ func (s *System) submit(js JobSpec) {
 	t := s.E.Now()
 	job := &Job{ID: js.ID, Spec: js, State: JobQueued, SubmitT: t, StartT: -1, EndT: -1}
 	s.Jobs = append(s.Jobs, job)
-	if js.Width > s.Cfg.Nodes-s.Cfg.MinSpares {
+	if js.Width > s.Cfg.Nodes-minSpares {
 		job.State = JobRejected
 		job.Reason = "too-wide"
 		job.EndT = t
@@ -227,7 +227,7 @@ func (s *System) jobInterrupt(t sim.Time, job *Job) {
 	job.missing++
 	switch job.State {
 	case JobRunning:
-		tau, delta := int64(s.Cfg.Costs.Interval), int64(s.Cfg.Costs.Checkpoint)
+		tau, delta := int64(ckptInterval), int64(ckptCost)
 		k, o := s.cycleSplit(int64(t - job.SegStart))
 		job.UsefulNS += k * tau
 		job.CkptNS += k*delta + max64(0, o-tau)
@@ -242,7 +242,7 @@ func (s *System) jobInterrupt(t sim.Time, job *Job) {
 	}
 	s.refill(t, job)
 	if job.missing == 0 {
-		s.pause(t, job, pauseRestart, sim.Time(s.Cfg.Costs.Restart))
+		s.pause(t, job, pauseRestart, sim.Time(restartCost))
 	} else {
 		job.State = JobSuspended
 		job.suspendStart = t

@@ -26,7 +26,7 @@ func (s *System) trySchedule(t sim.Time) {
 	kept := s.queue[:1]
 	for _, job := range s.queue[1:] {
 		w := job.Width()
-		if w <= len(free) && (t+sim.Time(s.wallFor(job.Spec.Work-job.Done))+sim.Time(s.Cfg.Costs.Restart) <= shadow || w <= extra) {
+		if w <= len(free) && (t+sim.Time(s.wallFor(job.Spec.Work-job.Done))+sim.Time(restartCost) <= shadow || w <= extra) {
 			if w <= extra {
 				extra -= w
 			}
@@ -58,7 +58,7 @@ func (s *System) estEnd(t sim.Time, job *Job) sim.Time {
 	if job.State == JobRunning {
 		return job.SegStart + rem
 	}
-	return t + sim.Time(s.Cfg.Costs.Restart) + rem
+	return t + sim.Time(restartCost) + rem
 }
 
 // shadow computes the EASY reservation for a head job of the given width:

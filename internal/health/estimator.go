@@ -28,9 +28,6 @@ func NewRateEstimator(priorPerNodeHour, weight float64) *RateEstimator {
 // Observe records one failure.
 func (e *RateEstimator) Observe() { e.n++ }
 
-// Count returns the number of observed failures.
-func (e *RateEstimator) Count() int { return e.n }
-
 // Rate returns the posterior mean failure rate (failures per node-hour)
 // given the exposure accumulated so far, in node-hours.
 func (e *RateEstimator) Rate(exposureNodeHours float64) float64 {

@@ -181,9 +181,6 @@ func (h *HCA) Fail() {
 // rebuilt, exactly as after a real port bounce. Idempotent.
 func (h *HCA) Recover() { h.failed = false }
 
-// Node returns the owning node's name.
-func (h *HCA) Node() string { return h.node }
-
 // MRRegisterCost returns the simulated time ibv_reg_mr takes to pin size
 // bytes (base + per-page), for callers that pay the cost up front and
 // materialize the registration later with RegisterMRPrepaid.
@@ -329,9 +326,6 @@ func (q *QP) err() error {
 	}
 	return nil
 }
-
-// Open reports whether the endpoint is usable.
-func (q *QP) Open() bool { return q.open }
 
 // Broken reports whether a verbs call on this endpoint would fail right now
 // (either endpoint closed or either adapter down) — the health probe the

@@ -1,67 +1,11 @@
 package metrics
 
-import (
-	"fmt"
+import "ibmig/internal/payload"
 
-	"ibmig/internal/payload"
-)
-
-// Arena is a snapshot of the extent-arena telemetry: slab and free-list
-// levels, recycling flow, epoch reclamation activity, and the live-extent
-// high-water mark. Like DataPlane it is process-wide and host-side only;
-// capture before and after a run and Delta to attribute activity.
-type Arena struct {
-	Chunks          int64  // node slabs allocated since process start
-	FreeNodes       int64  // free-list depth (global pool + all trees)
-	RetiredNodes    int64  // nodes awaiting an epoch close
-	Recycled        uint64 // allocations served from a free list
-	Minted          uint64 // allocations served by fresh chunk slots
-	EpochFrees      uint64 // nodes reclaimed at epoch boundaries
-	EpochsClosed    uint64 // reclamation epochs closed
-	PeakLiveExtents int64  // high-water mark of live extents
-	Compactions     uint64 // compaction passes that reclaimed extents
-	CompactedAway   uint64 // extents eliminated by compaction
-}
+// Arena is a snapshot of the extent-arena telemetry (see payload.ArenaStats).
+// Like DataPlane it is process-wide and host-side only; capture before and
+// after a run and Delta to attribute activity.
+type Arena = payload.ArenaStats
 
 // CaptureArena snapshots the current arena counter values.
-func CaptureArena() Arena {
-	s := payload.ArenaSnapshot()
-	return Arena{
-		Chunks:          s.Chunks,
-		FreeNodes:       s.FreeNodes,
-		RetiredNodes:    s.RetiredNodes,
-		Recycled:        s.Recycled,
-		Minted:          s.Minted,
-		EpochFrees:      s.EpochFrees,
-		EpochsClosed:    s.EpochsClosed,
-		PeakLiveExtents: s.PeakLiveExtents,
-		Compactions:     s.Compactions,
-		CompactedAway:   s.CompactedAway,
-	}
-}
-
-// Delta returns the activity between the since snapshot and this one. The
-// level fields (Chunks, FreeNodes, RetiredNodes, PeakLiveExtents) keep their
-// current absolute values — a peak or a pool depth has no meaningful
-// difference — while the flow counters subtract.
-func (a Arena) Delta(since Arena) Arena {
-	return Arena{
-		Chunks:          a.Chunks,
-		FreeNodes:       a.FreeNodes,
-		RetiredNodes:    a.RetiredNodes,
-		Recycled:        a.Recycled - since.Recycled,
-		Minted:          a.Minted - since.Minted,
-		EpochFrees:      a.EpochFrees - since.EpochFrees,
-		EpochsClosed:    a.EpochsClosed - since.EpochsClosed,
-		PeakLiveExtents: a.PeakLiveExtents,
-		Compactions:     a.Compactions - since.Compactions,
-		CompactedAway:   a.CompactedAway - since.CompactedAway,
-	}
-}
-
-func (a Arena) String() string {
-	return fmt.Sprintf(
-		"arena: %d chunks | %d free | %d retired | %d recycled / %d minted | %d epoch frees over %d epochs | peak %d live extents | %d compactions (-%d extents)",
-		a.Chunks, a.FreeNodes, a.RetiredNodes, a.Recycled, a.Minted,
-		a.EpochFrees, a.EpochsClosed, a.PeakLiveExtents, a.Compactions, a.CompactedAway)
-}
+func CaptureArena() Arena { return payload.ArenaSnapshot() }

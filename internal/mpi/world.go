@@ -150,9 +150,6 @@ func (w *World) breakLazyConns(node string) {
 	}
 }
 
-// Size returns the number of ranks.
-func (w *World) Size() int { return len(w.ranks) }
-
 // Rank returns rank i.
 func (w *World) Rank(i int) *Rank { return w.ranks[i] }
 

@@ -104,7 +104,10 @@ func AdvanceEpoch() {
 	epochsClosed.Add(1)
 }
 
-// ArenaStats is a snapshot of the arena telemetry counters.
+// ArenaStats is a snapshot of the extent-arena telemetry: slab and free-list
+// levels, recycling flow, epoch reclamation activity, and the live-extent
+// high-water mark. It is process-wide and host-side only; capture before and
+// after a run and Delta to attribute activity.
 type ArenaStats struct {
 	Chunks          int64  // node slabs allocated since process start
 	FreeNodes       int64  // free-list depth (global pool + all trees)
@@ -116,6 +119,27 @@ type ArenaStats struct {
 	PeakLiveExtents int64  // high-water mark of live extents
 	Compactions     uint64 // compaction passes that reclaimed extents
 	CompactedAway   uint64 // extents eliminated by compaction
+}
+
+// Delta returns the activity between the since snapshot and this one. The
+// level fields (Chunks, FreeNodes, RetiredNodes, PeakLiveExtents) keep their
+// current absolute values — a peak or a pool depth has no meaningful
+// difference — while the flow counters subtract.
+func (s ArenaStats) Delta(since ArenaStats) ArenaStats {
+	s.Recycled -= since.Recycled
+	s.Minted -= since.Minted
+	s.EpochFrees -= since.EpochFrees
+	s.EpochsClosed -= since.EpochsClosed
+	s.Compactions -= since.Compactions
+	s.CompactedAway -= since.CompactedAway
+	return s
+}
+
+func (s ArenaStats) String() string {
+	return fmt.Sprintf(
+		"arena: %d chunks | %d free | %d retired | %d recycled / %d minted | %d epoch frees over %d epochs | peak %d live extents | %d compactions (-%d extents)",
+		s.Chunks, s.FreeNodes, s.RetiredNodes, s.Recycled, s.Minted,
+		s.EpochFrees, s.EpochsClosed, s.PeakLiveExtents, s.Compactions, s.CompactedAway)
 }
 
 // ArenaSnapshot returns the current arena counter values.

@@ -244,3 +244,16 @@ func TestSpliceChurnAllocs(t *testing.T) {
 	}
 	tr.Release()
 }
+
+// Delta subtracts the flow counters and keeps the level fields absolute.
+func TestArenaStatsDelta(t *testing.T) {
+	since := ArenaStats{Chunks: 1, FreeNodes: 2, RetiredNodes: 3, Recycled: 4, Minted: 5,
+		EpochFrees: 6, EpochsClosed: 7, PeakLiveExtents: 8, Compactions: 9, CompactedAway: 10}
+	now := ArenaStats{Chunks: 11, FreeNodes: 12, RetiredNodes: 13, Recycled: 14, Minted: 15,
+		EpochFrees: 16, EpochsClosed: 17, PeakLiveExtents: 18, Compactions: 19, CompactedAway: 20}
+	want := ArenaStats{Chunks: 11, FreeNodes: 12, RetiredNodes: 13, Recycled: 10, Minted: 10,
+		EpochFrees: 10, EpochsClosed: 10, PeakLiveExtents: 18, Compactions: 10, CompactedAway: 10}
+	if got := now.Delta(since); got != want {
+		t.Fatalf("Delta = %+v, want %+v", got, want)
+	}
+}

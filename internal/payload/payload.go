@@ -101,25 +101,6 @@ func (p Part) fill(dst []byte, off int64) {
 	}
 }
 
-// Materialize returns the part's content as real bytes. Intended for small
-// parts (headers, verification windows); materializing a multi-GB synthetic
-// part is the caller's bug, and anything above the data-plane cap panics
-// (see SetMaterializeCap).
-func (p Part) Materialize() []byte {
-	checkMaterialize(p.Size())
-	out := make([]byte, p.Size())
-	p.fill(out, 0)
-	return out
-}
-
-// Checksum returns the content hash of the part (see hash.go for the
-// definition). Identical bytes always hash equal, whatever the part layout.
-func (p Part) Checksum() uint64 {
-	s := newHasher()
-	p.feed(&s)
-	return s.sum()
-}
-
 // Buffer is an ordered sequence of parts, representing size bytes of
 // simulated data. The zero value is an empty buffer.
 //

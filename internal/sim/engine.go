@@ -209,7 +209,6 @@ type Engine struct {
 	ready  ring[*event] // events at exactly `now`, in seq order (the batch path)
 	free   *event       // retired-event freelist
 	rng    *rand.Rand
-	seed   int64
 
 	handoff  *Proc  // process a yielding coroutine hands the baton to (see resume)
 	switches uint64 // coroutine resumes made by the trampoline
@@ -253,16 +252,12 @@ type ResourceObserver interface {
 func NewEngine(seed int64) *Engine {
 	return &Engine{
 		rng:    rand.New(rand.NewSource(seed)),
-		seed:   seed,
 		tracer: nopTracer{},
 	}
 }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
-
-// Seed returns the seed the engine was created with.
-func (e *Engine) Seed() int64 { return e.seed }
 
 // Rand returns the engine's deterministic random source.
 func (e *Engine) Rand() *rand.Rand { return e.rng }

@@ -614,8 +614,8 @@ func TestShutdownLiveListPidOrder(t *testing.T) {
 	e.SetTracer(tr)
 	q := NewQueue[int](e, "never", 0)
 	pid := map[string]int{}
-	spawn := func(name string, fn func(*Proc)) { pid[name] = e.Spawn(name, fn).ID() }
-	spawnFlow := func(name string, step func(*Proc, int)) { pid[name] = e.SpawnFlow(name, step).ID() }
+	spawn := func(name string, fn func(*Proc)) { pid[name] = e.Spawn(name, fn).id }
+	spawnFlow := func(name string, step func(*Proc, int)) { pid[name] = e.SpawnFlow(name, step).id }
 	var live []string
 	spawn("spawner", func(p *Proc) {
 		for i := 0; i < 200; i++ {

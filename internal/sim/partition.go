@@ -74,9 +74,6 @@ type CrossLink struct {
 	delivered uint64
 }
 
-// Name returns the link name given at Connect.
-func (l *CrossLink) Name() string { return l.name }
-
 // Sent returns the number of messages sent on the link.
 func (l *CrossLink) Sent() uint64 { return l.sent }
 

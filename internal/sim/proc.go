@@ -51,12 +51,6 @@ type Proc struct {
 	prevLive, nextLive *Proc
 }
 
-// Name returns the process name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
-// ID returns the unique process id assigned at Spawn.
-func (p *Proc) ID() int { return p.id }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.e.now }
 

@@ -141,9 +141,6 @@ func (wg *WaitGroup) Add(n int) {
 // Done decrements the count by one.
 func (wg *WaitGroup) Done() { wg.Add(-1) }
 
-// Count returns the outstanding count.
-func (wg *WaitGroup) Count() int { return wg.count }
-
 // Wait blocks p until the count reaches zero.
 func (wg *WaitGroup) Wait(p *Proc) {
 	for wg.count > 0 {

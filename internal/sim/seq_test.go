@@ -130,7 +130,7 @@ func runSeqProg(g seqProg, seq bool) seqOutcome {
 		next := func() (Duration, bool) {
 			if i >= n {
 				if i++; i > n+1 {
-					note("%s: step function called after it ended the run", p.Name())
+					note("%s: step function called after it ended the run", p.name)
 				}
 				return 0, false
 			}

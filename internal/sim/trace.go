@@ -60,13 +60,6 @@ func (r *Recorder) Fingerprint() uint64 {
 	return h
 }
 
-// Dump writes all records to w.
-func (r *Recorder) Dump(w io.Writer) {
-	for _, rec := range r.Records {
-		fmt.Fprintln(w, rec)
-	}
-}
-
 // Writer is a Tracer that streams records to an io.Writer. Output is
 // buffered (a full -trace run emits hundreds of thousands of records; an
 // unbuffered write per record made such runs pathologically slow): callers

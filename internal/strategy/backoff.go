@@ -6,41 +6,29 @@ import (
 	"ibmig/internal/sim"
 )
 
-// Backoff is the deterministic sim-clock backoff applied between spare
-// retries of one trigger: the first retry is immediate (the historical
-// behaviour — the cluster state that doomed the previous attempt has already
-// changed, a fresh spare was picked), and each further retry waits
-// Base*Factor^(n-2), capped, before re-entering Phase 2. Purely a function
+// MaxSpareRetries bounds how many times one trigger's aborted migration is
+// retried onto a fresh spare before the job resumes in place.
+const MaxSpareRetries = 3
+
+// Retry backoff: the first spare retry of one trigger is immediate (the
+// cluster state that doomed the previous attempt has already changed, a
+// fresh spare was picked), and the n-th waits retryBackoffBase·2^(n-2),
+// capped at retryBackoffCap, before re-entering Phase 2. Purely a function
 // of the attempt number, so replays are bit-identical.
-type Backoff struct {
-	Base   sim.Duration
-	Factor int
-	Cap    sim.Duration
-}
+const (
+	retryBackoffBase = 25 * time.Millisecond
+	retryBackoffCap  = 500 * time.Millisecond
+)
 
-// DefaultBackoff is the Job Manager's retry backoff when none is configured.
-func DefaultBackoff() Backoff {
-	return Backoff{Base: 25 * time.Millisecond, Factor: 2, Cap: 500 * time.Millisecond}
-}
-
-// Delay returns the wait before the n-th retry (n >= 1) of one trigger.
-func (b Backoff) Delay(n int) sim.Duration {
-	if n <= 1 || b.Base <= 0 {
+// RetryDelay returns the wait before the n-th spare retry (n >= 1) of one
+// trigger: 0, 25 ms, 50 ms, 100 ms, … capped at 500 ms.
+func RetryDelay(n int) sim.Duration {
+	if n <= 1 {
 		return 0
 	}
-	d := b.Base
-	factor := b.Factor
-	if factor < 1 {
-		factor = 1
+	d := retryBackoffBase
+	for i := 2; i < n && d < retryBackoffCap; i++ {
+		d *= 2
 	}
-	for i := 2; i < n; i++ {
-		d *= sim.Duration(factor)
-		if b.Cap > 0 && d >= b.Cap {
-			return b.Cap
-		}
-	}
-	if b.Cap > 0 && d > b.Cap {
-		return b.Cap
-	}
-	return d
+	return min(d, retryBackoffCap)
 }

@@ -19,7 +19,7 @@ const defaultReactiveInterval = sim.Duration(30 * time.Second)
 // fall back to checkpoint/restart when the source is gone.
 func attemptFailed(v View) []Decision {
 	if v.SourceUsable() {
-		if v.SpareAvailable() && v.Retries() < v.MaxRetries() {
+		if v.SpareAvailable() && v.Retries() < MaxSpareRetries {
 			// RetrySpare first; ResumeInPlace is the fallthrough if the
 			// spare vanishes between the decision and its application.
 			return []Decision{{Kind: RetrySpare}, {Kind: ResumeInPlace, Reason: ReasonSpareExhausted}}
@@ -41,9 +41,6 @@ func attemptFailed(v View) []Decision {
 // periodic checkpoints — the bet the paper makes, and the one that loses
 // when a failure arrives unpredicted.
 type ProactiveMigrate struct{}
-
-// Name implements Strategy.
-func (ProactiveMigrate) Name() string { return "proactive" }
 
 // CheckpointInterval implements Strategy (no periodic checkpoints).
 func (ProactiveMigrate) CheckpointInterval() sim.Duration { return 0 }
@@ -72,9 +69,6 @@ type ReactiveCR struct {
 	// Interval overrides the periodic checkpoint cadence (default 30 s).
 	Interval sim.Duration
 }
-
-// Name implements Strategy.
-func (ReactiveCR) Name() string { return "reactive-cr" }
 
 // CheckpointInterval implements Strategy.
 func (s ReactiveCR) CheckpointInterval() sim.Duration {
@@ -112,9 +106,6 @@ func (s ReactiveCR) Decide(v View, ev Event) []Decision {
 // replica.
 type Replicate struct{}
 
-// Name implements Strategy.
-func (Replicate) Name() string { return "replicate" }
-
 // CheckpointInterval implements Strategy (replicas, not checkpoints).
 func (Replicate) CheckpointInterval() sim.Duration { return 0 }
 
@@ -150,9 +141,6 @@ type Adaptive struct {
 	// warning burst that becomes a prediction migrates instead).
 	WarnReplicaThreshold int
 }
-
-// Name implements Strategy.
-func (Adaptive) Name() string { return "adaptive" }
 
 // CheckpointInterval implements Strategy.
 func (s Adaptive) CheckpointInterval() sim.Duration {

@@ -128,9 +128,6 @@ const (
 // View is the read-only state a strategy may consult while deciding. All
 // methods are cheap and side-effect free.
 type View interface {
-	// HasCheckpoint reports whether a full-job checkpoint exists to restore
-	// from.
-	HasCheckpoint() bool
 	// SpareAvailable reports whether a usable spare remains for the current
 	// attempt (excluding spares already burned by it).
 	SpareAvailable() bool
@@ -146,14 +143,10 @@ type View interface {
 	// Retries returns the spare retries already spent on the current
 	// trigger's attempt chain.
 	Retries() int
-	// MaxRetries returns the configured spare-retry budget.
-	MaxRetries() int
 }
 
 // Strategy is one fault-tolerance policy.
 type Strategy interface {
-	// Name returns the stable identifier ("proactive", "reactive-cr", ...).
-	Name() string
 	// Decide maps one event to the actions to take, in preference order.
 	Decide(v View, ev Event) []Decision
 	// CheckpointInterval returns the periodic full-job checkpoint cadence

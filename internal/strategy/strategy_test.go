@@ -1,27 +1,26 @@
 package strategy
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
 
 // fakeView is a scriptable View.
 type fakeView struct {
-	ckpt, spare, src bool
-	ranks            map[string]bool
-	warns            map[string]int
-	replicas         map[string]bool
-	retries, max     int
+	spare, src bool
+	ranks      map[string]bool
+	warns      map[string]int
+	replicas   map[string]bool
+	retries    int
 }
 
-func (v fakeView) HasCheckpoint() bool         { return v.ckpt }
 func (v fakeView) SpareAvailable() bool        { return v.spare }
 func (v fakeView) SourceUsable() bool          { return v.src }
 func (v fakeView) HostsRanks(node string) bool { return v.ranks[node] }
 func (v fakeView) WarnCount(node string) int   { return v.warns[node] }
 func (v fakeView) HasReplica(node string) bool { return v.replicas[node] }
 func (v fakeView) Retries() int                { return v.retries }
-func (v fakeView) MaxRetries() int             { return v.max }
 
 func kinds(ds []Decision) []DecisionKind {
 	out := make([]DecisionKind, len(ds))
@@ -32,16 +31,18 @@ func kinds(ds []Decision) []DecisionKind {
 }
 
 func TestByNameRoundTrip(t *testing.T) {
+	seen := map[reflect.Type]string{}
 	for _, name := range Names() {
 		s, err := ByName(name)
 		if err != nil {
 			t.Fatalf("ByName(%q): %v", name, err)
 		}
-		if s.Name() != name {
-			t.Fatalf("ByName(%q).Name() = %q", name, s.Name())
+		if prev, dup := seen[reflect.TypeOf(s)]; dup {
+			t.Fatalf("ByName(%q) and ByName(%q) return the same strategy %T", prev, name, s)
 		}
+		seen[reflect.TypeOf(s)] = name
 	}
-	if s, err := ByName(""); err != nil || s.Name() != "proactive" {
+	if s, err := ByName(""); err != nil || s != (ProactiveMigrate{}) {
 		t.Fatalf("empty name should default to proactive, got %v, %v", s, err)
 	}
 	if _, err := ByName("bogus"); err == nil {
@@ -57,19 +58,19 @@ func TestProactiveAttemptFailedTree(t *testing.T) {
 	s := ProactiveMigrate{}
 	ev := Event{Kind: EvAttemptFailed}
 
-	ds := s.Decide(fakeView{src: true, spare: true, max: 3}, ev)
+	ds := s.Decide(fakeView{src: true, spare: true}, ev)
 	if ds[0].Kind != RetrySpare {
 		t.Fatalf("usable source + spare: want RetrySpare first, got %v", kinds(ds))
 	}
-	ds = s.Decide(fakeView{src: true, spare: false, max: 3}, ev)
+	ds = s.Decide(fakeView{src: true, spare: false}, ev)
 	if ds[0].Kind != ResumeInPlace || ds[0].Reason != ReasonSpareExhausted {
 		t.Fatalf("no spare: want ResumeInPlace(%s), got %+v", ReasonSpareExhausted, ds)
 	}
-	ds = s.Decide(fakeView{src: true, spare: true, retries: 3, max: 3}, ev)
+	ds = s.Decide(fakeView{src: true, spare: true, retries: MaxSpareRetries}, ev)
 	if ds[0].Kind != ResumeInPlace || ds[0].Reason != ReasonRetryBudget {
 		t.Fatalf("budget spent: want ResumeInPlace(%s), got %+v", ReasonRetryBudget, ds)
 	}
-	ds = s.Decide(fakeView{src: false, ckpt: true}, ev)
+	ds = s.Decide(fakeView{src: false}, ev)
 	if len(ds) != 1 || ds[0].Kind != RestartCR {
 		t.Fatalf("dead source: want RestartCR, got %v", kinds(ds))
 	}
@@ -80,7 +81,7 @@ func TestReactiveIgnoresPredictionsAndSpares(t *testing.T) {
 	if ds := s.Decide(fakeView{}, Event{Kind: EvPredicted, Node: "node03"}); len(ds) != 0 {
 		t.Fatalf("reactive must ignore predictions, got %v", kinds(ds))
 	}
-	ds := s.Decide(fakeView{src: true, spare: true, max: 3}, Event{Kind: EvAttemptFailed})
+	ds := s.Decide(fakeView{src: true, spare: true}, Event{Kind: EvAttemptFailed})
 	if len(ds) != 1 || ds[0].Kind != ResumeInPlace {
 		t.Fatalf("reactive never retries spares, got %v", kinds(ds))
 	}
@@ -136,20 +137,14 @@ func TestAdaptiveHedges(t *testing.T) {
 }
 
 func TestBackoffDelays(t *testing.T) {
-	b := DefaultBackoff()
-	if d := b.Delay(1); d != 0 {
-		t.Fatalf("first retry must be immediate, got %v", d)
+	// want[i] is the delay before retry i+1, in milliseconds.
+	want := []time.Duration{0, 25, 50, 100, 200, 400, 500, 500}
+	for i, ms := range want {
+		if d := RetryDelay(i + 1); d != ms*time.Millisecond {
+			t.Errorf("RetryDelay(%d) = %v, want %v", i+1, d, ms*time.Millisecond)
+		}
 	}
-	if d := b.Delay(2); d != 25*time.Millisecond {
-		t.Fatalf("Delay(2) = %v, want 25ms", d)
-	}
-	if d := b.Delay(3); d != 50*time.Millisecond {
-		t.Fatalf("Delay(3) = %v, want 50ms", d)
-	}
-	if d := b.Delay(20); d != 500*time.Millisecond {
-		t.Fatalf("Delay(20) = %v, want cap 500ms", d)
-	}
-	if d := (Backoff{}).Delay(5); d != 0 {
-		t.Fatalf("zero backoff must be free, got %v", d)
+	if d := RetryDelay(200); d != 500*time.Millisecond {
+		t.Fatalf("RetryDelay(200) = %v, want cap 500ms", d)
 	}
 }

@@ -56,9 +56,6 @@ func NewFileSystem(e *sim.Engine, node string, disk *Disk, cfg FSConfig) *FileSy
 	}
 }
 
-// Node returns the owning node name.
-func (fs *FileSystem) Node() string { return fs.node }
-
 // Disk returns the backing device.
 func (fs *FileSystem) Disk() *Disk { return fs.disk }
 
@@ -133,9 +130,6 @@ func (fs *FileSystem) uncache(f *File) {
 	fs.dirty -= f.dirtyB
 	f.cachedB, f.dirtyB = 0, 0
 }
-
-// Name returns the file name.
-func (f *File) Name() string { return f.name }
 
 // Size returns the current file size.
 func (f *File) Size() int64 { return f.c.size }
@@ -252,9 +246,6 @@ func (f *File) Close() {
 	f.opens--
 	f.fs.disk.EndStream()
 }
-
-// Content returns the file's full content (no timing cost; for verification).
-func (f *File) Content() payload.Buffer { return f.c.data() }
 
 // writeback flushes at least n dirty bytes, oldest files first, charging the
 // calling (throttled) process.

@@ -138,9 +138,6 @@ func (pv *PVFS) server(f *pvfsFile, off int64) *PVFSServer {
 // Size returns the file size.
 func (h *Handle) Size() int64 { return h.f.c.size }
 
-// Name returns the file name.
-func (h *Handle) Name() string { return h.f.name }
-
 // WriteAt writes b at offset off, stripe by stripe: client -> server over the
 // fabric, then synchronously to the server disk. A failed server disk fails
 // the whole write (PVFS has no redundancy).
@@ -189,9 +186,6 @@ func (h *Handle) ReadAt(p *sim.Proc, off, n int64) payload.Buffer {
 	}
 	return data
 }
-
-// Content returns the file's full content (no timing cost; for verification).
-func (h *Handle) Content() payload.Buffer { return h.f.c.data() }
 
 // Close releases the handle and its server stream registrations.
 func (h *Handle) Close() {
