@@ -3,7 +3,7 @@
 // (BENCH_sim.json at the repo root, by convention):
 //
 //   - sweep: the whole rank ladder (LU, 64 to 2048 ranks at paper scale) at
-//     each exp.RunParallel worker count up to the host's CPU count
+//     each exp.Map worker count up to the host's CPU count
 //   - memory: the extent-arena footprint of the top two sweep points
 //   - partitioned: the conservative partitioned engine at the top sweep
 //     point, serial full-mesh baseline vs sharded worlds at each worker
@@ -71,7 +71,7 @@ type Sweep struct {
 type Baseline struct {
 	GeneratedBy string `json:"generated_by"`
 
-	// SweepScaling times the whole rank ladder at each exp.RunParallel
+	// SweepScaling times the whole rank ladder at each exp.Map
 	// worker count up to the host's CPU count.
 	SweepScaling struct {
 		Stamp
@@ -155,7 +155,7 @@ func workerCounts() []int {
 }
 
 // measureSweepScaling fills the sweep_scaling section: the whole rank ladder
-// at each exp.RunParallel worker count.
+// at each exp.Map worker count.
 func measureSweepScaling(b *Baseline, c config) {
 	b.SweepScaling.Stamp = stampNow(c)
 	b.SweepScaling.Points = nil

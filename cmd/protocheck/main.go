@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"ibmig/internal/check"
@@ -70,175 +71,77 @@ func main() {
 	exp.SetParallelism(*parallel)
 
 	if *parts != 0 || *workers != 0 {
-		runPartitioned(*n, *seed, *parts, *workers, *jsonOut, *verbose)
+		// The partitioned-engine invariant sweep: seeded random
+		// cross-partition traffic through sim.Partitioned, checking delivery
+		// latency, per-link FIFO, conservation, and worker-count determinism.
+		w := *workers
+		if w < 1 {
+			w = 4
+		}
+		sum := check.PartSweep(*n, *seed, max(*parts, 0), w, progress("protocheck[partitioned]", *n, *verbose))
+		sum.Write(os.Stdout)
+		finish(*jsonOut, sum, len(sum.Failures) > 0)
 		return
 	}
 
-	if *fleetN > 0 {
-		runFleetSweep(*fleetN, *seed, *jsonOut, *shrink, *verbose)
-		return
-	}
-
-	if *spec != "" {
+	// A fleet sweep runs even with -spec set; a replayed spec names its
+	// own kind and strategy.
+	if *spec != "" && *fleetN == 0 {
+		var k kind = check.Migration("")
 		if check.IsFleetSpec(*spec) {
-			runOneFleet(*spec, *jsonOut, *shrink)
-		} else {
-			runOne(*spec, *jsonOut, *shrink)
+			k = check.Fleet
 		}
+		res, failed, err := k.Replay(os.Stdout, *spec, *shrink)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "protocheck:", err)
+			os.Exit(2)
+		}
+		finish(*jsonOut, res, failed)
 		return
 	}
+	var k kind = check.Migration(*strat)
+	count := *n
+	if *fleetN > 0 {
+		k, count = check.Fleet, *fleetN
+	}
+	sum, failed := k.Sweep(os.Stdout, count, *seed, *shrink, progress(k.Label(), count, *verbose))
+	finish(*jsonOut, sum, failed)
+}
 
-	var progress func(int)
-	if *verbose {
-		progress = func(done int) {
-			if done%50 == 0 || done == *n {
-				fmt.Fprintf(os.Stderr, "protocheck: %d/%d\n", done, *n)
-			}
+// kind is a check spec kind: check.Migration or check.Fleet.
+type kind interface {
+	Label() string
+	Sweep(w io.Writer, n int, seed int64, shrink bool, progress func(done int)) (artifact any, failed bool)
+	Replay(w io.Writer, spec string, shrink bool) (artifact any, failed bool, err error)
+}
+
+// progress reports every 50th finished scenario, and the last, on stderr
+// under -v.
+func progress(label string, n int, verbose bool) func(done int) {
+	if !verbose {
+		return nil
+	}
+	return func(done int) {
+		if done%50 == 0 || done == n {
+			fmt.Fprintf(os.Stderr, "%s: %d/%d\n", label, done, n)
 		}
 	}
-	sum := check.Sweep(*n, *seed, *strat, progress)
-	sum.Write(os.Stdout)
-	for _, r := range sum.Failures {
-		fmt.Printf("\nFAIL %s\n", r.Spec)
-		for _, v := range r.Violations {
-			fmt.Printf("  %s\n", v)
+}
+
+// finish writes the JSON artifact, if one was asked for, and exits 1 if any
+// scenario failed.
+func finish(path string, artifact any, failed bool) {
+	if path != "" {
+		data, err := json.MarshalIndent(artifact, "", "  ")
+		if err == nil {
+			err = os.WriteFile(path, append(data, '\n'), 0o644)
 		}
-		if *shrink {
-			min := check.Shrink(r.Scenario, check.Fails)
-			fmt.Printf("  repro: protocheck -spec %q\n", min)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "protocheck: write artifact:", err)
+			os.Exit(2)
 		}
 	}
-	writeJSON(*jsonOut, sum)
-	if len(sum.Failures) > 0 {
+	if failed {
 		os.Exit(1)
-	}
-}
-
-// runPartitioned is the partitioned-engine invariant sweep: seeded random
-// cross-partition traffic through sim.Partitioned, checking delivery
-// latency, per-link FIFO, conservation, and worker-count determinism.
-func runPartitioned(n int, seed int64, parts, workers int, jsonOut string, verbose bool) {
-	if workers < 1 {
-		workers = 4
-	}
-	if parts < 0 {
-		parts = 0 // random 2-5 per scenario
-	}
-	var progress func(int)
-	if verbose {
-		progress = func(done int) {
-			if done%50 == 0 || done == n {
-				fmt.Fprintf(os.Stderr, "protocheck[partitioned]: %d/%d\n", done, n)
-			}
-		}
-	}
-	sum := check.PartSweep(n, seed, parts, workers, progress)
-	sum.Write(os.Stdout)
-	writeJSON(jsonOut, sum)
-	if len(sum.Failures) > 0 {
-		os.Exit(1)
-	}
-}
-
-// runFleetSweep is the fleet control-plane invariant sweep: seeded random
-// fleet scenarios through internal/fleet, checked against the fleet
-// invariants, failures shrunk to minimal "flt" specs.
-func runFleetSweep(n int, seed int64, jsonOut string, shrink, verbose bool) {
-	var progress func(int)
-	if verbose {
-		progress = func(done int) {
-			if done%50 == 0 || done == n {
-				fmt.Fprintf(os.Stderr, "protocheck[fleet]: %d/%d\n", done, n)
-			}
-		}
-	}
-	sum := check.FleetSweep(n, seed, progress)
-	sum.Write(os.Stdout)
-	for _, r := range sum.Failures {
-		fmt.Printf("\nFAIL %s\n", r.Spec)
-		for _, v := range r.Violations {
-			fmt.Printf("  %s\n", v)
-		}
-		if shrink {
-			min := check.Shrink(r.Scenario, check.FailsFleet)
-			fmt.Printf("  repro: protocheck -spec %q\n", min)
-		}
-	}
-	writeJSON(jsonOut, sum)
-	if len(sum.Failures) > 0 {
-		os.Exit(1)
-	}
-}
-
-func runOneFleet(spec, jsonOut string, shrink bool) {
-	fs, err := check.ParseFleet(spec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "protocheck:", err)
-		os.Exit(2)
-	}
-	res := check.RunFleetScenario(fs)
-	fmt.Printf("fleet scenario: %s\n", res.Spec)
-	if res.R != nil {
-		fmt.Printf("  jobs=%d completed=%d rejected=%d interrupts=%d drains=%d goodput=%.1f%%\n",
-			res.R.JobsTotal, res.R.JobsCompleted, res.R.JobsRejected,
-			res.R.Interrupts, res.R.Drains, res.R.GoodputPct)
-	}
-	writeJSON(jsonOut, res)
-	if !res.Failed() {
-		fmt.Println("  all fleet invariants hold")
-		return
-	}
-	for _, v := range res.Violations {
-		fmt.Printf("  VIOLATION %s\n", v)
-	}
-	if shrink {
-		min := check.Shrink(fs, check.FailsFleet)
-		fmt.Printf("  repro: protocheck -spec %q\n", min)
-	}
-	os.Exit(1)
-}
-
-func runOne(spec, jsonOut string, shrink bool) {
-	sc, err := check.Parse(spec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "protocheck:", err)
-		os.Exit(2)
-	}
-	res := check.RunScenario(sc)
-	fmt.Printf("scenario: %s\n", res.Spec)
-	fmt.Printf("  attempts=%d completed=%d aborted=%d retries=%d fallbacks=%d job_lost=%v app_done=%v\n",
-		res.Attempts, res.Completed, res.Aborted, res.Retries, res.Fallbacks, res.JobLost, res.AppDone)
-	if len(res.Flight) > 0 {
-		fmt.Println("  flight recorder tail:")
-		for _, line := range res.Flight {
-			fmt.Printf("    %s\n", line)
-		}
-	}
-	writeJSON(jsonOut, res)
-	if !res.Failed() {
-		fmt.Println("  all invariants hold")
-		return
-	}
-	for _, v := range res.Violations {
-		fmt.Printf("  VIOLATION %s\n", v)
-	}
-	if shrink {
-		min := check.Shrink(sc, check.Fails)
-		fmt.Printf("  repro: protocheck -spec %q\n", min)
-	}
-	os.Exit(1)
-}
-
-func writeJSON(path string, v any) {
-	if path == "" {
-		return
-	}
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err == nil {
-		err = os.WriteFile(path, append(data, '\n'), 0o644)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "protocheck: write artifact:", err)
-		os.Exit(2)
 	}
 }

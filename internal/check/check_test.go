@@ -51,6 +51,7 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 		"f=rack-fail:other@2",          // bystander rack failure out of envelope
 		"sp=1 f=link-flap:spare2@3",    // no second spare to flap
 		"strat=bogus",                  // unknown strategy
+		"ckpt=false",                   // a flag takes no value
 	} {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q) accepted an invalid spec", spec)
@@ -187,8 +188,8 @@ func TestSweepDeterministicAndSlotStable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep is seconds-long; skipped in -short")
 	}
-	a := Sweep(12, 1, "", nil)
-	b := Sweep(12, 1, "", nil)
+	a := Migration("").sweep(12, 1, nil)
+	b := Migration("").sweep(12, 1, nil)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("sweep summaries differ:\n  %+v\n  %+v", a, b)
 	}
@@ -421,6 +422,31 @@ func TestRankChoicesMatchKernels(t *testing.T) {
 			if err := sc.Valid(); err != nil {
 				t.Errorf("kernel %s ranks %d: %v", k, r, err)
 			}
+		}
+	}
+}
+
+// TestShrinkOrderCoversFieldTables checks each kind's shrink order against
+// its field table: every key it names is a field other than the seed, and
+// every field but the seed leads one simplification.
+func TestShrinkOrderCoversFieldTables(t *testing.T) {
+	t.Run("scenario", func(t *testing.T) { checkShrinkOrder(t, scenarioSpec) })
+	t.Run("fleet", func(t *testing.T) { checkShrinkOrder(t, fleetSpec) })
+}
+
+func checkShrinkOrder[S interface{ Valid() error }](t *testing.T, c *codec[S]) {
+	led := map[int]bool{}
+	for _, g := range c.shrink {
+		for _, i := range g {
+			if c.fields[i].pinned {
+				t.Errorf("shrink order names the seed or an unknown key")
+			}
+		}
+		led[g[0]] = true
+	}
+	for i, f := range c.fields {
+		if !f.pinned && !led[i] {
+			t.Errorf("field %q never shrinks", f.key)
 		}
 	}
 }

@@ -19,8 +19,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -45,115 +43,46 @@ type FleetScenario struct {
 	WorkH    int   `json:"work_h"` // mean job work, hours
 }
 
-// DefaultFleet is the baseline every fleet spec field shrinks toward: a
-// failure-rich week on a small fleet.
-func DefaultFleet() FleetScenario {
-	return FleetScenario{
-		Seed:     1,
-		Nodes:    64,
-		Rack:     8,
-		MTBFH:    48,
-		RepairH:  8,
-		SparePct: 8,
-		Days:     5,
-		Jobs:     48,
-		MaxWidth: 12,
-		WorkH:    12,
-	}
-}
+// fleetSpec is the fleet spec's field table. Its defaults are the baseline
+// every field shrinks toward: a failure-rich week on a small fleet. The
+// shrinker turns the policy flags off before it resets the shape.
+var fleetSpec = newCodec("flt",
+	[]string{"auto", "fifo", "n", "rk", "mtbf", "rep", "sp", "d", "j", "w", "work"},
+	seed(func(s *FleetScenario) *int64 { return &s.Seed }),
+	num("n", func(s *FleetScenario) *int { return &s.Nodes }, 64),
+	num("rk", func(s *FleetScenario) *int { return &s.Rack }, 8),
+	num("mtbf", func(s *FleetScenario) *int { return &s.MTBFH }, 48),
+	num("rep", func(s *FleetScenario) *int { return &s.RepairH }, 8),
+	num("sp", func(s *FleetScenario) *int { return &s.SparePct }, 8),
+	flag("auto", func(s *FleetScenario) *bool { return &s.Auto }),
+	flag("fifo", func(s *FleetScenario) *bool { return &s.FIFO }),
+	num("d", func(s *FleetScenario) *int { return &s.Days }, 5),
+	num("j", func(s *FleetScenario) *int { return &s.Jobs }, 48),
+	num("w", func(s *FleetScenario) *int { return &s.MaxWidth }, 12),
+	num("work", func(s *FleetScenario) *int { return &s.WorkH }, 12),
+)
+
+// DefaultFleet is the baseline every fleet spec field shrinks toward.
+func DefaultFleet() FleetScenario { return fleetSpec.def }
 
 // IsFleetSpec reports whether a protocheck spec names a fleet scenario.
 func IsFleetSpec(spec string) bool {
 	f := strings.Fields(spec)
-	return len(f) > 0 && f[0] == "flt"
+	return len(f) > 0 && f[0] == fleetSpec.prefix
 }
 
-// String renders the canonical "flt"-prefixed spec: only fields differing
-// from DefaultFleet() are emitted (plus the seed). ParseFleet round-trips it.
-func (fs FleetScenario) String() string {
-	d := DefaultFleet()
-	parts := []string{"flt", fmt.Sprintf("seed=%d", fs.Seed)}
-	add := func(cond bool, s string) {
-		if cond {
-			parts = append(parts, s)
-		}
-	}
-	add(fs.Nodes != d.Nodes, fmt.Sprintf("n=%d", fs.Nodes))
-	add(fs.Rack != d.Rack, fmt.Sprintf("rk=%d", fs.Rack))
-	add(fs.MTBFH != d.MTBFH, fmt.Sprintf("mtbf=%d", fs.MTBFH))
-	add(fs.RepairH != d.RepairH, fmt.Sprintf("rep=%d", fs.RepairH))
-	add(fs.SparePct != d.SparePct, fmt.Sprintf("sp=%d", fs.SparePct))
-	add(fs.Auto, "auto")
-	add(fs.FIFO, "fifo")
-	add(fs.Days != d.Days, fmt.Sprintf("d=%d", fs.Days))
-	add(fs.Jobs != d.Jobs, fmt.Sprintf("j=%d", fs.Jobs))
-	add(fs.MaxWidth != d.MaxWidth, fmt.Sprintf("w=%d", fs.MaxWidth))
-	add(fs.WorkH != d.WorkH, fmt.Sprintf("work=%d", fs.WorkH))
-	return strings.Join(parts, " ")
-}
+// String renders the canonical "flt"-prefixed spec; ParseFleet round-trips
+// it.
+func (fs FleetScenario) String() string { return fleetSpec.format(fs) }
 
 // ParseFleet reads a spec produced by FleetScenario.String.
-func ParseFleet(spec string) (FleetScenario, error) {
-	fs := DefaultFleet()
-	toks := strings.Fields(spec)
-	if len(toks) == 0 || toks[0] != "flt" {
-		return fs, fmt.Errorf("check: fleet spec must start with \"flt\": %q", spec)
-	}
-	for _, tok := range toks[1:] {
-		key, val, _ := strings.Cut(tok, "=")
-		var err error
-		switch key {
-		case "seed":
-			fs.Seed, err = strconv.ParseInt(val, 10, 64)
-		case "n":
-			fs.Nodes, err = strconv.Atoi(val)
-		case "rk":
-			fs.Rack, err = strconv.Atoi(val)
-		case "mtbf":
-			fs.MTBFH, err = strconv.Atoi(val)
-		case "rep":
-			fs.RepairH, err = strconv.Atoi(val)
-		case "sp":
-			fs.SparePct, err = strconv.Atoi(val)
-		case "auto":
-			fs.Auto = true
-		case "fifo":
-			fs.FIFO = true
-		case "d":
-			fs.Days, err = strconv.Atoi(val)
-		case "j":
-			fs.Jobs, err = strconv.Atoi(val)
-		case "w":
-			fs.MaxWidth, err = strconv.Atoi(val)
-		case "work":
-			fs.WorkH, err = strconv.Atoi(val)
-		default:
-			return fs, fmt.Errorf("check: unknown fleet spec token %q", tok)
-		}
-		if err != nil {
-			return fs, fmt.Errorf("check: fleet token %q: %v", tok, err)
-		}
-	}
-	return fs, fs.Valid()
-}
+func ParseFleet(spec string) (FleetScenario, error) { return fleetSpec.parse(spec) }
 
 // Fields counts spec fields differing from DefaultFleet (seed excluded);
-// the fleet shrinker minimizes this.
-func (fs FleetScenario) Fields() int {
-	d := DefaultFleet()
-	n := 0
-	for _, diff := range []bool{
-		fs.Nodes != d.Nodes, fs.Rack != d.Rack, fs.MTBFH != d.MTBFH,
-		fs.RepairH != d.RepairH, fs.SparePct != d.SparePct, fs.Auto, fs.FIFO,
-		fs.Days != d.Days, fs.Jobs != d.Jobs, fs.MaxWidth != d.MaxWidth,
-		fs.WorkH != d.WorkH,
-	} {
-		if diff {
-			n++
-		}
-	}
-	return n
-}
+// the shrinker minimizes this.
+func (fs FleetScenario) Fields() int { return fleetSpec.count(fs) }
+
+func (fs FleetScenario) candidates() []FleetScenario { return fleetSpec.candidates(fs) }
 
 // Valid reports whether the scenario is inside the fleet DST envelope (sized
 // so a sweep of hundreds stays fast).
@@ -233,32 +162,29 @@ func (fs FleetScenario) config() fleet.Config {
 
 // FleetResult is the outcome of one fleet scenario run.
 type FleetResult struct {
-	Spec       string        `json:"spec"`
-	Scenario   FleetScenario `json:"scenario"`
-	Violations []Violation   `json:"violations,omitempty"`
-	R          *fleet.Result `json:"result,omitempty"`
+	outcome[FleetScenario]
+	R *fleet.Result `json:"result,omitempty"`
 }
 
-// Failed reports whether any fleet invariant was violated.
-func (r *FleetResult) Failed() bool { return len(r.Violations) > 0 }
+func (r *FleetResult) describe(w io.Writer) {
+	fmt.Fprintf(w, "fleet scenario: %s\n", r.Spec)
+	if r.R != nil {
+		fmt.Fprintf(w, "  jobs=%d completed=%d rejected=%d interrupts=%d drains=%d goodput=%.1f%%\n",
+			r.R.JobsTotal, r.R.JobsCompleted, r.R.JobsRejected,
+			r.R.Interrupts, r.R.Drains, r.R.GoodputPct)
+	}
+}
 
 // RunFleetScenario executes one fleet scenario with probes attached and
 // evaluates every fleet invariant. Like RunScenario it never panics — the
 // lifecycle state machine's own panics surface as "no-panic" violations.
-func RunFleetScenario(fs FleetScenario) (res *FleetResult) {
-	res = &FleetResult{Spec: fs.String(), Scenario: fs}
-	defer func() {
-		if r := recover(); r != nil {
-			res.Violations = append(res.Violations, Violation{
-				Invariant: "no-panic", Detail: fmt.Sprint(r),
-			})
-		}
-	}()
-	if err := fs.Valid(); err != nil {
-		res.Violations = append(res.Violations, Violation{Invariant: "spec-valid", Detail: err.Error()})
-		return res
-	}
+func RunFleetScenario(fs FleetScenario) *FleetResult {
+	res := &FleetResult{}
+	res.guard(fs, nil, func() { runFleet(fs, res) })
+	return res
+}
 
+func runFleet(fs FleetScenario, res *FleetResult) {
 	e := sim.NewEngine(fs.Seed)
 	sys := fleet.New(e, fs.config())
 	vio := func(name string, t sim.Time, format string, args ...any) {
@@ -363,64 +289,11 @@ func RunFleetScenario(fs FleetScenario) (res *FleetResult) {
 			vio("fleet-job-terminal", horizon, "job %d done with %v of %v complete", j.ID, j.Done, j.Spec.Work)
 		}
 	}
-	return res
-}
-
-// FailsFleet is the fleet shrink predicate: re-run and report failure.
-func FailsFleet(fs FleetScenario) bool { return RunFleetScenario(fs).Failed() }
-
-// candidates enumerates one-step simplifications of fs toward DefaultFleet.
-func (fs FleetScenario) candidates() []FleetScenario {
-	d := DefaultFleet()
-	var out []FleetScenario
-	field := func(mutate func(*FleetScenario)) {
-		c := fs
-		mutate(&c)
-		out = append(out, c)
-	}
-	if fs.Auto {
-		field(func(c *FleetScenario) { c.Auto = false })
-	}
-	if fs.FIFO {
-		field(func(c *FleetScenario) { c.FIFO = false })
-	}
-	if fs.Nodes != d.Nodes {
-		field(func(c *FleetScenario) { c.Nodes = d.Nodes })
-	}
-	if fs.Rack != d.Rack {
-		field(func(c *FleetScenario) { c.Rack = d.Rack })
-	}
-	if fs.MTBFH != d.MTBFH {
-		field(func(c *FleetScenario) { c.MTBFH = d.MTBFH })
-	}
-	if fs.RepairH != d.RepairH {
-		field(func(c *FleetScenario) { c.RepairH = d.RepairH })
-	}
-	if fs.SparePct != d.SparePct {
-		field(func(c *FleetScenario) { c.SparePct = d.SparePct })
-	}
-	if fs.Days != d.Days {
-		field(func(c *FleetScenario) { c.Days = d.Days })
-	}
-	if fs.Jobs != d.Jobs {
-		field(func(c *FleetScenario) { c.Jobs = d.Jobs })
-	}
-	if fs.MaxWidth != d.MaxWidth {
-		field(func(c *FleetScenario) { c.MaxWidth = d.MaxWidth })
-	}
-	if fs.WorkH != d.WorkH {
-		field(func(c *FleetScenario) { c.WorkH = d.WorkH })
-	}
-	return out
 }
 
 // FleetSummary aggregates a sweep of N seeded fleet scenarios.
 type FleetSummary struct {
-	N          int            `json:"n"`
-	Seed       int64          `json:"seed"`
-	Checked    int            `json:"checked"`
-	Failures   []*FleetResult `json:"failures,omitempty"`
-	Invariants map[string]int `json:"violations_by_invariant,omitempty"`
+	sweepHead[*FleetResult]
 
 	JobsCompleted int `json:"jobs_completed"`
 	JobsRejected  int `json:"jobs_rejected"`
@@ -430,56 +303,26 @@ type FleetSummary struct {
 	FIFORuns      int `json:"scenarios_fifo"`
 }
 
-// FleetSweep runs fleet scenarios GenerateFleet(seed)..(seed+n-1) across
-// CPUs (see fanOut).
-func FleetSweep(n int, seed int64, progress func(done int)) *FleetSummary {
-	results := fanOut(n, progress, func(i int) *FleetResult {
-		return RunFleetScenario(GenerateFleet(seed + int64(i)))
-	})
-	s := &FleetSummary{N: n, Seed: seed, Invariants: map[string]int{}}
-	for _, r := range results {
-		if r == nil {
-			continue
-		}
-		s.Checked++
-		if r.R != nil {
-			s.JobsCompleted += r.R.JobsCompleted
-			s.JobsRejected += r.R.JobsRejected
-			s.Interrupts += r.R.Interrupts
-			s.DrainsRun += r.R.Drains
-		}
-		if r.Scenario.Auto {
-			s.AutoScaled++
-		}
-		if r.Scenario.FIFO {
-			s.FIFORuns++
-		}
-		if r.Failed() {
-			s.Failures = append(s.Failures, r)
-			for _, v := range r.Violations {
-				s.Invariants[v.Invariant]++
-			}
-		}
+func (s *FleetSummary) header() *sweepHead[*FleetResult] { return &s.sweepHead }
+
+func (s *FleetSummary) add(r *FleetResult) {
+	if r.R != nil {
+		s.JobsCompleted += r.R.JobsCompleted
+		s.JobsRejected += r.R.JobsRejected
+		s.Interrupts += r.R.Interrupts
+		s.DrainsRun += r.R.Drains
 	}
-	return s
+	if r.Scenario.Auto {
+		s.AutoScaled++
+	}
+	if r.Scenario.FIFO {
+		s.FIFORuns++
+	}
 }
 
-// Write renders the human-readable fleet sweep summary.
-func (s *FleetSummary) Write(w io.Writer) {
-	fmt.Fprintf(w, "protocheck[fleet]: %d scenarios (seed %d): %d checked, %d failed\n",
-		s.N, s.Seed, s.Checked, len(s.Failures))
+func (s *FleetSummary) writeTallies(w io.Writer) {
 	fmt.Fprintf(w, "  outcomes: %d jobs completed, %d rejected, %d interrupts, %d drains\n",
 		s.JobsCompleted, s.JobsRejected, s.Interrupts, s.DrainsRun)
 	fmt.Fprintf(w, "  coverage: %d/%d autoscaled, %d/%d FIFO\n",
 		s.AutoScaled, s.Checked, s.FIFORuns, s.Checked)
-	if len(s.Invariants) > 0 {
-		names := make([]string, 0, len(s.Invariants))
-		for name := range s.Invariants {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			fmt.Fprintf(w, "  violated: %-22s x%d\n", name, s.Invariants[name])
-		}
-	}
 }

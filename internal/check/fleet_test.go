@@ -35,6 +35,7 @@ func TestFleetSpecErrors(t *testing.T) {
 		"flt w=70 n=64",   // width above fleet
 		"flt sp=90",       // spare fraction out of range
 		"flt d=400",       // horizon out of range
+		"flt auto=0",      // a flag takes no value
 	} {
 		if _, err := ParseFleet(spec); err == nil {
 			t.Errorf("spec %q: want error", spec)
@@ -76,7 +77,7 @@ func TestShrinkFleet(t *testing.T) {
 }
 
 func TestFleetSweepSummary(t *testing.T) {
-	sum := FleetSweep(6, 1, nil)
+	sum := Fleet.sweep(6, 1, nil)
 	if sum.Checked != 6 || len(sum.Failures) != 0 {
 		t.Fatalf("sweep: checked %d, %d failures", sum.Checked, len(sum.Failures))
 	}
@@ -84,7 +85,7 @@ func TestFleetSweepSummary(t *testing.T) {
 		t.Errorf("sweep coverage degenerate: %+v", sum)
 	}
 	var b strings.Builder
-	sum.Write(&b)
+	Fleet.write(&b, sum)
 	if !strings.Contains(b.String(), "6 checked, 0 failed") {
 		t.Errorf("summary rendering: %q", b.String())
 	}

@@ -2,6 +2,7 @@ package check
 
 import (
 	"fmt"
+	"io"
 	"sync/atomic"
 	"time"
 
@@ -43,9 +44,7 @@ func pollBudget(estimated sim.Duration) sim.Duration {
 // Result is the outcome of one scenario run — everything cmd/protocheck
 // reports and the JSON artifact records.
 type Result struct {
-	Spec       string      `json:"spec"`
-	Scenario   Scenario    `json:"scenario"`
-	Violations []Violation `json:"violations,omitempty"`
+	outcome[Scenario]
 
 	Attempts         int    `json:"attempts"`
 	Completed        int    `json:"completed"`
@@ -74,8 +73,68 @@ var flightDump atomic.Bool
 // SetFlightDump toggles unconditional flight-tail reporting.
 func SetFlightDump(on bool) { flightDump.Store(on) }
 
-// Failed reports whether any invariant was violated.
-func (r *Result) Failed() bool { return len(r.Violations) > 0 }
+func (r *Result) describe(w io.Writer) {
+	fmt.Fprintf(w, "scenario: %s\n", r.Spec)
+	fmt.Fprintf(w, "  attempts=%d completed=%d aborted=%d retries=%d fallbacks=%d job_lost=%v app_done=%v\n",
+		r.Attempts, r.Completed, r.Aborted, r.Retries, r.Fallbacks, r.JobLost, r.AppDone)
+	if len(r.Flight) > 0 {
+		fmt.Fprintln(w, "  flight recorder tail:")
+		for _, line := range r.Flight {
+			fmt.Fprintf(w, "    %s\n", line)
+		}
+	}
+}
+
+// Summary aggregates a sweep of N seeded migration scenarios.
+type Summary struct {
+	sweepHead[*Result]
+
+	Completed        int `json:"migrations_completed"`
+	Aborted          int `json:"migrations_aborted"`
+	Retries          int `json:"spare_retries"`
+	Fallbacks        int `json:"cr_fallbacks"`
+	ReactiveRestarts int `json:"reactive_restarts"`
+	ReplicaRestores  int `json:"replica_restores"`
+	SpareExhaustions int `json:"spare_exhaustions"`
+	PolicyCkpts      int `json:"policy_ckpts"`
+	JobsLost         int `json:"jobs_lost"`
+	Faulted          int `json:"scenarios_with_faults"`
+	Perturbed        int `json:"scenarios_perturbed"`
+
+	TotalEvents uint64 `json:"total_events"`
+}
+
+func (s *Summary) header() *sweepHead[*Result] { return &s.sweepHead }
+
+func (s *Summary) add(r *Result) {
+	s.Completed += r.Completed
+	s.Aborted += r.Aborted
+	s.Retries += r.Retries
+	s.Fallbacks += r.Fallbacks
+	s.ReactiveRestarts += r.ReactiveRestarts
+	s.ReplicaRestores += r.ReplicaRestores
+	s.SpareExhaustions += r.SpareExhaustions
+	s.PolicyCkpts += r.PolicyCkpts
+	s.TotalEvents += r.Events
+	if r.JobLost {
+		s.JobsLost++
+	}
+	if r.Faults > 0 {
+		s.Faulted++
+	}
+	if r.Scenario.Perturb != 0 {
+		s.Perturbed++
+	}
+}
+
+func (s *Summary) writeTallies(w io.Writer) {
+	fmt.Fprintf(w, "  outcomes: %d completed, %d aborted, %d spare retries, %d CR fallbacks, %d jobs lost\n",
+		s.Completed, s.Aborted, s.Retries, s.Fallbacks, s.JobsLost)
+	fmt.Fprintf(w, "  recovery: %d reactive restarts, %d replica restores, %d spare exhaustions, %d policy ckpts\n",
+		s.ReactiveRestarts, s.ReplicaRestores, s.SpareExhaustions, s.PolicyCkpts)
+	fmt.Fprintf(w, "  coverage: %d/%d scenarios faulted, %d/%d perturbed, %d kernel events\n",
+		s.Faulted, s.Checked, s.Perturbed, s.Checked, s.TotalEvents)
+}
 
 // annotate attaches protocol context to the result: per-violation, the spans
 // open at the violation's timestamp and the flight recorder's tail (the
@@ -119,23 +178,14 @@ func victim(role Role, c *cluster.Cluster, src string) string {
 // RunScenario executes one scenario to completion and evaluates every
 // registered invariant against the run. It never panics: a panic anywhere in
 // the simulation is itself reported as a "no-panic" violation.
-func RunScenario(sc Scenario) (res *Result) {
-	res = &Result{Spec: sc.String(), Scenario: sc, Faults: len(sc.Faults)}
+func RunScenario(sc Scenario) *Result {
+	res := &Result{Faults: len(sc.Faults)}
 	pr := &probe{sc: sc}
-	defer func() {
-		if r := recover(); r != nil {
-			res.Violations = append(res.Violations, Violation{
-				Invariant: "no-panic",
-				Detail:    fmt.Sprint(r),
-				T:         pr.endT,
-			})
-		}
-	}()
-	if err := sc.Valid(); err != nil {
-		res.Violations = append(res.Violations, Violation{Invariant: "spec-valid", Detail: err.Error()})
-		return res
-	}
+	res.guard(sc, &pr.endT, func() { runScenario(sc, pr, res) })
+	return res
+}
 
+func runScenario(sc Scenario, pr *probe, res *Result) {
 	e := sim.NewEngine(sc.Seed)
 	e.SetTracer(&pr.clock)
 	if sc.Perturb != 0 {
@@ -159,9 +209,7 @@ func RunScenario(sc Scenario) (res *Result) {
 		PhaseDeadline: checkDeadline,
 		AutoPolicy:    true,
 		Strategy:      strat,
-	}
-	if strat.CheckpointInterval() > 0 {
-		opts.CkptInterval = checkCkptInterval
+		CkptInterval:  checkCkptInterval,
 	}
 	pr.fw = core.Launch(pr.c, w, sc.PPN, npbRes, opts)
 	pr.jm = pr.fw.JobManager()
@@ -245,5 +293,4 @@ func RunScenario(sc Scenario) (res *Result) {
 	res.AppDone = pr.appDone
 	res.Events = e.Events()
 	res.SimNS = int64(pr.endT)
-	return res
 }

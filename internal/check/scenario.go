@@ -14,6 +14,7 @@ package check
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -39,25 +40,19 @@ const (
 	RoleBystander
 )
 
+// roleNames are the roles' spec names, by Role.
+var roleNames = []string{"src", "tgt", "spare2", "other"}
+
 func (r Role) String() string {
-	switch r {
-	case RoleSource:
-		return "src"
-	case RoleTarget:
-		return "tgt"
-	case RoleSpare2:
-		return "spare2"
-	case RoleBystander:
-		return "other"
+	if r >= 0 && int(r) < len(roleNames) {
+		return roleNames[r]
 	}
 	return "unknown"
 }
 
 func parseRole(s string) (Role, error) {
-	for _, r := range []Role{RoleSource, RoleTarget, RoleSpare2, RoleBystander} {
-		if r.String() == s {
-			return r, nil
-		}
+	if i := slices.Index(roleNames, s); i >= 0 {
+		return Role(i), nil
 	}
 	return 0, fmt.Errorf("check: unknown role %q", s)
 }
@@ -109,14 +104,11 @@ var ftbEvents = []string{
 	"FTB_RESTART_DONE",
 }
 
-var faultKinds = map[string]fault.Kind{
-	fault.NodeCrash.String(): fault.NodeCrash,
-	fault.HCAFail.String():   fault.HCAFail,
-	fault.DiskFail.String():  fault.DiskFail,
-	fault.FTBDrop.String():   fault.FTBDrop,
-	fault.FTBDelay.String():  fault.FTBDelay,
-	fault.RackFail.String():  fault.RackFail,
-	fault.LinkFlap.String():  fault.LinkFlap,
+// faultKinds are the fault kinds a scenario may inject, in the order the
+// generator draws from.
+var faultKinds = []fault.Kind{
+	fault.NodeCrash, fault.HCAFail, fault.DiskFail,
+	fault.FTBDrop, fault.FTBDelay, fault.RackFail, fault.LinkFlap,
 }
 
 func parseFault(s string) (FaultSpec, error) {
@@ -139,12 +131,12 @@ func parseFault(s string) (FaultSpec, error) {
 		return f, fmt.Errorf("check: fault %q: bad phase: %v", s, err)
 	}
 	parts := strings.Split(body, ":")
-	kind, known := faultKinds[parts[0]]
-	if !known {
+	k := slices.IndexFunc(faultKinds, func(k fault.Kind) bool { return k.String() == parts[0] })
+	if k < 0 {
 		return f, fmt.Errorf("check: fault %q: unknown kind %q", s, parts[0])
 	}
-	f.Kind = kind
-	switch kind {
+	f.Kind = faultKinds[k]
+	switch f.Kind {
 	case fault.FTBDrop:
 		if len(parts) != 2 {
 			return f, fmt.Errorf("check: fault %q: want kind:EVENT@phase", s)
@@ -186,109 +178,48 @@ type Scenario struct {
 	Faults   []FaultSpec `json:"faults,omitempty"`
 }
 
-// Default is the baseline scenario every spec field shrinks toward: a clean
-// migration of one 8-rank LU.S job, two spares, trigger a third in.
-func Default() Scenario {
-	return Scenario{
-		Seed:    1,
-		Kernel:  npb.LU,
-		Class:   npb.ClassS,
-		Ranks:   8,
-		PPN:     2,
-		Spares:  2,
-		TrigPct: 33,
-	}
-}
-
-// String renders the scenario as a one-line spec: only fields differing from
-// Default() are emitted (plus the seed), so shrunk scenarios read minimal.
-// Parse round-trips it.
-func (sc Scenario) String() string {
-	d := Default()
-	parts := []string{fmt.Sprintf("seed=%d", sc.Seed)}
-	add := func(cond bool, s string) {
-		if cond {
-			parts = append(parts, s)
-		}
-	}
-	add(sc.Kernel != d.Kernel, fmt.Sprintf("k=%s", sc.Kernel))
-	add(sc.Class != d.Class, fmt.Sprintf("c=%c", sc.Class))
-	add(sc.Ranks != d.Ranks, fmt.Sprintf("r=%d", sc.Ranks))
-	add(sc.PPN != d.PPN, fmt.Sprintf("ppn=%d", sc.PPN))
-	add(sc.Spares != d.Spares, fmt.Sprintf("sp=%d", sc.Spares))
-	add(sc.TrigPct != d.TrigPct, fmt.Sprintf("trig=%d", sc.TrigPct))
-	add(sc.Ckpt, "ckpt")
-	add(sc.Perturb != 0, fmt.Sprintf("perturb=%d", sc.Perturb))
-	add(sc.Strategy != "", "strat="+sc.Strategy)
-	for _, f := range sc.Faults {
-		parts = append(parts, "f="+f.String())
-	}
-	return strings.Join(parts, " ")
-}
-
-// Parse reads a spec produced by String (whitespace-separated key=value
-// tokens; unspecified fields take their Default() values).
-func Parse(spec string) (Scenario, error) {
-	sc := Default()
-	sc.Faults = nil
-	for _, tok := range strings.Fields(spec) {
-		key, val, _ := strings.Cut(tok, "=")
-		var err error
-		switch key {
-		case "seed":
-			sc.Seed, err = strconv.ParseInt(val, 10, 64)
-		case "k":
-			sc.Kernel = npb.Kernel(val)
-		case "c":
+// scenarioSpec is the migration spec's field table. Its defaults are the
+// baseline every field shrinks toward: a clean migration of one 8-rank LU.S
+// job, two spares, trigger a third in. The shrinker drops a whole fault
+// before it resets a field. A kernel reset may need another rank count
+// (BT/SP run on square grids), so it is tried with the default shape first,
+// then alone; ranks reset together with ppn.
+var scenarioSpec = newCodec("",
+	[]string{"f", "perturb", "strat", "ckpt", "c", "k r ppn", "k", "r ppn", "ppn", "sp", "trig"},
+	seed(func(s *Scenario) *int64 { return &s.Seed }),
+	text("k", func(s *Scenario) *npb.Kernel { return &s.Kernel }, npb.LU),
+	scalar("c", func(s *Scenario) *npb.Class { return &s.Class }, npb.ClassS,
+		func(c npb.Class) string { return fmt.Sprintf("%c", c) },
+		func(val string) (npb.Class, error) {
 			if len(val) != 1 {
-				return sc, fmt.Errorf("check: bad class %q", val)
+				return 0, fmt.Errorf("bad class %q", val)
 			}
-			sc.Class = npb.Class(val[0])
-		case "r":
-			sc.Ranks, err = strconv.Atoi(val)
-		case "ppn":
-			sc.PPN, err = strconv.Atoi(val)
-		case "sp":
-			sc.Spares, err = strconv.Atoi(val)
-		case "trig":
-			sc.TrigPct, err = strconv.Atoi(val)
-		case "ckpt":
-			sc.Ckpt = true
-		case "perturb":
-			sc.Perturb, err = strconv.ParseInt(val, 10, 64)
-		case "strat":
-			sc.Strategy = val
-		case "f":
-			var f FaultSpec
-			if f, err = parseFault(val); err == nil {
-				sc.Faults = append(sc.Faults, f)
-			}
-		default:
-			return sc, fmt.Errorf("check: unknown spec token %q", tok)
-		}
-		if err != nil {
-			return sc, fmt.Errorf("check: token %q: %v", tok, err)
-		}
-	}
-	return sc, sc.Valid()
-}
+			return npb.Class(val[0]), nil
+		}),
+	num("r", func(s *Scenario) *int { return &s.Ranks }, 8),
+	num("ppn", func(s *Scenario) *int { return &s.PPN }, 2),
+	num("sp", func(s *Scenario) *int { return &s.Spares }, 2),
+	num("trig", func(s *Scenario) *int { return &s.TrigPct }, 33),
+	flag("ckpt", func(s *Scenario) *bool { return &s.Ckpt }),
+	num("perturb", func(s *Scenario) *int64 { return &s.Perturb }, 0),
+	text("strat", func(s *Scenario) *string { return &s.Strategy }, ""),
+	list("f", func(s *Scenario) *[]FaultSpec { return &s.Faults }, FaultSpec.String, parseFault),
+)
+
+// Default is the baseline scenario every spec field shrinks toward.
+func Default() Scenario { return scenarioSpec.def }
+
+// String renders the scenario as a one-line spec; Parse round-trips it.
+func (sc Scenario) String() string { return scenarioSpec.format(sc) }
+
+// Parse reads a spec produced by String.
+func Parse(spec string) (Scenario, error) { return scenarioSpec.parse(spec) }
 
 // Fields counts the spec fields that differ from Default() (the seed does
 // not count; each fault counts as one). The shrinker minimizes this.
-func (sc Scenario) Fields() int {
-	d := Default()
-	n := len(sc.Faults)
-	for _, diff := range []bool{
-		sc.Kernel != d.Kernel, sc.Class != d.Class, sc.Ranks != d.Ranks,
-		sc.PPN != d.PPN, sc.Spares != d.Spares, sc.TrigPct != d.TrigPct,
-		sc.Ckpt, sc.Perturb != 0, sc.Strategy != "",
-	} {
-		if diff {
-			n++
-		}
-	}
-	return n
-}
+func (sc Scenario) Fields() int { return scenarioSpec.count(sc) }
+
+func (sc Scenario) candidates() []Scenario { return scenarioSpec.candidates(sc) }
 
 // Valid reports whether the scenario is within the supported envelope. The
 // generator only emits valid scenarios and the shrinker discards invalid
@@ -358,11 +289,7 @@ func (sc Scenario) Valid() error {
 				return fmt.Errorf("check: fault %v: no second spare in a %d-spare cluster", f, sc.Spares)
 			}
 		case fault.FTBDrop, fault.FTBDelay:
-			ok := false
-			for _, ev := range ftbEvents {
-				ok = ok || ev == f.Event
-			}
-			if !ok {
+			if !slices.Contains(ftbEvents, f.Event) {
 				return fmt.Errorf("check: fault %v: event %q not in the migration protocol", f, f.Event)
 			}
 			if f.Kind == fault.FTBDelay && (f.DelayMS < 1 || f.DelayMS > 500) {
@@ -436,11 +363,7 @@ func randomFault(rng *rand.Rand, sc Scenario) FaultSpec {
 	if rng.Intn(4) == 0 {
 		f.Phase, f.AtMS = 0, 1+rng.Intn(400)
 	}
-	kinds := []fault.Kind{
-		fault.NodeCrash, fault.HCAFail, fault.DiskFail,
-		fault.FTBDrop, fault.FTBDelay, fault.RackFail, fault.LinkFlap,
-	}
-	f.Kind = kinds[rng.Intn(len(kinds))]
+	f.Kind = faultKinds[rng.Intn(len(faultKinds))]
 	switch f.Kind {
 	case fault.FTBDrop:
 		f.Event = ftbEvents[rng.Intn(len(ftbEvents))]

@@ -425,7 +425,6 @@ func (t *targetBufMgr) run(p *sim.Proc) {
 			if !tok {
 				return
 			}
-			cm := cm
 			p.SpawnChild(fmt.Sprintf("core.pull.%s.%d", t.node.Name, token), func(wp *sim.Proc) {
 				t.pull(wp, cm, token)
 			})

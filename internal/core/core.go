@@ -99,8 +99,8 @@ type Options struct {
 	// fault-tolerant send mode. Off, the JM only reacts to faults hitting an
 	// explicitly triggered migration — the historical behaviour.
 	AutoPolicy bool
-	// CkptInterval overrides the strategy's periodic checkpoint cadence
-	// under AutoPolicy (0 uses Strategy.CheckpointInterval()).
+	// CkptInterval is the periodic checkpoint cadence under AutoPolicy, for
+	// strategies that checkpoint (0 = no periodic checkpoints).
 	CkptInterval sim.Duration
 }
 
@@ -431,10 +431,7 @@ func LaunchApp(c *cluster.Cluster, name string, placement []string, segs func(ra
 // next tick covers them.
 func (fw *Framework) startPolicyCheckpoints() {
 	interval := fw.opts.CkptInterval
-	if interval == 0 {
-		interval = fw.opts.Strategy.CheckpointInterval()
-	}
-	if interval <= 0 {
+	if !fw.opts.Strategy.Checkpoints() || interval <= 0 {
 		return
 	}
 	fw.C.E.Spawn("core.policy-ckpt", func(p *sim.Proc) {

@@ -178,7 +178,6 @@ func (a *NLA) runSource(p *sim.Proc, m *migrationState) {
 	wg := sim.NewWaitGroup(a.fw.C.E)
 	wg.Add(len(m.ranks))
 	for _, r := range m.ranks {
-		r := r
 		p.SpawnChild(fmt.Sprintf("core.crthread.%d", r.ID()), func(cp *sim.Proc) {
 			defer wg.Done()
 			var rs obs.SpanID
@@ -312,7 +311,6 @@ func (a *NLA) runRestart(p *sim.Proc, m *migrationState) {
 		wg := sim.NewWaitGroup(a.fw.C.E)
 		wg.Add(len(m.ranks))
 		for _, r := range m.ranks {
-			r := r
 			p.SpawnChild(fmt.Sprintf("core.restart.%d", r.ID()), func(rp *sim.Proc) {
 				defer wg.Done()
 				if m.aborted {

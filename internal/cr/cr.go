@@ -124,7 +124,6 @@ func (r *Runner) Checkpoint(p *sim.Proc) (*metrics.Report, error) {
 		wg := sim.NewWaitGroup(r.C.E)
 		wg.Add(len(nodeOrder))
 		for _, node := range nodeOrder {
-			node := node
 			p.SpawnChild("cr.aggwriter."+node, func(cp *sim.Proc) {
 				defer wg.Done()
 				for _, rk := range byNode[node] {
@@ -140,7 +139,6 @@ func (r *Runner) Checkpoint(p *sim.Proc) (*metrics.Report, error) {
 		ranks := r.W.Ranks()
 		wg.Add(len(ranks))
 		for _, rk := range ranks {
-			rk := rk
 			p.SpawnChild(fmt.Sprintf("cr.ckpt.%d", rk.ID()), func(cp *sim.Proc) {
 				defer wg.Done()
 				n, err := r.checkpointRank(cp, rk)
@@ -226,7 +224,6 @@ func (r *Runner) Restart(p *sim.Proc) sim.Duration {
 	ranks := r.W.Ranks()
 	wg.Add(len(ranks))
 	for _, rk := range ranks {
-		rk := rk
 		p.SpawnChild(fmt.Sprintf("cr.restart.%d", rk.ID()), func(rp *sim.Proc) {
 			defer wg.Done()
 			node := rk.Node()
@@ -327,7 +324,6 @@ func (r *Runner) RestartInPlace(p *sim.Proc, placement map[int]string) error {
 	wg := sim.NewWaitGroup(r.C.E)
 	wg.Add(len(ranks))
 	for _, rk := range ranks {
-		rk := rk
 		p.SpawnChild(fmt.Sprintf("cr.fallback.%d", rk.ID()), func(rp *sim.Proc) {
 			defer wg.Done()
 			node := dest[rk.ID()]

@@ -187,16 +187,11 @@ func armSnapshot(name string, baselineNS int64, elapsed sim.Duration, fw *core.F
 // concurrently from the arm engines' goroutines and must be goroutine-safe.
 func RunCampaign(spec CampaignSpec, update func(ArmUpdate)) *CampaignResult {
 	names := strategy.Names()
-	out := &CampaignResult{Spec: spec, Results: make([]StrategyResult, len(names))}
+	out := &CampaignResult{Spec: spec}
 	out.BaselineNS = int64(campaignBaseline(spec))
-	tasks := make([]func(), 0, len(names))
-	for i, name := range names {
-		i, name := i, name
-		tasks = append(tasks, func() {
-			out.Results[i] = runArm(spec, name, out.BaselineNS, update)
-		})
-	}
-	RunParallel(tasks...)
+	out.Results = Map(len(names), func(i int) StrategyResult {
+		return runArm(spec, names[i], out.BaselineNS, update)
+	})
 	for i := range out.Results {
 		r := &out.Results[i]
 		if r.Completed && r.AppNS > 0 {
@@ -349,10 +344,8 @@ func runArm(spec CampaignSpec, name string, baselineNS int64, update func(ArmUpd
 		AutoPolicy:    true,
 		Strategy:      strat,
 		PhaseDeadline: 10 * time.Second,
-	}
-	if strat.CheckpointInterval() > 0 {
 		// Strategies that checkpoint do so five times per estimated run.
-		opts.CkptInterval = w.EstimatedRuntime() / 5
+		CkptInterval: w.EstimatedRuntime() / 5,
 	}
 	fw := core.Launch(c, w, spec.Scale.PPN, res, opts)
 	jm := fw.JobManager()

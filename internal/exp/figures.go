@@ -67,21 +67,14 @@ func isqrtOK(n int) bool {
 
 // Fig4 reproduces "Process Migration Overhead": one migration's four-phase
 // decomposition for each application. The per-application runs are
-// independent engines, so they fan out across RunParallel; each writes its
-// pre-indexed slot, keeping row order fixed.
+// independent engines, so they fan out across Map, which keeps row order
+// fixed.
 func Fig4(sc Scale) []PhaseRow {
 	ks := kernelsFor(sc)
-	rows := make([]PhaseRow, len(ks))
-	tasks := make([]func(), len(ks))
-	for i, k := range ks {
-		i, k := i, k
-		tasks[i] = func() {
-			out := RunMigration(MigrationSpec{Kernel: k, Scale: sc})
-			rows[i] = phaseRow(fmt.Sprintf("%s.%c.%d", k, sc.Class, sc.Ranks), out.Report)
-		}
-	}
-	RunParallel(tasks...)
-	return rows
+	return Map(len(ks), func(i int) PhaseRow {
+		out := RunMigration(MigrationSpec{Kernel: ks[i], Scale: sc})
+		return phaseRow(fmt.Sprintf("%s.%c.%d", ks[i], sc.Class, sc.Ranks), out.Report)
+	})
 }
 
 // Fig5Row is one pair of bars of "Application Execution Time with/without
@@ -100,23 +93,26 @@ func (r Fig5Row) OverheadPct() float64 {
 
 // Fig5 reproduces "Application Execution Time with/without Migration". The
 // baseline and migrated runs of every application are all independent, so a
-// parallel harness gets 2*len(kernels) tasks to spread over cores — this is
-// the heaviest figure (full-length class C runs).
+// parallel harness gets 2*len(kernels) runs to spread over cores — this is
+// the heaviest figure (full-length class C runs). Run 2i is kernel i's
+// baseline, run 2i+1 its migrated run.
 func Fig5(sc Scale) []Fig5Row {
 	ks := kernelsFor(sc)
+	secs := Map(2*len(ks), func(j int) float64 {
+		k := ks[j/2]
+		if j%2 == 0 {
+			return RunBaseline(k, sc).Seconds()
+		}
+		return RunMigration(MigrationSpec{Kernel: k, Scale: sc, ToCompletion: true}).AppDuration.Seconds()
+	})
 	rows := make([]Fig5Row, len(ks))
-	tasks := make([]func(), 0, 2*len(ks))
 	for i, k := range ks {
-		i, k := i, k
-		rows[i].Label = fmt.Sprintf("%s.%c.%d", k, sc.Class, sc.Ranks)
-		tasks = append(tasks,
-			func() { rows[i].BaseSec = RunBaseline(k, sc).Seconds() },
-			func() {
-				rows[i].MigratedSec = RunMigration(MigrationSpec{Kernel: k, Scale: sc, ToCompletion: true}).AppDuration.Seconds()
-			},
-		)
+		rows[i] = Fig5Row{
+			Label:       fmt.Sprintf("%s.%c.%d", k, sc.Class, sc.Ranks),
+			BaseSec:     secs[2*i],
+			MigratedSec: secs[2*i+1],
+		}
 	}
-	RunParallel(tasks...)
 	return rows
 }
 
@@ -125,20 +121,13 @@ func Fig5(sc Scale) []Fig5Row {
 func Fig6(sc Scale) []PhaseRow {
 	ppns := []int{1, 2, 4, 8}
 	nodes := sc.Ranks / sc.PPN
-	rows := make([]PhaseRow, len(ppns))
-	tasks := make([]func(), len(ppns))
-	for i, ppn := range ppns {
-		i, ppn := i, ppn
-		tasks[i] = func() {
-			s := sc
-			s.Ranks = nodes * ppn
-			s.PPN = ppn
-			out := RunMigration(MigrationSpec{Kernel: npb.LU, Scale: s})
-			rows[i] = phaseRow(fmt.Sprintf("%d proc/node", ppn), out.Report)
-		}
-	}
-	RunParallel(tasks...)
-	return rows
+	return Map(len(ppns), func(i int) PhaseRow {
+		s := sc
+		s.Ranks = nodes * ppns[i]
+		s.PPN = ppns[i]
+		out := RunMigration(MigrationSpec{Kernel: npb.LU, Scale: s})
+		return phaseRow(fmt.Sprintf("%d proc/node", ppns[i]), out.Report)
+	})
 }
 
 // Fig7Group is one application's three stacks of "Comparing Job Migration
@@ -161,22 +150,15 @@ func (g Fig7Group) SpeedupPVFS() float64 { return g.CRPVFS.Total() / g.Migration
 // Fig7 reproduces the migration-vs-CR comparison for every application.
 func Fig7(sc Scale) []Fig7Group {
 	ks := kernelsFor(sc)
-	groups := make([]Fig7Group, len(ks))
-	tasks := make([]func(), len(ks))
-	for i, k := range ks {
-		i, k := i, k
-		tasks[i] = func() {
-			mig, ext3, pvfs, w := RunComparison(k, sc, core.Options{})
-			groups[i] = Fig7Group{
-				App:       w.Name(),
-				Migration: phaseRow("Migration", mig),
-				CRExt3:    phaseRow("CR(ext3)", ext3),
-				CRPVFS:    phaseRow("CR(PVFS)", pvfs),
-			}
+	return Map(len(ks), func(i int) Fig7Group {
+		mig, ext3, pvfs, w := RunComparison(ks[i], sc, core.Options{})
+		return Fig7Group{
+			App:       w.Name(),
+			Migration: phaseRow("Migration", mig),
+			CRExt3:    phaseRow("CR(ext3)", ext3),
+			CRPVFS:    phaseRow("CR(PVFS)", pvfs),
 		}
-	}
-	RunParallel(tasks...)
-	return groups
+	})
 }
 
 // Table1Row is one line of Table I: data movement in MB.
@@ -210,25 +192,19 @@ func AblationPool(sc Scale) []PoolPoint {
 	cfgs := []struct{ poolMB, chunkKB int64 }{
 		{2, 1024}, {5, 1024}, {10, 256}, {10, 1024}, {10, 4096}, {20, 1024}, {40, 1024},
 	}
-	pts := make([]PoolPoint, len(cfgs))
-	tasks := make([]func(), len(cfgs))
-	for i, cfg := range cfgs {
-		i, cfg := i, cfg
-		tasks[i] = func() {
-			out := RunMigration(MigrationSpec{Kernel: npb.LU, Scale: sc, Opts: core.Options{
-				BufferPoolBytes: cfg.poolMB << 20,
-				ChunkBytes:      cfg.chunkKB << 10,
-			}})
-			pts[i] = PoolPoint{
-				PoolMB:     cfg.poolMB,
-				ChunkKB:    cfg.chunkKB,
-				MigrateSec: out.Report.Phase(metrics.PhaseMigrate).Seconds(),
-				TotalSec:   out.Report.Total().Seconds(),
-			}
+	return Map(len(cfgs), func(i int) PoolPoint {
+		cfg := cfgs[i]
+		out := RunMigration(MigrationSpec{Kernel: npb.LU, Scale: sc, Opts: core.Options{
+			BufferPoolBytes: cfg.poolMB << 20,
+			ChunkBytes:      cfg.chunkKB << 10,
+		}})
+		return PoolPoint{
+			PoolMB:     cfg.poolMB,
+			ChunkKB:    cfg.chunkKB,
+			MigrateSec: out.Report.Phase(metrics.PhaseMigrate).Seconds(),
+			TotalSec:   out.Report.Total().Seconds(),
 		}
-	}
-	RunParallel(tasks...)
-	return pts
+	})
 }
 
 // AblationRestartMode compares the paper's file-based restart with the two
@@ -244,36 +220,27 @@ func AblationRestartMode(sc Scale) []PhaseRow {
 		{core.RestartMemory, "memory-restart"},
 		{core.RestartPipelined, "pipelined-restart"},
 	}
-	rows := make([]PhaseRow, len(ks)*len(modes))
-	tasks := make([]func(), 0, len(rows))
-	for ki, k := range ks {
-		for mi, m := range modes {
-			i, k, m := ki*len(modes)+mi, k, m
-			tasks = append(tasks, func() {
-				out := RunMigration(MigrationSpec{Kernel: k, Scale: sc, Opts: core.Options{RestartMode: m.mode}})
-				rows[i] = phaseRow(fmt.Sprintf("%s %s", k, m.name), out.Report)
-			})
-		}
-	}
-	RunParallel(tasks...)
-	return rows
+	return Map(len(ks)*len(modes), func(i int) PhaseRow {
+		k, m := ks[i/len(modes)], modes[i%len(modes)]
+		out := RunMigration(MigrationSpec{Kernel: k, Scale: sc, Opts: core.Options{RestartMode: m.mode}})
+		return phaseRow(fmt.Sprintf("%s %s", k, m.name), out.Report)
+	})
 }
 
 // AblationTransport compares the RDMA pull design with the socket-staging
 // baseline the paper argues against (section III-B).
 func AblationTransport(sc Scale) []PhaseRow {
-	rows := make([]PhaseRow, 2)
-	RunParallel(
-		func() {
-			out := RunMigration(MigrationSpec{Kernel: npb.LU, Scale: sc, Opts: core.Options{Transport: core.TransportRDMA}})
-			rows[0] = phaseRow("RDMA pull", out.Report)
-		},
-		func() {
-			out := RunMigration(MigrationSpec{Kernel: npb.LU, Scale: sc, Opts: core.Options{Transport: core.TransportSocket}})
-			rows[1] = phaseRow("socket staging", out.Report)
-		},
-	)
-	return rows
+	arms := []struct {
+		transport core.Transport
+		name      string
+	}{
+		{core.TransportRDMA, "RDMA pull"},
+		{core.TransportSocket, "socket staging"},
+	}
+	return Map(len(arms), func(i int) PhaseRow {
+		out := RunMigration(MigrationSpec{Kernel: npb.LU, Scale: sc, Opts: core.Options{Transport: arms[i].transport}})
+		return phaseRow(arms[i].name, out.Report)
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -425,34 +392,27 @@ type AggRow struct {
 // (refs [15][16] in the paper), on both storage targets.
 func AblationAggregation(sc Scale) []AggRow {
 	targets := []cr.Target{cr.Ext3, cr.PVFS}
-	rows := make([]AggRow, 2*len(targets))
-	tasks := make([]func(), 0, len(rows))
-	for ti, target := range targets {
-		for ai, aggregate := range []bool{false, true} {
-			i, target, aggregate := ti*2+ai, target, aggregate
-			tasks = append(tasks, func() {
-				s := newSession(npb.LU, sc, sc.Ranks, sc.PPN, 1, 4, core.Options{})
-				var rep *metrics.Report
-				s.drive(func(p *sim.Proc) {
-					p.Sleep(s.triggerAt())
-					runner := cr.NewRunner(s.c, s.fw.W, target, false)
-					runner.Aggregate = aggregate
-					rep = runner.FullCycle(p)
-				})
-				label := fmt.Sprintf("CR(%s)", target)
-				if aggregate {
-					label += " aggregated"
-				}
-				rows[i] = AggRow{
-					Label:      label,
-					CkptSec:    rep.Phase(metrics.PhaseCkpt).Seconds(),
-					RestartSec: rep.Phase(metrics.PhaseRestart).Seconds(),
-				}
-			})
+	// Run 2t is target t without aggregation, run 2t+1 with it.
+	return Map(2*len(targets), func(i int) AggRow {
+		target, aggregate := targets[i/2], i%2 == 1
+		s := newSession(npb.LU, sc, sc.Ranks, sc.PPN, 1, 4, core.Options{})
+		var rep *metrics.Report
+		s.drive(func(p *sim.Proc) {
+			p.Sleep(s.triggerAt())
+			runner := cr.NewRunner(s.c, s.fw.W, target, false)
+			runner.Aggregate = aggregate
+			rep = runner.FullCycle(p)
+		})
+		label := fmt.Sprintf("CR(%s)", target)
+		if aggregate {
+			label += " aggregated"
 		}
-	}
-	RunParallel(tasks...)
-	return rows
+		return AggRow{
+			Label:      label,
+			CkptSec:    rep.Phase(metrics.PhaseCkpt).Seconds(),
+			RestartSec: rep.Phase(metrics.PhaseRestart).Seconds(),
+		}
+	})
 }
 
 // FormatAggregation renders the aggregation ablation.

@@ -4,7 +4,7 @@ package exp
 // against the SAME pre-sampled failure realization (fleet.BuildSchedule /
 // BuildWorkload key off the config seed, which the arms share), so the
 // economics differences are pure policy signal. Arms are slot-stable: each
-// runs on its own engine in its own slot of a RunParallel fan-out, and the
+// runs on its own engine in its own slot of a Map fan-out, and the
 // rollup is bit-identical at any parallelism.
 
 import (
@@ -80,20 +80,13 @@ type FleetCampaignResult struct {
 // across Parallelism() engines. Arm i writes only slot i, so the result is
 // independent of the fan-out.
 func RunFleetCampaign(base fleet.Config) *FleetCampaignResult {
-	res := &FleetCampaignResult{Arms: make([]FleetArmResult, len(fleetArms))}
-	tasks := make([]func(), len(fleetArms))
-	for i, arm := range fleetArms {
-		i, arm := i, arm
-		tasks[i] = func() {
-			cfg := base
-			cfg.Policy = arm.policy
-			cfg.AutoScale = arm.autoScale
-			e := sim.NewEngine(cfg.Seed)
-			res.Arms[i] = FleetArmResult{Name: arm.name, R: fleet.New(e, cfg).Run()}
-		}
-	}
-	RunParallel(tasks...)
-	return res
+	return &FleetCampaignResult{Arms: Map(len(fleetArms), func(i int) FleetArmResult {
+		arm, cfg := fleetArms[i], base
+		cfg.Policy = arm.policy
+		cfg.AutoScale = arm.autoScale
+		e := sim.NewEngine(cfg.Seed)
+		return FleetArmResult{Name: arm.name, R: fleet.New(e, cfg).Run()}
+	})}
 }
 
 // FormatFleet renders the campaign as the fleet-economics table of

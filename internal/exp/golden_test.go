@@ -74,7 +74,7 @@ func TestGoldenTraceUnchanged(t *testing.T) {
 }
 
 // TestGoldenTraceUnchangedUnderParallelism runs four copies of the golden
-// scenario concurrently through RunParallel and requires each to reproduce
+// scenario concurrently through Map and requires each to reproduce
 // the exact fingerprint. Concurrent engines share only the checksum cache;
 // any cross-engine leakage would show up as a trace divergence here
 // (especially under -race).
@@ -89,16 +89,10 @@ func TestGoldenTraceUnchangedUnderParallelism(t *testing.T) {
 		hash           uint64
 		totalNS, moved int64
 	}
-	got := make([]fp, n)
-	tasks := make([]func(), n)
-	for i := range tasks {
-		i := i
-		tasks[i] = func() {
-			r, h, tot, m := goldenRun()
-			got[i] = fp{r, h, tot, m}
-		}
-	}
-	RunParallel(tasks...)
+	got := Map(n, func(int) fp {
+		r, h, tot, m := goldenRun()
+		return fp{r, h, tot, m}
+	})
 	want := fp{goldenRecords, goldenHash, goldenTotalNS, goldenMoved}
 	for i, g := range got {
 		if g != want {
@@ -151,7 +145,7 @@ func TestDeterminismUnderParallelism(t *testing.T) {
 	}
 }
 
-// TestRunParallelSemantics pins the harness contract: order-stable slots,
+// TestRunParallelSemantics pins Map's contract: order-stable slots,
 // bounded concurrency, serial fallback, and first-panic propagation.
 func TestRunParallelSemantics(t *testing.T) {
 	old := Parallelism()
@@ -163,29 +157,31 @@ func TestRunParallelSemantics(t *testing.T) {
 		running, peak := 0, 0
 		released := false
 		barrier := make(chan struct{})
-		tasks := make([]func(), 9)
-		for i := range tasks {
-			tasks[i] = func() {
-				mu.Lock()
-				running++
-				if running > peak {
-					peak = running
-				}
-				release := running == 3 && !released
-				if release {
-					released = true
-				}
-				mu.Unlock()
-				if release {
-					close(barrier) // saturated once; let everyone proceed
-				}
-				<-barrier
-				mu.Lock()
-				running--
-				mu.Unlock()
+		got := Map(9, func(i int) int {
+			mu.Lock()
+			running++
+			if running > peak {
+				peak = running
+			}
+			release := running == 3 && !released
+			if release {
+				released = true
+			}
+			mu.Unlock()
+			if release {
+				close(barrier) // saturated once; let everyone proceed
+			}
+			<-barrier
+			mu.Lock()
+			running--
+			mu.Unlock()
+			return i * i
+		})
+		for i, v := range got {
+			if v != i*i {
+				t.Fatalf("slot %d holds %d, want run %d's result %d", i, v, i, i*i)
 			}
 		}
-		RunParallel(tasks...)
 		if peak > 3 {
 			t.Errorf("peak concurrency %d exceeds limit 3", peak)
 		}
@@ -197,11 +193,10 @@ func TestRunParallelSemantics(t *testing.T) {
 	t.Run("serial order", func(t *testing.T) {
 		SetParallelism(1)
 		var order []int
-		RunParallel(
-			func() { order = append(order, 0) },
-			func() { order = append(order, 1) },
-			func() { order = append(order, 2) },
-		)
+		Map(3, func(i int) struct{} {
+			order = append(order, i)
+			return struct{}{}
+		})
 		for i, v := range order {
 			if i != v {
 				t.Fatalf("serial execution out of order: %v", order)
@@ -213,13 +208,14 @@ func TestRunParallelSemantics(t *testing.T) {
 		SetParallelism(4)
 		defer func() {
 			if r := recover(); r == nil {
-				t.Error("expected RunParallel to re-panic")
+				t.Error("expected Map to re-panic")
 			}
 		}()
-		RunParallel(
-			func() {},
-			func() { panic("boom") },
-			func() {},
-		)
+		Map(3, func(i int) int {
+			if i == 1 {
+				panic("boom")
+			}
+			return i
+		})
 	})
 }

@@ -78,7 +78,7 @@ func TestGoldenTraceObsEnabled(t *testing.T) {
 }
 
 // TestObservedParallelMerge runs the observed golden scenario on four
-// concurrent engines (one collector per engine, the RunParallel contract).
+// concurrent engines (one collector per engine, the Map contract).
 // Nothing merges the collectors: each one must match a serial run's on RDMA
 // reads, spans and the RDMA read latency histogram.
 func TestObservedParallelMerge(t *testing.T) {
@@ -87,16 +87,10 @@ func TestObservedParallelMerge(t *testing.T) {
 	SetParallelism(4)
 
 	const n = 4
-	cols := make([]*obs.Collector, n)
-	tasks := make([]func(), n)
-	for i := range tasks {
-		i := i
-		tasks[i] = func() {
-			_, _, _, _, col := goldenRunWith(true)
-			cols[i] = col
-		}
-	}
-	RunParallel(tasks...)
+	cols := Map(n, func(int) *obs.Collector {
+		_, _, _, _, col := goldenRunWith(true)
+		return col
+	})
 
 	single := goldenObservedCollector(t)
 	if single.Counter("ib.rdma_reads") == 0 || single.Histogram("ib.rdma_read_us").Count() == 0 {
@@ -141,11 +135,7 @@ func TestRecorderPerEngineUnderParallelism(t *testing.T) {
 		})
 		return rec
 	}
-	recs := make([]*sim.Recorder, 2)
-	RunParallel(
-		func() { recs[0] = run() },
-		func() { recs[1] = run() },
-	)
+	recs := Map(2, func(int) *sim.Recorder { return run() })
 	if len(recs[0].Records) == 0 {
 		t.Fatal("recorder captured nothing")
 	}

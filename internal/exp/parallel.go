@@ -11,9 +11,9 @@ import (
 // is strictly single-threaded: all simulated concurrency is virtual, and a
 // run's event trace and timings are a pure function of its configuration and
 // seed. That makes independent experiment runs embarrassingly parallel — the
-// one-engine-per-goroutine rule. RunParallel fans tasks across real CPUs and
-// is guaranteed, by construction, to produce bit-identical results to running
-// the same tasks serially: tasks share no mutable state except the payload
+// one-engine-per-goroutine rule. Map fans runs across real CPUs and is
+// guaranteed, by construction, to produce bit-identical results to running
+// the same runs serially: runs share no mutable state except the payload
 // checksum cache, which memoizes pure functions and so affects wall time
 // only. TestDeterminismUnderParallelism and TestGoldenTraceUnchanged enforce
 // this.
@@ -35,25 +35,22 @@ func SetParallelism(n int) {
 // Parallelism returns the current engine-concurrency limit.
 func Parallelism() int { return parallelism }
 
-// RunParallel executes all tasks, at most Parallelism() at a time, and
-// returns when every task has finished. With parallelism 1 the tasks run
-// serially in order on the calling goroutine. Each task typically builds,
-// drives and tears down one engine, writing its result to a slot the caller
-// indexed in advance — never to shared slices via append, so task completion
-// order cannot reorder results.
+// Map runs run(0)..run(n-1), at most Parallelism() at a time, and returns
+// their results with run(i)'s in slot i, so the result is the same whatever
+// order the runs finish in. With parallelism 1 the runs happen serially in
+// order on the calling goroutine. Each run typically builds, drives and tears
+// down one engine.
 //
-// If a task panics (experiments panic on simulation failure), RunParallel
-// waits for the remaining tasks and re-panics with the first panic value.
-func RunParallel(tasks ...func()) {
-	n := parallelism
-	if n > len(tasks) {
-		n = len(tasks)
-	}
-	if n <= 1 {
-		for _, t := range tasks {
-			t()
+// If a run panics (experiments panic on simulation failure), Map waits for
+// the remaining runs and re-panics with the first panic value.
+func Map[T any](n int, run func(i int) T) []T {
+	out := make([]T, n)
+	workers := min(parallelism, n)
+	if workers <= 1 {
+		for i := range out {
+			out[i] = run(i)
 		}
-		return
+		return out
 	}
 	var (
 		wg         sync.WaitGroup
@@ -61,9 +58,8 @@ func RunParallel(tasks ...func()) {
 		firstPanic any
 		panicked   bool
 	)
-	sem := make(chan struct{}, n)
-	for _, t := range tasks {
-		t := t
+	sem := make(chan struct{}, workers)
+	for i := range out {
 		wg.Add(1)
 		sem <- struct{}{}
 		go func() {
@@ -78,11 +74,12 @@ func RunParallel(tasks ...func()) {
 				<-sem
 				wg.Done()
 			}()
-			t()
+			out[i] = run(i)
 		}()
 	}
 	wg.Wait()
 	if panicked {
 		panic(firstPanic)
 	}
+	return out
 }

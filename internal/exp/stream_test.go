@@ -94,49 +94,43 @@ func TestSinkAttachDetachRace(t *testing.T) {
 		hash           uint64
 		totalNS, moved int64
 	}
-	got := make([]fp, n)
-	tasks := make([]func(), n)
-	for i := range tasks {
-		i := i
-		tasks[i] = func() {
-			sc := goldenScale
-			s := newSession(npb.LU, sc, sc.Ranks, sc.PPN, 1, 0, core.Options{})
-			rec := &sim.Recorder{}
-			s.e.SetTracer(rec)
-			col := obs.Enable(s.e)
+	got := Map(n, func(int) fp {
+		sc := goldenScale
+		s := newSession(npb.LU, sc, sc.Ranks, sc.PPN, 1, 0, core.Options{})
+		rec := &sim.Recorder{}
+		s.e.SetTracer(rec)
+		col := obs.Enable(s.e)
 
-			stop := make(chan struct{})
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() { // churn subscribers for the whole run
-				defer wg.Done()
-				buf := make([]obs.Event, 0, 64)
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					sub := col.Subscribe(64)
-					buf = sub.Drain(buf[:0])
-					col.Unsubscribe(sub)
-					sub.Drain(buf[:0])
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() { // churn subscribers for the whole run
+			defer wg.Done()
+			buf := make([]obs.Event, 0, 64)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
 				}
-			}()
+				sub := col.Subscribe(64)
+				buf = sub.Drain(buf[:0])
+				col.Unsubscribe(sub)
+				sub.Drain(buf[:0])
+			}
+		}()
 
-			s.drive(func(p *sim.Proc) {
-				p.Sleep(s.triggerAt())
-				s.fw.TriggerMigration(p, s.midNode()).Wait(p)
-			})
-			col.Finish(s.e.Now())
-			close(stop)
-			wg.Wait()
+		s.drive(func(p *sim.Proc) {
+			p.Sleep(s.triggerAt())
+			s.fw.TriggerMigration(p, s.midNode()).Wait(p)
+		})
+		col.Finish(s.e.Now())
+		close(stop)
+		wg.Wait()
 
-			rep := s.fw.Reports[len(s.fw.Reports)-1]
-			got[i] = fp{len(rec.Records), rec.Fingerprint(), int64(rep.Total()), rep.BytesMoved}
-		}
-	}
-	RunParallel(tasks...)
+		rep := s.fw.Reports[len(s.fw.Reports)-1]
+		return fp{len(rec.Records), rec.Fingerprint(), int64(rep.Total()), rep.BytesMoved}
+	})
 	want := fp{goldenRecords, goldenHash, goldenTotalNS, goldenMoved}
 	for i, g := range got {
 		if g != want {

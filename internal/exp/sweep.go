@@ -39,7 +39,7 @@ var DefaultSweepRanks = []int{64, 128, 256, 512, 1024, 2048}
 var QuickSweepRanks = []int{16, 32, 64, 128}
 
 // ScaleSweep runs one migration at each rank count (LU, class/PPN/seed from
-// sc), fanning the runs across RunParallel. A nil ranks slice selects
+// sc), fanning the runs across Map. A nil ranks slice selects
 // DefaultSweepRanks. Results are index-stable: points come back in ranks
 // order regardless of completion order, and every simulated number is
 // bit-identical to a serial run.
@@ -47,29 +47,25 @@ func ScaleSweep(sc Scale, ranks []int) []SweepPoint {
 	if ranks == nil {
 		ranks = DefaultSweepRanks
 	}
-	pts := make([]SweepPoint, len(ranks))
-	tasks := make([]func(), len(ranks))
-	for i, r := range ranks {
-		i, r := i, r
+	for _, r := range ranks {
 		if r%sc.PPN != 0 {
 			panic(fmt.Sprintf("exp: sweep ranks %d not divisible by ppn %d", r, sc.PPN))
 		}
-		tasks[i] = func() {
-			s := Scale{Class: sc.Class, Ranks: r, PPN: sc.PPN, Seed: sc.Seed}
-			start := time.Now()
-			out := RunMigration(MigrationSpec{Kernel: npb.LU, Scale: s})
-			pts[i] = SweepPoint{
-				Ranks:  r,
-				Nodes:  r / sc.PPN,
-				PPN:    sc.PPN,
-				Row:    phaseRow(fmt.Sprintf("LU.%c.%d", sc.Class, r), out.Report),
-				Events: out.Events,
-				WallMS: float64(time.Since(start).Milliseconds()),
-			}
-		}
 	}
-	RunParallel(tasks...)
-	return pts
+	return Map(len(ranks), func(i int) SweepPoint {
+		r := ranks[i]
+		s := Scale{Class: sc.Class, Ranks: r, PPN: sc.PPN, Seed: sc.Seed}
+		start := time.Now()
+		out := RunMigration(MigrationSpec{Kernel: npb.LU, Scale: s})
+		return SweepPoint{
+			Ranks:  r,
+			Nodes:  r / sc.PPN,
+			PPN:    sc.PPN,
+			Row:    phaseRow(fmt.Sprintf("LU.%c.%d", sc.Class, r), out.Report),
+			Events: out.Events,
+			WallMS: float64(time.Since(start).Milliseconds()),
+		}
+	})
 }
 
 // FormatSweep renders the sweep as a text table, with per-point simulator

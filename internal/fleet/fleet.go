@@ -390,11 +390,9 @@ func (s *System) SpareTarget() int { return s.spareTarget }
 func (s *System) Run() *Result {
 	horizon := sim.Time(s.Cfg.Horizon)
 	for _, js := range s.work {
-		js := js
 		s.E.At(js.Submit, func() { s.submit(js) })
 	}
 	for _, fe := range s.sched.Fails {
-		fe := fe
 		s.E.At(fe.At, func() { s.onFail(fe) })
 		if fe.Predicted {
 			warn := fe.At - sim.Time(warnLead)
@@ -406,7 +404,6 @@ func (s *System) Run() *Result {
 		}
 	}
 	for _, al := range s.sched.Alarms {
-		al := al
 		s.E.At(al.At, func() { s.onAlarm(al) })
 	}
 	if s.Cfg.AutoScale {

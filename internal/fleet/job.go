@@ -115,9 +115,9 @@ func (s *System) bank(t sim.Time, job *Job) {
 	}
 	tau, delta := int64(ckptInterval), int64(ckptCost)
 	k, o := s.cycleSplit(int64(t - job.SegStart))
-	useful := k*tau + min64(o, tau)
+	useful := k*tau + min(o, tau)
 	job.UsefulNS += useful
-	job.CkptNS += k*delta + max64(0, o-tau)
+	job.CkptNS += k*delta + max(0, o-tau)
 	job.Done += sim.Duration(useful)
 	job.epoch++
 }
@@ -230,8 +230,8 @@ func (s *System) jobInterrupt(t sim.Time, job *Job) {
 		tau, delta := int64(ckptInterval), int64(ckptCost)
 		k, o := s.cycleSplit(int64(t - job.SegStart))
 		job.UsefulNS += k * tau
-		job.CkptNS += k*delta + max64(0, o-tau)
-		job.ReworkNS += min64(o, tau)
+		job.CkptNS += k*delta + max(0, o-tau)
+		job.ReworkNS += min(o, tau)
 		job.Done += sim.Duration(k * tau)
 		job.epoch++
 	case JobPaused:
@@ -248,18 +248,4 @@ func (s *System) jobInterrupt(t sim.Time, job *Job) {
 		job.suspendStart = t
 		s.waiting = append(s.waiting, job)
 	}
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -192,7 +192,6 @@ func (w *World) Start(app func(r *Rank)) {
 		}))
 		w.ready.Fire()
 		for _, r := range w.ranks {
-			r := r
 			w.E.Spawn(r.procName, func(rp *sim.Proc) {
 				r.p = rp
 				app(r)

@@ -16,7 +16,7 @@
 //	if c := obs.Get(e); c != nil { ... }   // or just call the nil-safe method
 //
 // A Collector, like a sim.Recorder, is engine-local state and is not
-// goroutine-safe: under exp.RunParallel each engine must own its own
+// goroutine-safe: under exp.Map each engine must own its own
 // Collector. The two exceptions are Subscribe/Unsubscribe and draining the
 // returned Subscriber (see sink.go), which are safe from any goroutine —
 // that is how a live telemetry consumer rides along a running engine.

@@ -14,7 +14,7 @@ import "sync"
 // are cached, so the cache holds image-scale entries, not chatter.
 //
 // The cache is sharded and mutex-guarded: experiment engines are
-// single-threaded, but the parallel sweep runner (internal/exp.RunParallel)
+// single-threaded, but the parallel sweep runner (internal/exp.Map)
 // runs many engines at once and they all share this cache. Caching affects
 // wall time only, never results, so cross-engine sharing cannot break
 // determinism — which is also why the partial eviction below may rely on

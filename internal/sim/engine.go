@@ -201,7 +201,7 @@ func (h eventHeap) init() {
 // add processes with Spawn, and execute with Run. An Engine must not be used
 // from multiple OS threads concurrently; all concurrency is virtual. Distinct
 // Engines are fully independent and may run concurrently (one engine per
-// goroutine — see internal/exp.RunParallel).
+// goroutine — see internal/exp.Map).
 type Engine struct {
 	now    Time
 	seq    uint64
@@ -282,7 +282,7 @@ func (e *Engine) Trace(kind, who, detail string) {
 
 // SetObsData attaches opaque observability state to the engine (see
 // internal/obs.Enable). Like the engine itself it is engine-local: one
-// collector per engine under exp.RunParallel.
+// collector per engine under exp.Map.
 func (e *Engine) SetObsData(v any) { e.obsData = v }
 
 // ObsData returns the state attached with SetObsData, or nil.

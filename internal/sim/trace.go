@@ -33,7 +33,7 @@ func (r Record) String() string {
 //
 // Like every Tracer (and like internal/obs collectors), a Recorder is
 // engine-local state and is not goroutine-safe: engines running concurrently
-// under exp.RunParallel must each own their own Recorder. Sharing one
+// under exp.Map must each own their own Recorder. Sharing one
 // Recorder across engines is a data race (the race detector catches it; see
 // TestRecorderPerEngineUnderParallelism in internal/exp).
 type Recorder struct {

@@ -1,16 +1,11 @@
 package strategy
 
-import (
-	"fmt"
-	"time"
+import "fmt"
 
-	"ibmig/internal/sim"
-)
-
-// defaultReactiveInterval is the periodic checkpoint cadence for policies
-// that rely on reactive restart (ReactiveCR, Adaptive) when none is
-// configured.
-const defaultReactiveInterval = sim.Duration(30 * time.Second)
+// warnReplicaThreshold is the repeat-warning count at which Adaptive stages
+// a replica: above the predictor's own threshold, so a warning burst that
+// becomes a prediction migrates instead.
+const warnReplicaThreshold = 3
 
 // attemptFailed is the shared decision tree for an aborted migration
 // attempt — the hardened form of the Job Manager's historical recovery
@@ -42,8 +37,8 @@ func attemptFailed(v View) []Decision {
 // when a failure arrives unpredicted.
 type ProactiveMigrate struct{}
 
-// CheckpointInterval implements Strategy (no periodic checkpoints).
-func (ProactiveMigrate) CheckpointInterval() sim.Duration { return 0 }
+// Checkpoints implements Strategy (no periodic checkpoints).
+func (ProactiveMigrate) Checkpoints() bool { return false }
 
 // Decide implements Strategy.
 func (ProactiveMigrate) Decide(v View, ev Event) []Decision {
@@ -65,21 +60,13 @@ func (ProactiveMigrate) Decide(v View, ev Event) []Decision {
 // predictions, checkpoint the whole job periodically, and restart from the
 // last checkpoint when a node actually dies. It pays steady checkpoint
 // overhead plus rework on every failure — but it needs no warning at all.
-type ReactiveCR struct {
-	// Interval overrides the periodic checkpoint cadence (default 30 s).
-	Interval sim.Duration
-}
+type ReactiveCR struct{}
 
-// CheckpointInterval implements Strategy.
-func (s ReactiveCR) CheckpointInterval() sim.Duration {
-	if s.Interval > 0 {
-		return s.Interval
-	}
-	return defaultReactiveInterval
-}
+// Checkpoints implements Strategy.
+func (ReactiveCR) Checkpoints() bool { return true }
 
 // Decide implements Strategy.
-func (s ReactiveCR) Decide(v View, ev Event) []Decision {
+func (ReactiveCR) Decide(v View, ev Event) []Decision {
 	switch ev.Kind {
 	case EvTick:
 		return []Decision{{Kind: Checkpoint}}
@@ -106,8 +93,8 @@ func (s ReactiveCR) Decide(v View, ev Event) []Decision {
 // replica.
 type Replicate struct{}
 
-// CheckpointInterval implements Strategy (replicas, not checkpoints).
-func (Replicate) CheckpointInterval() sim.Duration { return 0 }
+// Checkpoints implements Strategy (replicas, not checkpoints).
+func (Replicate) Checkpoints() bool { return false }
 
 // Decide implements Strategy.
 func (Replicate) Decide(v View, ev Event) []Decision {
@@ -133,34 +120,18 @@ func (Replicate) Decide(v View, ev Event) []Decision {
 // Adaptive hedges: migrate on predictions (the cheap save), keep periodic
 // checkpoints as the backstop for unpredicted deaths, and stage a replica
 // for a node that keeps warning without ever crossing into a prediction.
-type Adaptive struct {
-	// Interval overrides the backstop checkpoint cadence (default 30 s).
-	Interval sim.Duration
-	// WarnReplicaThreshold is the repeat-warning count that triggers
-	// replication (default 3, above the predictor's own threshold so a
-	// warning burst that becomes a prediction migrates instead).
-	WarnReplicaThreshold int
-}
+type Adaptive struct{}
 
-// CheckpointInterval implements Strategy.
-func (s Adaptive) CheckpointInterval() sim.Duration {
-	if s.Interval > 0 {
-		return s.Interval
-	}
-	return defaultReactiveInterval
-}
+// Checkpoints implements Strategy.
+func (Adaptive) Checkpoints() bool { return true }
 
 // Decide implements Strategy.
-func (s Adaptive) Decide(v View, ev Event) []Decision {
-	threshold := s.WarnReplicaThreshold
-	if threshold <= 0 {
-		threshold = 3
-	}
+func (Adaptive) Decide(v View, ev Event) []Decision {
 	switch ev.Kind {
 	case EvPredicted:
 		return []Decision{{Kind: Migrate, Node: ev.Node}}
 	case EvWarn:
-		if v.WarnCount(ev.Node) >= threshold && v.HostsRanks(ev.Node) && !v.HasReplica(ev.Node) {
+		if v.WarnCount(ev.Node) >= warnReplicaThreshold && v.HostsRanks(ev.Node) && !v.HasReplica(ev.Node) {
 			return []Decision{{Kind: StageReplica, Node: ev.Node}}
 		}
 	case EvTick:
@@ -184,7 +155,7 @@ func Names() []string {
 	return []string{"proactive", "reactive-cr", "replicate", "adaptive"}
 }
 
-// ByName returns the named strategy with default tuning.
+// ByName returns the named strategy.
 func ByName(name string) (Strategy, error) {
 	switch name {
 	case "", "proactive":

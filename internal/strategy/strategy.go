@@ -10,8 +10,6 @@
 // against each other under identical fault schedules (exp.RunCampaign).
 package strategy
 
-import "ibmig/internal/sim"
-
 // EventKind classifies what happened.
 type EventKind int
 
@@ -149,7 +147,7 @@ type View interface {
 type Strategy interface {
 	// Decide maps one event to the actions to take, in preference order.
 	Decide(v View, ev Event) []Decision
-	// CheckpointInterval returns the periodic full-job checkpoint cadence
-	// this policy wants, or 0 for none.
-	CheckpointInterval() sim.Duration
+	// Checkpoints reports whether this policy takes periodic full-job
+	// checkpoints; the Job Manager's options set their cadence.
+	Checkpoints() bool
 }

@@ -88,11 +88,8 @@ func TestReactiveIgnoresPredictionsAndSpares(t *testing.T) {
 	if ds := s.Decide(fakeView{}, Event{Kind: EvTick}); len(ds) != 1 || ds[0].Kind != Checkpoint {
 		t.Fatalf("reactive tick must checkpoint, got %v", kinds(ds))
 	}
-	if s.CheckpointInterval() <= 0 {
-		t.Fatal("reactive needs a periodic checkpoint interval")
-	}
-	if got := (ReactiveCR{Interval: time.Second}).CheckpointInterval(); got != time.Second {
-		t.Fatalf("interval override ignored: %v", got)
+	if !s.Checkpoints() {
+		t.Fatal("reactive needs periodic checkpoints")
 	}
 }
 
