@@ -1,10 +1,12 @@
 // Package check is the deterministic simulation-testing (DST) harness, in
 // the FoundationDB style: a registry of protocol invariants (invariants.go),
 // a seeded generator of random fault × workload × timing scenarios
-// (scenario.go), a driver that executes one scenario and evaluates every
+// (scenario.go) written and read as one-line specs through a field table
+// (spec.go), a driver that executes one scenario and evaluates every
 // invariant against the run (run.go), a shrinker that minimizes a failing
-// scenario to the smallest reproducing spec (shrink.go), and a parallel
-// N-scenario sweep (sweep.go) behind cmd/protocheck.
+// scenario to the smallest reproducing spec (shrink.go), and one parallel
+// sweep, replay and report path for migration and fleet specs alike
+// (sweep.go) behind cmd/protocheck.
 //
 // Everything is a pure function of the scenario: the same Scenario always
 // produces the same trace, the same violations, and the same shrink result,
