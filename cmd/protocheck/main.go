@@ -60,6 +60,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "protocheck:", err)
 		os.Exit(2)
 	}
+	given := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { given[f.Name] = true })
+	if err := flagConflict(given); err != nil {
+		fmt.Fprintln(os.Stderr, "protocheck:", err)
+		os.Exit(2)
+	}
 
 	if *invs {
 		for _, inv := range check.Registry() {
@@ -84,9 +90,7 @@ func main() {
 		return
 	}
 
-	// A fleet sweep runs even with -spec set; a replayed spec names its
-	// own kind and strategy.
-	if *spec != "" && *fleetN == 0 {
+	if *spec != "" {
 		var k kind = check.Migration("")
 		if check.IsFleetSpec(*spec) {
 			k = check.Fleet
@@ -106,6 +110,30 @@ func main() {
 	}
 	sum, failed := k.Sweep(os.Stdout, count, *seed, *shrink, progress(k.Label(), count, *verbose))
 	finish(*jsonOut, sum, failed)
+}
+
+// ignores lists, for each flag that selects a run, the flags that run would
+// ignore: a replayed spec names its own kind and strategy, and the fleet
+// and partitioned sweeps run no migration strategy and no spec.
+var ignores = []struct{ mode, ignored string }{
+	{"spec", "strategy"},
+	{"fleet", "strategy"},
+	{"fleet", "spec"},
+	{"partitions", "strategy"},
+	{"partitions", "spec"},
+	{"workers", "strategy"},
+	{"workers", "spec"},
+}
+
+// flagConflict rejects a command line that gives a flag its run would
+// silently ignore. given holds the names of the flags on the command line.
+func flagConflict(given map[string]bool) error {
+	for _, c := range ignores {
+		if given[c.mode] && given[c.ignored] {
+			return fmt.Errorf("-%s cannot be combined with -%s: the -%s run ignores it", c.ignored, c.mode, c.mode)
+		}
+	}
+	return nil
 }
 
 // kind is a check spec kind: check.Migration or check.Fleet.

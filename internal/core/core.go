@@ -127,7 +127,8 @@ func (o Options) withDefaults() Options {
 // material for MTTR and goodput accounting (exp.RunCampaign). Start..End
 // spans the action (for a migration, trigger to Phase 4 exit); Rework is the
 // recomputation debt a checkpoint- or replica-based restore incurred (time
-// since the restored image was taken); Ok is false when the job was lost.
+// since the restored image was taken, measured when the restore completes);
+// Ok is false when the job was lost.
 type RecoveryRecord struct {
 	Kind   string // "migrate", "resume-in-place", "cr-fallback", "reactive-cr", "replica", "abandon"
 	Node   string
@@ -269,6 +270,17 @@ func (fw *Framework) recordAttempt(m *migrationState, completed bool) {
 		rec.Flight = fw.obsC().Flight().Strings(8)
 	}
 	fw.Attempts = append(fw.Attempts, rec)
+}
+
+// liveAttempt returns the current migration attempt if seq names it and it
+// has not been torn down, else nil: the test every protocol event handler
+// applies before acting. Sequence numbers start at 1, so the zero seq of a
+// mistyped payload never matches.
+func (fw *Framework) liveAttempt(seq int) *migrationState {
+	if m := fw.current; m != nil && m.seq == seq && !m.aborted {
+		return m
+	}
+	return nil
 }
 
 // LastVerified reports whether the most recent migration cycle's restored

@@ -293,9 +293,6 @@ func (jm *JobManager) applyPolicyDecisions(p *sim.Proc, node string, ds []strate
 		case strategy.StageReplica:
 			jm.stageReplica(p, target)
 			return
-		case strategy.Checkpoint:
-			// Served by the periodic policy loop; nothing to do here.
-			return
 		}
 	}
 }
@@ -398,26 +395,7 @@ func (jm *JobManager) startMigration(p *sim.Proc, src string) {
 		jm.fireCompletions()
 		return
 	}
-	fw.migrationSeq++
-	m := &migrationState{
-		seq:        fw.migrationSeq,
-		src:        src,
-		dst:        dst,
-		ranks:      ranks,
-		suspended:  sim.NewEvent(fw.C.E),
-		qpReady:    sim.NewEvent(fw.C.E),
-		restarted:  sim.NewEvent(fw.C.E),
-		finished:   sim.NewEvent(fw.C.E),
-		imageSums:  make(map[int]uint64),
-		restoredOK: true,
-		report:     metrics.NewReport(fmt.Sprintf("migration#%d %s->%s", fw.migrationSeq, src, dst)),
-		phase:      1,
-		excluded:   make(map[string]bool),
-		startedAt:  p.Now(),
-
-		poolOutstanding: -1,
-	}
-	m.watch = metrics.NewStopwatch(m.report, p.Now())
+	m := jm.newAttempt(p.Now(), src, dst, ranks, nil)
 	fw.current = m
 	if c := fw.obsC(); c != nil {
 		m.span = c.StartSpan(p.Now(), fmt.Sprintf("migration#%d %s->%s", m.seq, src, dst), "jm", 0)
@@ -450,9 +428,9 @@ func (jm *JobManager) startMigration(p *sim.Proc, src string) {
 // onPIIC handles the end of Phase 2: adjust the mpispawn tree for the
 // topology change and broadcast FTB_RESTART with the migrated rank list.
 func (jm *JobManager) onPIIC(p *sim.Proc, ev ftb.Event) {
-	m := jm.fw.current
-	seq, isInt := ev.Payload.(int)
-	if m == nil || !isInt || seq != m.seq || m.aborted {
+	seq, _ := ev.Payload.(int)
+	m := jm.fw.liveAttempt(seq)
+	if m == nil {
 		return
 	}
 	m.watch.Lap(metrics.PhaseMigrate, p.Now())
@@ -481,9 +459,9 @@ func (jm *JobManager) publishRestart(p *sim.Proc, m *migrationState) {
 
 // onRestartDone handles the end of Phase 3 and runs Phase 4 (Resume).
 func (jm *JobManager) onRestartDone(p *sim.Proc, ev ftb.Event) {
-	m := jm.fw.current
-	seq, isInt := ev.Payload.(int)
-	if m == nil || !isInt || seq != m.seq || m.aborted {
+	seq, _ := ev.Payload.(int)
+	m := jm.fw.liveAttempt(seq)
+	if m == nil {
 		return
 	}
 	m.watch.Lap(metrics.PhaseRestart, p.Now())
@@ -496,16 +474,7 @@ func (jm *JobManager) onRestartDone(p *sim.Proc, ev ftb.Event) {
 		jm.recover(p, m, "target lost before resume")
 		return
 	}
-	// Phase 4 — Resume: all ranks re-establish endpoints and leave the
-	// migration barrier.
-	m.sus.Resume()
-	m.sus.WaitAllResumed(p)
-	m.watch.Lap(metrics.PhaseResume, p.Now())
-	m.endAttempt(jm.fw.obsC(), p.Now())
-
-	jm.fw.lastVerified = m.restoredOK
-	p.Trace("core.jm", fmt.Sprintf("migration #%d complete: %s", m.seq, m.report))
-	jm.finishCycle(p, m, true)
+	jm.finishCycle(p, m, "migrate", m.restoredOK, 0)
 }
 
 // onNodeDown handles a cluster-monitor NODE_DOWN event. A death hitting the
@@ -563,7 +532,8 @@ func (jm *JobManager) drainDeferredDead(p *sim.Proc) {
 // reactTo recovers from the death of a rank-hosting node outside any
 // migration: suspend the survivors, apply the strategy's decisions in
 // preference order (replica restore, then checkpoint restart, as offered),
-// and resume. When nothing works the job is lost and stays frozen.
+// and resume the job with the first that works. When nothing works the job
+// is lost and stays frozen.
 func (jm *JobManager) reactTo(p *sim.Proc, node string) {
 	fw := jm.fw
 	ds := fw.opts.Strategy.Decide(jm.view(nil), strategy.Event{Kind: strategy.EvNodeDown, Node: node})
@@ -586,57 +556,55 @@ func (jm *JobManager) reactTo(p *sim.Proc, node string) {
 	sus.CompleteTeardown()
 	sus.WaitAllSuspended(p)
 	for _, d := range ds {
+		var kind string
+		var rework sim.Duration
+		ok := false
 		switch d.Kind {
 		case strategy.RestoreReplica:
-			if rework, ok := jm.tryRestoreReplica(p, node); ok {
-				jm.finishRecovery(p, sus, c, span, "replica", node, start, rework)
-				return
-			}
+			kind = "replica"
+			rework, ok = jm.tryRestoreReplica(p, node)
 		case strategy.RestartCR:
-			if rework, ok := jm.tryReactiveRestart(p); ok {
-				jm.finishRecovery(p, sus, c, span, "reactive-cr", node, start, rework)
-				return
-			}
-		case strategy.Abandon:
-			jm.loseJob(p, c, span, node, start, "strategy abandoned after the death of "+node)
-			return
+			kind = "reactive-cr"
+			rework, ok = jm.tryReactiveRestart(p)
 		}
+		if !ok {
+			continue
+		}
+		// Every node hosting ranks again is an active primary.
+		jm.promoteHosts()
+		sus.Resume()
+		sus.WaitAllResumed(p)
+		if c != nil {
+			c.SpanAttr(span, "kind", kind)
+			c.EndSpan(p.Now(), span)
+		}
+		p.Trace("core.jm", fmt.Sprintf("recovered from death of %s via %s (rework %v)", node, kind, rework))
+		fw.Recoveries = append(fw.Recoveries, RecoveryRecord{
+			Kind: kind, Node: node, Start: start, End: p.Now(), Rework: rework, Ok: true,
+		})
+		jm.drainDeferredDead(p)
+		jm.drainPending(p)
+		return
 	}
-	jm.loseJob(p, c, span, node, start, "no recovery path for the death of "+node)
-}
-
-// finishRecovery promotes the hosting nodes, resumes the job and records the
-// action.
-func (jm *JobManager) finishRecovery(p *sim.Proc, sus *mpi.Suspension, c *obs.Collector, span obs.SpanID, kind, node string, start sim.Time, rework sim.Duration) {
-	jm.promoteHosts()
-	sus.Resume()
-	sus.WaitAllResumed(p)
-	end := p.Now()
-	if c != nil {
-		c.SpanAttr(span, "kind", kind)
-		c.EndSpan(end, span)
-	}
-	p.Trace("core.jm", fmt.Sprintf("recovered from death of %s via %s (rework %v)", node, kind, rework))
-	jm.fw.Recoveries = append(jm.fw.Recoveries, RecoveryRecord{
-		Kind: kind, Node: node, Start: start, End: end, Rework: rework, Ok: true,
-	})
-	jm.drainDeferredDead(p)
-	jm.drainPending(p)
-}
-
-// loseJob abandons the job outside any migration: the suspension stays
-// frozen (there is nothing consistent to resume into) and every outstanding
-// trigger completion fires so waiters are not stranded.
-func (jm *JobManager) loseJob(p *sim.Proc, c *obs.Collector, span obs.SpanID, node string, start sim.Time, reason string) {
-	jm.JobLost = true
-	end := p.Now()
+	// Nothing worked: the suspension stays frozen, as there is nothing
+	// consistent to resume into.
+	reason := "no recovery path for the death of " + node
 	if c != nil {
 		c.SpanAttr(span, "job_lost", reason)
-		c.EndSpan(end, span)
+		c.EndSpan(p.Now(), span)
 	}
 	p.Trace("core.jm", "job lost — "+reason)
+	jm.loseJob(p, node, start)
+}
+
+// loseJob records that the job is lost — recovery from the failure of node,
+// begun at start, is impossible — and fires every outstanding trigger
+// completion so waiters are not stranded. Queued triggers and deaths are
+// dropped: the job stays frozen, and nothing can serve them.
+func (jm *JobManager) loseJob(p *sim.Proc, node string, start sim.Time) {
+	jm.JobLost = true
 	jm.fw.Recoveries = append(jm.fw.Recoveries, RecoveryRecord{
-		Kind: "abandon", Node: node, Start: start, End: end, Ok: false,
+		Kind: "abandon", Node: node, Start: start, End: p.Now(), Ok: false,
 	})
 	for len(jm.completionWaiters) > 0 {
 		jm.fireCompletions()
@@ -762,9 +730,9 @@ func (jm *JobManager) promoteHosts() {
 
 // onMigrateFailed handles an NLA's error report for the current attempt.
 func (jm *JobManager) onMigrateFailed(p *sim.Proc, ev ftb.Event) {
-	pl, isPl := ev.Payload.(FailurePayload)
-	m := jm.fw.current
-	if !isPl || m == nil || pl.Seq != m.seq || m.aborted {
+	pl, _ := ev.Payload.(FailurePayload)
+	m := jm.fw.liveAttempt(pl.Seq)
+	if m == nil {
 		return
 	}
 	if pl.Node != "" {
@@ -776,9 +744,9 @@ func (jm *JobManager) onMigrateFailed(p *sim.Proc, ev ftb.Event) {
 
 // onTimeout handles a watchdog's phase-deadline report.
 func (jm *JobManager) onTimeout(p *sim.Proc, ev ftb.Event) {
-	pl, isPl := ev.Payload.(timeoutPayload)
-	m := jm.fw.current
-	if !isPl || m == nil || pl.Seq != m.seq || m.aborted || m.phase != pl.Phase {
+	pl, _ := ev.Payload.(timeoutPayload)
+	m := jm.fw.liveAttempt(pl.Seq)
+	if m == nil || m.phase != pl.Phase {
 		return
 	}
 	jm.recover(p, m, fmt.Sprintf("phase %d deadline exceeded", pl.Phase))
@@ -822,8 +790,8 @@ func (jm *JobManager) watchAttempt(m *migrationState) {
 //  3. Consult the strategy (EvAttemptFailed) and apply its decisions in
 //     preference order, falling through when one is infeasible: retry onto
 //     the next usable spare (bounded by strategy.MaxSpareRetries, paced
-//     by strategy.RetryDelay), resume in place, restore from the last
-//     checkpoint, or abandon. Under the default ProactiveMigrate strategy this reproduces
+//     by strategy.RetryDelay), resume in place, or restore from the last
+//     checkpoint. Under the default ProactiveMigrate strategy this reproduces
 //     the historical tree exactly: spare retry while the source is healthy,
 //     resume in place when spares run out, CR fallback when the source is
 //     gone.
@@ -856,13 +824,7 @@ func (jm *JobManager) recover(p *sim.Proc, m *migrationState, reason string) {
 			nla.setState(StateInactive)
 		}
 	}
-	ds := fw.opts.Strategy.Decide(jm.view(m), strategy.Event{
-		Kind:   strategy.EvAttemptFailed,
-		Node:   m.failedNode,
-		Seq:    m.seq,
-		Phase:  m.phase,
-		Reason: reason,
-	})
+	ds := fw.opts.Strategy.Decide(jm.view(m), strategy.Event{Kind: strategy.EvAttemptFailed, Node: m.failedNode})
 	for _, d := range ds {
 		switch d.Kind {
 		case strategy.RetrySpare:
@@ -887,13 +849,13 @@ func (jm *JobManager) recover(p *sim.Proc, m *migrationState, reason string) {
 			} else {
 				p.Trace("core.jm", fmt.Sprintf("migration #%d: resuming in place", m.seq))
 			}
-			jm.resumeInPlace(p, m)
+			m.watch.Lap("Aborted", p.Now())
+			m.beginPhase(fw.obsC(), p.Now(), "resume-in-place")
+			// The processes never moved; the original images are intact.
+			jm.finishCycle(p, m, "resume-in-place", true, 0)
 			return
 		case strategy.RestartCR:
 			jm.crFallback(p, m)
-			return
-		case strategy.Abandon:
-			jm.abandon(p, m, "strategy abandoned: "+reason)
 			return
 		}
 	}
@@ -902,33 +864,49 @@ func (jm *JobManager) recover(p *sim.Proc, m *migrationState, reason string) {
 	jm.crFallback(p, m)
 }
 
-// startRetry launches a fresh attempt of an aborted migration onto dst. The
-// job is still globally suspended from the aborted attempt, so the new
-// attempt shares its suspension and starts directly at Phase 2.
-func (jm *JobManager) startRetry(p *sim.Proc, prev *migrationState, dst string) {
+// newAttempt opens the next migration attempt, from src onto dst. A
+// trigger's first attempt (prev nil) starts at Phase 1 with fresh
+// bookkeeping. A retry replaces the aborted attempt prev: the job is still
+// globally suspended from it, so the retry starts at Phase 2 and inherits
+// prev's suspension, image checksums, report, stopwatch, burned spares and
+// start time.
+func (jm *JobManager) newAttempt(now sim.Time, src, dst string, ranks []*mpi.Rank, prev *migrationState) *migrationState {
 	fw := jm.fw
 	fw.migrationSeq++
 	m := &migrationState{
 		seq:        fw.migrationSeq,
-		src:        prev.src,
+		src:        src,
 		dst:        dst,
-		ranks:      prev.ranks,
-		sus:        prev.sus,
+		ranks:      ranks,
 		suspended:  sim.NewEvent(fw.C.E),
 		qpReady:    sim.NewEvent(fw.C.E),
 		restarted:  sim.NewEvent(fw.C.E),
 		finished:   sim.NewEvent(fw.C.E),
-		imageSums:  prev.imageSums,
 		restoredOK: true,
-		report:     prev.report,
-		watch:      prev.watch,
-		phase:      2,
-		excluded:   prev.excluded,
-		retries:    prev.retries + 1,
-		startedAt:  prev.startedAt,
+		phase:      1,
 
 		poolOutstanding: -1,
 	}
+	if prev == nil {
+		m.imageSums = make(map[int]uint64)
+		m.report = metrics.NewReport(fmt.Sprintf("migration#%d %s->%s", m.seq, src, dst))
+		m.watch = metrics.NewStopwatch(m.report, now)
+		m.excluded = make(map[string]bool)
+		m.startedAt = now
+		return m
+	}
+	m.sus, m.imageSums, m.report, m.watch = prev.sus, prev.imageSums, prev.report, prev.watch
+	m.excluded, m.startedAt = prev.excluded, prev.startedAt
+	m.phase = 2
+	m.retries = prev.retries + 1
+	return m
+}
+
+// startRetry launches a fresh attempt of the aborted migration prev onto
+// dst, starting directly at Phase 2.
+func (jm *JobManager) startRetry(p *sim.Proc, prev *migrationState, dst string) {
+	fw := jm.fw
+	m := jm.newAttempt(p.Now(), prev.src, dst, prev.ranks, prev)
 	fw.recordAttempt(prev, false)
 	m.report.Label += fmt.Sprintf(" retry->%s", dst)
 	fw.current = m
@@ -946,23 +924,6 @@ func (jm *JobManager) startRetry(p *sim.Proc, prev *migrationState, dst string) 
 	})
 	fw.notifyPhase(p, m.seq, 2)
 	jm.watchAttempt(m)
-}
-
-// resumeInPlace abandons an aborted migration whose source is intact: the
-// suspension is lifted and the job continues where it was.
-func (jm *JobManager) resumeInPlace(p *sim.Proc, m *migrationState) {
-	m.watch.Lap("Aborted", p.Now())
-	m.beginPhase(jm.fw.obsC(), p.Now(), "resume-in-place")
-	m.sus.Resume()
-	m.sus.WaitAllResumed(p)
-	m.watch.Lap(metrics.PhaseResume, p.Now())
-	m.endAttempt(jm.fw.obsC(), p.Now())
-	// The processes never moved; the original images are intact.
-	jm.fw.lastVerified = true
-	jm.fw.Recoveries = append(jm.fw.Recoveries, RecoveryRecord{
-		Kind: "resume-in-place", Node: m.src, Start: m.startedAt, End: p.Now(), Ok: true,
-	})
-	jm.finishCycle(p, m, false)
 }
 
 // crFallback restores the whole job from the last Framework.Checkpoint: the
@@ -987,26 +948,17 @@ func (jm *JobManager) crFallback(p *sim.Proc, m *migrationState) {
 		jm.abandon(p, m, "CR fallback failed: spares or retries exhausted")
 		return
 	}
+	rework := p.Now().Sub(fw.ckptTakenAt)
 	// Every node hosting ranks again is an active primary.
 	jm.promoteHosts()
 	m.watch.Lap("CR Fallback", p.Now())
-	m.sus.Resume()
-	m.sus.WaitAllResumed(p)
-	m.watch.Lap(metrics.PhaseResume, p.Now())
-	m.endAttempt(fw.obsC(), p.Now())
-	jm.fw.lastVerified = fw.ckpt.Verified
-	fw.Recoveries = append(fw.Recoveries, RecoveryRecord{
-		Kind: "cr-fallback", Node: m.src, Start: m.startedAt, End: p.Now(),
-		Rework: p.Now().Sub(fw.ckptTakenAt), Ok: true,
-	})
-	jm.finishCycle(p, m, false)
+	jm.finishCycle(p, m, "cr-fallback", fw.ckpt.Verified, rework)
 }
 
-// abandon gives up on the job: recovery is impossible. The suspension is NOT
-// lifted (there is nothing consistent to resume into); the job stays frozen
-// and JobLost records why.
+// abandon gives up on the job from within attempt m: it closes the
+// attempt's span, AttemptRecord and Report, then loses the job. The
+// suspension is NOT lifted (there is nothing consistent to resume into).
 func (jm *JobManager) abandon(p *sim.Proc, m *migrationState, reason string) {
-	jm.JobLost = true
 	if c := jm.fw.obsC(); c != nil {
 		c.SpanAttr(m.span, "job_lost", reason)
 		m.endAttempt(c, p.Now())
@@ -1015,29 +967,33 @@ func (jm *JobManager) abandon(p *sim.Proc, m *migrationState, reason string) {
 	jm.fw.recordAttempt(m, false)
 	jm.fw.Reports = append(jm.fw.Reports, m.report)
 	jm.fw.current = nil
-	jm.fw.Recoveries = append(jm.fw.Recoveries, RecoveryRecord{
-		Kind: "abandon", Node: m.src, Start: m.startedAt, End: p.Now(), Ok: false,
-	})
 	m.finished.Fire()
-	for len(jm.completionWaiters) > 0 {
-		jm.fireCompletions()
-	}
-	jm.pending = nil
-	jm.deferredDead = nil
+	jm.loseJob(p, m.src, m.startedAt)
 }
 
-// finishCycle closes out a migration cycle (successful or recovered).
-func (jm *JobManager) finishCycle(p *sim.Proc, m *migrationState, completed bool) {
+// finishCycle is the one ending of a migration trigger whose job runs on:
+// Phase 4 (every rank re-establishes its endpoints and leaves the migration
+// barrier), then the attempt's records — a RecoveryRecord of the given kind
+// ("migrate" for a completed migration) with the restored images' verified
+// status and the rework the restore incurred — and the next queued work.
+func (jm *JobManager) finishCycle(p *sim.Proc, m *migrationState, kind string, verified bool, rework sim.Duration) {
 	fw := jm.fw
+	m.sus.Resume()
+	m.sus.WaitAllResumed(p)
+	m.watch.Lap(metrics.PhaseResume, p.Now())
+	m.endAttempt(fw.obsC(), p.Now())
+	fw.lastVerified = verified
+	completed := kind == "migrate"
+	if completed {
+		jm.MigrationsDone++
+		p.Trace("core.jm", fmt.Sprintf("migration #%d complete: %s", m.seq, m.report))
+	}
 	fw.recordAttempt(m, completed)
 	fw.Reports = append(fw.Reports, m.report)
 	fw.current = nil
-	if completed {
-		jm.MigrationsDone++
-		fw.Recoveries = append(fw.Recoveries, RecoveryRecord{
-			Kind: "migrate", Node: m.src, Start: m.startedAt, End: p.Now(), Ok: true,
-		})
-	}
+	fw.Recoveries = append(fw.Recoveries, RecoveryRecord{
+		Kind: kind, Node: m.src, Start: m.startedAt, End: p.Now(), Rework: rework, Ok: true,
+	})
 	m.finished.Fire()
 	jm.fireCompletions()
 	jm.drainDeferredDead(p)

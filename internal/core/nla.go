@@ -81,12 +81,9 @@ func (a *NLA) loop(p *sim.Proc, sub *ftb.Subscription) {
 		}
 		switch ev.Name {
 		case ftb.EventMigrate:
-			pl, isPl := ev.Payload.(MigratePayload)
-			if !isPl {
-				continue
-			}
-			m := a.fw.current
-			if m == nil || m.seq != pl.Seq || m.aborted {
+			pl, _ := ev.Payload.(MigratePayload)
+			m := a.fw.liveAttempt(pl.Seq)
+			if m == nil {
 				continue
 			}
 			if pl.Target == a.node.Name {
@@ -96,12 +93,9 @@ func (a *NLA) loop(p *sim.Proc, sub *ftb.Subscription) {
 				p.SpawnChild("core.nla.source."+a.node.Name, func(sp *sim.Proc) { a.runSource(sp, m) })
 			}
 		case ftb.EventRestart:
-			pl, isPl := ev.Payload.(RestartPayload)
-			if !isPl || pl.Target != a.node.Name {
-				continue
-			}
-			m := a.fw.current
-			if m == nil || m.seq != pl.Seq || m.aborted {
+			pl, _ := ev.Payload.(RestartPayload)
+			m := a.fw.liveAttempt(pl.Seq)
+			if m == nil || pl.Target != a.node.Name {
 				continue
 			}
 			if m.restartSpawned {

@@ -2,7 +2,7 @@
 // Job Manager consults: strategies consume a stream of protocol events
 // (health warnings, failure predictions, node deaths, aborted migration
 // attempts, periodic ticks) and emit decisions (migrate, checkpoint, restart,
-// replicate, abandon). The Job Manager owns all mechanism — suspension,
+// replicate). The Job Manager owns all mechanism — suspension,
 // spare selection, checkpoint/restart execution, watchdogs — and the strategy
 // owns only the policy choice, so the paper's proactive-migration decision
 // tree, a reactive checkpoint/restart baseline, FTHP-MPI-style replication,
@@ -47,11 +47,8 @@ func (k EventKind) String() string {
 
 // Event is one occurrence presented to a strategy.
 type Event struct {
-	Kind   EventKind
-	Node   string // the node concerned (victim, warned, or blamed), if any
-	Seq    int    // migration attempt sequence (EvAttemptFailed)
-	Phase  int    // last phase entered (EvAttemptFailed)
-	Reason string
+	Kind EventKind
+	Node string // the node concerned (victim, warned, or blamed), if any
 }
 
 // DecisionKind classifies what the strategy wants done.
@@ -80,8 +77,6 @@ const (
 	StageReplica
 	// Checkpoint: take a coordinated full-job checkpoint now.
 	Checkpoint
-	// Abandon: give up; the job is lost.
-	Abandon
 )
 
 func (k DecisionKind) String() string {
@@ -102,8 +97,6 @@ func (k DecisionKind) String() string {
 		return "stage-replica"
 	case Checkpoint:
 		return "checkpoint"
-	case Abandon:
-		return "abandon"
 	}
 	return "unknown"
 }
