@@ -357,7 +357,7 @@ func (q *QP) PostSend(m Message) error {
 	f := q.hca.f
 	sf := f.getSendFlow()
 	sf.q, sf.m, sf.n, sf.stage = q, m, m.Size(), sfBegin
-	f.E.SpawnFlow(q.sendName, sf.step)
+	f.E.SpawnFlow(q.sendName, sf)
 	return nil
 }
 

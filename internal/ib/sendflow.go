@@ -42,9 +42,6 @@ type sendFlow struct {
 	n     int64
 	s     sim.Duration
 	stage int
-	// step is the bound method value handed to SpawnFlow, created once when
-	// the sendFlow is first allocated and reused across recycles.
-	step func(*sim.Proc, int)
 }
 
 func (f *Fabric) getSendFlow() *sendFlow {
@@ -54,9 +51,7 @@ func (f *Fabric) getSendFlow() *sendFlow {
 		f.sendPool = f.sendPool[:n-1]
 		return sf
 	}
-	sf := &sendFlow{}
-	sf.step = sf.run
-	return sf
+	return &sendFlow{}
 }
 
 func (f *Fabric) putSendFlow(sf *sendFlow) {
@@ -65,7 +60,8 @@ func (f *Fabric) putSendFlow(sf *sendFlow) {
 	f.sendPool = append(f.sendPool, sf)
 }
 
-func (sf *sendFlow) run(p *sim.Proc, _ int) {
+// Step implements sim.Flow: a *sendFlow is handed to SpawnFlow as is.
+func (sf *sendFlow) Step(p *sim.Proc, _ int) {
 	q := sf.q
 	f := q.hca.f
 	src, dst := q.hca, q.peer.hca

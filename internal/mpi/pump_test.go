@@ -1,0 +1,228 @@
+package mpi
+
+import (
+	"errors"
+	"fmt"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+	"unsafe"
+
+	"ibmig/internal/ib"
+	"ibmig/internal/sim"
+)
+
+// TestMeshAllocsPerPair guards the host cost of a rank pair. A 64-rank world
+// whose app only computes is launched and then suspended and resumed once;
+// the heap allocations made while the launch connects its pairs, and while
+// the resume rebuilds them, are divided by the pairs connected in that
+// window. A pair may cost at most 3 allocations at launch (its pairConns
+// record and two fresh pump Procs) and 1 at rebuild (the record: the pumps
+// ended at teardown recycle their Procs). Pump names and step method values,
+// which used to cost 4 more, must cost none. Like testing.AllocsPerRun the
+// ratio is an integer quotient, which absorbs the few allocations of the
+// rest of the window (the PMI queue and wait group growing).
+//
+// Each window is cut with RunUntil so it holds nothing but pair work: the
+// launch window starts after the launch process has begun and ends one
+// nanosecond before Ready, so it holds every connect but the last; the
+// rebuild window starts after the ranks have taken the resume command and
+// ends one nanosecond before rank 0, which connects the most pairs,
+// connects its last.
+func TestMeshAllocsPerPair(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const ranks = 64
+	const pairs = ranks * (ranks - 1) / 2
+	e, _, w := newTestWorld(8, ranks)
+	w.Start(func(r *Rank) { r.Compute(50 * time.Millisecond) })
+	var resumed bool
+	e.Spawn("coordinator", func(p *sim.Proc) {
+		w.WaitReady(p)
+		p.Sleep(10 * time.Millisecond)
+		s := w.BeginSuspend()
+		s.WaitAllDrained(p)
+		s.CompleteTeardown()
+		s.WaitAllSuspended(p)
+		// Hand control back to the test before the ranks see the resume
+		// command, so it can open the rebuild window.
+		e.Stop()
+		s.Resume()
+		s.WaitAllResumed(p)
+		resumed = true
+		w.WaitDone(p)
+		e.Stop()
+	})
+	pairCost := func() sim.Duration {
+		c := w.pairCosts()
+		return c[0] + c[1] + c[2]
+	}()
+	// window runs the engine from its current instant to end (inclusive)
+	// and returns the heap allocations made meanwhile.
+	window := func(end sim.Time) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := e.RunUntil(end); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+
+	if err := e.RunUntil(0); err != nil {
+		t.Fatal(err)
+	}
+	launch := window(sim.Time(w.MeshCost()) - 1)
+	// Run on through the suspension: the coordinator stops the engine once
+	// every rank has torn down, with the resume command about to fire.
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	resumeAt := e.Now()
+	if err := e.RunUntil(resumeAt); err != nil {
+		t.Fatal(err)
+	}
+	rebuild := window(resumeAt.Add((ranks-1)*pairCost) - 1)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	e.Shutdown()
+	if !resumed || !w.Done() {
+		t.Fatalf("world did not finish the cycle: resumed=%v done=%v", resumed, w.Done())
+	}
+
+	// Both windows miss exactly one connect: Ready's, and rank 0's last.
+	const connects = pairs - 1
+	t.Logf("launch: %d allocations for %d pairs (%.2f each); rebuild: %d (%.2f each)",
+		launch, connects, float64(launch)/connects, rebuild, float64(rebuild)/connects)
+	if got := launch / connects; got > 3 {
+		t.Errorf("launch allocates %d times per rank pair, want at most 3", got)
+	}
+	if got := rebuild / connects; got > 1 {
+		t.Errorf("rebuild allocates %d times per rank pair, want at most 1", got)
+	}
+}
+
+// pumpName is the name every pump flow of pair (rank <- peer) must carry.
+func pumpName(rank, peer int) string { return fmt.Sprintf("mpi.pump.%d<-%d", rank, peer) }
+
+// TestLazyPumpNames checks that pumps, which are spawned unnamed and name
+// themselves only when read, still carry their names wherever a name is
+// read: the proc.start/proc.end records of a traced run (formatted once per
+// life, so both records of a life share one string), a deadlock report, and
+// the run error of a panicking step.
+func TestLazyPumpNames(t *testing.T) {
+	t.Run("trace", func(t *testing.T) {
+		const ranks = 3
+		e, _, w := newTestWorld(ranks, ranks)
+		rec := &sim.Recorder{}
+		e.SetTracer(rec)
+		w.Start(func(r *Rank) { r.Compute(30 * time.Millisecond) })
+		e.Spawn("coordinator", func(p *sim.Proc) {
+			w.WaitReady(p)
+			p.Sleep(10 * time.Millisecond)
+			s := w.BeginSuspend()
+			s.WaitAllDrained(p)
+			s.CompleteTeardown()
+			s.WaitAllSuspended(p)
+			s.Resume()
+			s.WaitAllResumed(p)
+			w.WaitDone(p)
+			e.Stop()
+		})
+		run(t, e)
+
+		// Every ordered pair has two pump lives: launch to teardown, and
+		// rebuild to Shutdown. The name is formatted once per life, so the
+		// proc.end record reuses the proc.start record's string.
+		open := map[string]string{} // live pump name -> its proc.start string
+		lives := map[string]int{}
+		for _, r := range rec.Records {
+			if !strings.HasPrefix(r.Who, "mpi.pump.") {
+				continue
+			}
+			switch r.Kind {
+			case "proc.start":
+				if _, ok := open[r.Who]; ok {
+					t.Fatalf("%s started twice in one life", r.Who)
+				}
+				open[r.Who] = r.Who
+				lives[r.Who]++
+			case "proc.end":
+				start, ok := open[r.Who]
+				if !ok {
+					t.Fatalf("%s ended without starting", r.Who)
+				}
+				if unsafe.StringData(start) != unsafe.StringData(r.Who) {
+					t.Errorf("%s: name formatted again within one life", r.Who)
+				}
+				delete(open, r.Who)
+			}
+		}
+		for i := 0; i < ranks; i++ {
+			for j := 0; j < ranks; j++ {
+				if i == j {
+					continue
+				}
+				if n := lives[pumpName(i, j)]; n != 2 {
+					t.Errorf("%s: %d lives traced, want 2", pumpName(i, j), n)
+				}
+			}
+		}
+		if len(lives) != ranks*(ranks-1) {
+			t.Errorf("traced %d pump names, want %d: %v", len(lives), ranks*(ranks-1), lives)
+		}
+	})
+
+	t.Run("deadlock", func(t *testing.T) {
+		e, _, w := newTestWorld(2, 2)
+		w.Start(func(r *Rank) {
+			if r.ID() == 1 {
+				r.Recv(0, 1) // nobody sends: both pumps stay lazy
+			}
+		})
+		err := e.Run()
+		var dl *sim.DeadlockError
+		if !errors.As(err, &dl) {
+			t.Fatalf("Run = %v, want a deadlock", err)
+		}
+		e.Shutdown()
+		for _, want := range []string{pumpName(0, 1), pumpName(1, 0)} {
+			entry := want + ": queue.recv:mpi.lazy"
+			found := false
+			for _, b := range dl.Blocked {
+				found = found || b == entry
+			}
+			if !found {
+				t.Errorf("deadlock report %q lacks %q", dl.Blocked, entry)
+			}
+		}
+	})
+
+	t.Run("panic", func(t *testing.T) {
+		e, _, w := newTestWorld(2, 2)
+		w.Start(func(r *Rank) {
+			if r.ID() != 0 {
+				return
+			}
+			c := r.conns[1]
+			if err := c.ensure(); err != nil {
+				t.Error(err)
+				return
+			}
+			// A message without the MPI envelope makes rank 1's pump fail
+			// its header assertion.
+			if err := c.qp.PostSend(ib.Message{Meta: "no envelope"}); err != nil {
+				t.Error(err)
+			}
+		})
+		err := e.Run()
+		e.Shutdown()
+		want := fmt.Sprintf("sim: process %q panicked", pumpName(1, 0))
+		if err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Fatalf("Run = %v, want an error starting %q", err, want)
+		}
+	})
+}

@@ -21,7 +21,11 @@ import (
 // actually crosses the pair. On an N-rank job only the pairs that talk ever
 // materialize; for nearest-neighbour kernels that turns O(N²) QPs, regions
 // and pump state into O(N), which is where the bulk of the 2048-rank memory
-// footprint lived.
+// footprint lived. What every pair still pays is one pairConns allocation
+// and, from the flow freelist, its two pump Procs.
+//
+// A conn is also its receive pump's sim.Flow (Step) and names it
+// (FlowName), so a pump costs no method value and no name string.
 type conn struct {
 	r        *Rank
 	peer     int
@@ -193,25 +197,32 @@ func (r *Rank) poll() {
 	}
 }
 
-// startPump spawns the flow that forwards one connection's deliveries into
+// startPump spawns the flow that forwards the connection's deliveries into
 // the rank mailbox. As a flow it costs no goroutine or stack — essential for
 // the O(ranks²) pump population — and its event sequence is identical to the
 // goroutine pump it replaced: one start event at spawn, one wake per
-// delivery batch, one end event at teardown.
-func (r *Rank) startPump(c *conn) {
-	var buf [32]byte
-	name := append(buf[:0], "mpi.pump."...)
-	name = strconv.AppendInt(name, int64(r.id), 10)
-	name = append(name, "<-"...)
-	name = strconv.AppendInt(name, int64(c.peer), 10)
-	c.pump = r.w.E.SpawnFlow(string(name), c.pumpStep)
+// delivery batch, one end event at teardown. The flow is spawned unnamed:
+// its name, "mpi.pump.<rank><-<peer>", is formatted by FlowName only if a
+// tracer, a deadlock report or a panic reads it.
+func (c *conn) startPump() {
+	c.pump = c.r.w.E.SpawnFlow("", c)
 }
 
-// pumpStep is the pump flow's state machine. While the connection is lazy
-// the flow parks dormant (no queue exists to wait on); materialize adopts it
-// as a receiver without waking it. Each wake drains every delivered message
-// into the mailbox, exactly as the blocking Recv loop did.
-func (c *conn) pumpStep(p *sim.Proc, _ int) {
+// FlowName implements sim.FlowNamer: the pump's process name.
+func (c *conn) FlowName() string {
+	var buf [32]byte
+	name := append(buf[:0], "mpi.pump."...)
+	name = strconv.AppendInt(name, int64(c.r.id), 10)
+	name = append(name, "<-"...)
+	name = strconv.AppendInt(name, int64(c.peer), 10)
+	return string(name)
+}
+
+// Step implements sim.Flow: the pump's state machine. While the connection
+// is lazy the flow parks dormant (no queue exists to wait on); materialize
+// adopts it as a receiver without waking it. Each wake drains every
+// delivered message into the mailbox, exactly as the blocking Recv loop did.
+func (c *conn) Step(p *sim.Proc, _ int) {
 	if c.qp == nil {
 		if c.closed || c.broken {
 			p.FlowEnd()

@@ -306,10 +306,14 @@ func (w *World) connectSeq(pairs func() (a, b *Rank, ok bool)) func() (sim.Durat
 	}
 }
 
+// pairConns holds both endpoints of one rank-pair connection, so a pair
+// costs one allocation at launch and at each rebuild, not one per endpoint.
+type pairConns struct{ a, b conn }
+
 // connect gives a paid-for pair its (lazy) endpoints and receive pumps.
 func (w *World) connect(a, b *Rank) {
-	ca := &conn{r: a, peer: b.id}
-	cb := &conn{r: b, peer: a.id}
+	pc := &pairConns{a: conn{r: a, peer: b.id}, b: conn{r: b, peer: a.id}}
+	ca, cb := &pc.a, &pc.b
 	ca.buddy, cb.buddy = cb, ca
 	if w.fabric.HCA(a.node).Failed() || w.fabric.HCA(b.node).Failed() {
 		// An eager ConnectQP would have returned endpoints already broken;
@@ -318,6 +322,6 @@ func (w *World) connect(a, b *Rank) {
 	}
 	a.conns[b.id] = ca
 	b.conns[a.id] = cb
-	a.startPump(ca)
-	b.startPump(cb)
+	ca.startPump()
+	cb.startPump()
 }

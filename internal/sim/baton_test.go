@@ -367,7 +367,7 @@ func TestShutdownAfterRunUntilNoLeak(t *testing.T) {
 	}
 	for i := 0; i < n/2; i++ {
 		p := e.Spawn("never-started", func(p *Proc) { t.Error("a process started after the last run") })
-		if p.next == nil {
+		if p.co.next == nil {
 			t.Fatal("Spawn between runs did not recycle a pooled Proc")
 		}
 	}

@@ -149,9 +149,9 @@ func TestSameTimeBatchAllocs(t *testing.T) {
 
 // TestFreshSpawnAllocs pins the host cost of a Proc the pool cannot serve:
 // the Proc and its coroutine, which is built once per Proc and pooled with
-// it. On Go 1.24 that is 13 allocations, 480 B: the Proc, the p.coro method
-// value, and iter.Pull's state, closures and coro (its yielded value is a
-// struct{}, which costs none). Pooled spawns allocate nothing
+// it. On Go 1.24 that is 13 allocations, 512 B: the Proc and its coState (one
+// object), the p.coro method value, and iter.Pull's state, closures and coro
+// (its yielded value is a struct{}, which costs none). Pooled spawns allocate nothing
 // (TestSameTimeBatchAllocs).
 func TestFreshSpawnAllocs(t *testing.T) {
 	const wave = 256
@@ -171,7 +171,7 @@ func TestFreshSpawnAllocs(t *testing.T) {
 	const waves = 4
 	for i := 0; i < waves; i++ {
 		for _, p := range e.procFree {
-			p.stop()
+			p.co.stop()
 		}
 		clear(e.procFree)
 		e.procFree = e.procFree[:0]
@@ -195,17 +195,16 @@ const flowVsProcHold = time.Microsecond
 
 // benchSender is the flow form of BenchmarkFlowVsProc's op, shaped like
 // internal/ib's sendFlow: acquire the device, hold it, release it, end.
-// Senders are pooled with their bound step, as sendFlows are, so the flow
-// path allocates nothing in steady state.
+// Senders are pooled, as sendFlows are, and a *benchSender is itself the
+// Flow, so the flow path allocates nothing in steady state.
 type benchSender struct {
 	r     *Resource
 	stage int
 	done  func()
 	pool  *[]*benchSender
-	step  func(*Proc, int)
 }
 
-func (s *benchSender) run(p *Proc, _ int) {
+func (s *benchSender) Step(p *Proc, _ int) {
 	switch s.stage {
 	case 0:
 		if !s.r.FlowAcquireStart(p, 1) {
@@ -273,9 +272,8 @@ func BenchmarkFlowVsProc(b *testing.B) {
 					s, pool = pool[n-1], pool[:n-1]
 				} else {
 					s = &benchSender{r: r, done: done, pool: &pool}
-					s.step = s.run
 				}
-				e.SpawnFlow("send", s.step)
+				e.SpawnFlow("send", s)
 			}
 		})
 	})

@@ -15,13 +15,13 @@ import "iter"
 // costs two switches and no scheduler wakeup.
 func (e *Engine) resume(p *Proc) {
 	for p != nil {
-		if p.next == nil {
+		if p.co.next == nil {
 			// A fresh Proc's first life: its coroutine is built here, once,
 			// and stays pooled with the Proc from then on.
-			p.next, p.stop = iter.Pull(p.coro)
+			p.co.next, p.co.stop = iter.Pull(p.coro)
 		}
 		e.switches++
-		p.next()
+		p.co.next()
 		p = e.handoff
 	}
 }
@@ -31,7 +31,7 @@ func (e *Engine) resume(p *Proc) {
 // member until some dispatcher hands it wakeStart — itself, with no switch,
 // when its own recycled Proc's start event comes up — or Shutdown retires it.
 func (p *Proc) coro(yield func(struct{}) bool) {
-	p.yield = yield
+	p.co.yield = yield
 	for {
 		p.e.runProc(p)
 		if p.e.dispatch(p) != wakeStart {
@@ -45,7 +45,7 @@ func (p *Proc) coro(yield func(struct{}) bool) {
 // trampoline resumes p. It returns the reason p was resumed with, or
 // wakeRetire when Shutdown stops the coroutine instead.
 func (p *Proc) suspend() int {
-	if !p.yield(struct{}{}) {
+	if !p.co.yield(struct{}{}) {
 		return wakeRetire
 	}
 	return int(p.reason)

@@ -229,6 +229,7 @@ type Engine struct {
 	first, last *Proc
 
 	tracer  Tracer
+	traced  bool           // tracer is not the default no-op (see SetTracer)
 	failure error          // first process panic, aborts the run
 	cbPanic *callbackPanic // callback panic caught off the Run caller's goroutine
 	stopped bool
@@ -272,7 +273,8 @@ func (e *Engine) SetTracer(t Tracer) {
 	if t == nil {
 		t = nopTracer{}
 	}
-	e.tracer = t
+	_, nop := t.(nopTracer)
+	e.tracer, e.traced = t, !nop
 }
 
 // Trace emits a trace record at the current virtual time.
@@ -404,8 +406,8 @@ func (e *Engine) After(d Duration, fn func()) {
 // and the start event is a plain resume bound to the current token, so
 // steady-state process churn allocates nothing.
 func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
-	p := e.newProc(&e.procFree, name)
-	p.fn = fn
+	p := e.newProc(&e.procFree, name, true)
+	p.co.fn = fn
 	e.scheduleResume(p, e.now, wakeStart)
 	return p
 }
@@ -422,10 +424,15 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 // converting a process to a flow cannot change simulation results (see
 // TestFlowMatchesProcTrace). What it saves is the host-side cost: no
 // coroutine, no switches, no per-spawn allocation (retired flow Procs
-// are recycled through a freelist).
-func (e *Engine) SpawnFlow(name string, step func(*Proc, int)) *Proc {
-	p := e.newProc(&e.flowFree, name)
-	p.step = step
+// are recycled through a freelist). A pointer-shaped Flow, such as a struct
+// pointer with a Step method, is stored without allocating.
+//
+// An empty name defers naming to the flow, which must then be a FlowNamer:
+// the name is formatted only when something reads it, so an untraced run of
+// many short-lived or dormant flows never builds their names.
+func (e *Engine) SpawnFlow(name string, f Flow) *Proc {
+	p := e.newProc(&e.flowFree, name, false)
+	p.step = f
 	// The start event is a plain resume bound to the current token, like
 	// Spawn's; the first wakeup of a flow doubles as its start (resumeFlow).
 	e.scheduleResume(p, e.now, wakeSignal)
@@ -433,9 +440,10 @@ func (e *Engine) SpawnFlow(name string, step func(*Proc, int)) *Proc {
 }
 
 // newProc begins a process life: it pops a retired Proc from free (procFree
-// for coroutine Procs, flowFree for flows) or allocates one, and appends it
-// to the live list under the next pid.
-func (e *Engine) newProc(free *[]*Proc, name string) *Proc {
+// for coroutine Procs, flowFree for flows) or allocates one — with its
+// coroutine state in the same allocation when coroutine is set — and appends
+// it to the live list under the next pid.
+func (e *Engine) newProc(free *[]*Proc, name string, coroutine bool) *Proc {
 	var p *Proc
 	if n := len(*free); n > 0 {
 		p = (*free)[n-1]
@@ -443,6 +451,10 @@ func (e *Engine) newProc(free *[]*Proc, name string) *Proc {
 		*free = (*free)[:n-1]
 		p.token++ // retire any registration that survived the previous life
 		p.started, p.done = false, false
+	} else if coroutine {
+		cp := &coProc{}
+		p = &cp.p
+		p.e, p.co = e, &cp.co
 	} else {
 		p = &Proc{e: e}
 	}
@@ -480,7 +492,9 @@ func (e *Engine) endProc(p *Proc) {
 	p.done = true
 	e.live--
 	e.unlinkLive(p)
-	e.tracer.Trace(e.now, "proc.end", p.name, "")
+	if e.traced {
+		e.tracer.Trace(e.now, "proc.end", p.procName(), "")
+	}
 }
 
 // recycleFlow returns a finished flow Proc to the freelist. The token is
@@ -499,7 +513,7 @@ func (e *Engine) runProc(p *Proc) {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, killed := r.(killSentinel); !killed && e.failure == nil {
-				e.failure = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
+				e.failure = fmt.Errorf("sim: process %q panicked: %v", p.procName(), r)
 			}
 		}
 		e.endProc(p)
@@ -508,8 +522,8 @@ func (e *Engine) runProc(p *Proc) {
 		p.blockKind, p.blockName = "", ""
 		e.procFree = append(e.procFree, p)
 	}()
-	fn := p.fn
-	p.fn = nil
+	fn := p.co.fn
+	p.co.fn = nil
 	fn(p)
 }
 
@@ -529,9 +543,9 @@ func (e *Engine) resumeFlow(p *Proc, reason int) (parked bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			if e.failure == nil {
-				e.failure = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
+				e.failure = fmt.Errorf("sim: process %q panicked: %v", p.procName(), r)
 			}
-			if p.next == nil && !p.done {
+			if p.co == nil && !p.done {
 				e.endProc(p)
 			}
 			parked = true
@@ -539,12 +553,14 @@ func (e *Engine) resumeFlow(p *Proc, reason int) (parked bool) {
 	}()
 	if !p.started {
 		p.started = true
-		e.tracer.Trace(e.now, "proc.start", p.name, "")
+		if e.traced {
+			e.tracer.Trace(e.now, "proc.start", p.procName(), "")
+		}
 	}
 	p.token++
 	p.blockKind, p.blockName = "", ""
-	p.step(p, reason)
-	return p.next == nil || p.step != nil
+	p.step.Step(p, reason)
+	return p.co == nil || p.step != nil
 }
 
 // scheduleResume schedules a wakeup of p at time t, bound to p's current wait
@@ -656,7 +672,9 @@ func (e *Engine) dispatch(self *Proc) int {
 		}
 		if reason == wakeStart {
 			p.started = true
-			e.tracer.Trace(e.now, "proc.start", p.name, "")
+			if e.traced {
+				e.tracer.Trace(e.now, "proc.start", p.name, "")
+			}
 		}
 		if p == self {
 			return reason
@@ -738,7 +756,7 @@ func (e *Engine) NextEventTime() (Time, bool) {
 func (e *Engine) BlockedProcs() []string {
 	var blocked []string
 	for p := e.first; p != nil; p = p.nextLive {
-		blocked = append(blocked, fmt.Sprintf("%s: %s", p.name, p.blockReason()))
+		blocked = append(blocked, fmt.Sprintf("%s: %s", p.procName(), p.blockReason()))
 	}
 	sort.Strings(blocked)
 	return blocked
@@ -773,16 +791,18 @@ func (e *Engine) Shutdown() {
 			// Proc has no coroutine yet; a recycled one has its pooled
 			// coroutine idle between lives, awaiting the life that now never
 			// begins — retire it directly.
-			if victim.next != nil {
-				victim.stop()
+			if victim.co != nil {
+				if victim.co.next != nil {
+					victim.co.stop()
+				}
+				victim.co.fn = nil
 			}
 			victim.done = true
-			victim.fn = nil
 			e.live--
 			e.unlinkLive(victim)
 			continue
 		}
-		if victim.next == nil {
+		if victim.co == nil {
 			// A started process with no coroutine is a flow; retiring one is
 			// bookkeeping plus the same proc.end record a killed process
 			// would emit.
@@ -795,7 +815,7 @@ func (e *Engine) Shutdown() {
 	// Retire the idle pooled coroutines (including those of processes killed
 	// above, which re-entered the pool on their way out).
 	for i, p := range e.procFree {
-		p.stop()
+		p.co.stop()
 		e.procFree[i] = nil
 	}
 	e.procFree = nil

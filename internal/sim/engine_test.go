@@ -615,7 +615,7 @@ func TestShutdownLiveListPidOrder(t *testing.T) {
 	q := NewQueue[int](e, "never", 0)
 	pid := map[string]int{}
 	spawn := func(name string, fn func(*Proc)) { pid[name] = e.Spawn(name, fn).id }
-	spawnFlow := func(name string, step func(*Proc, int)) { pid[name] = e.SpawnFlow(name, step).id }
+	spawnFlow := func(name string, step func(*Proc, int)) { pid[name] = e.SpawnFlow(name, stepFunc(step)).id }
 	var live []string
 	spawn("spawner", func(p *Proc) {
 		for i := 0; i < 200; i++ {
@@ -716,11 +716,12 @@ func TestShutdownLiveListPidOrder(t *testing.T) {
 	}
 }
 
-// TestProcSizeClass guards Proc's allocation size class. With the live-list
-// links a Proc is 144 bytes, a size class of its own; a field that pushes it
-// into the next class (160 bytes) raises every run's allocation per process.
+// TestProcSizeClass guards Proc's allocation size class. With the coroutine
+// state split off into coState a Proc fits the 128-byte class, which is all
+// a flow allocates; a field that pushes it into the next class (144 bytes)
+// raises every run's allocation per process.
 func TestProcSizeClass(t *testing.T) {
-	if s := unsafe.Sizeof(Proc{}); s > 144 {
-		t.Fatalf("unsafe.Sizeof(Proc{}) = %d bytes, want <= 144", s)
+	if s := unsafe.Sizeof(Proc{}); s > 128 {
+		t.Fatalf("unsafe.Sizeof(Proc{}) = %d bytes, want <= 128", s)
 	}
 }

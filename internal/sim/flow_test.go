@@ -7,6 +7,12 @@ import (
 	"time"
 )
 
+// stepFunc adapts a function to Flow.
+type stepFunc func(p *Proc, reason int)
+
+// Step implements Flow.
+func (f stepFunc) Step(p *Proc, reason int) { f(p, reason) }
+
 // TestFlowMatchesProcTrace is the flow conversion's safety proof: the same
 // scenario — staggered workers contending for a capacity-2 resource, with
 // deliberate same-instant collisions — built once from goroutine processes
@@ -81,7 +87,7 @@ func TestFlowMatchesProcTrace(t *testing.T) {
 					}
 				}
 			}
-			e.SpawnFlow(fmt.Sprintf("w%d", i), step)
+			e.SpawnFlow(fmt.Sprintf("w%d", i), stepFunc(step))
 		}
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
@@ -102,10 +108,10 @@ func TestFlowRecycling(t *testing.T) {
 	e := NewEngine(1)
 	ran := 0
 	for gen := 0; gen < 100; gen++ {
-		e.SpawnFlow("f", func(p *Proc, reason int) {
+		e.SpawnFlow("f", stepFunc(func(p *Proc, reason int) {
 			ran++
 			p.FlowEnd()
-		})
+		}))
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -126,13 +132,13 @@ func TestFlowDeadlockReported(t *testing.T) {
 	e.Spawn("holder", func(p *Proc) {
 		r.Acquire(p, 1) // acquired, never released
 	})
-	e.SpawnFlow("stuck", func(p *Proc, reason int) {
+	e.SpawnFlow("stuck", stepFunc(func(p *Proc, reason int) {
 		if r.FlowAcquireStart(p, 1) {
 			t.Error("acquire unexpectedly succeeded")
 			p.FlowEnd()
 		}
 		// parks forever: holder never releases
-	})
+	}))
 	err := e.Run()
 	if err == nil {
 		t.Fatal("expected deadlock error")

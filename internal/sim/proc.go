@@ -21,16 +21,10 @@ type Proc struct {
 	// It is an int32 so that it packs beside started/done.
 	reason int32
 
-	// fn holds the body of a spawned process between Spawn and its start
-	// event; the start hands it to the (possibly pooled) coroutine.
-	fn func(*Proc)
-
-	// next/stop drive the Proc's coroutine from the trampoline and yield
-	// suspends it from inside (see coro.go). All three are nil until the
-	// first life starts; the coroutine then stays pooled with the Proc.
-	next  func() (struct{}, bool)
-	stop  func()
-	yield func(struct{}) bool
+	// co is the coroutine state, allocated with the Proc for coroutine
+	// processes (Engine.Spawn) and nil for flows, so a flow's Proc carries
+	// none of it (see coState).
+	co *coState
 
 	// step, when non-nil, is run by the engine at each wake in place of a
 	// coroutine resume (see Engine.resumeFlow). A flow (Engine.SpawnFlow) is
@@ -38,7 +32,7 @@ type Proc struct {
 	// coroutine process installs one for the length of a SleepSeq. The step
 	// parks with a Flow* primitive and returns, so a wake costs a call: no
 	// switch and no stack, only the events it schedules.
-	step func(p *Proc, reason int)
+	step Flow
 
 	// blockKind/blockName describe what the process is blocked on, kept as
 	// two pieces so the hot path never concatenates strings; blockReason()
@@ -49,6 +43,66 @@ type Proc struct {
 	// prevLive/nextLive link the process into the engine's live list while
 	// it is spawned and not yet finished (see Engine.first).
 	prevLive, nextLive *Proc
+}
+
+// coState is the coroutine half of a Proc: the body of a spawned process
+// between Spawn and its start event (fn), and the iter.Pull pair that drives
+// the coroutine from the trampoline (next/stop) and suspends it from inside
+// (yield; see coro.go). next/stop/yield are nil until the first life starts;
+// the coroutine then stays pooled with the Proc. Flows never have one.
+type coState struct {
+	fn    func(*Proc)
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+}
+
+// coProc is the single allocation behind a fresh coroutine process: the Proc
+// and its coroutine state side by side, with Proc.co pointing at the latter.
+type coProc struct {
+	p  Proc
+	co coState
+}
+
+// Flow is the body of a flow (Engine.SpawnFlow), and of a coroutine process
+// for the length of a SleepSeq: Step is run in engine context at every wake
+// and parks again with a Flow* primitive, or ends the flow with FlowEnd,
+// before it returns. reason is the wake reason.
+type Flow interface {
+	Step(p *Proc, reason int)
+}
+
+// FlowNamer is a Flow that formats its own process name. A flow spawned with
+// an empty name takes its name from FlowName, called only when something
+// reads the name — a tracer other than the default no-op one, a deadlock
+// report or a step panic — and at most once per life.
+type FlowNamer interface {
+	Flow
+	FlowName() string
+}
+
+// sleepSeqFlow is the Flow a SleepSeq installs: its sequence function.
+type sleepSeqFlow func() (Duration, bool)
+
+// Step implements Flow: run the next instant's side effects, then sleep
+// again or end the sequence.
+func (next sleepSeqFlow) Step(p *Proc, _ int) {
+	if d, ok := next(); ok {
+		p.FlowSleep(d)
+	} else {
+		p.step = nil
+	}
+}
+
+// procName returns the process name, formatting a lazily named flow's name
+// on first read and keeping it for the rest of the life.
+func (p *Proc) procName() string {
+	if p.name == "" && p.step != nil {
+		if n, ok := p.step.(FlowNamer); ok {
+			p.name = n.FlowName()
+		}
+	}
+	return p.name
 }
 
 // Now returns the current virtual time.
@@ -166,13 +220,7 @@ func (p *Proc) SleepSeq(next func() (Duration, bool)) {
 	if !ok {
 		return
 	}
-	p.step = func(p *Proc, _ int) {
-		if d, ok := next(); ok {
-			p.FlowSleep(d)
-		} else {
-			p.step = nil
-		}
-	}
+	p.step = sleepSeqFlow(next)
 	p.Sleep(d)
 }
 
@@ -182,7 +230,11 @@ func (p *Proc) SpawnChild(name string, fn func(*Proc)) *Proc {
 }
 
 // Trace emits a trace record attributed to this process.
-func (p *Proc) Trace(kind, detail string) { p.e.tracer.Trace(p.e.now, kind, p.name, detail) }
+func (p *Proc) Trace(kind, detail string) {
+	if p.e.traced {
+		p.e.tracer.Trace(p.e.now, kind, p.procName(), detail)
+	}
+}
 
 // waiter identifies a parked process together with the wait token that was
 // current when it blocked.

@@ -9,7 +9,12 @@ package sim
 // always a power of two so index wrapping is a mask, and it only grows when
 // the live population actually exceeds capacity.
 //
-// The zero value is an empty, ready-to-use ring.
+// The zero value is an empty, ready-to-use ring. The first push allocates a
+// single slot and each growth doubles, so a ring is only ever as large as the
+// smallest power of two that held its peak population: most queues (a
+// connection's receive queue, a rank's mailbox) rarely hold more than one
+// element at a time, and a queue that does reaches its size in a few
+// doublings.
 type ring[T any] struct {
 	buf  []T // len(buf) is 0 or a power of two
 	head int // index of the oldest element
@@ -66,7 +71,7 @@ func (r *ring[T]) capacity() int { return len(r.buf) }
 func (r *ring[T]) grow() {
 	newCap := 2 * len(r.buf)
 	if newCap == 0 {
-		newCap = 8
+		newCap = 1
 	}
 	buf := make([]T, newCap)
 	for i := 0; i < r.n; i++ {

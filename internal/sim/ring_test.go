@@ -11,7 +11,8 @@ func TestRingFIFOAndWrap(t *testing.T) {
 		t.Fatalf("zero ring: len=%d cap=%d, want 0,0", r.len(), r.capacity())
 	}
 	// Keep 3 live elements while cycling 100 through, forcing many wraps of
-	// the initial 8-slot buffer; FIFO order must hold throughout.
+	// the buffer; FIFO order must hold throughout, and the ring must stop
+	// growing at 4 slots, the smallest power of two that holds 3.
 	for i := 0; i < 3; i++ {
 		r.push(i)
 	}
@@ -21,7 +22,7 @@ func TestRingFIFOAndWrap(t *testing.T) {
 		}
 		r.push(i)
 	}
-	if c := r.capacity(); c != 8 {
+	if c := r.capacity(); c != 4 {
 		t.Errorf("capacity grew to %d with 3 live elements", c)
 	}
 	r.clear()
