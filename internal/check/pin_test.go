@@ -6,8 +6,10 @@ import (
 	"io"
 	"testing"
 
+	"ibmig/internal/exp"
 	"ibmig/internal/fault"
 	"ibmig/internal/npb"
+	"ibmig/internal/strategy"
 )
 
 // The spec strings and shrink results below are outputs other code keeps:
@@ -20,6 +22,11 @@ const (
 	pinnedFleetSpecs      = 0x30d3af5677c13c13
 	pinnedScenarioShrinks = 0x933868caac714fe6
 	pinnedFleetShrinks    = 0xd231d0f93fb2a979
+
+	// pinnedDSTOutcomes pins what the Job Manager does with each class S
+	// scenario of Generate(1..dstOutcomeSeeds) under every strategy.
+	pinnedDSTOutcomes = 0x3d2062abbbbbf1d3
+	dstOutcomeSeeds   = 56
 )
 
 func fingerprint(write func(w io.Writer)) uint64 {
@@ -102,5 +109,45 @@ func TestShrinkResultsPinned(t *testing.T) {
 		}
 	}); got != pinnedFleetShrinks {
 		t.Errorf("fleet shrink fingerprint %#x, want %#x", got, uint64(pinnedFleetShrinks))
+	}
+}
+
+// dstOutcomes fingerprints the outcome of every class S scenario of
+// Generate(1..seeds) under every strategy: the spec, the recovery counters,
+// how the job ended, its sim time and event count, and how many invariants
+// it broke. Any change to the order or timing of the framework's decisions
+// moves it.
+func dstOutcomes(seeds int64) uint64 {
+	var scs []Scenario
+	for seed := int64(1); seed <= seeds; seed++ {
+		sc := Generate(seed)
+		if sc.Class != npb.ClassS {
+			continue
+		}
+		for _, name := range strategy.Names() {
+			sc.Strategy = name
+			scs = append(scs, sc)
+		}
+	}
+	rs := exp.Map(len(scs), func(i int) *Result { return RunScenario(scs[i]) })
+	return fingerprint(func(w io.Writer) {
+		for _, r := range rs {
+			fmt.Fprintf(w, "%s|%d %d %d %d %d %d %d %d %d %v %v %d %d %d\n", r.Spec,
+				r.Attempts, r.Completed, r.Aborted, r.Retries, r.Fallbacks, r.ReactiveRestarts,
+				r.ReplicaRestores, r.SpareExhaustions, r.PolicyCkpts, r.JobLost, r.AppDone,
+				r.SimNS, r.Events, len(r.Violations))
+		}
+	})
+}
+
+func TestDSTOutcomesPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the DST corpus")
+	}
+	defer exp.SetParallelism(exp.Parallelism())
+	exp.SetParallelism(0)
+	if got := dstOutcomes(dstOutcomeSeeds); got != pinnedDSTOutcomes {
+		t.Errorf("DST outcome fingerprint (seeds 1..%d, every strategy) %#x, want %#x",
+			dstOutcomeSeeds, got, uint64(pinnedDSTOutcomes))
 	}
 }
