@@ -194,7 +194,7 @@ func main() {
 	fmt.Println(report)
 	if jm := fw.JobManager(); *faultKind != "" || jm.MigrationsAborted > 0 {
 		fmt.Printf("recovery: aborted=%d spare-retries=%d cr-fallbacks=%d restart-resends=%d job-lost=%v\n",
-			jm.MigrationsAborted, jm.SpareRetries, jm.CRFallbacks, jm.RestartResends, jm.JobLost)
+			jm.MigrationsAborted, jm.SpareRetries, jm.CRFallbacks, jm.RestartResends, jm.JobLost())
 	}
 	fmt.Println(metrics.CaptureDataPlane().Delta(dpStart))
 	fmt.Printf("application ran %.2fs end to end (overhead vs estimate: %.1f%%)\n",

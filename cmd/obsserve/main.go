@@ -159,7 +159,7 @@ func serveScenario(ln net.Listener, cfg scenarioConfig) {
 		}
 		p.Sleep(sim.Duration(float64(w.EstimatedRuntime()) * cfg.triggerFrac))
 		fw.TriggerMigration(p, src).Wait(p)
-		for !fw.W.Done() && !jm.JobLost {
+		for !fw.W.Done() && !jm.JobLost() {
 			p.Sleep(time.Millisecond)
 		}
 		e.Stop()
@@ -216,7 +216,7 @@ func serveScenario(ln net.Listener, cfg scenarioConfig) {
 		col.Finish(e.Now())
 		col.Unsubscribe(pump)
 		log.Printf("run ended at t=%.2fs after %d events (job-lost=%v done=%v)",
-			e.Now().Seconds(), e.Events(), jm.JobLost, fw.W.Done())
+			e.Now().Seconds(), e.Events(), jm.JobLost(), fw.W.Done())
 		if cfg.flightOut != "" {
 			f, err := os.Create(cfg.flightOut)
 			if err == nil {

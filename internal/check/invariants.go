@@ -195,7 +195,7 @@ func Registry() []Invariant {
 				ids := map[int]int{}
 				for _, r := range pr.fw.W.Ranks() {
 					ids[r.ID()]++
-					if !pr.jm.JobLost && !pr.c.NodeAlive(r.Node()) {
+					if !pr.jm.JobLost() && !pr.c.NodeAlive(r.Node()) {
 						vs = append(vs, one("ranks-intact", pr.endT,
 							"rank %d placed on dead node %s", r.ID(), r.Node())...)
 					}
@@ -221,7 +221,7 @@ func Registry() []Invariant {
 			Name: "image-identity",
 			Desc: "restored process images are checksum-identical across checkpoint, RDMA transfer and restart",
 			Check: func(pr *probe) (vs []Violation) {
-				if pr.jm.JobLost || len(pr.fw.Attempts) == 0 {
+				if pr.jm.JobLost() || len(pr.fw.Attempts) == 0 {
 					return nil
 				}
 				if !pr.fw.LastVerified() {
@@ -295,7 +295,7 @@ func Registry() []Invariant {
 			Name: "job-loss-legitimate",
 			Desc: "the job is only ever lost to an injected destructive fault, never spontaneously",
 			Check: func(pr *probe) (vs []Violation) {
-				if pr.jm.JobLost && !pr.sc.destructive() {
+				if pr.jm.JobLost() && !pr.sc.destructive() {
 					vs = append(vs, one("job-loss-legitimate", pr.endT,
 						"job lost with no destructive fault injected (faults: %v)", pr.sc.Faults)...)
 				}

@@ -253,7 +253,7 @@ func runScenario(sc Scenario, pr *probe, res *Result) {
 		// fallen into a recovery gap: stop without ctlDone, so liveness
 		// reports it with the flight recorder's tail.
 		giveUp := p.Now().Add(pollBudget(w.EstimatedRuntime()))
-		for !pr.fw.W.Done() && !pr.jm.JobLost {
+		for !pr.fw.W.Done() && !pr.jm.JobLost() {
 			if p.Now() >= giveUp {
 				e.Stop()
 				return
@@ -289,7 +289,7 @@ func runScenario(sc Scenario, pr *probe, res *Result) {
 	res.ReplicaRestores = pr.jm.ReplicaRestores
 	res.SpareExhaustions = pr.jm.SpareExhaustions
 	res.PolicyCkpts = pr.jm.PolicyCheckpoints
-	res.JobLost = pr.jm.JobLost
+	res.JobLost = pr.jm.JobLost()
 	res.AppDone = pr.appDone
 	res.Events = e.Events()
 	res.SimNS = int64(pr.endT)

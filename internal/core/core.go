@@ -163,15 +163,13 @@ type Framework struct {
 	lastVerified bool
 
 	migrationSeq int
-	current      *migrationState
+	own          owner
 
 	// ckpt is the last full-job checkpoint (taken via Checkpoint) — the
 	// recovery image the CR-fallback path restores from. ckptTakenAt dates
 	// it, for rework accounting on restore.
 	ckpt        *cr.Runner
-	ckptActive  bool
 	ckptTakenAt sim.Time
-	recovering  bool // a reactive recovery currently owns the suspension
 
 	// Recoveries logs every recovery action taken, in order (see
 	// RecoveryRecord).
@@ -180,6 +178,63 @@ type Framework struct {
 	// phaseHooks run synchronously in the JM process at each phase entry of
 	// each migration attempt — the anchor fault injection hangs off.
 	phaseHooks []func(p *sim.Proc, seq, phase int)
+}
+
+// owner is the one holder of the job's suspension: one migration attempt
+// (m), one checkpoint or one recovery at a time, until the job is lost and
+// stays frozen. acquire and release hold the transition table:
+//
+//	acquire  idle -> migrating | checkpointing | recovering; migrating -> migrating (a retry)
+//	release  migrating | checkpointing | recovering -> idle; migrating | recovering -> lost
+//
+// A checkpoint, the one request from outside the Job Manager's process, is
+// refused with an error; any other transition off the table panics.
+type owner struct {
+	state ownerState
+	m     *migrationState
+}
+
+type ownerState int
+
+const (
+	ownIdle ownerState = iota
+	ownMigrating
+	ownCheckpointing
+	ownRecovering
+	ownLost
+)
+
+var ownerNames = [...]string{"idle", "migrating", "checkpointing", "recovering", "lost"}
+
+// busy reports whether the suspension is held: triggers and deaths queue.
+func (o *owner) busy() bool { return o.state != ownIdle && o.state != ownLost }
+
+func (o *owner) acquire(to ownerState, m *migrationState) error {
+	switch {
+	case o.state == ownIdle && to != ownIdle && to != ownLost, o.state == ownMigrating && to == ownMigrating:
+		o.state, o.m = to, m
+		return nil
+	case to != ownCheckpointing:
+		o.illegal(to)
+	case o.state == ownMigrating:
+		return fmt.Errorf("core: checkpoint while migration #%d is in flight", o.m.seq)
+	case o.state == ownCheckpointing:
+		return fmt.Errorf("core: checkpoint already in progress")
+	case o.state == ownRecovering:
+		return fmt.Errorf("core: checkpoint while a recovery owns the suspension")
+	}
+	return fmt.Errorf("core: checkpoint of a lost job")
+}
+
+func (o *owner) release(to ownerState) {
+	if !o.busy() || to != ownIdle && (to != ownLost || o.state == ownCheckpointing) {
+		o.illegal(to)
+	}
+	o.state, o.m = to, nil
+}
+
+func (o *owner) illegal(to ownerState) {
+	panic(fmt.Sprintf("core: illegal owner transition %s -> %s", ownerNames[o.state], ownerNames[to]))
 }
 
 // OnPhase registers a hook called at the entry of each migration phase
@@ -247,12 +302,9 @@ type AttemptRecord struct {
 	Flight []string
 }
 
-// recordAttempt appends m's terminal record once.
+// recordAttempt appends m's terminal record. An attempt leaves the owner
+// once (to its retry, to idle or to lost), and is recorded then.
 func (fw *Framework) recordAttempt(m *migrationState, completed bool) {
-	if m.recorded {
-		return
-	}
-	m.recorded = true
 	rec := AttemptRecord{
 		Seq:             m.seq,
 		Src:             m.src,
@@ -277,7 +329,7 @@ func (fw *Framework) recordAttempt(m *migrationState, completed bool) {
 // applies before acting. Sequence numbers start at 1, so the zero seq of a
 // mistyped payload never matches.
 func (fw *Framework) liveAttempt(seq int) *migrationState {
-	if m := fw.current; m != nil && m.seq == seq && !m.aborted {
+	if m := fw.own.m; m != nil && m.seq == seq && !m.aborted {
 		return m
 	}
 	return nil
@@ -319,7 +371,6 @@ type migrationState struct {
 	// Recovery bookkeeping.
 	phase           int             // 1..4, last phase entered
 	aborted         bool            // this attempt was torn down
-	recorded        bool            // terminal AttemptRecord appended
 	retries         int             // spare retries already spent on this trigger's chain
 	startedAt       sim.Time        // first attempt's start (carried across retries)
 	poolOutstanding int64           // agg-pool chunks unreturned at transfer end; -1 unknown
@@ -449,10 +500,10 @@ func (fw *Framework) startPolicyCheckpoints() {
 	fw.C.E.Spawn("core.policy-ckpt", func(p *sim.Proc) {
 		for {
 			p.Sleep(interval)
-			if fw.W.Done() || fw.jm.JobLost {
+			if fw.jm.jobOver() {
 				return
 			}
-			if fw.current != nil || fw.ckptActive || fw.recovering {
+			if fw.own.busy() {
 				continue
 			}
 			for _, d := range fw.opts.Strategy.Decide(fw.jm.view(nil), strategy.Event{Kind: strategy.EvTick}) {
@@ -518,26 +569,17 @@ func (fw *Framework) AttachPredictor(predictions *sim.Queue[string]) {
 
 // Checkpoint takes a coordinated full-job checkpoint and keeps it as the
 // recovery image the CR-fallback path restores from when a migration loses
-// the race against an actual failure. It must not overlap a migration (both
-// own the suspension protocol); migration triggers arriving while the job is
-// frozen are deferred and served afterwards.
+// the race against an actual failure. It holds the job's suspension (see
+// owner) and is refused with an error while anything else holds it or once
+// the job is lost. Triggers and node deaths queued meanwhile are served when
+// its CKPT_DONE publication reaches the Job Manager.
 func (fw *Framework) Checkpoint(p *sim.Proc, target cr.Target) (*metrics.Report, error) {
-	if fw.current != nil {
-		return nil, fmt.Errorf("core: checkpoint while migration #%d is in flight", fw.current.seq)
+	if err := fw.own.acquire(ownCheckpointing, nil); err != nil {
+		return nil, err
 	}
-	if fw.ckptActive {
-		return nil, fmt.Errorf("core: checkpoint already in progress")
-	}
-	if fw.recovering {
-		return nil, fmt.Errorf("core: checkpoint while a recovery owns the suspension")
-	}
-	fw.ckptActive = true
-	defer func() { fw.ckptActive = false }()
-	var span obs.SpanID
+	defer fw.own.release(ownIdle)
 	c := fw.obsC()
-	if c != nil {
-		span = c.StartSpan(p.Now(), fmt.Sprintf("checkpoint(%s)", target), "jm", 0)
-	}
+	span := c.StartSpan(p.Now(), fmt.Sprintf("checkpoint(%s)", target), "jm", 0)
 	r := cr.NewRunner(fw.C, fw.W, target, fw.opts.Hash)
 	rep, cerr := r.Checkpoint(p)
 	c.EndSpan(p.Now(), span)
@@ -549,8 +591,5 @@ func (fw *Framework) Checkpoint(p *sim.Proc, target cr.Target) (*metrics.Report,
 	// deferred dead-node reactions) are drained off this event, and a failed
 	// dump must not leave them parked.
 	fw.trigger.Publish(p, ftb.Event{Namespace: ftb.NamespaceMVAPICH, Name: eventCkptDone})
-	if cerr != nil {
-		return rep, cerr
-	}
-	return rep, nil
+	return rep, cerr
 }

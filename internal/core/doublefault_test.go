@@ -135,7 +135,7 @@ func TestNodeDiesDuringCRFallback(t *testing.T) {
 
 	e.Spawn("test.second-fault", func(p *sim.Proc) {
 		for fw.jm.CRFallbacks == 0 {
-			if fw.jm.JobLost || fw.W.Done() {
+			if fw.jm.JobLost() || fw.W.Done() {
 				return
 			}
 			p.Sleep(20 * time.Microsecond)
@@ -150,7 +150,7 @@ func TestNodeDiesDuringCRFallback(t *testing.T) {
 		}
 		p.Sleep(10 * time.Millisecond)
 		fw.TriggerMigration(p, "node02").Wait(p)
-		for !fw.W.Done() && !fw.jm.JobLost {
+		for !fw.W.Done() && !fw.jm.JobLost() {
 			p.Sleep(time.Millisecond)
 		}
 		e.Stop()
@@ -164,8 +164,8 @@ func TestNodeDiesDuringCRFallback(t *testing.T) {
 	if jm.CRFallbacks != 1 {
 		t.Fatalf("CRFallbacks = %d, want 1", jm.CRFallbacks)
 	}
-	if jm.JobLost || !fw.W.Done() {
-		t.Fatalf("lost=%v done=%v, want the job to survive both faults", jm.JobLost, fw.W.Done())
+	if jm.JobLost() || !fw.W.Done() {
+		t.Fatalf("lost=%v done=%v, want the job to survive both faults", jm.JobLost(), fw.W.Done())
 	}
 	if got := len(fw.W.RanksOn("node03")); got != 0 {
 		t.Errorf("%d ranks left on the dead node03", got)
@@ -207,7 +207,7 @@ func TestLinkFlapSurvivedByFTSendPath(t *testing.T) {
 	if dropped := fw.W.FTDropped(); dropped != 0 {
 		t.Errorf("FTDropped = %d, want 0 (no destination rank had finished)", dropped)
 	}
-	if fw.jm.JobLost {
+	if fw.jm.JobLost() {
 		t.Error("job reported lost under a transient link flap")
 	}
 }

@@ -53,7 +53,7 @@ func runEnding(t *testing.T, rig endingRig) (*sim.Recorder, *Framework) {
 	e.Spawn("test.ctl", func(p *sim.Proc) {
 		fw.W.WaitReady(p)
 		rig.drive(t, p, c, fw)
-		for !fw.W.Done() && !fw.jm.JobLost {
+		for !fw.W.Done() && !fw.jm.JobLost() {
 			p.Sleep(time.Millisecond)
 		}
 		e.Stop()
@@ -225,8 +225,8 @@ func TestRecoveryEndingsPinned(t *testing.T) {
 			if got := endingCounters(fw.jm); got != tc.counters {
 				t.Errorf("counters = %q, want %q", got, tc.counters)
 			}
-			if fw.jm.JobLost != tc.lost {
-				t.Errorf("JobLost = %v, want %v", fw.jm.JobLost, tc.lost)
+			if fw.jm.JobLost() != tc.lost {
+				t.Errorf("JobLost = %v, want %v", fw.jm.JobLost(), tc.lost)
 			}
 			if !tc.lost && !fw.W.Done() {
 				t.Error("job did not finish")

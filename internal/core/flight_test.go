@@ -38,7 +38,7 @@ func TestTerminalAttemptCarriesFlightTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Shutdown()
-	if !fw.jm.JobLost {
+	if !fw.jm.JobLost() {
 		t.Fatal("JobLost not set after unrecoverable source crash")
 	}
 	if len(fw.Attempts) == 0 {

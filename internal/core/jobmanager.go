@@ -10,7 +10,6 @@ import (
 	"ibmig/internal/health"
 	"ibmig/internal/metrics"
 	"ibmig/internal/mpi"
-	"ibmig/internal/obs"
 	"ibmig/internal/payload"
 	"ibmig/internal/sim"
 	"ibmig/internal/strategy"
@@ -66,16 +65,12 @@ type JobManager struct {
 	// completed migration (strategy.ReasonSpareExhausted / ReasonRetryBudget).
 	TerminalReason string
 
-	// JobLost is set when recovery is impossible: the source died without a
-	// prior Framework.Checkpoint (or the fallback restore itself failed).
-	JobLost bool
-
 	// warns counts sensor warnings per node (AutoPolicy strategy input).
 	warns map[string]int
 	// shadows maps a protected node to its staged hot replica.
 	shadows map[string]*replica
-	// deferredDead queues node deaths that arrived while a migration or
-	// checkpoint owned the suspension protocol; they are served afterwards.
+	// deferredDead queues node deaths that arrived while the suspension was
+	// held; like pending, it is drained on release.
 	deferredDead []string
 }
 
@@ -130,15 +125,9 @@ func (jm *JobManager) loop(p *sim.Proc, sub *ftb.Subscription) {
 		default:
 			switch ev.Name {
 			case eventMigrateRequest:
-				src, isStr := ev.Payload.(string)
-				if !isStr {
-					continue
+				if src, isStr := ev.Payload.(string); isStr {
+					jm.startMigration(p, src)
 				}
-				if jm.fw.current != nil || jm.fw.ckptActive {
-					jm.pending = append(jm.pending, src)
-					continue
-				}
-				jm.startMigration(p, src)
 			case ftb.EventMigratePIIC:
 				jm.onPIIC(p, ev)
 			case eventRestartDone:
@@ -148,12 +137,19 @@ func (jm *JobManager) loop(p *sim.Proc, sub *ftb.Subscription) {
 			case eventMigrateTimeout:
 				jm.onTimeout(p, ev)
 			case eventCkptDone:
-				jm.drainDeferredDead(p)
-				jm.drainPending(p)
+				jm.drain(p)
 			}
 		}
 	}
 }
+
+// JobLost reports whether recovery proved impossible (a dead source with no
+// checkpoint to fall back to, or no way out of a node death): the job stays
+// frozen.
+func (jm *JobManager) JobLost() bool { return jm.fw.own.state == ownLost }
+
+// jobOver reports whether the job is lost or finished: nothing is served then.
+func (jm *JobManager) jobOver() bool { return jm.JobLost() || jm.fw.W.Done() }
 
 // nodeUsable reports whether a node can carry migration traffic: alive with
 // a working adapter.
@@ -271,7 +267,7 @@ func (jm *JobManager) onWarn(p *sim.Proc, node string) {
 
 // applyPolicyDecisions executes the first feasible proactive decision.
 func (jm *JobManager) applyPolicyDecisions(p *sim.Proc, node string, ds []strategy.Decision) {
-	if jm.JobLost || jm.fw.W.Done() {
+	if jm.jobOver() {
 		return
 	}
 	for _, d := range ds {
@@ -283,10 +279,6 @@ func (jm *JobManager) applyPolicyDecisions(p *sim.Proc, node string, ds []strate
 		case strategy.Migrate:
 			if len(jm.fw.W.RanksOn(target)) == 0 {
 				continue
-			}
-			if jm.fw.current != nil || jm.fw.ckptActive {
-				jm.pending = append(jm.pending, target)
-				return
 			}
 			jm.startMigration(p, target)
 			return
@@ -320,12 +312,9 @@ func (jm *JobManager) stageReplica(p *sim.Proc, node string) {
 	jm.ReplicasStaged++
 	p.Trace("core.jm", fmt.Sprintf("staging replica of %s on %s (%d ranks)", node, host, len(ranks)))
 	fw.C.E.Spawn("core.replica."+node, func(sp *sim.Proc) {
-		var span obs.SpanID
 		c := fw.obsC()
-		if c != nil {
-			span = c.StartSpan(sp.Now(), "replica.stage "+node, "jm", 0)
-			defer func() { c.EndSpan(sp.Now(), span) }()
-		}
+		span := c.StartSpan(sp.Now(), "replica.stage "+node, "jm", 0)
+		defer func() { c.EndSpan(sp.Now(), span) }()
 		var total int64
 		for _, r := range ranks {
 			if jm.shadows[node] != sh || !fw.C.NodeAlive(node) {
@@ -371,10 +360,15 @@ func (jm *JobManager) dropShadowsOn(node string) {
 	}
 }
 
-// startMigration runs Phase 1 and kicks off Phase 2 (paper Fig. 2).
+// startMigration runs Phase 1 and kicks off Phase 2 (paper Fig. 2), or
+// queues the trigger while the suspension is held.
 func (jm *JobManager) startMigration(p *sim.Proc, src string) {
 	fw := jm.fw
-	if jm.JobLost {
+	if fw.own.busy() {
+		jm.pending = append(jm.pending, src)
+		return
+	}
+	if jm.JobLost() {
 		// The job sits in a frozen suspension; a new migration could never
 		// even stall it.
 		jm.FailedTriggers++
@@ -396,7 +390,7 @@ func (jm *JobManager) startMigration(p *sim.Proc, src string) {
 		return
 	}
 	m := jm.newAttempt(p.Now(), src, dst, ranks, nil)
-	fw.current = m
+	fw.own.acquire(ownMigrating, m)
 	if c := fw.obsC(); c != nil {
 		m.span = c.StartSpan(p.Now(), fmt.Sprintf("migration#%d %s->%s", m.seq, src, dst), "jm", 0)
 		c.SpanAttr(m.span, "ranks", fmt.Sprint(len(ranks)))
@@ -480,14 +474,14 @@ func (jm *JobManager) onRestartDone(p *sim.Proc, ev ftb.Event) {
 // onNodeDown handles a cluster-monitor NODE_DOWN event. A death hitting the
 // current migration's endpoints feeds its recovery; any other death of a
 // rank-hosting node is, under AutoPolicy, served to the strategy (restore
-// from replica, restart from checkpoint, or lose the job) — deferred while a
-// migration or checkpoint owns the suspension protocol.
+// from replica, restart from checkpoint, or lose the job) — deferred while the
+// suspension is held.
 func (jm *JobManager) onNodeDown(p *sim.Proc, node string) {
 	jm.unhealthy[node] = true
 	if nla := jm.fw.nlas[node]; nla != nil && nla.State() != StateInactive {
 		nla.setState(StateInactive)
 	}
-	if m := jm.fw.current; m != nil && !m.aborted {
+	if m := jm.fw.own.m; m != nil && !m.aborted {
 		switch node {
 		case m.dst:
 			jm.recover(p, m, "target node down")
@@ -500,33 +494,53 @@ func (jm *JobManager) onNodeDown(p *sim.Proc, node string) {
 			// The source already left the job; its death is moot.
 		}
 	}
-	if !jm.fw.opts.AutoPolicy || jm.JobLost || jm.fw.W.Done() {
+	if !jm.fw.opts.AutoPolicy || jm.jobOver() {
 		return
 	}
 	jm.dropShadowsOn(node)
 	if len(jm.fw.W.RanksOn(node)) == 0 {
 		return
 	}
-	if jm.fw.current != nil || jm.fw.ckptActive {
+	if jm.fw.own.busy() {
 		jm.deferredDead = append(jm.deferredDead, node)
 		return
 	}
 	jm.reactTo(p, node)
 }
 
-// drainDeferredDead serves node deaths queued while the suspension protocol
-// was owned by a migration or checkpoint.
-func (jm *JobManager) drainDeferredDead(p *sim.Proc) {
-	for len(jm.deferredDead) > 0 {
-		if jm.fw.current != nil || jm.fw.ckptActive || jm.JobLost || jm.fw.W.Done() {
-			return
-		}
+// release logs the Job Manager's recovery action rec and ends its hold. A job
+// that runs on (rec.Ok) goes idle and drains what queued meanwhile. A lost job
+// fires every waiting trigger and drops the queues: nothing can serve them.
+func (jm *JobManager) release(p *sim.Proc, rec RecoveryRecord) {
+	jm.fw.Recoveries = append(jm.fw.Recoveries, rec)
+	if rec.Ok {
+		jm.fw.own.release(ownIdle)
+		jm.drain(p)
+		return
+	}
+	jm.fw.own.release(ownLost)
+	for len(jm.completionWaiters) > 0 {
+		jm.fireCompletions()
+	}
+	jm.pending, jm.deferredDead = nil, nil
+}
+
+// drain serves queued node deaths, then the oldest queued trigger, until one
+// of them takes the suspension again.
+func (jm *JobManager) drain(p *sim.Proc) {
+	for len(jm.deferredDead) > 0 && !jm.fw.own.busy() && !jm.jobOver() {
 		node := jm.deferredDead[0]
 		jm.deferredDead = jm.deferredDead[1:]
 		if len(jm.fw.W.RanksOn(node)) > 0 && !jm.nodeUsable(node) {
 			jm.reactTo(p, node)
 		}
 	}
+	if jm.fw.own.busy() || len(jm.pending) == 0 {
+		return
+	}
+	next := jm.pending[0]
+	jm.pending = jm.pending[1:]
+	jm.startMigration(p, next)
 }
 
 // reactTo recovers from the death of a rank-hosting node outside any
@@ -540,16 +554,10 @@ func (jm *JobManager) reactTo(p *sim.Proc, node string) {
 	if len(ds) == 0 {
 		return
 	}
-	// The recovery owns the suspension protocol until it resolves; the
-	// policy-checkpoint loop (and any Checkpoint caller) must stand down.
-	fw.recovering = true
-	defer func() { fw.recovering = false }()
+	fw.own.acquire(ownRecovering, nil)
 	start := p.Now()
-	var span obs.SpanID
 	c := fw.obsC()
-	if c != nil {
-		span = c.StartSpan(start, "recovery."+node, "jm", 0)
-	}
+	span := c.StartSpan(start, "recovery."+node, "jm", 0)
 	p.Trace("core.jm", fmt.Sprintf("reacting to death of %s (%d ranks)", node, len(fw.W.RanksOn(node))))
 	sus := fw.W.BeginSuspend()
 	sus.WaitAllDrained(p)
@@ -574,43 +582,19 @@ func (jm *JobManager) reactTo(p *sim.Proc, node string) {
 		jm.promoteHosts()
 		sus.Resume()
 		sus.WaitAllResumed(p)
-		if c != nil {
-			c.SpanAttr(span, "kind", kind)
-			c.EndSpan(p.Now(), span)
-		}
+		c.SpanAttr(span, "kind", kind)
+		c.EndSpan(p.Now(), span)
 		p.Trace("core.jm", fmt.Sprintf("recovered from death of %s via %s (rework %v)", node, kind, rework))
-		fw.Recoveries = append(fw.Recoveries, RecoveryRecord{
-			Kind: kind, Node: node, Start: start, End: p.Now(), Rework: rework, Ok: true,
-		})
-		jm.drainDeferredDead(p)
-		jm.drainPending(p)
+		jm.release(p, RecoveryRecord{Kind: kind, Node: node, Start: start, End: p.Now(), Rework: rework, Ok: true})
 		return
 	}
 	// Nothing worked: the suspension stays frozen, as there is nothing
 	// consistent to resume into.
 	reason := "no recovery path for the death of " + node
-	if c != nil {
-		c.SpanAttr(span, "job_lost", reason)
-		c.EndSpan(p.Now(), span)
-	}
+	c.SpanAttr(span, "job_lost", reason)
+	c.EndSpan(p.Now(), span)
 	p.Trace("core.jm", "job lost — "+reason)
-	jm.loseJob(p, node, start)
-}
-
-// loseJob records that the job is lost — recovery from the failure of node,
-// begun at start, is impossible — and fires every outstanding trigger
-// completion so waiters are not stranded. Queued triggers and deaths are
-// dropped: the job stays frozen, and nothing can serve them.
-func (jm *JobManager) loseJob(p *sim.Proc, node string, start sim.Time) {
-	jm.JobLost = true
-	jm.fw.Recoveries = append(jm.fw.Recoveries, RecoveryRecord{
-		Kind: "abandon", Node: node, Start: start, End: p.Now(), Ok: false,
-	})
-	for len(jm.completionWaiters) > 0 {
-		jm.fireCompletions()
-	}
-	jm.pending = nil
-	jm.deferredDead = nil
+	jm.release(p, RecoveryRecord{Kind: "abandon", Node: node, Start: start, End: p.Now()})
 }
 
 // tryReactiveRestart restores the whole job from the last checkpoint, ranks
@@ -762,10 +746,7 @@ func (jm *JobManager) watchAttempt(m *migrationState) {
 	fw.C.E.Spawn(fmt.Sprintf("core.jm.watchdog.%d", m.seq), func(p *sim.Proc) {
 		for {
 			phase := m.phase
-			if m.finished.WaitTimeout(p, fw.opts.PhaseDeadline) {
-				return
-			}
-			if fw.current != m || m.aborted {
+			if m.finished.WaitTimeout(p, fw.opts.PhaseDeadline) || fw.own.m != m || m.aborted {
 				return
 			}
 			if m.phase == phase {
@@ -781,7 +762,8 @@ func (jm *JobManager) watchAttempt(m *migrationState) {
 	})
 }
 
-// recover is the failure decision tree for the current attempt:
+// recover is the failure decision tree for the live attempt m (every caller
+// has checked that m holds the suspension and is not yet aborted):
 //
 //  1. Stalled Phase 3 with a healthy target and vacated source — the
 //     FTB_RESTART (or its DONE) was lost: re-publish it, bounded times.
@@ -797,9 +779,6 @@ func (jm *JobManager) watchAttempt(m *migrationState) {
 //     gone.
 func (jm *JobManager) recover(p *sim.Proc, m *migrationState, reason string) {
 	fw := jm.fw
-	if fw.current != m || m.aborted {
-		return
-	}
 	p.Trace("core.jm", fmt.Sprintf("migration #%d recovery (phase %d): %s", m.seq, m.phase, reason))
 	if m.phase == 3 && m.srcVacated && jm.nodeUsable(m.dst) && m.failedNode != m.dst &&
 		m.restartResends < maxRestartResends {
@@ -909,7 +888,7 @@ func (jm *JobManager) startRetry(p *sim.Proc, prev *migrationState, dst string) 
 	m := jm.newAttempt(p.Now(), prev.src, dst, prev.ranks, prev)
 	fw.recordAttempt(prev, false)
 	m.report.Label += fmt.Sprintf(" retry->%s", dst)
-	fw.current = m
+	fw.own.acquire(ownMigrating, m)
 	if c := fw.obsC(); c != nil {
 		prev.endAttempt(c, p.Now())
 		m.span = c.StartSpan(p.Now(), fmt.Sprintf("migration#%d %s->%s (retry)", m.seq, m.src, dst), "jm", 0)
@@ -938,13 +917,9 @@ func (jm *JobManager) crFallback(p *sim.Proc, m *migrationState) {
 		jm.abandon(p, m, "source lost and no checkpoint exists")
 		return
 	}
-	used := make(map[string]bool)
-	for k := range m.excluded {
-		used[k] = true
-	}
 	p.Trace("core.jm", fmt.Sprintf("migration #%d: CR fallback", m.seq))
 	m.beginPhase(fw.obsC(), p.Now(), "cr-fallback")
-	if !jm.restoreWithRetry(p, used) {
+	if !jm.restoreWithRetry(p, m.excluded) {
 		jm.abandon(p, m, "CR fallback failed: spares or retries exhausted")
 		return
 	}
@@ -959,16 +934,14 @@ func (jm *JobManager) crFallback(p *sim.Proc, m *migrationState) {
 // attempt's span, AttemptRecord and Report, then loses the job. The
 // suspension is NOT lifted (there is nothing consistent to resume into).
 func (jm *JobManager) abandon(p *sim.Proc, m *migrationState, reason string) {
-	if c := jm.fw.obsC(); c != nil {
-		c.SpanAttr(m.span, "job_lost", reason)
-		m.endAttempt(c, p.Now())
-	}
+	c := jm.fw.obsC()
+	c.SpanAttr(m.span, "job_lost", reason)
+	m.endAttempt(c, p.Now())
 	p.Trace("core.jm", fmt.Sprintf("migration #%d: job lost — %s", m.seq, reason))
 	jm.fw.recordAttempt(m, false)
 	jm.fw.Reports = append(jm.fw.Reports, m.report)
-	jm.fw.current = nil
 	m.finished.Fire()
-	jm.loseJob(p, m.src, m.startedAt)
+	jm.release(p, RecoveryRecord{Kind: "abandon", Node: m.src, Start: m.startedAt, End: p.Now()})
 }
 
 // finishCycle is the one ending of a migration trigger whose job runs on:
@@ -990,23 +963,9 @@ func (jm *JobManager) finishCycle(p *sim.Proc, m *migrationState, kind string, v
 	}
 	fw.recordAttempt(m, completed)
 	fw.Reports = append(fw.Reports, m.report)
-	fw.current = nil
-	fw.Recoveries = append(fw.Recoveries, RecoveryRecord{
-		Kind: kind, Node: m.src, Start: m.startedAt, End: p.Now(), Rework: rework, Ok: true,
-	})
 	m.finished.Fire()
 	jm.fireCompletions()
-	jm.drainDeferredDead(p)
-	jm.drainPending(p)
-}
-
-func (jm *JobManager) drainPending(p *sim.Proc) {
-	if jm.fw.current != nil || jm.fw.ckptActive || len(jm.pending) == 0 {
-		return
-	}
-	next := jm.pending[0]
-	jm.pending = jm.pending[1:]
-	jm.startMigration(p, next)
+	jm.release(p, RecoveryRecord{Kind: kind, Node: m.src, Start: m.startedAt, End: p.Now(), Rework: rework, Ok: true})
 }
 
 // fireCompletions fires the oldest outstanding trigger's completion event

@@ -56,7 +56,7 @@ func requireJobIntact(t *testing.T, fw *Framework, res *npb.Result, w npb.Worklo
 			t.Fatalf("rank %d finished %d/%d iterations", i, n, w.Iterations)
 		}
 	}
-	if fw.jm.JobLost {
+	if fw.jm.JobLost() {
 		t.Fatal("job reported lost")
 	}
 	if !fw.lastVerified {
@@ -269,7 +269,7 @@ func TestSourceCrashWithoutCheckpointLosesJob(t *testing.T) {
 	if !triggerFired {
 		t.Fatal("trigger completion never fired")
 	}
-	if !fw.jm.JobLost {
+	if !fw.jm.JobLost() {
 		t.Fatal("JobLost not set after unrecoverable source crash")
 	}
 }

@@ -403,7 +403,7 @@ func runArm(spec CampaignSpec, name string, baselineNS int64, update func(ArmUpd
 			if d := st.at.Sub(p.Now()); d > 0 {
 				p.Sleep(d)
 			}
-			if fw.W.Done() || jm.JobLost {
+			if fw.W.Done() || jm.JobLost() {
 				return
 			}
 			st.fn(p)
@@ -415,7 +415,7 @@ func runArm(spec CampaignSpec, name string, baselineNS int64, update func(ArmUpd
 		fw.W.WaitReady(p)
 		start := p.Now()
 		polls := 0
-		for !fw.W.Done() && !jm.JobLost {
+		for !fw.W.Done() && !jm.JobLost() {
 			p.Sleep(time.Millisecond)
 			if polls++; update != nil && polls%armUpdateEvery == 0 {
 				update(armSnapshot(name, baselineNS, p.Now().Sub(start), fw, jm, w, res))
@@ -432,8 +432,8 @@ func runArm(spec CampaignSpec, name string, baselineNS int64, update func(ArmUpd
 
 	r := StrategyResult{
 		Strategy:         name,
-		Completed:        fw.W.Done() && !jm.JobLost,
-		JobLost:          jm.JobLost,
+		Completed:        fw.W.Done() && !jm.JobLost(),
+		JobLost:          jm.JobLost(),
 		AppNS:            appNS,
 		Migrations:       jm.MigrationsDone,
 		Retries:          jm.SpareRetries,
