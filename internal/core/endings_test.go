@@ -238,3 +238,39 @@ func TestRecoveryEndingsPinned(t *testing.T) {
 		})
 	}
 }
+
+// TestQueuedTriggersAfterDroppedOne queues two triggers behind a PVFS
+// checkpoint, the first for a node that does not exist. When the checkpoint
+// releases the job, the first is dropped and the Job Manager, still idle,
+// must go on to the second: it migrates node02 and its completion fires.
+func TestQueuedTriggersAfterDroppedOne(t *testing.T) {
+	var bad, good *sim.Event
+	rig := endingRig{spares: 2, pvfs: 2, opts: Options{Hash: true, PhaseDeadline: 2 * time.Second},
+		drive: func(t *testing.T, p *sim.Proc, _ *cluster.Cluster, fw *Framework) {
+			p.SpawnChild("test.trigger", func(cp *sim.Proc) {
+				cp.Sleep(10 * time.Millisecond)
+				bad = fw.TriggerMigration(cp, "node99")
+				good = fw.TriggerMigration(cp, "node02")
+			})
+			if _, err := fw.Checkpoint(p, cr.PVFS); err != nil {
+				t.Error(err)
+			}
+			for good == nil || !good.Fired() {
+				if fw.W.Done() {
+					return
+				}
+				p.Sleep(time.Millisecond)
+			}
+		}}
+	_, fw := runEnding(t, rig)
+	jm := fw.jm
+	if bad == nil || !bad.Fired() || !good.Fired() {
+		t.Fatalf("completions fired: dropped %v, node02 %v; pending %q", bad != nil && bad.Fired(), good != nil && good.Fired(), jm.pending)
+	}
+	if jm.MigrationsDone != 1 || jm.FailedTriggers != 1 || len(jm.pending) != 0 {
+		t.Errorf("done=%d failed=%d pending=%q, want 1, 1, none", jm.MigrationsDone, jm.FailedTriggers, jm.pending)
+	}
+	if !fw.W.Done() {
+		t.Error("job did not finish")
+	}
+}

@@ -535,12 +535,13 @@ func (jm *JobManager) drain(p *sim.Proc) {
 			jm.reactTo(p, node)
 		}
 	}
-	if jm.fw.own.busy() || len(jm.pending) == 0 {
-		return
+	// A dropped trigger leaves the owner idle, so keep going until one takes
+	// it or the queue is empty.
+	for !jm.fw.own.busy() && len(jm.pending) > 0 {
+		next := jm.pending[0]
+		jm.pending = jm.pending[1:]
+		jm.startMigration(p, next)
 	}
-	next := jm.pending[0]
-	jm.pending = jm.pending[1:]
-	jm.startMigration(p, next)
 }
 
 // reactTo recovers from the death of a rank-hosting node outside any

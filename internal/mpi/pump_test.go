@@ -105,6 +105,69 @@ func TestMeshAllocsPerPair(t *testing.T) {
 	}
 }
 
+// TestRingAllocsPerMessage guards the steady-state host cost of a message:
+// payload, envelope, send and delivery together allocate nothing. Eight
+// ranks on eight nodes pass messages around a ring with blocking Send and
+// Recv, the calls LU's wavefront makes, alternating an eager and a
+// rendezvous size. After a warm-up that materializes every pair and grows
+// every queue, the heap allocations of a window of ring steps are divided by
+// the messages sent in it; like testing.AllocsPerRun the ratio is an integer
+// quotient, and it must be 0.
+func TestRingAllocsPerMessage(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const ranks, warm, measured = 8, 50, 200
+	e, _, w := newTestWorld(ranks, ranks)
+	w.Start(func(r *Rank) {
+		n := r.Size()
+		for i := 0; i < warm+measured+1; i++ {
+			if r.ID() == 0 && (i == warm || i == warm+measured) {
+				e.Stop()
+			}
+			size := int64(1 << 10)
+			if i%2 == 1 {
+				size = 2 * w.cfg.EagerThreshold
+			}
+			r.Send((r.ID()+1)%n, i, size)
+			r.Recv((r.ID()-1+n)%n, i)
+		}
+	})
+	e.Spawn("ctl", func(p *sim.Proc) { w.WaitDone(p); e.Stop() })
+	sent := func() (n int64) {
+		for _, r := range w.ranks {
+			n += r.MsgsSent
+		}
+		return n
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	msgs := sent()
+	runtime.ReadMemStats(&before)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	msgs = sent() - msgs
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	e.Shutdown()
+	if !w.Done() {
+		t.Fatal("ring did not finish")
+	}
+	mallocs := int64(after.Mallocs - before.Mallocs)
+	t.Logf("%d allocations for %d messages (%.3f each)", mallocs, msgs, float64(mallocs)/float64(msgs))
+	if msgs < ranks*measured/2 {
+		t.Fatalf("window held %d messages, want at least %d", msgs, ranks*measured/2)
+	}
+	if got := mallocs / msgs; got != 0 {
+		t.Errorf("a steady-state message allocates %d times, want 0", got)
+	}
+}
+
 // pumpName is the name every pump flow of pair (rank <- peer) must carry.
 func pumpName(rank, peer int) string { return fmt.Sprintf("mpi.pump.%d<-%d", rank, peer) }
 

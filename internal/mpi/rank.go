@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"ibmig/internal/calib"
@@ -118,13 +119,37 @@ func newRendezvousRegion(size int64, owner, peer int) *mem.Region {
 	return mem.NewRegion(size, uint64(owner)<<20|uint64(peer))
 }
 
-// wireHdr is the MPI envelope carried as message metadata.
-type wireHdr struct {
-	From int
-	Tag  int
+// The MPI envelope (source rank and tag) rides in the message's immediate
+// data, as MVAPICH2 carries it in the packet header, so a message costs no
+// separately allocated descriptor. envMarker tells an MPI message from one
+// that lacks the envelope; the source takes bits 32..62 and the tag, as an
+// int32, bits 0..31. wireHdrSize is the envelope's simulated wire size.
+const (
+	wireHdrSize = 16
+	envMarker   = 1 << 63
+)
+
+// envelope packs (from, tag) into a message's immediate data.
+func envelope(from, tag int) uint64 {
+	if from < 0 || from > math.MaxInt32 || tag < math.MinInt32 || tag > math.MaxInt32 {
+		panic(fmt.Sprintf("mpi: envelope (rank %d, tag %d) out of range", from, tag))
+	}
+	return envMarker | uint64(from)<<32 | uint64(uint32(tag))
 }
 
-const wireHdrSize = 16
+// openEnvelope unpacks envelope's result. A message without the marker is
+// not an MPI message, and the receiving pump panics.
+func openEnvelope(imm uint64) (from, tag int) {
+	if imm&envMarker == 0 {
+		panic(fmt.Sprintf("mpi: message without an MPI envelope (imm %#x)", imm))
+	}
+	return int(imm >> 32 &^ (1 << 31)), int(int32(uint32(imm)))
+}
+
+// wire returns the ib message carrying one of the rank's sends.
+func (r *Rank) wire(tag int, data payload.Buffer) ib.Message {
+	return ib.Message{Imm: envelope(r.id, tag), MetaSize: wireHdrSize, Data: data}
+}
 
 // control kinds for mailbox messages.
 const (
@@ -236,8 +261,8 @@ func (c *conn) Step(p *sim.Proc, _ int) {
 		if !ok {
 			break
 		}
-		h := m.Meta.(wireHdr)
-		c.r.mailbox.TrySend(inMsg{from: h.From, tag: h.Tag, data: m.Data})
+		from, tag := openEnvelope(m.Imm)
+		c.r.mailbox.TrySend(inMsg{from: from, tag: tag, data: m.Data})
 	}
 	if c.qp.RecvClosed() {
 		p.FlowEnd()
@@ -293,7 +318,7 @@ func (r *Rank) spawnSend(name string, done *sim.Event, op string, to, tag int, d
 		if c == nil {
 			panic(fmt.Sprintf("mpi: rank %d has no connection to %d", r.id, to))
 		}
-		m := ib.Message{Meta: wireHdr{From: r.id, Tag: tag}, MetaSize: wireHdrSize, Data: data}
+		m := r.wire(tag, data)
 		err := c.ensure()
 		if err == nil {
 			if data.Size() <= r.w.cfg.EagerThreshold {
@@ -319,15 +344,15 @@ func (r *Rank) SendData(to, tag int, data payload.Buffer) {
 		r.mailbox.TrySend(inMsg{from: r.id, tag: tag, data: data})
 		return
 	}
+	m := r.wire(tag, data)
 	c := r.conns[to]
 	if c == nil {
 		if r.w.ftMode {
-			r.sendFT(to, ib.Message{Meta: wireHdr{From: r.id, Tag: tag}, MetaSize: wireHdrSize, Data: data})
+			r.sendFT(to, m)
 			return
 		}
 		panic(fmt.Sprintf("mpi: rank %d has no connection to %d", r.id, to))
 	}
-	m := ib.Message{Meta: wireHdr{From: r.id, Tag: tag}, MetaSize: wireHdrSize, Data: data}
 	r.beginOp()
 	err := r.trySend(c, m)
 	r.endOp()

@@ -238,7 +238,8 @@ func (t *Tree) Splice(off, del int64, b Buffer) {
 
 	// Collect the insertion run, coalescing internally.
 	ins := t.ins[:0]
-	for _, p := range b.parts {
+	var one [1]Part
+	for _, p := range b.view(&one) {
 		if p.Size() == 0 {
 			continue
 		}

@@ -104,6 +104,12 @@ func (p Part) fill(dst []byte, off int64) {
 // Buffer is an ordered sequence of parts, representing size bytes of
 // simulated data. The zero value is an empty buffer.
 //
+// A buffer that is one synthetic run keeps it inline: parts is nil and the
+// run is (seed, off, size). Synth, Slice of such a buffer and Append of a
+// first synthetic part therefore allocate nothing, which is what every MPI
+// message payload is. Append of a second part spills the run into parts;
+// from then on seed and off are zero. Readers see both forms through view.
+//
 // cum is a cumulative-offset index: cum[i] is the end offset of parts[i].
 // Append maintains it incrementally so Slice can binary-search for the first
 // overlapped part instead of scanning the part list; buffers built by direct
@@ -114,6 +120,19 @@ type Buffer struct {
 	parts []Part
 	cum   []int64
 	size  int64
+	seed  uint64 // inline run's seed; zero once spilled
+	off   int64  // inline run's stream offset; zero once spilled
+}
+
+// view returns the buffer's parts. The inline run comes back in *one, which
+// the caller keeps on its stack, so reading a one-run buffer allocates
+// nothing.
+func (b *Buffer) view(one *[1]Part) []Part {
+	if b.parts != nil || b.size == 0 {
+		return b.parts
+	}
+	one[0] = Part{Seed: b.seed, Off: b.off, N: b.size}
+	return one[:]
 }
 
 // FromBytes returns a buffer over real bytes. The buffer aliases b.
@@ -133,7 +152,7 @@ func Synth(seed uint64, off, n int64) Buffer {
 	if n < 0 {
 		panic("payload: negative synthetic length")
 	}
-	return Buffer{parts: []Part{{Seed: seed, Off: off, N: n}}, size: n}
+	return Buffer{seed: seed, off: off, size: n}
 }
 
 // Size returns the buffer length in bytes.
@@ -144,13 +163,23 @@ func (b Buffer) Size() int64 { return b.size }
 // the index would cost more (one extra allocation per buffer) than it saves.
 const sliceIndexMin = 16
 
-// Append adds a part to the buffer.
+// Append adds a part to the buffer. A synthetic first part stays inline; a
+// second part spills the inline run into the part list.
 func (b *Buffer) Append(p Part) {
-	if p.Size() == 0 {
+	ps := p.Size()
+	if ps == 0 {
 		return
 	}
+	if b.size == 0 && p.Bytes == nil {
+		*b = Buffer{seed: p.Seed, off: p.Off, size: ps}
+		return
+	}
+	if b.parts == nil && b.size > 0 {
+		b.parts = append(make([]Part, 0, 2), Part{Seed: b.seed, Off: b.off, N: b.size})
+		b.seed, b.off = 0, 0
+	}
 	b.parts = append(b.parts, p)
-	b.size += p.Size()
+	b.size += ps
 	if len(b.parts) > sliceIndexMin {
 		if len(b.cum) == len(b.parts)-1 {
 			b.cum = append(b.cum, b.size)
@@ -175,7 +204,8 @@ func (b *Buffer) reindex() {
 
 // AppendBuffer concatenates o onto b.
 func (b *Buffer) AppendBuffer(o Buffer) {
-	for _, p := range o.parts {
+	var one [1]Part
+	for _, p := range o.view(&one) {
 		b.Append(p)
 	}
 }
@@ -190,17 +220,19 @@ func (b Buffer) Slice(off, n int64) Buffer {
 	if n == 0 {
 		return out
 	}
+	var one [1]Part
+	parts := b.view(&one)
 	first := 0
 	pos := int64(0)
 	// Binary-search the cumulative index for the first overlapped part; small
 	// or unindexed buffers scan, which is cheaper than the search setup.
-	if len(b.cum) == len(b.parts) && len(b.parts) > sliceIndexMin {
+	if len(b.cum) == len(parts) && len(parts) > sliceIndexMin {
 		first = sort.Search(len(b.cum), func(i int) bool { return b.cum[i] > off })
 		if first > 0 {
 			pos = b.cum[first-1]
 		}
 	}
-	for _, p := range b.parts[first:] {
+	for _, p := range parts[first:] {
 		ps := p.Size()
 		if pos+ps <= off {
 			pos += ps
@@ -228,7 +260,8 @@ func (b Buffer) Slice(off, n int64) Buffer {
 // into parts, so a reassembled image hashes equal to the original.
 func (b Buffer) Checksum() uint64 {
 	s := newHasher()
-	for _, p := range b.parts {
+	var one [1]Part
+	for _, p := range b.view(&one) {
 		p.feed(&s)
 	}
 	return s.sum()
@@ -241,7 +274,8 @@ func (b Buffer) Materialize() []byte {
 	checkMaterialize(b.size)
 	out := make([]byte, b.size)
 	at := int64(0)
-	for _, p := range b.parts {
+	var one [1]Part
+	for _, p := range b.view(&one) {
 		p.fill(out[at:at+p.Size()], 0)
 		at += p.Size()
 	}
@@ -274,7 +308,8 @@ func (b Buffer) Equal(o Buffer) bool {
 
 func (b Buffer) materializeInto(dst []byte) []byte {
 	at := int64(0)
-	for _, p := range b.parts {
+	var one [1]Part
+	for _, p := range b.view(&one) {
 		p.fill(dst[at:at+p.Size()], 0)
 		at += p.Size()
 	}
@@ -282,5 +317,6 @@ func (b Buffer) materializeInto(dst []byte) []byte {
 }
 
 func (b Buffer) String() string {
-	return fmt.Sprintf("payload.Buffer{%d parts, %d bytes}", len(b.parts), b.size)
+	var one [1]Part
+	return fmt.Sprintf("payload.Buffer{%d parts, %d bytes}", len(b.view(&one)), b.size)
 }

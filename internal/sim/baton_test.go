@@ -362,7 +362,7 @@ func TestShutdownAfterRunUntilNoLeak(t *testing.T) {
 	if err := e.RunUntil(Time(time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(e.procFree); got != n {
+	if got := freeLen(e.procFree); got != n {
 		t.Fatalf("%d idle pooled procs after RunUntil, want %d", got, n)
 	}
 	for i := 0; i < n/2; i++ {
@@ -376,7 +376,7 @@ func TestShutdownAfterRunUntilNoLeak(t *testing.T) {
 	}
 	e.Shutdown()
 	if e.LiveProcs() != 0 || e.procFree != nil {
-		t.Fatalf("after Shutdown: %d live, pool %v", e.LiveProcs(), e.procFree)
+		t.Fatalf("after Shutdown: %d live, %d pooled", e.LiveProcs(), freeLen(e.procFree))
 	}
 	waitGoroutines(t, base)
 }

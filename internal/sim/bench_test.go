@@ -170,11 +170,10 @@ func TestFreshSpawnAllocs(t *testing.T) {
 	var mallocs, bytes uint64
 	const waves = 4
 	for i := 0; i < waves; i++ {
-		for _, p := range e.procFree {
+		for p := e.procFree; p != nil; p = p.nextLive {
 			p.co.stop()
 		}
-		clear(e.procFree)
-		e.procFree = e.procFree[:0]
+		e.procFree = nil
 		runtime.ReadMemStats(&start)
 		runWave()
 		runtime.ReadMemStats(&end)

@@ -25,6 +25,8 @@
 //   - live processes are an intrusive doubly-linked list in pid order
 //     (Proc.prevLive/nextLive), so spawn and exit are a few pointer writes
 //     with no map hashing, and Shutdown unwinds the head until it is empty;
+//     retired Procs reuse nextLive as their freelist link, so recycling one
+//     allocates nothing either;
 //   - wakeups scheduled for the current instant — the overwhelmingly common
 //     case: queue handoffs, event broadcasts, resource admissions — bypass
 //     the time-ordered heap entirely and go through a FIFO ready ring, which
@@ -218,10 +220,13 @@ type Engine struct {
 
 	perturb *rand.Rand // schedule perturbation source; nil = off (the default)
 
-	live     int // processes spawned and not yet finished
-	nextPID  int
-	flowFree []*Proc // retired flow Procs, recycled by SpawnFlow
-	procFree []*Proc // retired coroutine-backed Procs, recycled by Spawn
+	live    int // processes spawned and not yet finished
+	nextPID int
+	// flowFree and procFree are LIFO freelists of retired Procs, linked
+	// through Proc.nextLive, which a retired Proc no longer uses for the live
+	// list: flows are recycled by SpawnFlow, coroutine-backed Procs by Spawn.
+	flowFree *Proc
+	procFree *Proc
 
 	// first/last are the ends of the live list, every process spawned and
 	// not yet finished, linked through Proc.prevLive/nextLive. pids only grow
@@ -443,12 +448,11 @@ func (e *Engine) SpawnFlow(name string, f Flow) *Proc {
 // for coroutine Procs, flowFree for flows) or allocates one — with its
 // coroutine state in the same allocation when coroutine is set — and appends
 // it to the live list under the next pid.
-func (e *Engine) newProc(free *[]*Proc, name string, coroutine bool) *Proc {
-	var p *Proc
-	if n := len(*free); n > 0 {
-		p = (*free)[n-1]
-		(*free)[n-1] = nil
-		*free = (*free)[:n-1]
+func (e *Engine) newProc(free **Proc, name string, coroutine bool) *Proc {
+	p := *free
+	if p != nil {
+		*free = p.nextLive
+		p.nextLive = nil
 		p.token++ // retire any registration that survived the previous life
 		p.started, p.done = false, false
 	} else if coroutine {
@@ -504,7 +508,7 @@ func (e *Engine) recycleFlow(p *Proc) {
 	p.step = nil
 	p.name = ""
 	p.blockKind, p.blockName = "", ""
-	e.flowFree = append(e.flowFree, p)
+	p.nextLive, e.flowFree = e.flowFree, p
 }
 
 // runProc executes one life of process p: the body, panic conversion, and
@@ -520,7 +524,7 @@ func (e *Engine) runProc(p *Proc) {
 		p.step = nil
 		p.name = ""
 		p.blockKind, p.blockName = "", ""
-		e.procFree = append(e.procFree, p)
+		p.nextLive, e.procFree = e.procFree, p
 	}()
 	fn := p.co.fn
 	p.co.fn = nil
@@ -814,9 +818,11 @@ func (e *Engine) Shutdown() {
 	}
 	// Retire the idle pooled coroutines (including those of processes killed
 	// above, which re-entered the pool on their way out).
-	for i, p := range e.procFree {
+	for p := e.procFree; p != nil; {
+		next := p.nextLive
 		p.co.stop()
-		e.procFree[i] = nil
+		p.nextLive = nil
+		p = next
 	}
 	e.procFree = nil
 	// Flush buffered trace sinks (sim.Writer and friends) so records are not

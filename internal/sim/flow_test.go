@@ -101,6 +101,55 @@ func TestFlowMatchesProcTrace(t *testing.T) {
 	}
 }
 
+// freeLen counts the Procs on an engine freelist.
+func freeLen(p *Proc) int {
+	n := 0
+	for ; p != nil; p = p.nextLive {
+		n++
+	}
+	return n
+}
+
+// TestFreelistLIFO checks that the intrusive freelists hand back the most
+// recently retired Proc first, the order the slice-backed pool had, and that
+// recycling a flow allocates nothing once the engine is warm.
+func TestFreelistLIFO(t *testing.T) {
+	e := NewEngine(1)
+	end := stepFunc(func(p *Proc, _ int) { p.FlowEnd() })
+	var first [3]*Proc
+	for i := range first {
+		first[i] = e.SpawnFlow("f", end)
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := freeLen(e.flowFree); got != len(first) {
+		t.Fatalf("%d pooled flows, want %d", got, len(first))
+	}
+	// The flows ended in pid order, so the last one is on top.
+	for i := len(first) - 1; i >= 0; i-- {
+		if p := e.SpawnFlow("g", end); p != first[i] {
+			t.Fatalf("respawn %d reused pid-%d Proc, want the Proc of spawn %d", len(first)-1-i, p.id, i)
+		}
+	}
+	if e.flowFree != nil {
+		t.Fatal("freelist not empty after reusing every pooled Proc")
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		e.SpawnFlow("h", end)
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("recycled SpawnFlow allocates %.1f objects, want 0", allocs)
+	}
+	e.Shutdown()
+}
+
 // TestFlowRecycling checks that retired flow Procs are reused without
 // leaking wakeups across lives: a recycled Proc's token keeps growing, so a
 // stale event addressed to a previous life must never fire the new one.
@@ -119,7 +168,7 @@ func TestFlowRecycling(t *testing.T) {
 	if ran != 100 {
 		t.Fatalf("ran = %d, want 100", ran)
 	}
-	if got := len(e.flowFree); got == 0 {
+	if got := freeLen(e.flowFree); got == 0 {
 		t.Fatal("no flow Procs were recycled")
 	}
 }

@@ -341,16 +341,16 @@ func TestSpawnPoolReuse(t *testing.T) {
 		}
 	}
 	runWave()
-	if got := len(e.procFree); got != wave+1 {
+	if got := freeLen(e.procFree); got != wave+1 {
 		t.Fatalf("pool holds %d procs after first wave, want %d", got, wave+1)
 	}
 	before := runtime.NumGoroutine()
 	seen := make(map[*Proc]bool)
-	for _, p := range e.procFree {
+	for p := e.procFree; p != nil; p = p.nextLive {
 		seen[p] = true
 	}
 	runWave()
-	for _, p := range e.procFree {
+	for p := e.procFree; p != nil; p = p.nextLive {
 		if !seen[p] {
 			t.Fatal("second wave allocated a fresh Proc instead of reusing the pool")
 		}

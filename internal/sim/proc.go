@@ -41,7 +41,9 @@ type Proc struct {
 	blockName string
 
 	// prevLive/nextLive link the process into the engine's live list while
-	// it is spawned and not yet finished (see Engine.first).
+	// it is spawned and not yet finished (see Engine.first). A retired Proc
+	// reuses nextLive to link its engine freelist (Engine.procFree or
+	// flowFree).
 	prevLive, nextLive *Proc
 }
 
