@@ -33,6 +33,7 @@ var testProbes = map[string]string{
 	"ftb.Subscription.TryRecv":     "TestEventOrderPreservedPerPublisher",
 	"mem.Region.Extents":           "TestRegionExtentsBoundedUnderChurn",
 	"mpi.Rank.Isend":               "TestSuspendDrainWaitsForRendezvous",
+	"mpi.Rank.Send":                "TestRingAllocsPerMessage",
 	"mpi.Request.Wait":             "TestIsendOverlapsCompute",
 	"mpi.World.BytesSent":          "TestDeterministicAcrossRuns",
 	"npb.Result.Equal":             "TestSuspensionIsApplicationTransparent",

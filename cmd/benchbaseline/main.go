@@ -131,6 +131,7 @@ type FootprintPoint struct {
 	Ranks            int     `json:"ranks"`
 	WallS            float64 `json:"wall_s"`
 	Events           uint64  `json:"events"`
+	Resumes          uint64  `json:"resumes"` // coroutine resumes among the events
 	PeakLiveExtents  int64   `json:"peak_live_extents"`
 	FinalLiveExtents int64   `json:"final_live_extents"`
 	AllocMB          float64 `json:"alloc_mb"`
@@ -210,6 +211,7 @@ func measureMemory(b *Baseline, c config) {
 			Ranks:            ranks,
 			WallS:            wall,
 			Events:           out.Events,
+			Resumes:          out.Resumes,
 			PeakLiveExtents:  ar.PeakLiveExtents,
 			FinalLiveExtents: metrics.CaptureDataPlane().LiveExtents,
 			AllocMB:          float64(ms1.TotalAlloc-ms0.TotalAlloc) / (1 << 20),

@@ -108,6 +108,7 @@ type MigrationOutcome struct {
 	Report      *metrics.Report
 	AppDuration sim.Duration // end-to-end app time (ToCompletion only)
 	Events      uint64       // kernel events dispatched (simulator telemetry)
+	Resumes     uint64       // coroutine resumes among them (sim.Engine.Resumes)
 	// Collector is the finished collector (open spans closed, usage tracks
 	// integrated to the final time) when the spec asked to observe.
 	Collector *obs.Collector
@@ -161,7 +162,7 @@ func RunMigration(spec MigrationSpec) MigrationOutcome {
 	if len(s.fw.Reports) > 0 {
 		out.Report = s.fw.Reports[len(s.fw.Reports)-1]
 	}
-	out.Events = s.e.Events()
+	out.Events, out.Resumes = s.e.Events(), s.e.Resumes()
 	out.Collector.Finish(s.e.Now())
 	if sub != nil {
 		out.Collector.Unsubscribe(sub)

@@ -92,24 +92,6 @@ func (f *Fabric) serialization(n int64) sim.Duration {
 	return sim.Duration(float64(n) / float64(f.cfg.Bandwidth) * 1e9)
 }
 
-// transfer moves n bytes from src to dst in the calling process: hold source
-// egress, propagate, hold destination ingress. Loopback (src == dst) costs a
-// memcpy instead of wire time.
-func (f *Fabric) transfer(p *sim.Proc, src, dst *HCA, n int64) {
-	f.BytesTransferred += n
-	f.Operations++
-	if src == dst {
-		p.Sleep(sim.Duration(float64(n) / float64(calib.MemcpyBandwidth) * 1e9))
-		return
-	}
-	s := f.serialization(n)
-	src.tx.Hold(p, 1, s)
-	src.BytesTx += n
-	p.Sleep(f.cfg.Latency)
-	dst.rx.Hold(p, 1, s)
-	dst.BytesRx += n
-}
-
 // Transfer moves n bytes between two attached nodes in the calling process,
 // modelling a bulk data stream (used by storage clients, e.g. PVFS traffic
 // over the IB transport).
@@ -118,7 +100,10 @@ func (f *Fabric) Transfer(p *sim.Proc, srcNode, dstNode string, n int64) error {
 	if src == nil || dst == nil {
 		return ErrUnknownNode
 	}
-	f.transfer(p, src, dst, n)
+	x := xfer{src: src, dst: dst, n: n}
+	for !x.step(p) {
+		p.Block(nil)
+	}
 	return nil
 }
 
@@ -356,29 +341,25 @@ func (q *QP) PostSend(m Message) error {
 	q.MsgsSent++
 	f := q.hca.f
 	sf := f.getSendFlow()
-	sf.q, sf.m, sf.n, sf.stage = q, m, m.Size(), sfBegin
+	sf.q, sf.m, sf.x = q, m, xfer{src: q.hca, dst: q.peer.hca, n: m.Size()}
 	f.E.SpawnFlow(q.sendName, sf)
 	return nil
 }
 
 // Send transmits synchronously: the calling process performs the wire work
-// and returns once the message is delivered to the peer's receive queue.
+// and returns once the message is delivered to the peer's receive queue. It
+// is its step form, StartSend and SendStep.Step, run between Blocks.
 func (q *QP) Send(p *sim.Proc, m Message) error {
-	if err := q.err(); err != nil {
+	var st SendStep
+	if err := q.StartSend(&st, m); err != nil {
 		return err
 	}
-	m.From = q.hca.node
-	q.addInflight(1)
-	defer q.addInflight(-1)
-	q.BytesSent += m.Size()
-	q.MsgsSent++
-	q.hca.f.transfer(p, q.hca, q.peer.hca, m.Size())
-	// The connection may have broken while the bytes were on the wire.
-	if err := q.err(); err != nil {
-		return err
+	for {
+		if done, err := st.Step(p); done {
+			return err
+		}
+		p.Block(nil)
 	}
-	q.peer.recvQ.TrySend(m)
-	return nil
 }
 
 // Recv blocks until a message arrives. ok is false if the QP closed.

@@ -114,6 +114,25 @@ func TestMeshAllocsPerPair(t *testing.T) {
 // the messages sent in it; like testing.AllocsPerRun the ratio is an integer
 // quotient, and it must be 0.
 func TestRingAllocsPerMessage(t *testing.T) {
+	ringAllocsPerMessage(t, func(r *Rank, to, from, tag int, size int64) {
+		r.Send(to, tag, size)
+		r.Recv(from, tag)
+	})
+}
+
+// TestRingAllocsPerMessageSendrecv is TestRingAllocsPerMessage with
+// Sendrecv, the exchange BT, SP and Barrier make: its send half, a pooled
+// record that is its own flow, must allocate nothing either (a helper
+// process and its completion event cost 2 allocations a message).
+func TestRingAllocsPerMessageSendrecv(t *testing.T) {
+	ringAllocsPerMessage(t, func(r *Rank, to, from, tag int, size int64) {
+		r.Sendrecv(to, tag, size, from, tag)
+	})
+}
+
+// ringAllocsPerMessage runs the ring of TestRingAllocsPerMessage with
+// exchange as each rank's step and requires 0 allocations a message.
+func ringAllocsPerMessage(t *testing.T, exchange func(r *Rank, to, from, tag int, size int64)) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
@@ -129,8 +148,7 @@ func TestRingAllocsPerMessage(t *testing.T) {
 			if i%2 == 1 {
 				size = 2 * w.cfg.EagerThreshold
 			}
-			r.Send((r.ID()+1)%n, i, size)
-			r.Recv((r.ID()-1+n)%n, i)
+			exchange(r, (r.ID()+1)%n, (r.ID()-1+n)%n, i, size)
 		}
 	})
 	e.Spawn("ctl", func(p *sim.Proc) { w.WaitDone(p); e.Stop() })

@@ -194,6 +194,8 @@ type Rank struct {
 	collSeq int
 	sendSeq uint64
 
+	run runner // the program the rank is running (see Run)
+
 	// Process names, formatted once in NewWorld rather than per spawn.
 	procName, sendrecvName, isendName string
 
@@ -287,9 +289,9 @@ func (r *Rank) endOp() {
 
 // Send transmits n synthetic payload bytes to rank `to` with the given tag,
 // blocking per MPI semantics: eager messages return once posted, rendezvous
-// messages once delivered.
+// messages once delivered. It is a one-operation program (see Run).
 func (r *Rank) Send(to, tag int, n int64) {
-	r.SendData(to, tag, r.synth(tag, n))
+	r.exec(nil, Op{Kind: OpSend, Peer: to, Tag: tag, N: n}, payload.Buffer{})
 }
 
 // synth returns the payload of the rank's next synthetic send: n bytes
@@ -299,46 +301,16 @@ func (r *Rank) synth(tag int, n int64) payload.Buffer {
 	return payload.Synth(uint64(r.id)<<40^uint64(tag)<<20^r.sendSeq, 0, n)
 }
 
-// spawnSend sends data to rank `to` from a child process named name, which
-// fires done once the message is posted (eager) or delivered (rendezvous).
-// op names the operation in the panic a failed send raises.
-func (r *Rank) spawnSend(name string, done *sim.Event, op string, to, tag int, data payload.Buffer) {
-	r.beginOp()
-	r.p.SpawnChild(name, func(sp *sim.Proc) {
-		defer r.endOp()
-		defer done.Fire()
-		sp.Sleep(calib.MPIPerMessageOverhead)
-		r.BytesSent += data.Size()
-		r.MsgsSent++
-		if to == r.id {
-			r.mailbox.TrySend(inMsg{from: r.id, tag: tag, data: data})
-			return
-		}
-		c := r.conns[to]
-		if c == nil {
-			panic(fmt.Sprintf("mpi: rank %d has no connection to %d", r.id, to))
-		}
-		m := r.wire(tag, data)
-		err := c.ensure()
-		if err == nil {
-			if data.Size() <= r.w.cfg.EagerThreshold {
-				err = c.qp.PostSend(m)
-			} else {
-				err = c.qp.Send(sp, m)
-			}
-		}
-		if err != nil {
-			panic(fmt.Sprintf("mpi: rank %d %s to %d: %v", r.id, op, to, err))
-		}
-	})
-}
-
 // SendData transmits an explicit payload (content preserved end to end).
 func (r *Rank) SendData(to, tag int, data payload.Buffer) {
-	r.poll()
-	r.p.Sleep(calib.MPIPerMessageOverhead)
-	r.BytesSent += data.Size()
-	r.MsgsSent++
+	r.exec(nil, Op{Kind: opSendData, Peer: to, Tag: tag}, data)
+}
+
+// sendSlow finishes a send that postEager left to the coroutine, once the
+// per-message overhead has elapsed and the send is counted: a self-send
+// pays a memcpy, a rendezvous send goes out synchronously, and in
+// fault-tolerant mode a failed or missing connection is retried.
+func (r *Rank) sendSlow(to, tag int, data payload.Buffer) {
 	if to == r.id {
 		r.p.Sleep(sim.Duration(float64(data.Size()) / float64(calib.MemcpyBandwidth) * 1e9))
 		r.mailbox.TrySend(inMsg{from: r.id, tag: tag, data: data})
@@ -479,32 +451,10 @@ func match(m inMsg, from, tag int) bool {
 
 // Recv blocks until a message matching (from, tag) arrives — wildcards
 // AnySource/AnyTag — and returns its payload and actual source. A pending
-// suspension is serviced transparently while waiting.
+// suspension is serviced transparently while waiting. It is a
+// one-operation program (see Run).
 func (r *Rank) Recv(from, tag int) (payload.Buffer, int) {
-	r.poll()
-	for i, m := range r.unexp {
-		if match(m, from, tag) {
-			r.unexp = append(r.unexp[:i], r.unexp[i+1:]...)
-			return m.data, m.from
-		}
-	}
-	for {
-		m, ok := r.mailbox.Recv(r.p)
-		if !ok {
-			panic(fmt.Sprintf("mpi: rank %d mailbox closed", r.id))
-		}
-		if m.ctl == ctlSuspend {
-			if r.suspendReq {
-				r.doSuspend()
-			}
-			continue
-		}
-		if match(m, from, tag) {
-			r.p.Sleep(calib.MPIPerMessageOverhead)
-			return m.data, m.from
-		}
-		r.unexp = append(r.unexp, m)
-	}
+	return r.exec(nil, Op{Kind: OpRecv, Peer: from, Tag: tag}, payload.Buffer{})
 }
 
 // Sendrecv performs a simultaneous send and receive (the deadlock-free
@@ -521,34 +471,23 @@ func (r *Rank) SendrecvData(to, sendTag int, data payload.Buffer, from, recvTag 
 		// Inline send-then-receive: ib sends never block on the receiver
 		// (delivery is into an unbounded mailbox), so the exchange cannot
 		// deadlock — and the retry/suspension handling in SendData must run
-		// on the rank's own process, not a helper child.
+		// on the rank's own process, not in a send flow.
 		r.SendData(to, sendTag, data)
 		got, _ := r.Recv(from, recvTag)
 		return got
 	}
-	sent := sim.NewEvent(r.w.E)
-	r.spawnSend(r.sendrecvName, sent, "sendrecv", to, sendTag, data)
+	sent := r.startSend(r.sendrecvName, "sendrecv", to, sendTag, data)
 	got, _ := r.Recv(from, recvTag)
-	sent.Wait(r.p)
+	sent.wait()
 	return got
 }
 
 // Compute advances the rank by d of application computation, polling for
 // suspension requests at slice granularity so a migration trigger stalls the
-// job within milliseconds, not a full compute phase.
+// job within milliseconds, not a full compute phase. It is a one-operation
+// program (see Run).
 func (r *Rank) Compute(d sim.Duration) {
-	r.ComputeTime += d
-	slice := r.w.cfg.ComputeSlice
-	for d > 0 {
-		r.poll()
-		s := slice
-		if s > d {
-			s = d
-		}
-		r.p.Sleep(s)
-		d -= s
-	}
-	r.poll()
+	r.exec(nil, Op{Kind: OpCompute, D: d}, payload.Buffer{})
 }
 
 // TouchMemory dirties the rank's writable address space, so successive

@@ -108,7 +108,7 @@ func (r *Rank) doSuspend() {
 		return
 	}
 	r.Suspensions++
-	// Let helper operations (Sendrecv children) finish: their wire work is
+	// Let nonblocking sends (Sendrecv, Isend) finish: their wire work is
 	// part of the in-flight state being drained.
 	r.opsIdle.Wait(r.p)
 

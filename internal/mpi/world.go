@@ -81,6 +81,8 @@ type World struct {
 	// have no QP for the fabric to break, so the world must learn of faults
 	// itself). One hook per node, kept across Rebind.
 	hooked map[string]bool
+
+	sendFree *sendRec // retired nonblocking-send records (see startSend)
 }
 
 // NewWorld creates a world with one rank per placement entry; placement[i] is

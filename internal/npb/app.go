@@ -106,7 +106,8 @@ func (w Workload) SliceApp(res *Result, s *Slice) func(*mpi.Rank) {
 // wavefront sweep (dependencies from north and west) and an upper-triangular
 // sweep (dependencies from south and east) across a 2-D process grid, each
 // pipelined in k-blocks, with a periodic residual all-reduce. A nil slice
-// runs the whole grid in one world.
+// runs the whole grid in one world. Each sweep is one rank program (see
+// luSweep), which the serial and the partitioned engine run alike.
 func (w Workload) luApp(res *Result, s *Slice) func(*mpi.Rank) {
 	return func(r *mpi.Rank) {
 		id := r.ID()
@@ -140,53 +141,105 @@ func (w Workload) luApp(res *Result, s *Slice) func(*mpi.Rank) {
 			}
 			return s.Allreduce(r, done, final)
 		}
-		var acc uint64
-		blockCompute, blockFace := w.LUBlock()
+		sw := &luSweep{s: s, ix: ix}
+		sw.compute, sw.face = w.LUBlock()
 		for it := 0; it < w.Iterations; it++ {
 			// Lower sweep (down) runs from the north-west corner, the upper
 			// sweep from the south-east; each recvs its deps, computes a
 			// k-block and forwards downstream, luBlocks times.
 			for _, down := range [2]bool{true, false} {
-				vin, hin, vout, hout, edgeIn, edgeOut := north, west, south, east, above, below
-				tagBase := it * 2 * luBlocks
+				sw.vin, sw.hin, sw.vout, sw.hout, sw.edgeIn, sw.edgeOut = north, west, south, east, above, below
+				sw.tagBase = it * 2 * luBlocks
 				if !down {
-					vin, hin, vout, hout, edgeIn, edgeOut = south, east, north, west, below, above
-					tagBase += luBlocks
+					sw.vin, sw.hin, sw.vout, sw.hout, sw.edgeIn, sw.edgeOut = south, east, north, west, below, above
+					sw.tagBase += luBlocks
 				}
-				for b := 0; b < luBlocks; b++ {
-					tag := tagBase + b
-					if vin >= 0 {
-						buf, _ := r.Recv(vin, tag)
-						acc = fold(acc, buf)
-					} else if edgeIn {
-						acc = fold(acc, s.RecvEdge(r, ix, tag, down))
-					}
-					if hin >= 0 {
-						buf, _ := r.Recv(hin, tag)
-						acc = fold(acc, buf)
-					}
-					r.Compute(blockCompute)
-					if vout >= 0 {
-						r.Send(vout, tag, blockFace)
-					} else if edgeOut {
-						s.SendEdge(r, ix, tag, blockFace, down)
-					}
-					if hout >= 0 {
-						r.Send(hout, tag, blockFace)
-					}
-				}
+				sw.down, sw.b, sw.k = down, 0, 0
+				r.Run(sw)
 			}
 			r.TouchMemory(uint64(it))
 			if (it+1)%w.NormEvery == 0 {
-				acc = fold(acc, allreduce(it+1, false))
+				sw.acc = fold(sw.acc, allreduce(it+1, false))
 			}
 			res.IterDone[first+id] = it + 1
 		}
 		r.Barrier()
-		acc = fold(acc, allreduce(w.Iterations, true))
-		res.RankSums[first+id] = acc
+		sw.acc = fold(sw.acc, allreduce(w.Iterations, true))
+		res.RankSums[first+id] = sw.acc
 		res.FinishedAt[first+id] = r.Proc().Now()
 	}
+}
+
+// luSweep is one rank's wavefront sweep as an mpi.Program: per k-block, it
+// receives its upstream faces (vertical, then horizontal), computes the
+// block and sends its downstream faces, luBlocks times. A vertical
+// neighbour outside the world is an off-world edge, served by the Slice
+// hooks in the rank's coroutine (mpi.OpCall). Every received face is folded
+// into acc, the rank's verification accumulator, in program order. One
+// luSweep serves all of a rank's sweeps, so a sweep allocates nothing.
+type luSweep struct {
+	s                    *Slice
+	ix                   int // grid column
+	vin, hin, vout, hout int // neighbour ranks, -1 for none
+	edgeIn, edgeOut      bool
+	down                 bool
+	tagBase              int
+	compute              sim.Duration
+	face                 int64
+	acc                  uint64
+	b, k                 int // the next operation: k-th step of block b
+}
+
+// Steps of a k-block, in order, and the OpCall selectors of the edge hooks.
+const (
+	luVIn = iota
+	luHIn
+	luCompute
+	luVOut
+	luHOut
+	luSteps
+
+	luEdgeRecv = 0
+	luEdgeSend = 1
+)
+
+// Next implements mpi.Program.
+func (sw *luSweep) Next() mpi.Op {
+	for sw.b < luBlocks {
+		tag, k := sw.tagBase+sw.b, sw.k
+		if sw.k++; sw.k == luSteps {
+			sw.b, sw.k = sw.b+1, 0
+		}
+		switch {
+		case k == luVIn && sw.vin >= 0:
+			return mpi.Op{Kind: mpi.OpRecv, Peer: sw.vin, Tag: tag}
+		case k == luVIn && sw.edgeIn:
+			return mpi.Op{Kind: mpi.OpCall, Peer: luEdgeRecv, Tag: tag}
+		case k == luHIn && sw.hin >= 0:
+			return mpi.Op{Kind: mpi.OpRecv, Peer: sw.hin, Tag: tag}
+		case k == luCompute:
+			return mpi.Op{Kind: mpi.OpCompute, D: sw.compute}
+		case k == luVOut && sw.vout >= 0:
+			return mpi.Op{Kind: mpi.OpSend, Peer: sw.vout, Tag: tag, N: sw.face}
+		case k == luVOut && sw.edgeOut:
+			return mpi.Op{Kind: mpi.OpCall, Peer: luEdgeSend, Tag: tag}
+		case k == luHOut && sw.hout >= 0:
+			return mpi.Op{Kind: mpi.OpSend, Peer: sw.hout, Tag: tag, N: sw.face}
+		}
+	}
+	return mpi.Op{}
+}
+
+// Received implements mpi.Program.
+func (sw *luSweep) Received(data payload.Buffer) { sw.acc = fold(sw.acc, data) }
+
+// Call implements mpi.Program: the off-world edge hooks.
+func (sw *luSweep) Call(r *mpi.Rank, op mpi.Op) {
+	if op.Peer == luEdgeRecv {
+		sw.acc = fold(sw.acc, sw.s.RecvEdge(r, sw.ix, op.Tag, sw.down))
+		return
+	}
+	sw.s.SendEdge(r, sw.ix, op.Tag, sw.face, sw.down)
 }
 
 // adiApp is the BT/SP skeleton: ADI sweeps along x, y and a diagonal per

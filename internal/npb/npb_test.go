@@ -109,6 +109,14 @@ func TestFactor2D(t *testing.T) {
 // end time.
 func runWorkload(t *testing.T, w Workload, nodes int, suspendMid bool) (*Result, sim.Time) {
 	t.Helper()
+	res, end, _, _ := runWorkloadCounted(t, w, nodes, suspendMid)
+	return res, end
+}
+
+// runWorkloadCounted is runWorkload that also reports the engine's
+// dispatched events and coroutine resumes.
+func runWorkloadCounted(t *testing.T, w Workload, nodes int, suspendMid bool) (res *Result, end sim.Time, events, resumes uint64) {
+	t.Helper()
 	e := sim.NewEngine(11)
 	fab := ib.NewFabric(e, ib.Config{})
 	var names []string
@@ -122,9 +130,8 @@ func runWorkload(t *testing.T, w Workload, nodes int, suspendMid bool) (*Result,
 		placement[i] = names[i*nodes/w.Ranks]
 	}
 	world := mpi.NewWorld(e, fab, placement, mpi.Config{})
-	res := NewResult(w.Ranks)
+	res = NewResult(w.Ranks)
 	world.Start(w.App(res))
-	var end sim.Time
 	e.Spawn("ctl", func(p *sim.Proc) {
 		world.WaitReady(p)
 		if suspendMid {
@@ -144,8 +151,24 @@ func runWorkload(t *testing.T, w Workload, nodes int, suspendMid bool) (*Result,
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
+	events, resumes = e.Events(), e.Resumes()
 	e.Shutdown()
-	return res, end
+	return res, end, events, resumes
+}
+
+// TestLUResumesPerEvent guards the rank programs: a 64-rank LU, suspended
+// and resumed once mid-run, runs its sweeps in engine context and resumes a
+// rank coroutine only when a sweep ends or needs coroutine-only service, so
+// at most 1 event in 20 may cost a coroutine resume. Blocking calls alone
+// resume the rank at almost every wake (about 1 event in 3).
+func TestLUResumesPerEvent(t *testing.T) {
+	w := New(LU, ClassS, 64)
+	w.Iterations = 10
+	_, _, events, resumes := runWorkloadCounted(t, w, 8, true)
+	t.Logf("%d events, %d resumes (1 per %.1f)", events, resumes, float64(events)/float64(resumes))
+	if resumes*20 > events {
+		t.Fatalf("%d resumes for %d events: more than 1 per 20", resumes, events)
+	}
 }
 
 func TestLUClassSRunsToCompletion(t *testing.T) {

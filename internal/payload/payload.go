@@ -57,7 +57,7 @@ func (p Part) Slice(off, n int64) Part {
 // so any byte is computable in O(1).
 func synthByte(seed uint64, pos int64) byte {
 	lane := uint64(pos >> 3)
-	v := mix64(seed ^ lane*0x9e3779b97f4a7c15)
+	v := mix64(seed ^ lane*laneKey)
 	return byte(v >> (8 * uint(pos&7)))
 }
 
@@ -85,7 +85,7 @@ func (p Part) fill(dst []byte, off int64) {
 	// Body: full lanes.
 	for ; i+8 <= len(dst); i += 8 {
 		lane := uint64(base+int64(i)) >> 3
-		v := mix64(p.Seed ^ lane*0x9e3779b97f4a7c15)
+		v := mix64(p.Seed ^ lane*laneKey)
 		dst[i] = byte(v)
 		dst[i+1] = byte(v >> 8)
 		dst[i+2] = byte(v >> 16)

@@ -47,14 +47,20 @@
 //     by one step mechanism, Proc.step: the engine calls the step at each
 //     wake on whichever coroutine holds the baton (Engine.resumeFlow), so
 //     the wake costs a call instead of a handoff into the process and back.
-//     A flow (Engine.SpawnFlow, ib's wire work) is stepped for its whole
-//     life; a coroutine process is stepped for the length of a SleepSeq, a
-//     run of sleeps with side effects between them. MPI's per-connection
-//     loops (launch, drain, teardown, rebuild) run this way; on a 256-rank
-//     LU.C migration op the trampoline's coroutine resumes fell from 394,395
-//     to 166,682 with the same 963,266 events. The coroutine primitives are
-//     the step forms followed by Proc.wait (Sleep is FlowSleep + wait), so
-//     each primitive's register and grant logic exists once.
+//     A flow (Engine.SpawnFlow, ib's wire work, MPI's receive pumps and
+//     nonblocking sends) is stepped for its whole life; a coroutine process
+//     is stepped while it is blocked with Proc.Block, after parking with
+//     any Flow* primitive, until the step calls EndStep. SleepSeq (MPI's
+//     launch, drain, teardown and rebuild loops) and MPI rank programs (a
+//     rank's Recv/Compute/Send ops, an LU sweep at a time) run this way.
+//     On a 256-rank LU.C migration op SleepSeq took the trampoline's
+//     coroutine resumes from 394,395 to 166,682 with the same 963,266
+//     events; on a fig7-shaped LU.C.64 op (migration, then CR to ext3 and
+//     PVFS) rank programs took them from 578,681 to 43,501 with the same
+//     1,504,092 events (Engine.Resumes counts them). The coroutine
+//     primitives are the step forms followed by Proc.wait (Sleep is
+//     FlowSleep + wait), so each primitive's register and grant logic
+//     exists once.
 //
 // Pop order is still exactly (time, key, seq) — key is 0 unless schedule
 // perturbation is on — so none of this is observable in simulation results;
@@ -126,8 +132,13 @@ type event struct {
 // eventHeap is a binary min-heap of future events in pop order (see
 // before). It is typed and inlined rather than container/heap's interface
 // Less/Swap, which cost a dynamic call per comparison and per swap on every
-// pop. (A 4-ary heap measured no faster: every comparison dereferences an
-// event, so its shallower tree buys nothing.)
+// pop. Two alternatives were measured and were slower, so do not rebuild
+// them: keeping the keys inline in 32-byte entries {t, key, seq, ev}, so a
+// comparison touches no event, in a binary and in a 4-ary heap. On
+// scale_lu256, three alternating bench runs each on a 2-vCPU host, this
+// heap read 0.170–0.180 s wall per op, the inline binary heap 0.185–0.197 s
+// and the inline 4-ary heap 0.183–0.198 s. (An earlier 4-ary heap of
+// pointers measured no faster either.)
 type eventHeap []*event
 
 // before reports whether a pops before b: by time, then perturbation key,
@@ -267,6 +278,12 @@ func (e *Engine) Now() Time { return e.now }
 
 // Rand returns the engine's deterministic random source.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
+
+// Resumes returns the number of coroutine resumes the engine's trampoline
+// has made so far: the wakes that a step did not absorb, each costing two
+// coroutine switches. Set beside Events, it shows how much of a run is
+// stepped in engine context.
+func (e *Engine) Resumes() uint64 { return e.switches }
 
 // Events returns the number of events the engine has dispatched so far
 // (including stale wakeups that were discarded). Benchmarks divide this by
@@ -533,7 +550,7 @@ func (e *Engine) runProc(p *Proc) {
 
 // resumeFlow runs p's step at a wake, in engine context, and reports whether
 // p stays parked: a flow always does, a coroutine process until its step
-// (a SleepSeq) clears itself, at which point the caller resumes the
+// (see Proc.Block) calls EndStep, at which point the caller resumes the
 // coroutine. A flow's first wake doubles as its start event (tracing
 // proc.start, as dispatch does for a coroutine process's wakeStart). The
 // token bump and the cleared block state mirror wait's on every wake; the

@@ -29,9 +29,10 @@ type Proc struct {
 	// step, when non-nil, is run by the engine at each wake in place of a
 	// coroutine resume (see Engine.resumeFlow). A flow (Engine.SpawnFlow) is
 	// driven by it for its whole life and has no coroutine at all; a
-	// coroutine process installs one for the length of a SleepSeq. The step
-	// parks with a Flow* primitive and returns, so a wake costs a call: no
-	// switch and no stack, only the events it schedules.
+	// coroutine process installs one with Block (a SleepSeq, an MPI rank
+	// program) until the step calls EndStep. The step parks with a Flow*
+	// primitive and returns, so a wake costs a call: no switch and no stack,
+	// only the events it schedules.
 	step Flow
 
 	// blockKind/blockName describe what the process is blocked on, kept as
@@ -67,9 +68,10 @@ type coProc struct {
 }
 
 // Flow is the body of a flow (Engine.SpawnFlow), and of a coroutine process
-// for the length of a SleepSeq: Step is run in engine context at every wake
-// and parks again with a Flow* primitive, or ends the flow with FlowEnd,
-// before it returns. reason is the wake reason.
+// blocked with Block: Step is run in engine context at every wake and parks
+// again with a Flow* primitive before it returns, or ends the flow with
+// FlowEnd, or the coroutine process's step with EndStep. reason is the wake
+// reason.
 type Flow interface {
 	Step(p *Proc, reason int)
 }
@@ -92,7 +94,7 @@ func (next sleepSeqFlow) Step(p *Proc, _ int) {
 	if d, ok := next(); ok {
 		p.FlowSleep(d)
 	} else {
-		p.step = nil
+		p.EndStep()
 	}
 }
 
@@ -133,6 +135,32 @@ func (p *Proc) wait() int {
 	p.blockKind, p.blockName = "", ""
 	return r
 }
+
+// Block blocks a coroutine process that has just parked with a Flow*
+// primitive (FlowSleep, FlowPark, Queue.FlowRecvPark,
+// Resource.FlowAcquireStart/Retry) and returns the reason of the wake that
+// resumes it. With step nil that is the first wake, as in the coroutine
+// primitives, which are their step forms followed by Block(nil). Otherwise
+// step runs as the process's step, in engine context, at each wake: it parks
+// again with a Flow* primitive, or calls EndStep, and the process resumes at
+// the wake that called EndStep, at that same instant. A wake the step
+// absorbs costs a call instead of two coroutine switches, and the events
+// pushed are the ones the step pushes, so a loop whose body the step runs is
+// event-for-event the loop the process would run itself between Blocks
+// (TestSleepSeqMatchesSleepLoop, mpi's FuzzRankProgramMatchesCalls).
+//
+// The step must not block (it runs on whichever coroutine holds the baton)
+// and must not register the process anywhere unless it then parks. A panic
+// in it is recorded as the process's failure.
+func (p *Proc) Block(step Flow) int {
+	p.step = step
+	return p.wait()
+}
+
+// EndStep ends the step a coroutine process installed with Block: called by
+// the step instead of parking again, it makes the wake running the step
+// resume the process. A flow ends with FlowEnd instead.
+func (p *Proc) EndStep() { p.step = nil }
 
 // flowPark records what a process is blocked on. A flow then returns control
 // to the engine, and its step function is re-invoked by the next matching
@@ -205,11 +233,11 @@ func (p *Proc) Sleep(d Duration) {
 //	for d, ok := next(); ok; d, ok = next() { p.Sleep(d) }
 //
 // (TestSleepSeqMatchesSleepLoop pins this). The sequence runs as the
-// process's step, the same mechanism that drives a flow: at each wake the
-// engine calls next, which FlowSleeps again or clears the step, and only the
-// wake that ends the sequence resumes the coroutine. When another process
-// holds the baton, a wake thus costs a call of next instead of a handoff into
-// this process and back.
+// process's step (see Block), the same mechanism that drives a flow: at each
+// wake the engine calls next, which FlowSleeps again or ends the step, and
+// only the wake that ends the sequence resumes the coroutine. When another
+// process holds the baton, a wake thus costs a call of next instead of a
+// handoff into this process and back.
 //
 // next must not block: no Sleep, Wait, Recv, Acquire or any other primitive
 // that parks a process, since it runs on whichever coroutine holds the baton.
@@ -222,8 +250,8 @@ func (p *Proc) SleepSeq(next func() (Duration, bool)) {
 	if !ok {
 		return
 	}
-	p.step = sleepSeqFlow(next)
-	p.Sleep(d)
+	p.FlowSleep(d)
+	p.Block(sleepSeqFlow(next))
 }
 
 // SpawnChild spawns another process from within this one.
