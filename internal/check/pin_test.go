@@ -9,6 +9,7 @@ import (
 	"ibmig/internal/exp"
 	"ibmig/internal/fault"
 	"ibmig/internal/npb"
+	"ibmig/internal/sim"
 	"ibmig/internal/strategy"
 )
 
@@ -27,6 +28,12 @@ const (
 	// scenario of Generate(1..dstOutcomeSeeds) under every strategy.
 	pinnedDSTOutcomes = 0x3d2062abbbbbf1d3
 	dstOutcomeSeeds   = 56
+
+	// pinnedPartOutcomes pins what the partitioned engine does with each
+	// scenario of CI's sweep (seeds 1..200, 4 partitions, 4 workers) and of
+	// a sweep that draws the ring size from the seed (seeds 1..25, 2
+	// workers).
+	pinnedPartOutcomes = 0xc857ddd14dc325b0
 )
 
 func fingerprint(write func(w io.Writer)) uint64 {
@@ -149,5 +156,47 @@ func TestDSTOutcomesPinned(t *testing.T) {
 	if got := dstOutcomes(dstOutcomeSeeds); got != pinnedDSTOutcomes {
 		t.Errorf("DST outcome fingerprint (seeds 1..%d, every strategy) %#x, want %#x",
 			dstOutcomeSeeds, got, uint64(pinnedDSTOutcomes))
+	}
+}
+
+// partOutcome is what one partitioned scenario did: its traffic, its
+// ensemble's totals and final time, each partition's trace fingerprint, and
+// the invariants it broke.
+type partOutcome struct {
+	seed                         int64
+	parts                        int
+	sent, windows, events, cross uint64
+	now                          sim.Time
+	traces                       []uint64
+	errs                         []string
+}
+
+// partOutcomes runs the partitioned scenarios seeded seed..seed+n-1 on
+// workers goroutines each, with parts partitions (0: drawn from the seed).
+func partOutcomes(n int, seed int64, parts, workers int) []partOutcome {
+	var out []partOutcome
+	for i := 0; i < n; i++ {
+		s, p := seed+int64(i), parts
+		if p == 0 {
+			p = 2 + int(s%4)
+		}
+		r := RunPartScenario(s, p, workers)
+		run := runPartScenario(s, p, workers)
+		out = append(out, partOutcome{r.Seed, r.Parts, r.Sent, r.Windows, r.Events, run.cross, run.now, run.hashes, r.Errors})
+	}
+	return out
+}
+
+func TestPartOutcomesPinned(t *testing.T) {
+	got := fingerprint(func(w io.Writer) {
+		for _, sw := range []struct{ n, parts, workers int }{{200, 4, 4}, {25, 0, 2}} {
+			for _, o := range partOutcomes(sw.n, 1, sw.parts, sw.workers) {
+				fmt.Fprintf(w, "%d %d %d %d %d %d %d %x %q\n",
+					o.seed, o.parts, o.sent, o.windows, o.events, o.cross, o.now, o.traces, o.errs)
+			}
+		}
+	})
+	if got != pinnedPartOutcomes {
+		t.Errorf("partitioned outcome fingerprint %#x, want %#x", got, uint64(pinnedPartOutcomes))
 	}
 }
