@@ -11,9 +11,12 @@
 //	protocheck -n 100 -shrink=false                # sweep without shrinking
 //	protocheck -fleet 200                          # fleet control-plane invariant sweep
 //	protocheck -spec "flt seed=7 n=96 auto"        # replay one fleet scenario
+//	protocheck -n 200 -partitions 4 -workers 4     # partitioned-engine invariant sweep
+//	protocheck -spec "part seed=7 p=4 w=4"         # replay one partitioned scenario
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -39,7 +42,7 @@ func main() {
 		verbose  = flag.Bool("v", false, "print per-scenario progress")
 		invs     = flag.Bool("invariants", false, "list registered invariants and exit")
 		parts    = flag.Int("partitions", 0, "run the partitioned-engine invariant sweep with this many partitions per scenario (0 with -workers unset = off; -1 = random 2-5)")
-		workers  = flag.Int("workers", 0, "worker goroutines per partitioned scenario (implies the partitioned sweep; determinism is cross-checked against workers=1)")
+		workers  = flag.Int("workers", 0, "worker goroutines per partitioned scenario (implies the partitioned sweep; 0 = 4; determinism is cross-checked against workers=1)")
 		fleetN   = flag.Int("fleet", 0, "run the fleet control-plane invariant sweep with this many scenarios (0 = off)")
 		poison   = flag.Bool("poison", false, "poison retired extent-arena nodes and validate on reuse (use-after-free detector; host-side only, results unchanged)")
 		flight   = flag.Bool("flight-dump", false, "include the flight recorder's telemetry tail in every result, not just failures")
@@ -56,16 +59,11 @@ func main() {
 		check.SetFlightDump(true)
 	}
 
-	if _, err := strategy.ByName(*strat); err != nil {
-		fmt.Fprintln(os.Stderr, "protocheck:", err)
-		os.Exit(2)
-	}
+	_, err := strategy.ByName(*strat)
+	refuse(err)
 	given := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { given[f.Name] = true })
-	if err := flagConflict(given); err != nil {
-		fmt.Fprintln(os.Stderr, "protocheck:", err)
-		os.Exit(2)
-	}
+	refuse(flagConflict(given))
 
 	if *invs {
 		for _, inv := range check.Registry() {
@@ -76,53 +74,53 @@ func main() {
 
 	exp.SetParallelism(*parallel)
 
-	if *parts != 0 || *workers != 0 {
-		// The partitioned-engine invariant sweep: seeded random
-		// cross-partition traffic through sim.Partitioned, checking delivery
-		// latency, per-link FIFO, conservation, and worker-count determinism.
-		w := *workers
-		if w < 1 {
-			w = 4
-		}
-		sum := check.PartSweep(*n, *seed, max(*parts, 0), w, progress("protocheck[partitioned]", *n, *verbose))
-		sum.Write(os.Stdout)
-		finish(*jsonOut, sum, len(sum.Failures) > 0)
-		return
-	}
-
 	if *spec != "" {
-		var k kind = check.Migration("")
-		if check.IsFleetSpec(*spec) {
-			k = check.Fleet
-		}
-		res, failed, err := k.Replay(os.Stdout, *spec, *shrink)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "protocheck:", err)
-			os.Exit(2)
-		}
+		res, failed, err := check.Replay(os.Stdout, *spec, *shrink)
+		refuse(err)
 		finish(*jsonOut, res, failed)
 		return
 	}
-	var k kind = check.Migration(*strat)
-	count := *n
-	if *fleetN > 0 {
-		k, count = check.Fleet, *fleetN
+	k, count, err := sweepKind(*strat, *n, *fleetN, *parts, *workers)
+	refuse(err)
+	var progress io.Writer
+	if *verbose {
+		progress = os.Stderr
 	}
-	sum, failed := k.Sweep(os.Stdout, count, *seed, *shrink, progress(k.Label(), count, *verbose))
+	sum, failed := k.Sweep(os.Stdout, count, *seed, *shrink, progress)
 	finish(*jsonOut, sum, failed)
 }
 
+// sweepKind picks the kind a sweep runs and its scenario count from the
+// flags: partitioned if -partitions or -workers is set, else fleet if -fleet
+// is, else migration. A partitioned setting outside the envelope is an error.
+func sweepKind(strat string, n, fleetN, parts, workers int) (kind, int, error) {
+	switch {
+	case parts != 0 || workers != 0:
+		k, err := check.Partitioned(max(parts, 0), cmp.Or(workers, 4))
+		return k, n, err
+	case fleetN > 0:
+		return check.Fleet, fleetN, nil
+	}
+	return check.Migration(strat), n, nil
+}
+
 // ignores lists, for each flag that selects a run, the flags that run would
-// ignore: a replayed spec names its own kind and strategy, and the fleet
-// and partitioned sweeps run no migration strategy and no spec.
+// ignore: a replayed spec names its own kind, seed and settings, the fleet
+// sweep its own scenario count, and the partitioned sweep wins over the
+// fleet sweep; neither runs a migration strategy.
 var ignores = []struct{ mode, ignored string }{
 	{"spec", "strategy"},
+	{"spec", "fleet"},
+	{"spec", "partitions"},
+	{"spec", "workers"},
+	{"spec", "n"},
+	{"spec", "seed"},
 	{"fleet", "strategy"},
-	{"fleet", "spec"},
+	{"fleet", "n"},
 	{"partitions", "strategy"},
-	{"partitions", "spec"},
+	{"partitions", "fleet"},
 	{"workers", "strategy"},
-	{"workers", "spec"},
+	{"workers", "fleet"},
 }
 
 // flagConflict rejects a command line that gives a flag its run would
@@ -136,23 +134,18 @@ func flagConflict(given map[string]bool) error {
 	return nil
 }
 
-// kind is a check spec kind: check.Migration or check.Fleet.
+// kind is a check spec kind: check.Migration, check.Fleet or
+// check.Partitioned.
 type kind interface {
-	Label() string
-	Sweep(w io.Writer, n int, seed int64, shrink bool, progress func(done int)) (artifact any, failed bool)
-	Replay(w io.Writer, spec string, shrink bool) (artifact any, failed bool, err error)
+	Sweep(w io.Writer, n int, seed int64, shrink bool, progress io.Writer) (artifact any, failed bool)
 }
 
-// progress reports every 50th finished scenario, and the last, on stderr
-// under -v.
-func progress(label string, n int, verbose bool) func(done int) {
-	if !verbose {
-		return nil
-	}
-	return func(done int) {
-		if done%50 == 0 || done == n {
-			fmt.Fprintf(os.Stderr, "%s: %d/%d\n", label, done, n)
-		}
+// refuse exits with status 2 if err is set: the command line asks for a run
+// protocheck cannot make.
+func refuse(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "protocheck:", err)
+		os.Exit(2)
 	}
 }
 
@@ -165,8 +158,7 @@ func finish(path string, artifact any, failed bool) {
 			err = os.WriteFile(path, append(data, '\n'), 0o644)
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "protocheck: write artifact:", err)
-			os.Exit(2)
+			refuse(fmt.Errorf("write artifact: %w", err))
 		}
 	}
 	if failed {

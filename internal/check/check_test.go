@@ -432,6 +432,7 @@ func TestRankChoicesMatchKernels(t *testing.T) {
 func TestShrinkOrderCoversFieldTables(t *testing.T) {
 	t.Run("scenario", func(t *testing.T) { checkShrinkOrder(t, scenarioSpec) })
 	t.Run("fleet", func(t *testing.T) { checkShrinkOrder(t, fleetSpec) })
+	t.Run("partitioned", func(t *testing.T) { checkShrinkOrder(t, partSpec) })
 }
 
 func checkShrinkOrder[S interface{ Valid() error }](t *testing.T, c *codec[S]) {

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"strings"
 	"time"
 
 	"ibmig/internal/fleet"
@@ -62,15 +61,6 @@ var fleetSpec = newCodec("flt",
 	num("work", func(s *FleetScenario) *int { return &s.WorkH }, 12),
 )
 
-// DefaultFleet is the baseline every fleet spec field shrinks toward.
-func DefaultFleet() FleetScenario { return fleetSpec.def }
-
-// IsFleetSpec reports whether a protocheck spec names a fleet scenario.
-func IsFleetSpec(spec string) bool {
-	f := strings.Fields(spec)
-	return len(f) > 0 && f[0] == fleetSpec.prefix
-}
-
 // String renders the canonical "flt"-prefixed spec; ParseFleet round-trips
 // it.
 func (fs FleetScenario) String() string { return fleetSpec.format(fs) }
@@ -78,7 +68,7 @@ func (fs FleetScenario) String() string { return fleetSpec.format(fs) }
 // ParseFleet reads a spec produced by FleetScenario.String.
 func ParseFleet(spec string) (FleetScenario, error) { return fleetSpec.parse(spec) }
 
-// Fields counts spec fields differing from DefaultFleet (seed excluded);
+// Fields counts spec fields differing from the default (seed excluded);
 // the shrinker minimizes this.
 func (fs FleetScenario) Fields() int { return fleetSpec.count(fs) }
 
@@ -114,7 +104,7 @@ func (fs FleetScenario) Valid() error {
 // one-integer-pins-the-run contract as Generate.
 func GenerateFleet(seed int64) FleetScenario {
 	rng := rand.New(rand.NewSource(seed))
-	fs := DefaultFleet()
+	fs := fleetSpec.def
 	fs.Seed = seed
 	fs.Nodes = []int{32, 48, 64, 96, 128}[rng.Intn(5)]
 	fs.Rack = []int{4, 8, 16}[rng.Intn(3)]

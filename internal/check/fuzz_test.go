@@ -83,6 +83,44 @@ func FuzzFleetSpecRoundTrip(f *testing.F) {
 	})
 }
 
+func FuzzPartitionedSpecRoundTrip(f *testing.F) {
+	for _, spec := range []string{
+		"part seed=1",
+		"part seed=7 p=4 w=4",
+		"part seed=-3 p=64 w=64",
+		"part p=1",
+		"part w=0",
+		"part p=65",
+		"part p=4 p=3",
+		"part w",
+		"flt seed=1",
+		"seed=1",
+	} {
+		f.Add(spec)
+	}
+	k, _ := Partitioned(0, 4)
+	for seed := int64(1); seed <= 8; seed++ {
+		f.Add(k.generate(seed).String())
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		s, err := partSpec.parse(spec)
+		if err != nil {
+			return
+		}
+		canon := s.String()
+		back, err := partSpec.parse(canon)
+		if err != nil {
+			t.Fatalf("parse(%q) ok, but its String %q does not parse: %v", spec, canon, err)
+		}
+		if back != s {
+			t.Fatalf("round trip of %q via %q: %+v != %+v", spec, canon, back, s)
+		}
+		if again := back.String(); again != canon {
+			t.Fatalf("String not stable for %q: %q then %q", spec, canon, again)
+		}
+	})
+}
+
 // FuzzFaultSpecRoundTrip fuzzes the fault anchor format (`kind:where@N` or
 // `kind:where@tMS`) on its own: a fault that parses must re-parse, from its
 // String, to an equal FaultSpec, and that String must be a fixed point. The

@@ -23,6 +23,8 @@ const (
 	pinnedFleetSpecs      = 0x30d3af5677c13c13
 	pinnedScenarioShrinks = 0x933868caac714fe6
 	pinnedFleetShrinks    = 0xd231d0f93fb2a979
+	pinnedPartSpecs       = 0xff6c9f0c79287163
+	pinnedPartShrinks     = 0xe908b8436714506d
 
 	// pinnedDSTOutcomes pins what the Job Manager does with each class S
 	// scenario of Generate(1..dstOutcomeSeeds) under every strategy.
@@ -67,6 +69,16 @@ func TestSpecStringsPinned(t *testing.T) {
 		}
 	}); got != pinnedFleetSpecs {
 		t.Errorf("GenerateFleet(1..500) spec fingerprint %#x, want %#x", got, uint64(pinnedFleetSpecs))
+	}
+	if got := fingerprint(func(w io.Writer) {
+		for _, c := range []struct{ parts, workers int }{{0, 1}, {0, 4}, {4, 4}, {7, 2}} {
+			k, _ := Partitioned(c.parts, c.workers)
+			for seed := int64(1); seed <= 500; seed++ {
+				fmt.Fprintln(w, k.generate(seed))
+			}
+		}
+	}); got != pinnedPartSpecs {
+		t.Errorf("Partitioned generator (1..500) spec fingerprint %#x, want %#x", got, uint64(pinnedPartSpecs))
 	}
 }
 
@@ -116,6 +128,24 @@ func TestShrinkResultsPinned(t *testing.T) {
 		}
 	}); got != pinnedFleetShrinks {
 		t.Errorf("fleet shrink fingerprint %#x, want %#x", got, uint64(pinnedFleetShrinks))
+	}
+
+	partPreds := []func(PartScenario) bool{
+		func(s PartScenario) bool { return s.Parts >= 3 },
+		func(s PartScenario) bool { return s.Workers != 1 },
+		func(s PartScenario) bool { return s.Parts%2 == 1 || s.Workers > 2 },
+		func(s PartScenario) bool { return s.Fields() >= 2 },
+	}
+	k, _ := Partitioned(0, 4)
+	if got := fingerprint(func(w io.Writer) {
+		for seed := int64(1); seed <= 100; seed++ {
+			ps := k.generate(seed)
+			for i, fails := range partPreds {
+				fmt.Fprintf(w, "%d %d %s\n", seed, i, Shrink(ps, fails))
+			}
+		}
+	}); got != pinnedPartShrinks {
+		t.Errorf("partitioned shrink fingerprint %#x, want %#x", got, uint64(pinnedPartShrinks))
 	}
 }
 
@@ -174,15 +204,17 @@ type partOutcome struct {
 // partOutcomes runs the partitioned scenarios seeded seed..seed+n-1 on
 // workers goroutines each, with parts partitions (0: drawn from the seed).
 func partOutcomes(n int, seed int64, parts, workers int) []partOutcome {
+	k, err := Partitioned(parts, workers)
+	if err != nil {
+		panic(err)
+	}
 	var out []partOutcome
-	for i := 0; i < n; i++ {
-		s, p := seed+int64(i), parts
-		if p == 0 {
-			p = 2 + int(s%4)
+	for _, r := range exp.Map(n, func(i int) *PartResult { return k.run(k.generate(seed + int64(i))) }) {
+		var errs []string
+		for _, v := range r.Violations {
+			errs = append(errs, v.String())
 		}
-		r := RunPartScenario(s, p, workers)
-		run := runPartScenario(s, p, workers)
-		out = append(out, partOutcome{r.Seed, r.Parts, r.Sent, r.Windows, r.Events, run.cross, run.now, run.hashes, r.Errors})
+		out = append(out, partOutcome{r.Scenario.Seed, r.Scenario.Parts, r.Sent, r.Windows, r.Events, r.Cross, r.Now, r.Traces, errs})
 	}
 	return out
 }

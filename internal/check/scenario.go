@@ -5,8 +5,9 @@
 // (spec.go), a driver that executes one scenario and evaluates every
 // invariant against the run (run.go), a shrinker that minimizes a failing
 // scenario to the smallest reproducing spec (shrink.go), and one parallel
-// sweep, replay and report path for migration and fleet specs alike
-// (sweep.go) behind cmd/protocheck.
+// sweep, replay and report path for migration, fleet (fleet.go) and
+// partitioned-engine (partition.go) specs alike (sweep.go) behind
+// cmd/protocheck.
 //
 // Everything is a pure function of the scenario: the same Scenario always
 // produces the same trace, the same violations, and the same shrink result,
@@ -15,6 +16,7 @@ package check
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -232,7 +234,7 @@ func (sc Scenario) Valid() error {
 	switch sc.Kernel {
 	case npb.LU:
 	case npb.BT, npb.SP:
-		if n := int(isqrt(sc.Ranks)); n*n != sc.Ranks {
+		if n := int(math.Sqrt(float64(sc.Ranks))); n*n != sc.Ranks {
 			return fmt.Errorf("check: %s needs a square rank count, got %d", sc.Kernel, sc.Ranks)
 		}
 	default:
@@ -300,15 +302,6 @@ func (sc Scenario) Valid() error {
 		}
 	}
 	return nil
-}
-
-func isqrt(n int) int {
-	for i := 0; i*i <= n; i++ {
-		if i*i == n {
-			return i
-		}
-	}
-	return 0
 }
 
 // rankChoices lists the rank counts the generator draws from per kernel

@@ -1,9 +1,11 @@
 package check
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"sync/atomic"
 
 	"ibmig/internal/exp"
@@ -11,9 +13,9 @@ import (
 )
 
 // The harness around the runners is written once for every spec kind. A
-// kind (migration or fleet) supplies its spec type with a field table, a
-// generator, a runner, and the tallies its summary keeps; the sweep, the
-// replay, the shrink to a repro and the report are shared.
+// kind (migration, fleet or partitioned) supplies its spec type with a field
+// table, a generator, a runner, and the tallies its summary keeps; the
+// sweep, the replay, the shrink to a repro and the report are shared.
 
 // outcome opens every kind's run result: the spec, the scenario it names,
 // and the invariants the run violated.
@@ -50,7 +52,7 @@ func (o *outcome[S]) guard(s S, at *sim.Time, body func()) {
 	body()
 }
 
-// result is a kind's run result (*Result, *FleetResult).
+// result is a kind's run result (*Result, *FleetResult, *PartResult).
 type result[S spec[S]] interface {
 	base() *outcome[S]
 	// describe writes a replay's opening lines: the spec and what the run
@@ -69,16 +71,17 @@ type sweepHead[R any] struct {
 	Invariants map[string]int `json:"violations_by_invariant,omitempty"`
 }
 
-// summary is a kind's sweep summary (*Summary, *FleetSummary): the shared
-// head plus the tallies of how much of the outcome space the sweep covered.
+// summary is a kind's sweep summary (*Summary, *FleetSummary, *partSummary):
+// the shared head plus the tallies of how much of the outcome space the sweep
+// covered.
 type summary[R any] interface {
 	header() *sweepHead[R]
 	add(r R)
 	writeTallies(w io.Writer)
 }
 
-// Kind is one spec kind the harness sweeps and replays: the migration
-// scenarios or the fleet scenarios. It supplies what differs between them;
+// Kind is one spec kind the harness sweeps and replays: the migration, the
+// fleet or the partitioned scenarios. It supplies what differs between them;
 // its methods are the shared path.
 type Kind[S spec[S], R result[S], T summary[R]] struct {
 	label    string
@@ -94,13 +97,9 @@ type Kind[S spec[S], R result[S], T summary[R]] struct {
 // Migration is the migration-scenario kind. Its sweeps run every scenario
 // under the named strategy ("" = proactive); a replayed spec names its own.
 func Migration(strat string) Kind[Scenario, *Result, *Summary] {
-	name := strat
-	if name == "" {
-		name = "proactive"
-	}
 	return Kind[Scenario, *Result, *Summary]{
 		label: "protocheck",
-		scope: ", strategy " + name,
+		scope: ", strategy " + cmp.Or(strat, "proactive"),
 		width: 20,
 		holds: "all invariants hold",
 		parse: Parse,
@@ -124,9 +123,6 @@ var Fleet = Kind[FleetScenario, *FleetResult, *FleetSummary]{
 	run:      RunFleetScenario,
 	summary:  func() *FleetSummary { return &FleetSummary{} },
 }
-
-// Label opens the kind's report and progress lines.
-func (k Kind[S, R, T]) Label() string { return k.label }
 
 // sweep runs the specs through exp.Map (one engine per goroutine). Run i
 // lands in slot i, so the summary is identical at any parallelism.
@@ -174,10 +170,15 @@ func (k Kind[S, R, T]) write(w io.Writer, sum T) {
 
 // Sweep runs the n generated specs seeded seed..seed+n-1 across CPUs. It
 // writes the summary and then each failure with its violations and, if
-// shrink is set, the minimal spec that still fails. It returns the summary,
-// the JSON artifact, and whether any spec failed.
-func (k Kind[S, R, T]) Sweep(w io.Writer, n int, seed int64, shrink bool, progress func(done int)) (any, bool) {
-	sum := k.sweep(n, seed, progress)
+// shrink is set, the minimal spec that still fails. progress, if non-nil,
+// gets a line at every 50th finished run and at the last. Sweep returns the
+// summary, which is the JSON artifact, and whether any spec failed.
+func (k Kind[S, R, T]) Sweep(w io.Writer, n int, seed int64, shrink bool, progress io.Writer) (any, bool) {
+	sum := k.sweep(n, seed, func(done int) {
+		if progress != nil && (done%50 == 0 || done == n) {
+			fmt.Fprintf(progress, "%s: %d/%d\n", k.label, done, n)
+		}
+	})
 	k.write(w, sum)
 	failures := sum.header().Failures
 	for _, r := range failures {
@@ -190,8 +191,22 @@ func (k Kind[S, R, T]) Sweep(w io.Writer, n int, seed int64, shrink bool, progre
 	return sum, len(failures) > 0
 }
 
-// Replay parses and runs one spec and writes its report the same way.
-func (k Kind[S, R, T]) Replay(w io.Writer, spec string, shrink bool) (any, bool, error) {
+// Replay parses and runs one spec of the kind its leading token names
+// ("flt", "part", or none for a migration scenario) and writes its report,
+// shrinking a failure as Sweep does. It returns the result, which is the
+// JSON artifact, and whether the spec failed.
+func Replay(w io.Writer, spec string, shrink bool) (any, bool, error) {
+	switch prefix, _, _ := strings.Cut(strings.TrimSpace(spec), " "); prefix {
+	case fleetSpec.prefix:
+		return Fleet.replay(w, spec, shrink)
+	case partSpec.prefix:
+		k, _ := Partitioned(0, 1)
+		return k.replay(w, spec, shrink)
+	}
+	return Migration("").replay(w, spec, shrink)
+}
+
+func (k Kind[S, R, T]) replay(w io.Writer, spec string, shrink bool) (any, bool, error) {
 	s, err := k.parse(spec)
 	if err != nil {
 		return nil, false, err
