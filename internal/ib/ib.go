@@ -226,7 +226,6 @@ type RemoteKey struct {
 
 // Message is a two-sided (send/recv) delivery.
 type Message struct {
-	From string         // sending node
 	Imm  uint64         // immediate data
 	Meta any            // structured header (simulated scatter/gather entry 0)
 	Data payload.Buffer // payload
@@ -335,7 +334,6 @@ func (q *QP) PostSend(m Message) error {
 	if err := q.err(); err != nil {
 		return err
 	}
-	m.From = q.hca.node
 	q.addInflight(1)
 	q.BytesSent += m.Size()
 	q.MsgsSent++

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"ibmig/internal/mem"
 	"ibmig/internal/payload"
@@ -342,5 +343,16 @@ func TestMRRegistrationCostScalesWithSize(t *testing.T) {
 	}
 	if big <= small {
 		t.Fatalf("64MB registration (%v) not slower than 4KB (%v)", big, small)
+	}
+}
+
+// TestMessageSize pins the size of a Message, which every receive queue and
+// send flow copies by value.
+func TestMessageSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("pinned for 64-bit platforms")
+	}
+	if s := unsafe.Sizeof(Message{}); s != 104 {
+		t.Fatalf("unsafe.Sizeof(Message{}) = %d bytes, want 104", s)
 	}
 }

@@ -162,7 +162,6 @@ func (q *QP) StartSend(st *SendStep, m Message) error {
 	if err := q.err(); err != nil {
 		return err
 	}
-	m.From = q.hca.node
 	q.addInflight(1)
 	q.BytesSent += m.Size()
 	q.MsgsSent++

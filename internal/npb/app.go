@@ -41,17 +41,9 @@ func (r *Result) Equal(o *Result) bool {
 	return true
 }
 
-// fold mixes a received payload into a rank's verification accumulator,
-// sampling at most the first 4 KB (content-sensitive but cheap).
-func fold(acc uint64, b payload.Buffer) uint64 {
-	n := b.Size()
-	if n > 4096 {
-		n = 4096
-	}
-	return acc*1099511628211 ^ b.Slice(0, n).Checksum()
-}
-
-// App returns the rank function for this workload, writing into res.
+// App returns the rank function for this workload, writing into res. The
+// function runs the ranks of one MPI world: it keeps that world's
+// verification-sum pipeline (see sums.go), so call App once per world.
 func (w Workload) App(res *Result) func(*mpi.Rank) {
 	if w.Kernel == LU {
 		return w.luApp(res, nil)
@@ -94,7 +86,7 @@ type Slice struct {
 }
 
 // SliceApp returns the LU rank function for the band s describes, writing
-// into res at global rank indices.
+// into res at global rank indices. Like App, call it once per world.
 func (w Workload) SliceApp(res *Result, s *Slice) func(*mpi.Rank) {
 	if w.Kernel != LU {
 		panic(fmt.Sprintf("npb: %s has no LU grid to slice", w.Kernel))
@@ -109,7 +101,9 @@ func (w Workload) SliceApp(res *Result, s *Slice) func(*mpi.Rank) {
 // runs the whole grid in one world. Each sweep is one rank program (see
 // luSweep), which the serial and the partitioned engine run alike.
 func (w Workload) luApp(res *Result, s *Slice) func(*mpi.Rank) {
+	sums := newSumPipe()
 	return func(r *mpi.Rank) {
+		sums.open(r.Size())
 		id := r.ID()
 		nx, ny := factor2D(r.Size())
 		first, above, below := 0, false, false
@@ -141,7 +135,7 @@ func (w Workload) luApp(res *Result, s *Slice) func(*mpi.Rank) {
 			}
 			return s.Allreduce(r, done, final)
 		}
-		sw := &luSweep{s: s, ix: ix}
+		sw := &luSweep{s: s, ix: ix, sums: sums, rank: id}
 		sw.compute, sw.face = w.LUBlock()
 		for it := 0; it < w.Iterations; it++ {
 			// Lower sweep (down) runs from the north-west corner, the upper
@@ -159,13 +153,13 @@ func (w Workload) luApp(res *Result, s *Slice) func(*mpi.Rank) {
 			}
 			r.TouchMemory(uint64(it))
 			if (it+1)%w.NormEvery == 0 {
-				sw.acc = fold(sw.acc, allreduce(it+1, false))
+				sums.addSum(id, sample(allreduce(it+1, false)))
 			}
 			res.IterDone[first+id] = it + 1
 		}
 		r.Barrier()
-		sw.acc = fold(sw.acc, allreduce(w.Iterations, true))
-		res.RankSums[first+id] = sw.acc
+		sums.addSum(id, sample(allreduce(w.Iterations, true)))
+		res.RankSums[first+id] = sums.sum(id)
 		res.FinishedAt[first+id] = r.Proc().Now()
 	}
 }
@@ -174,9 +168,9 @@ func (w Workload) luApp(res *Result, s *Slice) func(*mpi.Rank) {
 // receives its upstream faces (vertical, then horizontal), computes the
 // block and sends its downstream faces, luBlocks times. A vertical
 // neighbour outside the world is an off-world edge, served by the Slice
-// hooks in the rank's coroutine (mpi.OpCall). Every received face is folded
-// into acc, the rank's verification accumulator, in program order. One
-// luSweep serves all of a rank's sweeps, so a sweep allocates nothing.
+// hooks in the rank's coroutine (mpi.OpCall). Every received face enters the
+// rank's verification sum through the world's pipeline, in program order.
+// One luSweep serves all of a rank's sweeps, so a sweep allocates nothing.
 type luSweep struct {
 	s                    *Slice
 	ix                   int // grid column
@@ -186,7 +180,8 @@ type luSweep struct {
 	tagBase              int
 	compute              sim.Duration
 	face                 int64
-	acc                  uint64
+	sums                 *sumPipe
+	rank                 int // local rank in the world
 	b, k                 int // the next operation: k-th step of block b
 }
 
@@ -231,12 +226,12 @@ func (sw *luSweep) Next() mpi.Op {
 }
 
 // Received implements mpi.Program.
-func (sw *luSweep) Received(data payload.Buffer) { sw.acc = fold(sw.acc, data) }
+func (sw *luSweep) Received(data payload.Buffer) { sw.sums.add(sw.rank, data) }
 
 // Call implements mpi.Program: the off-world edge hooks.
 func (sw *luSweep) Call(r *mpi.Rank, op mpi.Op) {
 	if op.Peer == luEdgeRecv {
-		sw.acc = fold(sw.acc, sw.s.RecvEdge(r, sw.ix, op.Tag, sw.down))
+		sw.sums.add(sw.rank, sw.s.RecvEdge(r, sw.ix, op.Tag, sw.down))
 		return
 	}
 	sw.s.SendEdge(r, sw.ix, op.Tag, sw.face, sw.down)
@@ -246,33 +241,35 @@ func (sw *luSweep) Call(r *mpi.Rank, op mpi.Op) {
 // iteration over a square process grid (the multi-partition scheme's cyclic
 // neighbour exchanges), with a periodic residual all-reduce.
 func (w Workload) adiApp(res *Result) func(*mpi.Rank) {
+	sums := newSumPipe()
 	return func(r *mpi.Rank) {
 		n := r.Size()
+		sums.open(n)
+		id := r.ID()
 		q := isqrt(n)
-		ix, iy := r.ID()%q, r.ID()/q
+		ix, iy := id%q, id/q
 		at := func(x, y int) int { return ((y+q)%q)*q + (x+q)%q }
 		third := w.PerIterCompute / 3
-		var acc uint64
 		for it := 0; it < w.Iterations; it++ {
 			base := it * 8
 			// x sweep: ring exchange along the row.
 			r.Compute(third)
-			acc = fold(acc, r.Sendrecv(at(ix+1, iy), base, w.FaceBytes, at(ix-1, iy), base))
+			sums.add(id, r.Sendrecv(at(ix+1, iy), base, w.FaceBytes, at(ix-1, iy), base))
 			// y sweep: ring exchange along the column.
 			r.Compute(third)
-			acc = fold(acc, r.Sendrecv(at(ix, iy+1), base+1, w.FaceBytes, at(ix, iy-1), base+1))
+			sums.add(id, r.Sendrecv(at(ix, iy+1), base+1, w.FaceBytes, at(ix, iy-1), base+1))
 			// z sweep: diagonal exchange (multi-partition wrap).
 			r.Compute(third)
-			acc = fold(acc, r.Sendrecv(at(ix+1, iy+1), base+2, w.FaceBytes, at(ix-1, iy-1), base+2))
+			sums.add(id, r.Sendrecv(at(ix+1, iy+1), base+2, w.FaceBytes, at(ix-1, iy-1), base+2))
 			r.TouchMemory(uint64(it))
 			if (it+1)%w.NormEvery == 0 {
-				acc = fold(acc, r.Allreduce(40))
+				sums.addSum(id, sample(r.Allreduce(40)))
 			}
-			res.IterDone[r.ID()] = it + 1
+			res.IterDone[id] = it + 1
 		}
 		r.Barrier()
-		acc = fold(acc, r.Allreduce(40))
-		res.RankSums[r.ID()] = acc
-		res.FinishedAt[r.ID()] = r.Proc().Now()
+		sums.addSum(id, sample(r.Allreduce(40)))
+		res.RankSums[id] = sums.sum(id)
+		res.FinishedAt[id] = r.Proc().Now()
 	}
 }

@@ -117,21 +117,8 @@ func runWorkload(t *testing.T, w Workload, nodes int, suspendMid bool) (*Result,
 // dispatched events and coroutine resumes.
 func runWorkloadCounted(t *testing.T, w Workload, nodes int, suspendMid bool) (res *Result, end sim.Time, events, resumes uint64) {
 	t.Helper()
-	e := sim.NewEngine(11)
-	fab := ib.NewFabric(e, ib.Config{})
-	var names []string
-	for i := 0; i < nodes; i++ {
-		n := fmt.Sprintf("n%02d", i)
-		fab.AttachHCA(n)
-		names = append(names, n)
-	}
-	placement := make([]string, w.Ranks)
-	for i := range placement {
-		placement[i] = names[i*nodes/w.Ranks]
-	}
-	world := mpi.NewWorld(e, fab, placement, mpi.Config{})
 	res = NewResult(w.Ranks)
-	world.Start(w.App(res))
+	e, world := startWorkload(w, nodes, res)
 	e.Spawn("ctl", func(p *sim.Proc) {
 		world.WaitReady(p)
 		if suspendMid {
@@ -154,6 +141,26 @@ func runWorkloadCounted(t *testing.T, w Workload, nodes int, suspendMid bool) (r
 	events, resumes = e.Events(), e.Resumes()
 	e.Shutdown()
 	return res, end, events, resumes
+}
+
+// startWorkload launches a workload on a fresh engine and world over nodes
+// nodes, writing into res. The caller drives the engine.
+func startWorkload(w Workload, nodes int, res *Result) (*sim.Engine, *mpi.World) {
+	e := sim.NewEngine(11)
+	fab := ib.NewFabric(e, ib.Config{})
+	var names []string
+	for i := 0; i < nodes; i++ {
+		n := fmt.Sprintf("n%02d", i)
+		fab.AttachHCA(n)
+		names = append(names, n)
+	}
+	placement := make([]string, w.Ranks)
+	for i := range placement {
+		placement[i] = names[i*nodes/w.Ranks]
+	}
+	world := mpi.NewWorld(e, fab, placement, mpi.Config{})
+	world.Start(w.App(res))
+	return e, world
 }
 
 // TestLUResumesPerEvent guards the rank programs: a 64-rank LU, suspended

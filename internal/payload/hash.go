@@ -9,9 +9,11 @@ import (
 // little-endian lanes of the byte stream, finished with the stream length and
 // a final mixer. It is defined over the *bytes* of a buffer — two buffers
 // with identical content but different part fragmentation always hash
-// equal — and it exists purely for in-process integrity comparisons (the
-// restarted image must equal the checkpointed one); it is never persisted, so
-// the algorithm can evolve freely.
+// equal. It serves in-process integrity comparisons (the restarted image
+// must equal the checkpointed one) and npb's verification sums, which fold a
+// checksum of every received payload. Those sums are pinned, in bench/'s
+// part_lu1024 fingerprint and in internal/exp's TestVerificationSumsPinned,
+// so a change to the algorithm is a deliberate re-pin of both.
 //
 // Folding whole lanes instead of single bytes matters: checkpoint images are
 // gigabytes, and the previous byte-at-a-time FNV loop (one multiply per byte,
@@ -144,8 +146,10 @@ const (
 // runs (k += laneKey instead of lane*laneKey), and four lanes are generated
 // per round: their mixes are independent, so they overlap in the pipeline,
 // and only the multiply-xor chain is serial. The result is bit-identical to
-// the one-lane loop (TestFoldLanesMatchesOneLane, FuzzFoldLanes); npb's
-// fold, which samples every received LU face, spends most of its time here.
+// the one-lane loop (TestFoldLanesMatchesOneLane, FuzzFoldLanes). npb's
+// verification sums, which sample every received face, spend most of their
+// time here, on the helper goroutine of each world's checksum pipeline
+// rather than on the engine's thread (npb/sums.go).
 func (p Part) foldLanes(s *hasher) {
 	k := uint64(p.Off>>3) * laneKey
 	seed, h := p.Seed, s.h

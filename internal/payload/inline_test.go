@@ -243,3 +243,32 @@ func TestBufferSize(t *testing.T) {
 		t.Fatalf("unsafe.Sizeof(Buffer{}) = %d bytes, want 72", s)
 	}
 }
+
+// TestInlineRun covers the inline-run accessor: true exactly for a buffer
+// held as one synthetic run, with coordinates that rebuild its content.
+func TestInlineRun(t *testing.T) {
+	var two Buffer
+	two.Append(Part{Seed: 4, Off: 0, N: 16})
+	two.Append(Part{Seed: 5, Off: 8, N: 16})
+	for _, c := range []struct {
+		name string
+		b    Buffer
+		ok   bool
+	}{
+		{"synth", Synth(9, 24, 100), true},
+		{"misaligned slice", Synth(9, 24, 100).Slice(3, 50), true},
+		{"empty", Buffer{}, false},
+		{"bytes", FromBytes([]byte("abc")), false},
+		{"spilled", two, false},
+		{"spilled one run", spill(Synth(9, 0, 10)), false},
+	} {
+		seed, off, ok := c.b.InlineRun()
+		if ok != c.ok {
+			t.Errorf("%s: ok = %v, want %v", c.name, ok, c.ok)
+			continue
+		}
+		if ok && !Synth(seed, off, c.b.Size()).Equal(c.b) {
+			t.Errorf("%s: Synth(%d, %d, %d) does not rebuild the buffer", c.name, seed, off, c.b.Size())
+		}
+	}
+}

@@ -158,6 +158,17 @@ func Synth(seed uint64, off, n int64) Buffer {
 // Size returns the buffer length in bytes.
 func (b Buffer) Size() int64 { return b.size }
 
+// InlineRun reports the synthetic run a buffer holds inline: ok is true when
+// the buffer is one non-empty synthetic run (what every MPI message payload
+// is), and then its content is Synth(seed, off, b.Size()). A spilled, byte
+// or empty buffer reports false.
+func (b Buffer) InlineRun() (seed uint64, off int64, ok bool) {
+	if b.parts != nil || b.size == 0 {
+		return 0, 0, false
+	}
+	return b.seed, b.off, true
+}
+
 // sliceIndexMin is the part count above which Append maintains the
 // cumulative-offset index. Below it a Slice scan touches so few parts that
 // the index would cost more (one extra allocation per buffer) than it saves.
