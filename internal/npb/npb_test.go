@@ -118,7 +118,7 @@ func runWorkload(t *testing.T, w Workload, nodes int, suspendMid bool) (*Result,
 func runWorkloadCounted(t *testing.T, w Workload, nodes int, suspendMid bool) (res *Result, end sim.Time, events, resumes uint64) {
 	t.Helper()
 	res = NewResult(w.Ranks)
-	e, world := startWorkload(w, nodes, res)
+	e, _, world := startWorkload(w, nodes, res, false)
 	e.Spawn("ctl", func(p *sim.Proc) {
 		world.WaitReady(p)
 		if suspendMid {
@@ -144,8 +144,9 @@ func runWorkloadCounted(t *testing.T, w Workload, nodes int, suspendMid bool) (r
 }
 
 // startWorkload launches a workload on a fresh engine and world over nodes
-// nodes, writing into res. The caller drives the engine.
-func startWorkload(w Workload, nodes int, res *Result) (*sim.Engine, *mpi.World) {
+// nodes (n00, n01, ...), writing into res, with the runtime in
+// fault-tolerant mode when ft is set. The caller drives the engine.
+func startWorkload(w Workload, nodes int, res *Result, ft bool) (*sim.Engine, *ib.Fabric, *mpi.World) {
 	e := sim.NewEngine(11)
 	fab := ib.NewFabric(e, ib.Config{})
 	var names []string
@@ -159,8 +160,9 @@ func startWorkload(w Workload, nodes int, res *Result) (*sim.Engine, *mpi.World)
 		placement[i] = names[i*nodes/w.Ranks]
 	}
 	world := mpi.NewWorld(e, fab, placement, mpi.Config{})
+	world.SetFaultTolerant(ft)
 	world.Start(w.App(res))
-	return e, world
+	return e, fab, world
 }
 
 // TestLUResumesPerEvent guards the rank programs: a 64-rank LU, suspended

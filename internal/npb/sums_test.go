@@ -185,7 +185,7 @@ func TestSumPipeLeavesNoGoroutine(t *testing.T) {
 	runWorkload(t, w, 8, false)
 	waitGoroutines(t, "completed run", base)
 
-	e, world := startWorkload(w, 8, NewResult(w.Ranks))
+	e, _, world := startWorkload(w, 8, NewResult(w.Ranks), false)
 	e.Spawn("ctl", func(p *sim.Proc) {
 		world.WaitReady(p)
 		p.Sleep(w.EstimatedRuntime() / 4)
