@@ -18,6 +18,7 @@ const (
 	OpCompute                // Compute(D)
 	OpSend                   // Send(Peer, Tag, N)
 	OpCall                   // Program.Call(op), run in the rank's coroutine
+	OpSendrecv               // Sendrecv(Peer, Tag, N, From, RecvTag); the payload goes to Program.Received
 	opSendData               // SendData(Peer, Tag, data): only as a blocking call
 )
 
@@ -25,18 +26,23 @@ const (
 type Op struct {
 	Kind      OpKind
 	Peer, Tag int
-	N         int64        // OpSend: payload bytes
-	D         sim.Duration // OpCompute: computation time
+	// N is the payload bytes of OpSend and OpSendrecv. A negative N is
+	// SendrecvData's explicit payload, which only the blocking call has.
+	N             int64
+	D             sim.Duration // OpCompute: computation time
+	From, RecvTag int          // OpSendrecv: the receive half
 }
 
 // Program is a sequence of point-to-point and compute operations that a rank
 // runs with Rank.Run, in engine context as its process's step (see
-// sim.Proc.Block). The rank's coroutine is resumed only when the program
-// ends or an operation needs coroutine-only service: a pending suspension,
-// a self-send, a rendezvous-size or fault-tolerant send, a closed mailbox,
-// a connection that is missing or would fail, or an OpCall. There it
-// finishes the operation at the same instant with the blocking code, so a
-// program is event-for-event the loop of blocking calls it stands for
+// sim.Proc.Block). Sends run there too: an eager post, and a synchronous
+// send (rendezvous-size, or any send in fault-tolerant mode) stage by stage
+// on the wire. The rank's coroutine is resumed only when the program ends
+// or an operation needs coroutine-only service: a pending suspension, a
+// self-send, a missing connection, a fault-tolerant send to retry after a
+// failure, a closed mailbox, or an OpCall. There it finishes the operation
+// at the same instant with the blocking code, so a program is
+// event-for-event the loop of blocking calls it stands for
 // (FuzzRankProgramMatchesCalls pins this).
 //
 // Next and Received run in engine context and must not block or touch the
@@ -66,14 +72,22 @@ const (
 	stSend                // Send: synthesize the payload
 	stSendPoll            // Send/SendData: suspension check
 	stSendOverhead        // Send/SendData: per-message overhead sleep
-	stSendPost            // Send/SendData: post the message
+	stSendPost            // Send/SendData: post the message or start it on the wire
+	stSendWire            // a synchronous send is on the wire
+	stSrPoll              // Sendrecv: suspension check before the payload is made
+	stSrSynth             // Sendrecv: synthesize the payload
+	stSrDataPoll          // Sendrecv/SendrecvData: suspension check
+	stSrStart             // Sendrecv: start the send half
+	stSrWait              // Sendrecv: wait for the send half's flow to finish
+	stSrRetire            // Sendrecv: the send half is done
 )
 
 // Why a step hands its operation to the coroutine (runner.bail).
 const (
 	bailSuspend = iota + 1 // honour the pending suspension, then continue
 	bailClosed             // the mailbox is closed: the receive panics
-	bailSend               // finish the send with the blocking code
+	bailSend               // a self-send or a missing connection: sendSlow
+	bailRetry              // a fault-tolerant send failed: sendFT
 	bailCall               // run Program.Call
 )
 
@@ -92,18 +106,22 @@ type runner struct {
 	r    *Rank
 	prog Program
 	// op is the current operation. A Compute counts op.D down as its
-	// slices elapse, and a matched Recv sets op.Peer to the actual source.
+	// slices elapse, a matched Recv sets op.Peer to the actual source, and
+	// a Sendrecv moves From and RecvTag to Peer and Tag for its receive.
 	op     Op
 	stage  uint8
 	bail   uint8
 	res    uint8 // advance's result when the step ended (see Step)
 	active bool
-	data   payload.Buffer // the send's payload, or the matched receive's
+	// send is a pooled send record the operation holds: the SendStep of a
+	// synchronous send on the wire, or the flow of a Sendrecv's send half.
+	send *sendRec
+	data payload.Buffer // the send's payload, or the matched receive's
 }
 
 // opStart returns the first stage of an operation.
-func opStart(k OpKind) uint8 {
-	switch k {
+func opStart(op Op) uint8 {
+	switch op.Kind {
 	case OpEnd:
 		return stEnd
 	case OpRecv:
@@ -112,10 +130,15 @@ func opStart(k OpKind) uint8 {
 		return stCompute
 	case OpSend:
 		return stSend
+	case OpSendrecv:
+		if op.N < 0 {
+			return stSrDataPoll
+		}
+		return stSrPoll
 	case opSendData:
 		return stSendPoll
 	}
-	panic(fmt.Sprintf("mpi: unknown rank-program operation %d", k))
+	panic(fmt.Sprintf("mpi: unknown rank-program operation %d", op.Kind))
 }
 
 // Run runs prog on the rank (see Program). It must be called from the
@@ -134,7 +157,7 @@ func (r *Rank) exec(prog Program, op Op, data payload.Buffer) (payload.Buffer, i
 	}
 	*x = runner{r: r, prog: prog, op: op, data: data, active: true}
 	if prog == nil {
-		x.stage = opStart(op.Kind)
+		x.stage = opStart(op)
 	}
 	for {
 		res := x.advance()
@@ -175,7 +198,10 @@ func (x *runner) serve() {
 		panic(fmt.Sprintf("mpi: rank %d mailbox closed", r.id))
 	case bailSend:
 		r.sendSlow(x.op.Peer, x.op.Tag, x.data)
-		x.opDone()
+		x.sendDone()
+	case bailRetry:
+		r.sendFT(x.op.Peer, r.wire(x.op.Tag, x.data))
+		x.sendDone()
 	case bailCall:
 		x.prog.Call(r, x.op)
 		x.opDone()
@@ -189,11 +215,50 @@ func (x *runner) opDone() {
 		x.stage = stEnd
 		return
 	}
-	if x.op.Kind == OpRecv {
+	if x.op.Kind == OpRecv || x.op.Kind == OpSendrecv {
 		x.prog.Received(x.data)
 	}
 	x.data = payload.Buffer{}
 	x.stage = stNext
+}
+
+// sendDone ends the send of the current operation. A Sendrecv goes on to
+// its receive; any other send is over.
+func (x *runner) sendDone() {
+	if x.op.Kind != OpSendrecv {
+		x.opDone()
+		return
+	}
+	x.op.Peer, x.op.Tag = x.op.From, x.op.RecvTag
+	x.data = payload.Buffer{}
+	x.stage = stRecvPoll
+}
+
+// recvDone ends the receive of the current operation. A Sendrecv whose send
+// half is a flow waits for it; any other receive is over.
+func (x *runner) recvDone() {
+	if x.send != nil {
+		x.stage = stSrWait
+		return
+	}
+	x.opDone()
+}
+
+// retire returns the operation's send record to the world's pool.
+func (x *runner) retire() {
+	x.r.w.putSendRec(x.send)
+	x.send = nil
+}
+
+// failed serves a send whose verbs call failed, at its start or after the
+// wire: fault-tolerant mode retries it in the coroutine with sendFT, and
+// otherwise the rank panics, the historical behaviour.
+func (x *runner) failed(err error) uint8 {
+	r := x.r
+	if r.w.ftMode {
+		return x.to(bailRetry)
+	}
+	panic(fmt.Sprintf("mpi: rank %d send to %d: %v", r.id, x.op.Peer, err))
 }
 
 // to hands the current operation to the coroutine with service b.
@@ -215,7 +280,10 @@ func (x *runner) advance() uint8 {
 			if x.op.Kind == OpCall {
 				return x.to(bailCall)
 			}
-			x.stage = opStart(x.op.Kind)
+			if x.op.Kind == OpSendrecv && x.op.N < 0 {
+				panic("mpi: a program's OpSendrecv has no explicit payload; N must be >= 0")
+			}
+			x.stage = opStart(x.op)
 		case stEnd:
 			return stepEnd
 
@@ -230,7 +298,7 @@ func (x *runner) advance() uint8 {
 				if match(m, x.op.Peer, x.op.Tag) {
 					r.unexp = append(r.unexp[:i], r.unexp[i+1:]...)
 					x.data, x.op.Peer = m.data, m.from
-					x.opDone()
+					x.recvDone()
 					break
 				}
 			}
@@ -258,7 +326,7 @@ func (x *runner) advance() uint8 {
 			r.p.FlowSleep(calib.MPIPerMessageOverhead)
 			return stepParked
 		case stRecvDone:
-			x.opDone()
+			x.recvDone()
 
 		case stCompute:
 			r.ComputeTime += x.op.D
@@ -295,34 +363,82 @@ func (x *runner) advance() uint8 {
 		case stSendPost:
 			r.BytesSent += x.data.Size()
 			r.MsgsSent++
-			if !r.postEager(x.op.Peer, x.op.Tag, x.data) {
+			c := r.conns[x.op.Peer]
+			if x.op.Peer == r.id || c == nil {
 				return x.to(bailSend)
 			}
+			// An eager send returns once posted. A rendezvous-size send is
+			// synchronous, and so is every send in fault-tolerant mode: a
+			// posted message in flight when a link breaks would be lost
+			// without the sender learning, and a lost message between two
+			// surviving ranks wedges the receiver for good (restarts are
+			// continuations, never rewinds). A synchronous send rechecks
+			// the connection after the wire transfer, so every loss turns
+			// into a failure its sender retries.
+			r.beginOp()
+			m := r.wire(x.op.Tag, x.data)
+			err := c.ensure()
+			if err == nil && !r.w.ftMode && x.data.Size() <= r.w.cfg.EagerThreshold {
+				err = c.qp.PostSend(m)
+			} else if err == nil {
+				x.send = r.w.getSendRec()
+				if err = c.qp.StartSend(&x.send.xfer, m); err == nil {
+					x.stage = stSendWire
+					continue
+				}
+				x.retire()
+			}
+			r.endOp()
+			if err != nil {
+				return x.failed(err)
+			}
+			x.sendDone()
+		case stSendWire:
+			done, err := x.send.xfer.Step(r.p)
+			if !done {
+				return stepParked
+			}
+			x.retire()
+			r.endOp()
+			if err != nil {
+				return x.failed(err)
+			}
+			x.sendDone()
+
+		case stSrPoll:
+			x.stage = stSrSynth
+			if r.suspendReq {
+				return x.to(bailSuspend)
+			}
+		case stSrSynth:
+			x.data = r.synth(x.op.Tag, x.op.N)
+			x.stage = stSrDataPoll
+		case stSrDataPoll:
+			x.stage = stSrStart
+			if r.suspendReq {
+				return x.to(bailSuspend)
+			}
+		case stSrStart:
+			// In fault-tolerant mode the send half runs in the rank's own
+			// process, where a retry can honour a suspension; sends never
+			// wait for the receiver, so the exchange cannot deadlock.
+			// Otherwise it is a flow, and the receive runs beside it.
+			if r.w.ftMode {
+				x.stage = stSendOverhead
+				continue
+			}
+			x.send = r.startSend(r.sendrecvName, "sendrecv", x.op.Peer, x.op.Tag, x.data)
+			x.sendDone()
+		case stSrWait:
+			x.stage = stSrRetire
+			if s := x.send; !s.done {
+				s.waiting = true
+				r.p.FlowPark("event.wait", "")
+				return stepParked
+			}
+		case stSrRetire:
+			x.retire()
 			x.opDone()
 		}
 	}
-}
-
-// postEager posts an eager send on a working connection, the common case,
-// and reports whether it did. Everything else — a self-send, a
-// rendezvous-size payload, fault-tolerant mode, a missing connection or one
-// whose first verbs call would fail — is left to sendSlow in the coroutine.
-func (r *Rank) postEager(to, tag int, data payload.Buffer) bool {
-	if to == r.id || r.w.ftMode || data.Size() > r.w.cfg.EagerThreshold {
-		return false
-	}
-	c := r.conns[to]
-	if c == nil || c.brokenNow() {
-		return false
-	}
-	r.beginOp()
-	err := c.ensure()
-	if err == nil {
-		err = c.qp.PostSend(r.wire(tag, data))
-	}
-	r.endOp()
-	if err != nil { // brokenNow said it would not fail
-		panic(fmt.Sprintf("mpi: rank %d send to %d: %v", r.id, to, err))
-	}
-	return true
 }

@@ -25,7 +25,8 @@ const (
 	gRecv = iota
 	gSend
 	gCompute
-	gSendrecv // run in the coroutine: an OpCall in the program form
+	gSendrecv
+	gSendrecvData // explicit payload: an OpCall in the program form
 )
 
 type genOp struct {
@@ -33,15 +34,25 @@ type genOp struct {
 	peer, tag int
 	n         int64
 	d         sim.Duration
-	from, rtg int // gSendrecv: the receive half
+	from, rtg int // gSendrecv, gSendrecvData: the receive half
 }
+
+// explicit is the payload of a generated SendrecvData.
+func (o genOp) explicit() payload.Buffer { return payload.Synth(uint64(o.tag)<<32|0xda7a, 3, o.n) }
 
 type progCase struct {
 	nodes, ranks int
 	ops          [][]genOp
 	perturb      int64 // < 0: perturbation off
-	ft           bool  // fault-tolerant mode: every send bails
-	suspendAt    []sim.Duration
+	// ft is fault-tolerant mode: every send is synchronous, and a failed
+	// one is retried in the coroutine (sendFT).
+	ft        bool
+	suspendAt []sim.Duration
+	// breakAt >= 0 (ft only) fails breakNode's adapter that long after
+	// Ready, for downFor: the sends on the wire fail and are retried.
+	breakAt   sim.Duration
+	breakNode int
+	downFor   sim.Duration
 }
 
 // byteSrc turns fuzz input into bounded choices; exhausted input reads 0.
@@ -67,11 +78,16 @@ const progSlice = 4 * time.Microsecond
 
 func genProgCase(in []byte) progCase {
 	s := &byteSrc{in}
-	c := progCase{nodes: 1 + s.next(3), ranks: 2 + s.next(4), perturb: -1}
+	c := progCase{nodes: 1 + s.next(3), ranks: 2 + s.next(4), perturb: -1, breakAt: -1}
 	if s.next(2) == 1 {
 		c.perturb = int64(s.next(1 << 8))
 	}
 	c.ft = s.next(4) == 0
+	if c.ft && s.next(2) == 1 {
+		c.breakAt = sim.Duration(s.next(40)) * time.Microsecond
+		c.breakNode = s.next(c.nodes)
+		c.downFor = sim.Duration(1+s.next(8)) * time.Microsecond
+	}
 	for n := s.next(4); n > 0; n-- {
 		c.suspendAt = append(c.suspendAt, sim.Duration(s.next(40))*time.Microsecond)
 	}
@@ -94,9 +110,10 @@ func genProgCase(in []byte) progCase {
 			if a == b {
 				tb = ta
 			}
-			c.ops[a] = append(c.ops[a], genOp{kind: gSendrecv, peer: b, tag: ta, n: na, from: b, rtg: tb})
+			kind := gSendrecv + s.next(2)
+			c.ops[a] = append(c.ops[a], genOp{kind: kind, peer: b, tag: ta, n: na, from: b, rtg: tb})
 			if a != b {
-				c.ops[b] = append(c.ops[b], genOp{kind: gSendrecv, peer: a, tag: tb, n: nb, from: a, rtg: ta})
+				c.ops[b] = append(c.ops[b], genOp{kind: kind, peer: a, tag: tb, n: nb, from: a, rtg: ta})
 			}
 		}
 	}
@@ -144,6 +161,8 @@ func (g *genProgram) Next() Op {
 		return Op{Kind: OpSend, Peer: o.peer, Tag: o.tag, N: o.n}
 	case gCompute:
 		return Op{Kind: OpCompute, D: o.d}
+	case gSendrecv:
+		return Op{Kind: OpSendrecv, Peer: o.peer, Tag: o.tag, N: o.n, From: o.from, RecvTag: o.rtg}
 	}
 	return Op{Kind: OpCall, Tag: g.i - 1}
 }
@@ -152,7 +171,7 @@ func (g *genProgram) Received(data payload.Buffer) { *g.got = append(*g.got, dat
 
 func (g *genProgram) Call(r *Rank, op Op) {
 	o := g.ops[op.Tag]
-	*g.got = append(*g.got, r.Sendrecv(o.peer, o.tag, o.n, o.from, o.rtg).Checksum())
+	*g.got = append(*g.got, r.SendrecvData(o.peer, o.tag, o.explicit(), o.from, o.rtg).Checksum())
 }
 
 // Ways to run a case.
@@ -202,13 +221,27 @@ func runProgCase(t *testing.T, c progCase, mode int) progOutcome {
 				r.Compute(o.d)
 			case o.kind == gCompute:
 				lr.Compute(o.d)
-			case mode == asCalls:
+			case o.kind == gSendrecv && mode == asCalls:
 				*got = append(*got, r.Sendrecv(o.peer, o.tag, o.n, o.from, o.rtg).Checksum())
-			default:
+			case o.kind == gSendrecv:
 				*got = append(*got, lr.Sendrecv(o.peer, o.tag, o.n, o.from, o.rtg).Checksum())
+			case mode == asCalls:
+				*got = append(*got, r.SendrecvData(o.peer, o.tag, o.explicit(), o.from, o.rtg).Checksum())
+			default:
+				*got = append(*got, lr.SendrecvData(o.peer, o.tag, o.explicit(), o.from, o.rtg).Checksum())
 			}
 		}
 	})
+	if c.breakAt >= 0 {
+		e.Spawn("ctl.break", func(p *sim.Proc) {
+			w.WaitReady(p)
+			p.Sleep(c.breakAt)
+			h := fab.HCA(placement[c.breakNode])
+			h.Fail()
+			p.Sleep(c.downFor)
+			h.Recover()
+		})
+	}
 	e.Spawn("ctl", func(p *sim.Proc) {
 		w.WaitReady(p)
 		for _, d := range c.suspendAt {
@@ -300,9 +333,11 @@ func FuzzRankProgramMatchesCalls(f *testing.F) {
 }
 
 // legacyRank is the reference for the rank-program equivalence: Recv, Send,
-// Compute and Sendrecv as the coroutine code they were before each became a
-// one-operation program and Sendrecv's send half a pooled flow. It shares
-// only the coroutine-only helpers the programs bail to.
+// Compute, Sendrecv and SendrecvData as the coroutine code they were before
+// each became a one-operation program, Sendrecv's send half a pooled flow
+// and a synchronous send a run of program stages. It shares only the
+// coroutine-only helpers the programs bail to (sendSlow, sendFT,
+// doSuspend).
 type legacyRank struct{ r *Rank }
 
 func (l legacyRank) Recv(from, tag int) (payload.Buffer, int) {
@@ -341,7 +376,29 @@ func (l legacyRank) SendData(to, tag int, data payload.Buffer) {
 	r.p.Sleep(calib.MPIPerMessageOverhead)
 	r.BytesSent += data.Size()
 	r.MsgsSent++
-	r.sendSlow(to, tag, data)
+	c := r.conns[to]
+	if to == r.id || c == nil {
+		r.sendSlow(to, tag, data)
+		return
+	}
+	m := r.wire(tag, data)
+	r.beginOp()
+	err := c.ensure()
+	if err == nil {
+		if !r.w.ftMode && data.Size() <= r.w.cfg.EagerThreshold {
+			err = c.qp.PostSend(m)
+		} else {
+			err = c.qp.Send(r.p, m)
+		}
+	}
+	r.endOp()
+	if err != nil {
+		if r.w.ftMode {
+			r.sendFT(to, m)
+			return
+		}
+		panic(fmt.Sprintf("mpi: rank %d send to %d: %v", r.id, to, err))
+	}
 }
 
 func (l legacyRank) Compute(d sim.Duration) {
@@ -359,7 +416,11 @@ func (l legacyRank) Compute(d sim.Duration) {
 func (l legacyRank) Sendrecv(to, sendTag int, n int64, from, recvTag int) payload.Buffer {
 	r := l.r
 	r.poll()
-	data := r.synth(sendTag, n)
+	return l.SendrecvData(to, sendTag, r.synth(sendTag, n), from, recvTag)
+}
+
+func (l legacyRank) SendrecvData(to, sendTag int, data payload.Buffer, from, recvTag int) payload.Buffer {
+	r := l.r
 	r.poll()
 	if r.w.ftMode {
 		l.SendData(to, sendTag, data)

@@ -114,7 +114,7 @@ func TestMeshAllocsPerPair(t *testing.T) {
 // the messages sent in it; like testing.AllocsPerRun the ratio is an integer
 // quotient, and it must be 0.
 func TestRingAllocsPerMessage(t *testing.T) {
-	ringAllocsPerMessage(t, func(r *Rank, to, from, tag int, size int64) {
+	ringAllocsPerMessage(t, false, func(r *Rank, to, from, tag int, size int64) {
 		r.Send(to, tag, size)
 		r.Recv(from, tag)
 	})
@@ -125,19 +125,29 @@ func TestRingAllocsPerMessage(t *testing.T) {
 // record that is its own flow, must allocate nothing either (a helper
 // process and its completion event cost 2 allocations a message).
 func TestRingAllocsPerMessageSendrecv(t *testing.T) {
-	ringAllocsPerMessage(t, func(r *Rank, to, from, tag int, size int64) {
-		r.Sendrecv(to, tag, size, from, tag)
-	})
+	ringAllocsPerMessage(t, false, sendrecvRing)
 }
 
+// TestRingAllocsPerMessageSendrecvFT is TestRingAllocsPerMessageSendrecv in
+// fault-tolerant mode, where the exchange runs in the rank's process and
+// every send is synchronous: the SendStep of a send on the wire is borrowed
+// from the world's pool of send records, so it allocates nothing either.
+func TestRingAllocsPerMessageSendrecvFT(t *testing.T) {
+	ringAllocsPerMessage(t, true, sendrecvRing)
+}
+
+func sendrecvRing(r *Rank, to, from, tag int, size int64) { r.Sendrecv(to, tag, size, from, tag) }
+
 // ringAllocsPerMessage runs the ring of TestRingAllocsPerMessage with
-// exchange as each rank's step and requires 0 allocations a message.
-func ringAllocsPerMessage(t *testing.T, exchange func(r *Rank, to, from, tag int, size int64)) {
+// exchange as each rank's step, in fault-tolerant mode when ft is set, and
+// requires 0 allocations a message.
+func ringAllocsPerMessage(t *testing.T, ft bool, exchange func(r *Rank, to, from, tag int, size int64)) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
 	const ranks, warm, measured = 8, 50, 200
 	e, _, w := newTestWorld(ranks, ranks)
+	w.SetFaultTolerant(ft)
 	w.Start(func(r *Rank) {
 		n := r.Size()
 		for i := 0; i < warm+measured+1; i++ {

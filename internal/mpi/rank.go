@@ -186,8 +186,8 @@ type Rank struct {
 	OS *proc.Process
 
 	suspendReq bool
-	cycle      *suspendCycle
 	finished   bool
+	cycle      *suspendCycle
 	activeOps  int
 	opsIdle    *sim.Gate
 
@@ -196,8 +196,8 @@ type Rank struct {
 
 	run runner // the program the rank is running (see Run)
 
-	// Process names, formatted once in NewWorld rather than per spawn.
-	procName, sendrecvName, isendName string
+	// Send-flow names, formatted once in NewWorld rather than per spawn.
+	sendrecvName, isendName string
 
 	BytesSent   int64
 	MsgsSent    int64
@@ -306,53 +306,21 @@ func (r *Rank) SendData(to, tag int, data payload.Buffer) {
 	r.exec(nil, Op{Kind: opSendData, Peer: to, Tag: tag}, data)
 }
 
-// sendSlow finishes a send that postEager left to the coroutine, once the
-// per-message overhead has elapsed and the send is counted: a self-send
-// pays a memcpy, a rendezvous send goes out synchronously, and in
-// fault-tolerant mode a failed or missing connection is retried.
+// sendSlow finishes, in the coroutine, a send the rank program cannot run
+// as its step, once the per-message overhead has elapsed and the send is
+// counted: a self-send pays a memcpy, and a send without a connection is
+// retried in fault-tolerant mode and panics otherwise.
 func (r *Rank) sendSlow(to, tag int, data payload.Buffer) {
 	if to == r.id {
 		r.p.Sleep(sim.Duration(float64(data.Size()) / float64(calib.MemcpyBandwidth) * 1e9))
 		r.mailbox.TrySend(inMsg{from: r.id, tag: tag, data: data})
 		return
 	}
-	m := r.wire(tag, data)
-	c := r.conns[to]
-	if c == nil {
-		if r.w.ftMode {
-			r.sendFT(to, m)
-			return
-		}
-		panic(fmt.Sprintf("mpi: rank %d has no connection to %d", r.id, to))
+	if r.w.ftMode {
+		r.sendFT(to, r.wire(tag, data))
+		return
 	}
-	r.beginOp()
-	err := r.trySend(c, m)
-	r.endOp()
-	if err != nil {
-		if r.w.ftMode {
-			r.sendFT(to, m)
-			return
-		}
-		panic(fmt.Sprintf("mpi: rank %d send to %d: %v", r.id, to, err))
-	}
-}
-
-// trySend pushes one message down a connection (eager or rendezvous). In
-// fault-tolerant mode even eager messages go out synchronously: PostSend
-// returns "once posted", so a message in flight when a link breaks would be
-// lost without the sender ever learning — and a lost message between two
-// surviving ranks wedges the receiver forever (restarts here are
-// continuations, never rewinds). The synchronous path rechecks the
-// connection after the wire transfer and hands the error back, turning
-// every loss into a retriable failure on the sender's own process.
-func (r *Rank) trySend(c *conn, m ib.Message) error {
-	if err := c.ensure(); err != nil {
-		return err
-	}
-	if !r.w.ftMode && m.Data.Size() <= r.w.cfg.EagerThreshold {
-		return c.qp.PostSend(m)
-	}
-	return c.qp.Send(r.p, m)
+	panic(fmt.Sprintf("mpi: rank %d has no connection to %d", r.id, to))
 }
 
 // ftRetryDelay paces fault-tolerant send retries: deterministic, coarse
@@ -360,7 +328,8 @@ func (r *Rank) trySend(c *conn, m ib.Message) error {
 const ftRetryDelay = 5 * 1e6 // 5ms between send retries
 
 // sendFT is the fault-tolerant send path: the first transmission of m
-// failed (broken QP, downed adapter, missing connection). Retry with a
+// failed (broken QP, downed adapter, missing connection). Retry, each time
+// with a synchronous send (see the runner's stSendPost), with a
 // deterministic delay, rebuilding the rank-pair connection when both
 // adapters are up. A pending suspension is honoured between attempts — the
 // recovery that fixes the fabric runs while this rank is parked, and the
@@ -391,7 +360,10 @@ func (r *Rank) sendFT(to int, m ib.Message) {
 			continue
 		}
 		r.beginOp()
-		err := r.trySend(c, m)
+		err := c.ensure()
+		if err == nil {
+			err = c.qp.Send(r.p, m)
+		}
 		r.endOp()
 		if err == nil {
 			return
@@ -458,27 +430,16 @@ func (r *Rank) Recv(from, tag int) (payload.Buffer, int) {
 }
 
 // Sendrecv performs a simultaneous send and receive (the deadlock-free
-// neighbour exchange NPB kernels rely on).
+// neighbour exchange NPB kernels rely on). It is a one-operation program
+// (see Run and OpSendrecv).
 func (r *Rank) Sendrecv(to, sendTag int, n int64, from, recvTag int) payload.Buffer {
-	r.poll()
-	return r.SendrecvData(to, sendTag, r.synth(sendTag, n), from, recvTag)
+	got, _ := r.exec(nil, Op{Kind: OpSendrecv, Peer: to, Tag: sendTag, N: n, From: from, RecvTag: recvTag}, payload.Buffer{})
+	return got
 }
 
 // SendrecvData is Sendrecv with an explicit outgoing payload.
 func (r *Rank) SendrecvData(to, sendTag int, data payload.Buffer, from, recvTag int) payload.Buffer {
-	r.poll()
-	if r.w.ftMode {
-		// Inline send-then-receive: ib sends never block on the receiver
-		// (delivery is into an unbounded mailbox), so the exchange cannot
-		// deadlock — and the retry/suspension handling in SendData must run
-		// on the rank's own process, not in a send flow.
-		r.SendData(to, sendTag, data)
-		got, _ := r.Recv(from, recvTag)
-		return got
-	}
-	sent := r.startSend(r.sendrecvName, "sendrecv", to, sendTag, data)
-	got, _ := r.Recv(from, recvTag)
-	sent.wait()
+	got, _ := r.exec(nil, Op{Kind: OpSendrecv, Peer: to, Tag: sendTag, N: -1, From: from, RecvTag: recvTag}, data)
 	return got
 }
 

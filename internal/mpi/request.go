@@ -63,17 +63,27 @@ const (
 	srRendezvous        // a rendezvous transfer is under way
 )
 
+// getSendRec takes a send record from the world's pool. A rank program also
+// borrows one for the SendStep of a synchronous send it runs itself.
+func (w *World) getSendRec() *sendRec {
+	s := w.sendFree
+	if s == nil {
+		return &sendRec{}
+	}
+	w.sendFree, s.next = s.next, nil
+	return s
+}
+
+// putSendRec returns a finished record to the world's pool.
+func (w *World) putSendRec(s *sendRec) {
+	s.r, s.data = nil, payload.Buffer{}
+	s.next, w.sendFree = w.sendFree, s
+}
+
 // startSend begins a nonblocking send from a flow named name and returns its
 // record, which the caller must wait on.
 func (r *Rank) startSend(name, op string, to, tag int, data payload.Buffer) *sendRec {
-	w := r.w
-	s := w.sendFree
-	if s != nil {
-		w.sendFree = s.next
-		s.next = nil
-	} else {
-		s = &sendRec{}
-	}
+	s := r.w.getSendRec()
 	s.r, s.op, s.to, s.tag, s.data = r, op, to, tag, data
 	s.stage, s.done, s.waiting = srStart, false, false
 	r.beginOp()
@@ -89,8 +99,7 @@ func (s *sendRec) wait() {
 		r.p.FlowPark("event.wait", "")
 		r.p.Block(nil)
 	}
-	s.r, s.data = nil, payload.Buffer{}
-	s.next, r.w.sendFree = r.w.sendFree, s
+	r.w.putSendRec(s)
 }
 
 // Step implements sim.Flow.

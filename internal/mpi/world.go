@@ -110,7 +110,6 @@ func NewWorld(e *sim.Engine, fabric *ib.Fabric, placement []string, cfg Config) 
 			mailbox:      sim.NewQueue[inMsg](e, "mpi.mbox."+id, 0),
 			conns:        make([]*conn, len(placement)),
 			opsIdle:      sim.NewGate(e, true),
-			procName:     "mpi.rank." + id,
 			sendrecvName: "mpi.sendrecv." + id,
 			isendName:    "mpi.isend." + id,
 		})
@@ -194,7 +193,10 @@ func (w *World) Start(app func(r *Rank)) {
 		}))
 		w.ready.Fire()
 		for _, r := range w.ranks {
-			w.E.Spawn(r.procName, func(rp *sim.Proc) {
+			// The process name is formatted here, with one allocation,
+			// so the Rank keeps no field for it.
+			var name [24]byte
+			w.E.Spawn(string(strconv.AppendInt(append(name[:0], "mpi.rank."...), int64(r.id), 10)), func(rp *sim.Proc) {
 				r.p = rp
 				app(r)
 				// A suspension requested as the app exits must still be

@@ -239,7 +239,8 @@ func (sw *luSweep) Call(r *mpi.Rank, op mpi.Op) {
 
 // adiApp is the BT/SP skeleton: ADI sweeps along x, y and a diagonal per
 // iteration over a square process grid (the multi-partition scheme's cyclic
-// neighbour exchanges), with a periodic residual all-reduce.
+// neighbour exchanges), with a periodic residual all-reduce. Each iteration
+// is one rank program (see adiIter).
 func (w Workload) adiApp(res *Result) func(*mpi.Rank) {
 	sums := newSumPipe()
 	return func(r *mpi.Rank) {
@@ -249,23 +250,24 @@ func (w Workload) adiApp(res *Result) func(*mpi.Rank) {
 		q := isqrt(n)
 		ix, iy := id%q, id/q
 		at := func(x, y int) int { return ((y+q)%q)*q + (x+q)%q }
-		third := w.PerIterCompute / 3
-		for it := 0; it < w.Iterations; it++ {
-			base := it * 8
-			// x sweep: ring exchange along the row.
-			r.Compute(third)
-			sums.add(id, r.Sendrecv(at(ix+1, iy), base, w.FaceBytes, at(ix-1, iy), base))
-			// y sweep: ring exchange along the column.
-			r.Compute(third)
-			sums.add(id, r.Sendrecv(at(ix, iy+1), base+1, w.FaceBytes, at(ix, iy-1), base+1))
-			// z sweep: diagonal exchange (multi-partition wrap).
-			r.Compute(third)
-			sums.add(id, r.Sendrecv(at(ix+1, iy+1), base+2, w.FaceBytes, at(ix-1, iy-1), base+2))
-			r.TouchMemory(uint64(it))
-			if (it+1)%w.NormEvery == 0 {
+		// x sweep: ring exchange along the row; y sweep: along the column;
+		// z sweep: diagonal exchange (multi-partition wrap).
+		it := &adiIter{
+			compute: w.PerIterCompute / 3,
+			face:    w.FaceBytes,
+			to:      [3]int{at(ix+1, iy), at(ix, iy+1), at(ix+1, iy+1)},
+			from:    [3]int{at(ix-1, iy), at(ix, iy-1), at(ix-1, iy-1)},
+			sums:    sums,
+			rank:    id,
+		}
+		for i := 0; i < w.Iterations; i++ {
+			it.tagBase, it.k = i*8, 0
+			r.Run(it)
+			r.TouchMemory(uint64(i))
+			if (i+1)%w.NormEvery == 0 {
 				sums.addSum(id, sample(r.Allreduce(40)))
 			}
-			res.IterDone[id] = it + 1
+			res.IterDone[id] = i + 1
 		}
 		r.Barrier()
 		sums.addSum(id, sample(r.Allreduce(40)))
@@ -273,3 +275,40 @@ func (w Workload) adiApp(res *Result) func(*mpi.Rank) {
 		res.FinishedAt[id] = r.Proc().Now()
 	}
 }
+
+// adiIter is one BT/SP iteration as an mpi.Program: per sweep (x, y, then
+// the diagonal) it computes a third of the iteration, then exchanges faces
+// with the sweep's neighbours in one Sendrecv. Every received face enters
+// the rank's verification sum through the world's pipeline, in program
+// order. One adiIter serves all of a rank's iterations, so an iteration
+// allocates nothing.
+type adiIter struct {
+	compute  sim.Duration
+	face     int64
+	to, from [3]int // per sweep: the neighbour sent to, the one received from
+	sums     *sumPipe
+	rank     int
+	tagBase  int
+	k        int // the next operation: compute on even k, exchange on odd
+}
+
+// Next implements mpi.Program.
+func (a *adiIter) Next() mpi.Op {
+	k := a.k
+	if k == 6 {
+		return mpi.Op{}
+	}
+	a.k++
+	if k%2 == 0 {
+		return mpi.Op{Kind: mpi.OpCompute, D: a.compute}
+	}
+	s := k / 2
+	tag := a.tagBase + s
+	return mpi.Op{Kind: mpi.OpSendrecv, Peer: a.to[s], Tag: tag, N: a.face, From: a.from[s], RecvTag: tag}
+}
+
+// Received implements mpi.Program.
+func (a *adiIter) Received(data payload.Buffer) { a.sums.add(a.rank, data) }
+
+// Call implements mpi.Program; an iteration has no OpCall.
+func (a *adiIter) Call(*mpi.Rank, mpi.Op) {}

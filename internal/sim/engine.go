@@ -52,12 +52,15 @@
 //     is stepped while it is blocked with Proc.Block, after parking with
 //     any Flow* primitive, until the step calls EndStep. SleepSeq (MPI's
 //     launch, drain, teardown and rebuild loops) and MPI rank programs (a
-//     rank's Recv/Compute/Send ops, an LU sweep at a time) run this way.
+//     rank's Recv/Compute/Send/Sendrecv ops, synchronous sends on the wire
+//     included, an LU sweep or a BT/SP iteration at a time) run this way.
 //     On a 256-rank LU.C migration op SleepSeq took the trampoline's
 //     coroutine resumes from 394,395 to 166,682 with the same 963,266
 //     events; on a fig7-shaped LU.C.64 op (migration, then CR to ext3 and
 //     PVFS) rank programs took them from 578,681 to 43,501 with the same
-//     1,504,092 events (Engine.Resumes counts them). The coroutine
+//     1,504,092 events, and on the fault-tolerant class S DST corpus from
+//     about 27,000 to about 2,200 per scenario with the same ~65,000
+//     events (Engine.Resumes counts them). The coroutine
 //     primitives are the step forms followed by Proc.wait (Sleep is
 //     FlowSleep + wait), so each primitive's register and grant logic
 //     exists once.
