@@ -104,6 +104,7 @@ func (w Workload) luApp(res *Result, s *Slice) func(*mpi.Rank) {
 	sums := newSumPipe()
 	return func(r *mpi.Rank) {
 		sums.open(r.Size())
+		defer sums.drain()
 		id := r.ID()
 		nx, ny := factor2D(r.Size())
 		first, above, below := 0, false, false
@@ -246,6 +247,7 @@ func (w Workload) adiApp(res *Result) func(*mpi.Rank) {
 	return func(r *mpi.Rank) {
 		n := r.Size()
 		sums.open(n)
+		defer sums.drain()
 		id := r.ID()
 		q := isqrt(n)
 		ix, iy := id%q, id/q

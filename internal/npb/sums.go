@@ -25,7 +25,9 @@ import (
 //
 // The helper touches nothing but the batches handed to it: no engine, rank
 // or simulated state. It exits as soon as its queue is empty, so it never
-// outlives a run, even one stopped before its ranks read their sums.
+// outlives a run, even one stopped before its ranks read their sums. Such a
+// run still returns its batches: each rank's function defers drain, which
+// runs when Shutdown unwinds the rank.
 
 const (
 	// sampleBytes is how much of a received payload its checksum reads:
@@ -75,9 +77,11 @@ func (b *batch) checksum() {
 // freeBatches recycles batches across every pipeline in the process, so a
 // run's steady state allocates none. Pipelines of a partitioned run live on
 // different worker goroutines; this list is the only state they share.
+// minted counts the batches ever allocated.
 var freeBatches struct {
 	sync.Mutex
-	list []*batch
+	list   []*batch
+	minted int
 }
 
 // maxFreeBatches bounds the free list: enough for several worlds' batches
@@ -92,6 +96,7 @@ func getBatch() *batch {
 		freeBatches.list = freeBatches.list[:n-1]
 		return b
 	}
+	freeBatches.minted++
 	return new(batch)
 }
 
@@ -222,10 +227,19 @@ func (s *sumPipe) fold(b *batch) {
 	putBatch(b)
 }
 
-// sum drains the pipeline and returns rank's verification sum. The batches
-// in flight are folded first, then the partial batch, which is checksummed
-// here rather than handed over.
+// sum drains the pipeline and returns rank's verification sum.
 func (s *sumPipe) sum(rank int) uint64 {
+	s.drain()
+	return s.acc[rank]
+}
+
+// drain folds every batch in flight, then the partial batch, which is
+// checksummed here rather than handed over, so the pipeline holds no batch
+// until the next add. Folding early leaves every sum as it is: each batch
+// still folds in fill order. It is idempotent, and each rank's function
+// defers it, so a run stopped before its ranks read their sums returns its
+// batches to the free list when Shutdown unwinds the ranks.
+func (s *sumPipe) drain() {
 	for s.inflight > 0 {
 		s.collect()
 	}
@@ -234,5 +248,4 @@ func (s *sumPipe) sum(rank int) uint64 {
 		b.checksum()
 		s.fold(b)
 	}
-	return s.acc[rank]
 }

@@ -201,6 +201,40 @@ func TestSumPipeLeavesNoGoroutine(t *testing.T) {
 	waitGoroutines(t, "stopped run", base)
 }
 
+// TestStoppedRunReturnsBatches stops a 64-rank LU a quarter of the way in,
+// before its ranks read their sums, twice. The first run returns every batch
+// it took to the free list when Shutdown unwinds its ranks, so the second
+// takes all of its batches from there and allocates none.
+func TestStoppedRunReturnsBatches(t *testing.T) {
+	w := New(LU, ClassS, 64)
+	stopped := func() {
+		e, _, world := startWorkload(w, 8, NewResult(w.Ranks), false)
+		e.Spawn("ctl", func(p *sim.Proc) {
+			world.WaitReady(p)
+			p.Sleep(w.EstimatedRuntime() / 4)
+			e.Stop()
+		})
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if world.Done() {
+			t.Fatal("the run finished before it was stopped")
+		}
+		e.Shutdown()
+	}
+	minted := func() int {
+		freeBatches.Lock()
+		defer freeBatches.Unlock()
+		return freeBatches.minted
+	}
+	stopped()
+	before := minted()
+	stopped()
+	if got := minted() - before; got != 0 {
+		t.Fatalf("the second stopped run allocated %d batches, want 0", got)
+	}
+}
+
 // TestSumPipeAllocs bounds what a pipeline allocates once the batch free
 // list is warm: its channels, accumulators and helper starts, not its
 // batches. The program is LU-shaped: 64 ranks, 2560-byte faces.
