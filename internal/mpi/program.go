@@ -69,14 +69,12 @@ const (
 	stComputePoll         // Compute: suspension check before a slice or at the end
 	stComputeSleep        // Compute: sleep one slice
 	stComputeEnd          // Compute: all slices done
-	stSend                // Send: synthesize the payload
-	stSendPoll            // Send/SendData: suspension check
+	stSend                // Send/Sendrecv: synthesize the payload
+	stSendPoll            // Send/SendData/Sendrecv: suspension check
 	stSendOverhead        // Send/SendData: per-message overhead sleep
 	stSendPost            // Send/SendData: post the message or start it on the wire
 	stSendWire            // a synchronous send is on the wire
 	stSrPoll              // Sendrecv: suspension check before the payload is made
-	stSrSynth             // Sendrecv: synthesize the payload
-	stSrDataPoll          // Sendrecv/SendrecvData: suspension check
 	stSrStart             // Sendrecv: start the send half
 	stSrWait              // Sendrecv: wait for the send half's flow to finish
 	stSrRetire            // Sendrecv: the send half is done
@@ -132,7 +130,7 @@ func opStart(op Op) uint8 {
 		return stSend
 	case OpSendrecv:
 		if op.N < 0 {
-			return stSrDataPoll
+			return stSendPoll
 		}
 		return stSrPoll
 	case opSendData:
@@ -353,6 +351,9 @@ func (x *runner) advance() uint8 {
 			x.stage = stSendPoll
 		case stSendPoll:
 			x.stage = stSendOverhead
+			if x.op.Kind == OpSendrecv {
+				x.stage = stSrStart
+			}
 			if r.suspendReq {
 				return x.to(bailSuspend)
 			}
@@ -406,15 +407,7 @@ func (x *runner) advance() uint8 {
 			x.sendDone()
 
 		case stSrPoll:
-			x.stage = stSrSynth
-			if r.suspendReq {
-				return x.to(bailSuspend)
-			}
-		case stSrSynth:
-			x.data = r.synth(x.op.Tag, x.op.N)
-			x.stage = stSrDataPoll
-		case stSrDataPoll:
-			x.stage = stSrStart
+			x.stage = stSend
 			if r.suspendReq {
 				return x.to(bailSuspend)
 			}
