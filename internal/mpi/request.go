@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"sync"
 
 	"ibmig/internal/calib"
 	"ibmig/internal/ib"
@@ -63,15 +64,37 @@ const (
 	srRendezvous        // a rendezvous transfer is under way
 )
 
-// getSendRec takes a send record from the world's pool. A rank program also
-// borrows one for the SendStep of a synchronous send it runs itself.
+// getSendRec takes a send record from the world's pool, or from the records
+// finished worlds left behind. A rank program also borrows one for the
+// SendStep of a synchronous send it runs itself.
 func (w *World) getSendRec() *sendRec {
 	s := w.sendFree
 	if s == nil {
+		if s, ok := spareRecs.Get().(*sendRec); ok {
+			return s
+		}
 		return &sendRec{}
 	}
 	w.sendFree, s.next = s.next, nil
 	return s
+}
+
+// spareRecs carries idle send records from ended ranks to other worlds. A
+// fault-tolerant world borrows about one record per rank, so a sweep of
+// many short jobs would otherwise mint them for every job. Only a miss of a
+// world's pool and the end of a rank touch it.
+var spareRecs sync.Pool
+
+// releaseSendRecs hands the world's idle records to other worlds, cleared
+// so that none keeps this world's fabric alive.
+func (w *World) releaseSendRecs() {
+	for s := w.sendFree; s != nil; {
+		next := s.next
+		*s = sendRec{}
+		spareRecs.Put(s)
+		s = next
+	}
+	w.sendFree = nil
 }
 
 // putSendRec returns a finished record to the world's pool.

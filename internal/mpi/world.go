@@ -198,6 +198,10 @@ func (w *World) Start(app func(r *Rank)) {
 			var name [24]byte
 			w.E.Spawn(string(strconv.AppendInt(append(name[:0], "mpi.rank."...), int64(r.id), 10)), func(rp *sim.Proc) {
 				r.p = rp
+				// The rank's idle send records go to later worlds when it
+				// ends, and also when Shutdown unwinds it: a job stopped or
+				// lost midway never finishes.
+				defer w.releaseSendRecs()
 				app(r)
 				// A suspension requested as the app exits must still be
 				// honoured so the coordinator is not left waiting.
