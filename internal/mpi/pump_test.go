@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 	"unsafe"
@@ -194,6 +195,54 @@ func ringAllocsPerMessage(t *testing.T, ft bool, exchange func(r *Rank, to, from
 	if got := mallocs / msgs; got != 0 {
 		t.Errorf("a steady-state message allocates %d times, want 0", got)
 	}
+}
+
+// TestSendRecordsAcrossWorlds runs worlds on several goroutines at once, as
+// a partitioned run and exp.Map do, so their ranks hand idle send records to
+// the shared spare list and take them from it concurrently (run it with
+// -race). Each world must end exactly as the same world run alone.
+func TestSendRecordsAcrossWorlds(t *testing.T) {
+	type outcome struct {
+		events uint64
+		end    sim.Time
+	}
+	ring := func(ft bool) outcome {
+		e, _, w := newTestWorld(4, 8)
+		w.SetFaultTolerant(ft)
+		w.Start(func(r *Rank) {
+			n := r.Size()
+			for i := 0; i < 20; i++ {
+				size := int64(1 << 10)
+				if i%2 == 1 {
+					size = 2 * w.cfg.EagerThreshold
+				}
+				r.Sendrecv((r.ID()+1)%n, i, size, (r.ID()-1+n)%n, i)
+			}
+			r.Barrier()
+		})
+		e.Spawn("ctl", func(p *sim.Proc) { w.WaitDone(p); e.Stop() })
+		if err := e.Run(); err != nil {
+			t.Error(err)
+		}
+		o := outcome{e.Events(), e.Now()}
+		e.Shutdown()
+		return o
+	}
+	want := map[bool]outcome{false: ring(false), true: ring(true)}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		ft := g%2 == 1
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				if got := ring(ft); got != want[ft] {
+					t.Errorf("ft=%v: a concurrent world ended with %+v, alone %+v", ft, got, want[ft])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // pumpName is the name every pump flow of pair (rank <- peer) must carry.

@@ -64,34 +64,56 @@ const (
 	srRendezvous        // a rendezvous transfer is under way
 )
 
-// getSendRec takes a send record from the world's pool, or from the records
-// finished worlds left behind. A rank program also borrows one for the
-// SendStep of a synchronous send it runs itself.
+// getSendRec takes a send record from the world's pool, else one a rank of
+// another world handed on (see releaseSendRecs). A rank program also
+// borrows one for the SendStep of a synchronous send it runs itself.
 func (w *World) getSendRec() *sendRec {
-	s := w.sendFree
-	if s == nil {
-		if s, ok := spareRecs.Get().(*sendRec); ok {
-			return s
-		}
-		return &sendRec{}
+	if s := w.sendFree; s != nil {
+		w.sendFree, s.next = s.next, nil
+		return s
 	}
-	w.sendFree, s.next = s.next, nil
+	spareRecs.Lock()
+	s := spareRecs.head
+	if s != nil {
+		spareRecs.head, s.next = s.next, nil
+		spareRecs.n--
+	}
+	spareRecs.Unlock()
+	if s == nil {
+		s = &sendRec{}
+	}
 	return s
 }
 
 // spareRecs carries idle send records from ended ranks to other worlds. A
 // fault-tolerant world borrows about one record per rank, so a sweep of
-// many short jobs would otherwise mint them for every job. Only a miss of a
-// world's pool and the end of a rank touch it.
-var spareRecs sync.Pool
+// many short jobs would otherwise mint them for every job. Worlds of a
+// partitioned run end on different goroutines; only a miss of a world's
+// pool and the end of a rank touch the list. An intrusive list, unlike a
+// sync.Pool, costs no allocation to hold a record.
+var spareRecs struct {
+	sync.Mutex
+	head *sendRec
+	n    int
+}
+
+// maxSpareRecs bounds spareRecs at the records a 1024-rank barrier holds
+// at once, about 300 KB.
+const maxSpareRecs = 1024
 
 // releaseSendRecs hands the world's idle records to other worlds, cleared
 // so that none keeps this world's fabric alive.
 func (w *World) releaseSendRecs() {
-	for s := w.sendFree; s != nil; {
+	if w.sendFree == nil {
+		return
+	}
+	spareRecs.Lock()
+	defer spareRecs.Unlock()
+	for s := w.sendFree; s != nil && spareRecs.n < maxSpareRecs; {
 		next := s.next
-		*s = sendRec{}
-		spareRecs.Put(s)
+		*s = sendRec{next: spareRecs.head}
+		spareRecs.head = s
+		spareRecs.n++
 		s = next
 	}
 	w.sendFree = nil

@@ -76,7 +76,7 @@ func (b *batch) checksum() {
 
 // freeBatches recycles batches across every pipeline in the process, so a
 // run's steady state allocates none. Pipelines of a partitioned run live on
-// different worker goroutines; this list is the only state they share.
+// different worker goroutines; this list is the only npb state they share.
 // minted counts the batches ever allocated.
 var freeBatches struct {
 	sync.Mutex
