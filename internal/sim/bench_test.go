@@ -311,3 +311,75 @@ func BenchmarkQueueChurn(b *testing.B) {
 	}
 	reportEventsPerSec(b, e)
 }
+
+// delayMix is fig7Delays in the proportions a fig7-shaped op pushes them
+// (31%, 19%, 11%, 11%, 10% and 10%; see fig7Delays), rounded to 16 sleeps.
+var delayMix = [16]Duration{
+	600, 1776, 10_000_000, 600, 668_945, 2000, 1776, 994,
+	600, 10_000_000, 2000, 600, 668_945, 1776, 994, 600,
+}
+
+// mixSleeper is BenchmarkDelayMix's flow: it sleeps through delayMix from its
+// own offset until the shared budget of wakes runs out.
+type mixSleeper struct {
+	i    int
+	left *int
+}
+
+func (s *mixSleeper) Step(p *Proc, _ int) {
+	if *s.left == 0 {
+		p.FlowEnd()
+		return
+	}
+	*s.left--
+	s.i++
+	p.FlowSleep(delayMix[s.i%len(delayMix)])
+}
+
+// BenchmarkDelayMix measures the cost of a future event with the delay mix
+// of a fig7-shaped op and about as many pending events (60 flows, one sleep
+// each, against a mean of 57 in that op's heap): each op is one event.
+func BenchmarkDelayMix(b *testing.B) {
+	const flows = 60
+	e := NewEngine(1)
+	left := b.N
+	for i := 0; i < flows; i++ {
+		e.SpawnFlow("mix", &mixSleeper{i: i, left: &left})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(e.Events()), "ns/event")
+}
+
+// TestDelayLaneAllocs requires that a steady-state push onto a delay lane,
+// and the pop that takes the event off again, allocate nothing, and checks
+// that the lanes, not the heap, took the pushes.
+func TestDelayLaneAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	e := NewEngine(1)
+	const batch = 64
+	round := func() {
+		for i := 0; i < batch; i++ {
+			ev := e.allocEvent()
+			ev.t = e.now.Add(fig7Delays[i%3])
+			e.pushEvent(ev)
+		}
+		if len(e.events) > 3 {
+			t.Fatalf("%d of %d events on the heap; the lanes took none", len(e.events), batch)
+		}
+		for i := 0; i < batch; i++ {
+			ev := e.popEvent()
+			e.now = ev.t
+			e.freeEvent(ev)
+		}
+	}
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Fatalf("%v allocations per %d lane pushes and pops, want 0", n, batch)
+	}
+}

@@ -725,3 +725,12 @@ func TestProcSizeClass(t *testing.T) {
 		t.Fatalf("unsafe.Sizeof(Proc{}) = %d bytes, want <= 128", s)
 	}
 }
+
+// TestEventSize guards event's allocation size class. At 64 bytes an event
+// fills the 64-byte class exactly; reason and lane are int32s side by side
+// for that, and one more word would put every event in the 80-byte class.
+func TestEventSize(t *testing.T) {
+	if s := unsafe.Sizeof(event{}); s != 64 {
+		t.Fatalf("unsafe.Sizeof(event{}) = %d bytes, want 64", s)
+	}
+}

@@ -281,7 +281,7 @@ func (w waiter) stale() bool { return w.p.done || w.token != w.p.token }
 // wake schedules an immediate resume of the waiter's process.
 func (w waiter) wake(reason int) {
 	ev := w.p.e.allocEvent()
-	ev.t, ev.p, ev.token, ev.reason = w.p.e.now, w.p, w.token, reason
+	ev.t, ev.p, ev.token, ev.reason = w.p.e.now, w.p, w.token, int32(reason)
 	w.p.e.pushEvent(ev)
 }
 
