@@ -514,16 +514,18 @@ func TestIsendDuringSuspensionDrains(t *testing.T) {
 }
 
 // TestSuspendDrainWaitsForRendezvous pins one 16-rank suspend/resume cycle
-// at the mpi layer. At BeginSuspend rank 15 has a 2 MiB rendezvous message
-// to rank 0 on the wire and a burst of eager messages queued behind it on the
-// same endpoint, so its drain finds that endpoint busy after the flush round
-// and must wait. The test requires rank 15's drained event to fire only after
-// the endpoint goes idle, every message to arrive, and the cycle to dispatch
-// exactly as many events and end at exactly the instant it did before the
-// drain, teardown and rebuild loops became SleepSeqs.
+// at the mpi layer. At BeginSuspend rank 15 has a burst of eager messages
+// to rank 0 on the wire and, queued behind them on the same endpoint, the
+// 2 MiB rendezvous send half of a Sendrecv, while the rank itself is parked
+// in the receive half. The suspension interrupts that receive, and the
+// drain must wait for the send half: rank 15's first flush round may start
+// only once the rendezvous has landed and the endpoint is idle. The test
+// also requires every message to arrive and the cycle to dispatch exactly
+// as many events and end at exactly the instant it did when the send half
+// ran as a flow with its own stage code.
 func TestSuspendDrainWaitsForRendezvous(t *testing.T) {
 	const (
-		wantEvents = 2331
+		wantEvents = 2330
 		wantEnd    = sim.Time(251877550)
 		eager      = 16
 	)
@@ -532,14 +534,14 @@ func TestSuspendDrainWaitsForRendezvous(t *testing.T) {
 		n := r.Size()
 		switch r.ID() {
 		case 15:
-			req := r.Isend(0, 1, 2<<20)
 			for i := 0; i < eager; i++ {
 				r.Send(0, 2+i, 8<<10)
 			}
-			// The suspension interrupts this receive at once, while the
-			// messages are still on the wire.
-			r.Recv(0, 99)
-			req.Wait()
+			// The suspension lands while the send half is on the wire and
+			// the rank waits here for rank 0's reply.
+			if got := r.Sendrecv(0, 1, 2<<20, 0, 99); got.Size() != 64 {
+				t.Errorf("reply of %d bytes, want 64", got.Size())
+			}
 		case 0:
 			for tag := 1; tag <= 1+eager; tag++ {
 				if got, _ := r.Recv(15, tag); got.Size() == 0 {
@@ -558,9 +560,10 @@ func TestSuspendDrainWaitsForRendezvous(t *testing.T) {
 	e.Spawn("coordinator", func(p *sim.Proc) {
 		w.WaitReady(p)
 		p.Sleep(500 * time.Microsecond)
-		c := w.Rank(15).conns[0]
-		if c.qp == nil || c.qp.Idle() {
-			t.Fatal("rank 15's endpoint to rank 0 is not busy at BeginSuspend")
+		r := w.Rank(15)
+		c := r.conns[0]
+		if c.qp == nil || c.qp.Idle() || r.opsIdle.IsOpen() {
+			t.Fatal("rank 15's send half to rank 0 is not on the wire at BeginSuspend")
 		}
 		s := w.BeginSuspend()
 		e.Spawn("idle-watch", func(p *sim.Proc) {
@@ -568,7 +571,7 @@ func TestSuspendDrainWaitsForRendezvous(t *testing.T) {
 			idleAt = p.Now()
 		})
 		e.Spawn("drain-watch", func(p *sim.Proc) {
-			w.Rank(15).cycle.drained.Wait(p)
+			r.cycle.drained.Wait(p)
 			drainedAt = p.Now()
 		})
 		s.WaitAllDrained(p)
@@ -580,10 +583,9 @@ func TestSuspendDrainWaitsForRendezvous(t *testing.T) {
 		e.Stop()
 	})
 	run(t, e)
-	// The first flush round ends before the endpoint is idle; the other 14
-	// follow the wait.
-	if idleAt == 0 || drainedAt != idleAt.Add(14*calib.DrainRoundCost) {
-		t.Fatalf("rank 15 drained at %v, its endpoint went idle at %v; want 14 flush rounds after", drainedAt, idleAt)
+	// Rank 15 has 15 connections; every flush round follows the landing.
+	if idleAt == 0 || drainedAt != idleAt.Add(15*calib.DrainRoundCost) {
+		t.Fatalf("rank 15 drained at %v, its endpoint went idle at %v; want 15 flush rounds after", drainedAt, idleAt)
 	}
 	if e.Events() != wantEvents || e.Now() != wantEnd {
 		t.Fatalf("cycle dispatched %d events and ended at %d ns, want %d and %d", e.Events(), e.Now(), wantEvents, wantEnd)
