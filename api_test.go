@@ -32,9 +32,7 @@ var testProbes = map[string]string{
 	"fleet.System.SpareTarget":     "TestAutoscaleTracksFailureRate",
 	"ftb.Subscription.TryRecv":     "TestEventOrderPreservedPerPublisher",
 	"mem.Region.Extents":           "TestRegionExtentsBoundedUnderChurn",
-	"mpi.Rank.Isend":               "TestIsendDuringSuspensionDrains",
 	"mpi.Rank.Send":                "TestRingAllocsPerMessage",
-	"mpi.Request.Wait":             "TestIsendOverlapsCompute",
 	"mpi.World.BytesSent":          "TestDeterministicAcrossRuns",
 	"npb.Result.Equal":             "TestSuspensionIsApplicationTransparent",
 	"npb.Workload.NodeImageBytes":  "TestPerNodeVolumeGrowsSlowlyWithPPN",

@@ -70,10 +70,8 @@ const (
 	stComputeSleep        // Compute: sleep one slice
 	stComputeEnd          // Compute: all slices done
 	stSend                // Send/Sendrecv: synthesize the payload
-	stSendPoll            // Send/SendData/Sendrecv: suspension check
-	stSendOverhead        // Send/SendData: per-message overhead sleep
-	stSendPost            // Send/SendData: post the message or start it on the wire
-	stSendWire            // a synchronous send is on the wire
+	stSendPoll            // Send/SendData/Sendrecv: take a send record, suspension check
+	stSendRun             // the send record runs: overhead, post, wire (sendRec.advance)
 	stSrPoll              // Sendrecv: suspension check before the payload is made
 	stSrStart             // Sendrecv: start the send half
 	stSrWait              // Sendrecv: wait for the send half's flow to finish
@@ -111,8 +109,8 @@ type runner struct {
 	bail   uint8
 	res    uint8 // advance's result when the step ended (see Step)
 	active bool
-	// send is a pooled send record the operation holds: the SendStep of a
-	// synchronous send on the wire, or the flow of a Sendrecv's send half.
+	// send is the pooled send record the operation holds: the send the
+	// rank runs as its step, or the flow of a Sendrecv's send half.
 	send *sendRec
 	data payload.Buffer // the send's payload, or the matched receive's
 }
@@ -350,57 +348,23 @@ func (x *runner) advance() uint8 {
 			x.data = r.synth(x.op.Tag, x.op.N)
 			x.stage = stSendPoll
 		case stSendPoll:
-			x.stage = stSendOverhead
+			x.send = r.newSend(x.op.Peer, x.op.Tag, x.data)
+			x.stage = stSendRun
 			if x.op.Kind == OpSendrecv {
 				x.stage = stSrStart
 			}
 			if r.suspendReq {
 				return x.to(bailSuspend)
 			}
-		case stSendOverhead:
-			x.stage = stSendPost
-			r.p.FlowSleep(calib.MPIPerMessageOverhead)
-			return stepParked
-		case stSendPost:
-			r.BytesSent += x.data.Size()
-			r.MsgsSent++
-			c := r.conns[x.op.Peer]
-			if x.op.Peer == r.id || c == nil {
-				return x.to(bailSend)
-			}
-			// An eager send returns once posted. A rendezvous-size send is
-			// synchronous, and so is every send in fault-tolerant mode: a
-			// posted message in flight when a link breaks would be lost
-			// without the sender learning, and a lost message between two
-			// surviving ranks wedges the receiver for good (restarts are
-			// continuations, never rewinds). A synchronous send rechecks
-			// the connection after the wire transfer, so every loss turns
-			// into a failure its sender retries.
-			r.beginOp()
-			m := r.wire(x.op.Tag, x.data)
-			err := c.ensure()
-			if err == nil && !r.w.ftMode && x.data.Size() <= r.w.cfg.EagerThreshold {
-				err = c.qp.PostSend(m)
-			} else if err == nil {
-				x.send = r.w.getSendRec()
-				if err = c.qp.StartSend(&x.send.xfer, m); err == nil {
-					x.stage = stSendWire
-					continue
-				}
-				x.retire()
-			}
-			r.endOp()
-			if err != nil {
-				return x.failed(err)
-			}
-			x.sendDone()
-		case stSendWire:
-			done, err := x.send.xfer.Step(r.p)
-			if !done {
+		case stSendRun:
+			res, err := x.send.advance(r.p)
+			if res == sendParked {
 				return stepParked
 			}
 			x.retire()
-			r.endOp()
+			if res == sendLocal {
+				return x.to(bailSend)
+			}
 			if err != nil {
 				return x.failed(err)
 			}
@@ -417,10 +381,11 @@ func (x *runner) advance() uint8 {
 			// wait for the receiver, so the exchange cannot deadlock.
 			// Otherwise it is a flow, and the receive runs beside it.
 			if r.w.ftMode {
-				x.stage = stSendOverhead
+				x.stage = stSendRun
 				continue
 			}
-			x.send = r.startSend(r.sendrecvName, "sendrecv", x.op.Peer, x.op.Tag, x.data)
+			r.beginOp()
+			r.w.E.SpawnFlow(r.sendrecvName, x.send)
 			x.sendDone()
 		case stSrWait:
 			x.stage = stSrRetire

@@ -85,7 +85,7 @@ func genProgCase(in []byte) progCase {
 	c.ft = s.next(4) == 0
 	if c.ft && s.next(2) == 1 {
 		c.breakAt = sim.Duration(s.next(40)) * time.Microsecond
-		c.breakNode = s.next(c.nodes)
+		c.breakNode = s.next(min(c.nodes, c.ranks)) // a node that hosts a rank
 		c.downFor = sim.Duration(1+s.next(8)) * time.Microsecond
 	}
 	for n := s.next(4); n > 0; n-- {
@@ -334,10 +334,10 @@ func FuzzRankProgramMatchesCalls(f *testing.F) {
 
 // legacyRank is the reference for the rank-program equivalence: Recv, Send,
 // Compute, Sendrecv and SendrecvData as the coroutine code they were before
-// each became a one-operation program, Sendrecv's send half a pooled flow
-// and a synchronous send a run of program stages. It shares only the
-// coroutine-only helpers the programs bail to (sendSlow, sendFT,
-// doSuspend).
+// each became a one-operation program and every send a sendRec, the one
+// send state machine, driven by the rank's step or as Sendrecv's send-half
+// flow. It shares only the coroutine-only helpers the programs bail to
+// (sendSlow, sendFT, doSuspend).
 type legacyRank struct{ r *Rank }
 
 func (l legacyRank) Recv(from, tag int) (payload.Buffer, int) {

@@ -198,9 +198,9 @@ func ringAllocsPerMessage(t *testing.T, ft bool, exchange func(r *Rank, to, from
 }
 
 // TestSendRecordsAcrossWorlds runs worlds on several goroutines at once, as
-// a partitioned run and exp.Map do, so their ranks hand idle send records to
-// the shared spare list and take them from it concurrently (run it with
-// -race). Each world must end exactly as the same world run alone.
+// a partitioned run and exp.Map do, and checks that concurrent worlds share
+// no send state: each world's send records stay its own (run it with
+// -race), and each world must end exactly as the same world run alone.
 func TestSendRecordsAcrossWorlds(t *testing.T) {
 	type outcome struct {
 		events uint64

@@ -196,8 +196,9 @@ type Rank struct {
 
 	run runner // the program the rank is running (see Run)
 
-	// Send-flow names, formatted once in NewWorld rather than per spawn.
-	sendrecvName, isendName string
+	// sendrecvName names a Sendrecv's send-half flow, formatted once in
+	// NewWorld rather than per spawn.
+	sendrecvName string
 
 	BytesSent   int64
 	MsgsSent    int64
@@ -273,6 +274,8 @@ func (c *conn) Step(p *sim.Proc, _ int) {
 	c.qp.FlowRecvPark(p)
 }
 
+// beginOp and endOp bracket a Sendrecv's send-half flow, the one operation
+// a rank has running beside itself; doSuspend waits until none is left.
 func (r *Rank) beginOp() {
 	r.activeOps++
 	if r.opsIdle != nil {
@@ -329,7 +332,7 @@ const ftRetryDelay = 5 * 1e6 // 5ms between send retries
 
 // sendFT is the fault-tolerant send path: the first transmission of m
 // failed (broken QP, downed adapter, missing connection). Retry, each time
-// with a synchronous send (see the runner's stSendPost), with a
+// with a synchronous send (see sendRec.advance), with a
 // deterministic delay, rebuilding the rank-pair connection when both
 // adapters are up. A pending suspension is honoured between attempts — the
 // recovery that fixes the fabric runs while this rank is parked, and the
@@ -359,12 +362,10 @@ func (r *Rank) sendFT(to int, m ib.Message) {
 		if c == nil {
 			continue
 		}
-		r.beginOp()
 		err := c.ensure()
 		if err == nil {
 			err = c.qp.Send(r.p, m)
 		}
-		r.endOp()
 		if err == nil {
 			return
 		}

@@ -108,8 +108,8 @@ func (r *Rank) doSuspend() {
 		return
 	}
 	r.Suspensions++
-	// Let nonblocking sends (Sendrecv, Isend) finish: their wire work is
-	// part of the in-flight state being drained.
+	// Let a Sendrecv's send half finish: its wire work is part of the
+	// in-flight state being drained.
 	r.opsIdle.Wait(r.p)
 
 	// Drain: one flush-marker round per connection, then wait until the

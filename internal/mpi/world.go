@@ -82,7 +82,7 @@ type World struct {
 	// itself). One hook per node, kept across Rebind.
 	hooked map[string]bool
 
-	sendFree *sendRec // retired nonblocking-send records (see startSend)
+	sendFree *sendRec // idle send records (see Rank.newSend)
 }
 
 // NewWorld creates a world with one rank per placement entry; placement[i] is
@@ -111,7 +111,6 @@ func NewWorld(e *sim.Engine, fabric *ib.Fabric, placement []string, cfg Config) 
 			conns:        make([]*conn, len(placement)),
 			opsIdle:      sim.NewGate(e, true),
 			sendrecvName: "mpi.sendrecv." + id,
-			isendName:    "mpi.isend." + id,
 		})
 		w.hookNode(node)
 	}
@@ -198,10 +197,6 @@ func (w *World) Start(app func(r *Rank)) {
 			var name [24]byte
 			w.E.Spawn(string(strconv.AppendInt(append(name[:0], "mpi.rank."...), int64(r.id), 10)), func(rp *sim.Proc) {
 				r.p = rp
-				// The rank's idle send records go to later worlds when it
-				// ends, and also when Shutdown unwinds it: a job stopped or
-				// lost midway never finishes.
-				defer w.releaseSendRecs()
 				app(r)
 				// A suspension requested as the app exits must still be
 				// honoured so the coordinator is not left waiting.

@@ -56,7 +56,7 @@
 //     wake on whichever coroutine holds the baton (Engine.resumeFlow), so
 //     the wake costs a call instead of a handoff into the process and back.
 //     A flow (Engine.SpawnFlow, ib's wire work, MPI's receive pumps and
-//     nonblocking sends) is stepped for its whole life; a coroutine process
+//     Sendrecv send halves) is stepped for its whole life; a coroutine process
 //     is stepped while it is blocked with Proc.Block, after parking with
 //     any Flow* primitive, until the step calls EndStep. SleepSeq (MPI's
 //     launch, drain, teardown and rebuild loops) and MPI rank programs (a
@@ -691,9 +691,10 @@ func (e *Engine) Run() error {
 	return e.run(-1)
 }
 
-// RunUntil executes events with timestamps <= deadline. Processes blocked at
-// the deadline are not treated as deadlocked; the simulation can be resumed
-// with another Run/RunUntil call.
+// RunUntil executes events with timestamps <= deadline and advances the
+// clock to the deadline, never back: a deadline before Now leaves it there.
+// Processes blocked at the deadline are not treated as deadlocked; the
+// simulation can be resumed with another Run/RunUntil call.
 func (e *Engine) RunUntil(deadline Time) error {
 	return e.run(deadline)
 }
@@ -761,11 +762,7 @@ func (e *Engine) run(deadline Time) error {
 func (e *Engine) dispatch(self *Proc) int {
 	for e.failure == nil && e.cbPanic == nil && !e.stopped && (e.ready.len() > 0 || len(e.events) > 0) {
 		if e.deadline >= 0 && e.nextTime() > e.deadline {
-			if e.deadline < e.now {
-				// A lane's order rests on now never decreasing.
-				e.unthreadLanes()
-			}
-			e.now = e.deadline
+			e.now = max(e.now, e.deadline)
 			break
 		}
 		ev := e.popEvent()

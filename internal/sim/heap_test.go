@@ -384,7 +384,8 @@ type laneScript struct {
 // After and At under a series of RunUntil deadlines, one of them in the
 // past, with two more roots scheduled from outside before each run, and
 // checks the firing order and the time after each run against a
-// container/heap engine written out in the test.
+// container/heap engine written out in the test. A run never moves the
+// clock back: after the 2 ms run, the 1 ms one leaves Now at 2 ms.
 func TestDelayLanesRunUntil(t *testing.T) {
 	deadlines := []Time{2_000_000, 1_000_000, 9_000_000, 9_000_000, 25_000_000, -1}
 	const roots = 2 // scheduled before each run
@@ -464,7 +465,7 @@ func TestDelayLanesRunUntil(t *testing.T) {
 			}
 			for len(ref) > 0 {
 				if d >= 0 && ref[0].t > d {
-					now = d
+					now = max(now, d)
 					break
 				}
 				ev := heap.Pop(&ref).(*event)
@@ -481,6 +482,9 @@ func TestDelayLanesRunUntil(t *testing.T) {
 		}
 		if !reflect.DeepEqual(gotNow, wantNow) {
 			t.Fatalf("seed %d: now after each run %v, reference %v", seed, gotNow, wantNow)
+		}
+		if gotNow[1] != gotNow[0] {
+			t.Fatalf("seed %d: now %v after the 2 ms run, %v after the 1 ms one", seed, gotNow[0], gotNow[1])
 		}
 	}
 }
