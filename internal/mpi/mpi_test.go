@@ -462,6 +462,57 @@ func TestSuspendWhileRankFinishing(t *testing.T) {
 	run(t, e)
 }
 
+// TestIsendDuringSuspensionDrains suspends a 2-rank world while rank 0's
+// rendezvous send is on the wire (the blocking Send that replaced Isend):
+// the in-flight send counts as active work, so rank 0 may finish its drain
+// only after the send has returned and its endpoint is idle, and the
+// payload must arrive intact across the suspension.
+func TestIsendDuringSuspensionDrains(t *testing.T) {
+	e, _, w := newTestWorld(2, 2)
+	var sentAt sim.Time
+	w.Start(func(r *Rank) {
+		if r.ID() == 0 {
+			r.Send(1, 1, 2<<20) // rendezvous, slow
+			sentAt = r.Proc().Now()
+			r.Compute(50 * time.Millisecond)
+		} else {
+			r.Compute(20 * time.Millisecond)
+			if got, _ := r.Recv(0, 1); got.Size() != 2<<20 {
+				t.Error("payload lost across suspension")
+			}
+		}
+	})
+	var drainedAt sim.Time
+	e.Spawn("coordinator", func(p *sim.Proc) {
+		w.WaitReady(p)
+		p.Sleep(time.Millisecond) // while the send is on the wire
+		r := w.Rank(0)
+		c := r.conns[1]
+		if c.qp == nil || c.qp.Idle() || sentAt != 0 {
+			t.Fatal("rank 0's rendezvous send is not on the wire at BeginSuspend")
+		}
+		s := w.BeginSuspend()
+		e.Spawn("drain-watch", func(p *sim.Proc) {
+			r.cycle.drained.Wait(p)
+			drainedAt = p.Now()
+			if !c.qp.Idle() {
+				t.Error("rank 0 drained with its send still on the wire")
+			}
+		})
+		s.WaitAllDrained(p)
+		s.CompleteTeardown()
+		s.WaitAllSuspended(p)
+		s.Resume()
+		s.WaitAllResumed(p)
+		w.WaitDone(p)
+		e.Stop()
+	})
+	run(t, e)
+	if sentAt == 0 || drainedAt < sentAt {
+		t.Fatalf("rank 0 drained at %v, its send returned at %v; want the drain after the send", drainedAt, sentAt)
+	}
+}
+
 // TestSuspendDrainWaitsForRendezvous pins one 16-rank suspend/resume cycle
 // at the mpi layer. At BeginSuspend rank 15 has a burst of eager messages
 // to rank 0 on the wire and, queued behind them on the same endpoint, the
