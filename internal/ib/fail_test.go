@@ -2,6 +2,8 @@ package ib
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -165,5 +167,71 @@ func TestFailIsIdempotent(t *testing.T) {
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHCADropsClosedPairs runs a 16-rank mesh, four ranks to each of four
+// adapters, through three suspend cycles the way the MPI layer does: every
+// rank pair connects, then each pair's lower rank closes its endpoint, then
+// the higher one does, and the pairs connect again. The second cycle fails
+// one adapter before the teardown and recovers it after. A pair with one
+// open end must stay listed on both adapters; once both ends are closed, by
+// Close or by the failure, it must leave both lists, and the rest must stay
+// in creation order. The mesh must end with every adapter listing exactly
+// its open endpoints.
+func TestHCADropsClosedPairs(t *testing.T) {
+	const ranks = 16
+	_, f := testFabric(t)
+	var hcas []*HCA
+	for _, n := range []string{"n0", "n1", "n2", "n3"} {
+		hcas = append(hcas, f.AttachHCA(n))
+	}
+	var all []*QP // every endpoint ever connected
+	connect := func() {
+		for i := 0; i < ranks; i++ {
+			for j := i + 1; j < ranks; j++ {
+				qa, qb := ConnectQPPrepaid(hcas[i/4], hcas[j/4])
+				all = append(all, qa, qb)
+			}
+		}
+	}
+	// check requires each adapter to list, in creation order, exactly its
+	// endpoints that pass keep.
+	check := func(when string, keep func(q *QP) bool) {
+		t.Helper()
+		for _, h := range hcas {
+			var want []*QP
+			for _, q := range all {
+				if q.hca == h && keep(q) {
+					want = append(want, q)
+				}
+			}
+			if !slices.Equal(h.qps, want) {
+				t.Errorf("%s: %s lists %d endpoints, want %d in creation order", when, h.node, len(h.qps), len(want))
+			}
+		}
+	}
+	pairOpen := func(q *QP) bool { return q.open || q.peer.open }
+	connect()
+	for cycle := 1; cycle <= 3; cycle++ {
+		if cycle == 2 {
+			hcas[1].Fail()
+			check("after the failure", pairOpen)
+		}
+		for i := 0; i < len(all); i += 2 {
+			all[i].Close()
+		}
+		check(fmt.Sprintf("cycle %d, lower ends closed", cycle), pairOpen)
+		for i := 1; i < len(all); i += 2 {
+			all[i].Close()
+		}
+		check(fmt.Sprintf("cycle %d, torn down", cycle), pairOpen)
+		hcas[1].Recover()
+		connect()
+		check(fmt.Sprintf("cycle %d, rebuilt", cycle), pairOpen)
+	}
+	check("the end", func(q *QP) bool { return q.open })
+	if n := len(hcas[0].qps); n != 4*(ranks-1) {
+		t.Fatalf("n0 ends with %d endpoints, want %d", n, 4*(ranks-1))
 	}
 }

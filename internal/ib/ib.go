@@ -117,7 +117,7 @@ type HCA struct {
 	nextQPN  int
 	nextRKey uint32
 	mrs      map[uint32]*MR
-	qps      []*QP // local endpoints, in creation order
+	qps      []*QP // local endpoints of pairs with an open end, in creation order
 	failed   bool
 
 	// failHooks run at the end of Fail, after every materialized QP here has
@@ -154,6 +154,14 @@ func (h *HCA) Fail() {
 		q.breakConn()
 		q.peer.breakConn()
 	}
+	// Every pair with an endpoint here is now closed at both ends.
+	for _, q := range h.qps {
+		if q.peer.hca != h {
+			q.peer.hca.dropQP(q.peer)
+		}
+	}
+	clear(h.qps)
+	h.qps = h.qps[:0]
 	for _, fn := range h.failHooks {
 		fn()
 	}
@@ -288,16 +296,34 @@ func ConnectQPPrepaid(a, b *HCA) (*QP, *QP) {
 	if a.failed || b.failed {
 		qa.breakConn()
 		qb.breakConn()
+		a.dropQP(qa)
+		b.dropQP(qb)
 	}
 	return qa, qb
 }
 
 // breakConn errors this endpoint in place: it stops accepting work and wakes
 // any blocked receiver. Unlike Close it represents a fault, not a graceful
-// teardown.
+// teardown. Its callers drop the pair from the adapters' lists.
 func (q *QP) breakConn() {
 	q.open = false
 	q.recvQ.Close()
+}
+
+// dropQP removes a local endpoint whose pair is closed at both ends from
+// h.qps, keeping the rest in creation order. Fail walks the list, and a
+// closed endpoint there would only cost time: breaking it again wakes
+// nothing. The search runs from the newest entry, where a pair connected
+// onto a failed adapter sits.
+func (h *HCA) dropQP(q *QP) {
+	for i := len(h.qps) - 1; i >= 0; i-- {
+		if h.qps[i] == q {
+			copy(h.qps[i:], h.qps[i+1:])
+			h.qps[len(h.qps)-1] = nil
+			h.qps = h.qps[:len(h.qps)-1]
+			return
+		}
+	}
 }
 
 // err classifies the connection state for a verbs call on this endpoint.
@@ -466,4 +492,8 @@ func (q *QP) Close() {
 	}
 	q.open = false
 	q.recvQ.Close()
+	if !q.peer.open {
+		q.hca.dropQP(q)
+		q.peer.hca.dropQP(q.peer)
+	}
 }

@@ -18,12 +18,12 @@ import (
 // whose app only computes is launched and then suspended and resumed once;
 // the heap allocations made while the launch connects its pairs, and while
 // the resume rebuilds them, are divided by the pairs connected in that
-// window. A pair may cost at most 3 allocations at launch (its pairConns
-// record and two fresh pump Procs) and 1 at rebuild (the record: the pumps
-// ended at teardown recycle their Procs). Pump names and step method values,
-// which used to cost 4 more, must cost none. Like testing.AllocsPerRun the
-// ratio is an integer quotient, which absorbs the few allocations of the
-// rest of the window (the PMI queue and wait group growing).
+// window. A pair must cost no allocation at launch or at rebuild: its
+// endpoints and both pump Procs live in its entry of the world's slab for
+// its lower rank, which the rebuild resets in place (the pumps ended at
+// teardown). Like testing.AllocsPerRun the ratio is an integer quotient,
+// which absorbs the few allocations of the rest of the window: one slab per
+// lower rank at launch, the PMI queue and wait group growing at rebuild.
 //
 // Each window is cut with RunUntil so it holds nothing but pair work: the
 // launch window starts after the launch process has begun and ends one
@@ -98,11 +98,114 @@ func TestMeshAllocsPerPair(t *testing.T) {
 	const connects = pairs - 1
 	t.Logf("launch: %d allocations for %d pairs (%.2f each); rebuild: %d (%.2f each)",
 		launch, connects, float64(launch)/connects, rebuild, float64(rebuild)/connects)
-	if got := launch / connects; got > 3 {
-		t.Errorf("launch allocates %d times per rank pair, want at most 3", got)
+	if got := launch / connects; got != 0 {
+		t.Errorf("launch allocates %d times per rank pair, want 0", got)
 	}
-	if got := rebuild / connects; got > 1 {
-		t.Errorf("rebuild allocates %d times per rank pair, want at most 1", got)
+	if got := rebuild / connects; got != 0 {
+		t.Errorf("rebuild allocates %d times per rank pair, want 0", got)
+	}
+}
+
+// TestMeshPairReuse checks when a connect reuses a pair's slab entry. Eight
+// fault-tolerant ranks on four nodes exchange around a ring through two
+// suspension cycles and, between them, the failure and recovery of one
+// adapter, which the ring's senders repair with reconnectFT. Every connect
+// must put the pair's endpoints in its slab entry when both pumps of the
+// entry's previous life have ended, and in a fresh record otherwise: pair
+// (0,4), which the ring never uses, is connected again right after launch,
+// while its pumps are still parked, so its entry keeps those pumps and every
+// later connect of it must fall back to a fresh record.
+func TestMeshPairReuse(t *testing.T) {
+	const ranks = 8
+	e, fab, w := newTestWorld(4, ranks)
+	w.SetFaultTolerant(true)
+	w.Start(func(r *Rank) {
+		n := r.Size()
+		for i := 0; i < 60; i++ {
+			r.Sendrecv((r.ID()+1)%n, i, 1<<10, (r.ID()-1+n)%n, i)
+			r.Compute(2 * time.Millisecond)
+		}
+	})
+	entry := func(i, j int) *pairConns { return &w.pairs[i][j-i-1] }
+	inSlab := func(i, j int) bool {
+		pc := entry(i, j)
+		return w.ranks[i].conns[j] == &pc.a && w.ranks[j].conns[i] == &pc.b
+	}
+	pumpsEnded := func(i, j int) bool {
+		pc := entry(i, j)
+		return pc.a.pump.Idle() && pc.b.pump.Idle()
+	}
+	// checkPairs requires every pair to sit in its slab entry exactly when
+	// reused says so, and in a fresh record, one record for both ends,
+	// otherwise.
+	checkPairs := func(when string, reused func(i, j int) bool) {
+		t.Helper()
+		for i := 0; i < ranks; i++ {
+			for j := i + 1; j < ranks; j++ {
+				a, b := w.ranks[i].conns[j], w.ranks[j].conns[i]
+				switch {
+				case a == nil || b == nil || a.buddy != b || b.buddy != a:
+					t.Errorf("%s: pair (%d,%d) is not connected", when, i, j)
+				case inSlab(i, j) != reused(i, j):
+					t.Errorf("%s: pair (%d,%d) in its slab entry: %v, want %v", when, i, j, inSlab(i, j), reused(i, j))
+				}
+			}
+		}
+	}
+	fallback := func(i, j int) bool { return i == 0 && j == 4 }
+	reconnects := 0
+	e.Spawn("coordinator", func(p *sim.Proc) {
+		w.WaitReady(p)
+		checkPairs("launch", func(i, j int) bool { return true })
+		if pumpsEnded(0, 4) {
+			t.Fatal("pair (0,4)'s pumps ended before the ring began")
+		}
+		w.connect(w.ranks[0], w.ranks[4])
+		checkPairs("second connect of (0,4)", func(i, j int) bool { return !fallback(i, j) })
+
+		cycle := func(n int) {
+			p.Sleep(10 * time.Millisecond)
+			s := w.BeginSuspend()
+			s.WaitAllDrained(p)
+			s.CompleteTeardown()
+			s.WaitAllSuspended(p)
+			var ended [ranks][ranks]bool
+			for i := 0; i < ranks; i++ {
+				for j := i + 1; j < ranks; j++ {
+					ended[i][j] = pumpsEnded(i, j)
+				}
+			}
+			s.Resume()
+			s.WaitAllResumed(p)
+			checkPairs(fmt.Sprintf("rebuild %d", n), func(i, j int) bool { return ended[i][j] })
+			checkPairs(fmt.Sprintf("rebuild %d", n), func(i, j int) bool { return !fallback(i, j) })
+		}
+		cycle(1)
+
+		// The ring's pairs through n01 — (1,2), (2,3) and (3,4) — break,
+		// and their senders rebuild them once their retry comes round. The
+		// failure woke every pump of a broken pair, so each rebuild reuses
+		// the pair's entry.
+		p.Sleep(5 * time.Millisecond)
+		fab.HCA("n01").Fail()
+		fab.HCA("n01").Recover()
+		p.Sleep(30 * time.Millisecond)
+		for i := 1; i <= 3; i++ {
+			if c := w.ranks[i].conns[i+1]; c == nil || c.brokenNow() {
+				t.Fatalf("pair (%d,%d) was not rebuilt after the failure", i, i+1)
+			}
+			if !inSlab(i, i+1) {
+				t.Errorf("reconnectFT: pair (%d,%d) is not in its slab entry", i, i+1)
+			}
+			reconnects++
+		}
+		cycle(2)
+		w.WaitDone(p)
+		e.Stop()
+	})
+	run(t, e)
+	if !w.Done() || reconnects != 3 {
+		t.Fatalf("world done: %v, pairs rebuilt by reconnectFT: %d; want true and 3", w.Done(), reconnects)
 	}
 }
 

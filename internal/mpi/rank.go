@@ -22,11 +22,14 @@ import (
 // actually crosses the pair. On an N-rank job only the pairs that talk ever
 // materialize; for nearest-neighbour kernels that turns O(N²) QPs, regions
 // and pump state into O(N), which is where the bulk of the 2048-rank memory
-// footprint lived. What every pair still pays is one pairConns allocation
-// and, from the flow freelist, its two pump Procs.
+// footprint lived. What every pair still holds is its pairConns record, an
+// entry of the world's slab for the pair's lower rank, which lives as long
+// as the world and is reused at every rebuild (see World.connect), so
+// connecting a pair allocates nothing.
 //
 // A conn is also its receive pump's sim.Flow (Step) and names it
-// (FlowName), so a pump costs no method value and no name string.
+// (FlowName), and the pump's Proc lives in the conn (sim.SpawnFlowIn), so a
+// pump costs no Proc allocation, no method value and no name string.
 type conn struct {
 	r        *Rank
 	peer     int
@@ -36,7 +39,17 @@ type conn struct {
 	broken   bool         // an adapter under the lazy pair failed
 	closed   bool         // torn down (suspension, shutdown, FT rebuild)
 	buddy    *conn        // the peer rank's endpoint of the same pair
-	pump     *sim.Proc    // receive pump flow (dormant while lazy)
+	pump     sim.Proc     // receive pump flow (dormant while lazy)
+}
+
+// reset readies the endpoint for a new life as r's end of the pair with
+// peer, whose endpoint is buddy. The pump's Proc is left alone: it must be
+// Idle, and keeping its token makes a wake addressed to an earlier life
+// stale in the next one.
+func (c *conn) reset(r *Rank, peer int, buddy *conn) {
+	c.r, c.peer, c.buddy = r, peer, buddy
+	c.qp, c.mr, c.peerRKey = nil, nil, ib.RemoteKey{}
+	c.broken, c.closed = false, false
 }
 
 // logicalErr classifies a verbs call on a still-lazy connection, answering
@@ -92,8 +105,8 @@ func (c *conn) materialize() {
 	mrb := hb.RegisterMRPrepaid(newRendezvousRegion(w.cfg.RendezvousBufSize, b.r.id, a.r.id))
 	a.qp, a.mr, a.peerRKey = qa, mra, mrb.RKey()
 	b.qp, b.mr, b.peerRKey = qb, mrb, mra.RKey()
-	qa.FlowRecvPark(a.pump)
-	qb.FlowRecvPark(b.pump)
+	qa.FlowRecvPark(&a.pump)
+	qb.FlowRecvPark(&b.pump)
 }
 
 // destroy tears down this endpoint. Materialized: revoke the pinned buffer,
@@ -226,14 +239,15 @@ func (r *Rank) poll() {
 }
 
 // startPump spawns the flow that forwards the connection's deliveries into
-// the rank mailbox. As a flow it costs no goroutine or stack — essential for
-// the O(ranks²) pump population — and its event sequence is identical to the
-// goroutine pump it replaced: one start event at spawn, one wake per
-// delivery batch, one end event at teardown. The flow is spawned unnamed:
-// its name, "mpi.pump.<rank><-<peer>", is formatted by FlowName only if a
-// tracer, a deadlock report or a panic reads it.
+// the rank mailbox, in the Proc the conn holds. As a flow it costs no
+// goroutine or stack — essential for the O(ranks²) pump population — and
+// its event sequence is identical to the goroutine pump it replaced: one
+// start event at spawn, one wake per delivery batch, one end event at
+// teardown. The flow is spawned unnamed: its name, "mpi.pump.<rank><-<peer>",
+// is formatted by FlowName only if a tracer, a deadlock report or a panic
+// reads it.
 func (c *conn) startPump() {
-	c.pump = c.r.w.E.SpawnFlow("", c)
+	c.r.w.E.SpawnFlowIn(&c.pump, "", c)
 }
 
 // FlowName implements sim.FlowNamer: the pump's process name.

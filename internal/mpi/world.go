@@ -82,6 +82,11 @@ type World struct {
 	// itself). One hook per node, kept across Rebind.
 	hooked map[string]bool
 
+	// pairs holds the connection record of rank pair (lo, hi), lo < hi, at
+	// pairs[lo][hi-lo-1]: one slab per lower rank, made at its first
+	// connect and kept for the world's whole life (see connect).
+	pairs [][]pairConns
+
 	sendFree *sendRec // idle send records (see Rank.newSend)
 }
 
@@ -97,6 +102,7 @@ func NewWorld(e *sim.Engine, fabric *ib.Fabric, placement []string, cfg Config) 
 		pmi:        sim.NewResource(e, "mpi.pmi", 1),
 		rebuilding: make(map[[2]int]bool),
 		hooked:     make(map[string]bool),
+		pairs:      make([][]pairConns, len(placement)),
 	}
 	for i, node := range placement {
 		if fabric.HCA(node) == nil {
@@ -309,15 +315,37 @@ func (w *World) connectSeq(pairs func() (a, b *Rank, ok bool)) func() (sim.Durat
 	}
 }
 
-// pairConns holds both endpoints of one rank-pair connection, so a pair
-// costs one allocation at launch and at each rebuild, not one per endpoint.
+// pairConns holds both endpoints of one rank-pair connection, and with them
+// both receive pumps' Procs.
 type pairConns struct{ a, b conn }
 
 // connect gives a paid-for pair its (lazy) endpoints and receive pumps.
+//
+// The pair's slab entry is reset and reused when both pumps of its previous
+// life have ended (or it has had none), which a suspension's teardown and an
+// FT rebuild's destroy ensure before they reconnect: each wakes both pumps,
+// and the pair's three setup sleeps come after. A pump that has not ended
+// still steps its record, so then the pair falls back to a fresh one.
+//
+// No other holder of the entry's previous life reads it reset. sendFT reads
+// its conn only before its send parks, which then holds the QP alone. The
+// drain reads its conn after a park, but a pair reconnects only at launch,
+// after every rank's drain (Resume follows WaitAllSuspended), or in
+// reconnectFT, which runs only in fault-tolerant mode, where every send is
+// synchronous: a draining rank has no send of its own on the wire, so its
+// endpoint reads idle, and the drain moves on, old life or new.
 func (w *World) connect(a, b *Rank) {
-	pc := &pairConns{a: conn{r: a, peer: b.id}, b: conn{r: b, peer: a.id}}
+	lo, hi := min(a.id, b.id), max(a.id, b.id)
+	if w.pairs[lo] == nil {
+		w.pairs[lo] = make([]pairConns, len(w.ranks)-lo-1)
+	}
+	pc := &w.pairs[lo][hi-lo-1]
+	if !pc.a.pump.Idle() || !pc.b.pump.Idle() {
+		pc = &pairConns{}
+	}
 	ca, cb := &pc.a, &pc.b
-	ca.buddy, cb.buddy = cb, ca
+	ca.reset(a, b.id, cb)
+	cb.reset(b, a.id, ca)
 	if w.fabric.HCA(a.node).Failed() || w.fabric.HCA(b.node).Failed() {
 		// An eager ConnectQP would have returned endpoints already broken;
 		// the pumps below see the flag on their start step and exit at once.

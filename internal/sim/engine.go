@@ -535,24 +535,44 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 // many short-lived or dormant flows never builds their names.
 func (e *Engine) SpawnFlow(name string, f Flow) *Proc {
 	p := e.newProc(&e.flowFree, name, false)
-	p.step = f
-	// The start event is a plain resume bound to the current token, like
-	// Spawn's; the first wakeup of a flow doubles as its start (resumeFlow).
-	e.scheduleResume(p, e.now, wakeSignal)
+	e.startFlow(p, f)
 	return p
 }
 
-// newProc begins a process life: it pops a retired Proc from free (procFree
-// for coroutine Procs, flowFree for flows) or allocates one — with its
-// coroutine state in the same allocation when coroutine is set — and appends
-// it to the live list under the next pid.
+// SpawnFlowIn is SpawnFlow in a Proc its caller owns: p is zero (never
+// spawned) or Idle, and typically embedded in the state the flow drives, so
+// the flow costs no allocation and its Proc no freelist round trip. The
+// life p starts is SpawnFlow's — same pid, start event and proc.start/
+// proc.end records — and it bumps p's token, so a wake addressed to an
+// earlier life is dropped. When the flow ends p stays with its owner, which
+// may start another life in it; it never enters the engine's freelist, so
+// SpawnFlow never hands it out. Spawning in a p that is still live panics.
+func (e *Engine) SpawnFlowIn(p *Proc, name string, f Flow) {
+	if !p.Idle() {
+		panic("sim: SpawnFlowIn on live process " + p.procName())
+	}
+	p.e, p.owned = e, true
+	e.beginLife(p, name)
+	e.startFlow(p, f)
+}
+
+// startFlow gives a flow whose life has begun its step and schedules its
+// start event: a plain resume bound to the current token, like Spawn's; the
+// first wakeup of a flow doubles as its start (resumeFlow).
+func (e *Engine) startFlow(p *Proc, f Flow) {
+	p.step = f
+	e.scheduleResume(p, e.now, wakeSignal)
+}
+
+// newProc begins a process life in a pooled Proc: it pops a retired one from
+// free (procFree for coroutine Procs, flowFree for flows) or allocates one —
+// with its coroutine state in the same allocation when coroutine is set —
+// and hands it to beginLife.
 func (e *Engine) newProc(free **Proc, name string, coroutine bool) *Proc {
 	p := *free
 	if p != nil {
 		*free = p.nextLive
 		p.nextLive = nil
-		p.token++ // retire any registration that survived the previous life
-		p.started, p.done = false, false
 	} else if coroutine {
 		cp := &coProc{}
 		p = &cp.p
@@ -560,6 +580,16 @@ func (e *Engine) newProc(free **Proc, name string, coroutine bool) *Proc {
 	} else {
 		p = &Proc{e: e}
 	}
+	e.beginLife(p, name)
+	return p
+}
+
+// beginLife is the one life-start path of Spawn, SpawnFlow and SpawnFlowIn:
+// it retires any registration that survived p's previous life by bumping its
+// token, and appends p to the live list under the next pid.
+func (e *Engine) beginLife(p *Proc, name string) {
+	p.token++
+	p.started, p.done = false, false
 	e.nextPID++
 	p.name, p.id = name, e.nextPID
 	e.live++
@@ -570,7 +600,6 @@ func (e *Engine) newProc(free **Proc, name string, coroutine bool) *Proc {
 		e.first = p
 	}
 	e.last = p
-	return p
 }
 
 // unlinkLive drops p from the live list.
@@ -599,14 +628,17 @@ func (e *Engine) endProc(p *Proc) {
 	}
 }
 
-// recycleFlow returns a finished flow Proc to the freelist. The token is
-// deliberately not reset: it only ever grows, so wakeups addressed to a
-// previous life can never match a recycled Proc.
+// recycleFlow returns a finished flow Proc to the freelist, or to its owner
+// if SpawnFlowIn started it. The token is deliberately not reset: it only
+// ever grows, so wakeups addressed to a previous life can never match a
+// recycled Proc.
 func (e *Engine) recycleFlow(p *Proc) {
 	p.step = nil
 	p.name = ""
 	p.blockKind, p.blockName = "", ""
-	p.nextLive, e.flowFree = e.flowFree, p
+	if !p.owned {
+		p.nextLive, e.flowFree = e.flowFree, p
+	}
 }
 
 // runProc executes one life of process p: the body, panic conversion, and

@@ -16,9 +16,12 @@ type Proc struct {
 
 	started bool
 	done    bool
+	// owned marks a flow Proc its caller owns (Engine.SpawnFlowIn): it is
+	// never put on the engine's freelist.
+	owned bool
 
 	// reason is the wake reason of the resume the trampoline delivers next.
-	// It is an int32 so that it packs beside started/done.
+	// It is an int32 so that it packs beside the flags above.
 	reason int32
 
 	// co is the coroutine state, allocated with the Proc for coroutine
@@ -47,6 +50,10 @@ type Proc struct {
 	// flowFree).
 	prevLive, nextLive *Proc
 }
+
+// Idle reports whether p can start a life with Engine.SpawnFlowIn: it was
+// never spawned, or its last life has ended.
+func (p *Proc) Idle() bool { return p.e == nil || p.done }
 
 // coState is the coroutine half of a Proc: the body of a spawned process
 // between Spawn and its start event (fn), and the iter.Pull pair that drives
@@ -198,7 +205,8 @@ func (p *Proc) WakeDetached() { waiter{p, p.token}.wake(wakeSignal) }
 
 // FlowEnd terminates the flow, emitting the same proc.end trace record a
 // coroutine-backed process emits when its function returns. The Proc is
-// recycled; the caller must not touch it afterwards.
+// recycled, so the caller must not touch it afterwards, unless it owns it
+// (Engine.SpawnFlowIn): then it is Idle until its owner respawns it.
 func (p *Proc) FlowEnd() {
 	p.e.endProc(p)
 	p.e.recycleFlow(p)
