@@ -216,8 +216,8 @@ func TestSuspendResumeCycleCompletes(t *testing.T) {
 		suspendedAt = p.Now()
 		// Global quiescence: nothing in flight anywhere.
 		for _, r := range w.Ranks() {
-			for _, c := range r.conns {
-				if c != nil {
+			for peer := range w.Ranks() {
+				if r.conn(peer).ok() {
 					t.Errorf("rank %d still has endpoints while suspended", r.ID())
 				}
 			}
@@ -304,9 +304,9 @@ func TestTeardownRevokesCachedRKeys(t *testing.T) {
 		// Connections materialize on first traffic; by now the ring has
 		// exchanged several messages, so every pair is pinned.
 		for _, r := range w.Ranks() {
-			for _, c := range r.conns {
-				if c != nil && c.mr != nil {
-					oldMRs = append(oldMRs, c.mr)
+			for peer := range w.Ranks() {
+				if c := r.conn(peer); c.ok() && c.pr.fab != nil {
+					oldMRs = append(oldMRs, c.pr.fab.mr[c.side])
 				}
 			}
 		}
@@ -487,15 +487,15 @@ func TestIsendDuringSuspensionDrains(t *testing.T) {
 		w.WaitReady(p)
 		p.Sleep(time.Millisecond) // while the send is on the wire
 		r := w.Rank(0)
-		c := r.conns[1]
-		if c.qp == nil || c.qp.Idle() || sentAt != 0 {
+		qp := r.conn(1).qp()
+		if qp == nil || qp.Idle() || sentAt != 0 {
 			t.Fatal("rank 0's rendezvous send is not on the wire at BeginSuspend")
 		}
 		s := w.BeginSuspend()
 		e.Spawn("drain-watch", func(p *sim.Proc) {
 			r.cycle.drained.Wait(p)
 			drainedAt = p.Now()
-			if !c.qp.Idle() {
+			if !qp.Idle() {
 				t.Error("rank 0 drained with its send still on the wire")
 			}
 		})
@@ -561,13 +561,13 @@ func TestSuspendDrainWaitsForRendezvous(t *testing.T) {
 		w.WaitReady(p)
 		p.Sleep(500 * time.Microsecond)
 		r := w.Rank(15)
-		c := r.conns[0]
-		if c.qp == nil || c.qp.Idle() || r.opsIdle.IsOpen() {
+		qp := r.conn(0).qp()
+		if qp == nil || qp.Idle() || r.opsIdle.IsOpen() {
 			t.Fatal("rank 15's send half to rank 0 is not on the wire at BeginSuspend")
 		}
 		s := w.BeginSuspend()
 		e.Spawn("idle-watch", func(p *sim.Proc) {
-			c.qp.WaitIdle(p)
+			qp.WaitIdle(p)
 			idleAt = p.Now()
 		})
 		e.Spawn("drain-watch", func(p *sim.Proc) {
@@ -593,13 +593,27 @@ func TestSuspendDrainWaitsForRendezvous(t *testing.T) {
 }
 
 // TestRankSize pins the size of a Rank, which every world allocates once
-// per rank and whose embedded runner every blocking call resets.
+// per rank and whose embedded runner every blocking call resets. A rank
+// keeps no table of its connections: it finds each in its pair's record.
 func TestRankSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("pinned for 64-bit platforms")
 	}
-	if s := unsafe.Sizeof(Rank{}); s != 368 {
-		t.Fatalf("unsafe.Sizeof(Rank{}) = %d bytes, want 368", s)
+	if s := unsafe.Sizeof(Rank{}); s != 344 {
+		t.Fatalf("unsafe.Sizeof(Rank{}) = %d bytes, want 344", s)
+	}
+}
+
+// TestPairRecordSize bounds the record every one of a world's N(N-1)/2
+// rank pairs holds for the world's whole life, talking or not: both pump
+// Procs, the pair's ranks and its state flags. Fabric state lives apart,
+// only for pairs that talk. At 2,048 ranks each byte here is 2 MB.
+func TestPairRecordSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("pinned for 64-bit platforms")
+	}
+	if s := unsafe.Sizeof(pair{}); s > 256 {
+		t.Fatalf("unsafe.Sizeof(pair{}) = %d bytes, want <= 256", s)
 	}
 }
 

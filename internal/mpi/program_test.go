@@ -376,19 +376,19 @@ func (l legacyRank) SendData(to, tag int, data payload.Buffer) {
 	r.p.Sleep(calib.MPIPerMessageOverhead)
 	r.BytesSent += data.Size()
 	r.MsgsSent++
-	c := r.conns[to]
-	if to == r.id || c == nil {
+	c := r.conn(to)
+	if !c.ok() {
 		r.sendSlow(to, tag, data)
 		return
 	}
 	m := r.wire(tag, data)
 	r.beginOp()
-	err := c.ensure()
+	qp, err := c.ensure(r.w)
 	if err == nil {
 		if !r.w.ftMode && data.Size() <= r.w.cfg.EagerThreshold {
-			err = c.qp.PostSend(m)
+			err = qp.PostSend(m)
 		} else {
-			err = c.qp.Send(r.p, m)
+			err = qp.Send(r.p, m)
 		}
 	}
 	r.endOp()
@@ -439,17 +439,17 @@ func (l legacyRank) SendrecvData(to, sendTag int, data payload.Buffer, from, rec
 			r.mailbox.TrySend(inMsg{from: r.id, tag: sendTag, data: data})
 			return
 		}
-		c := r.conns[to]
-		if c == nil {
+		c := r.conn(to)
+		if !c.ok() {
 			panic(fmt.Sprintf("mpi: rank %d has no connection to %d", r.id, to))
 		}
 		m := r.wire(sendTag, data)
-		err := c.ensure()
+		qp, err := c.ensure(r.w)
 		if err == nil {
 			if data.Size() <= r.w.cfg.EagerThreshold {
-				err = c.qp.PostSend(m)
+				err = qp.PostSend(m)
 			} else {
-				err = c.qp.Send(sp, m)
+				err = qp.Send(sp, m)
 			}
 		}
 		if err != nil {

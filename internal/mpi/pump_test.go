@@ -24,6 +24,8 @@ import (
 // teardown). Like testing.AllocsPerRun the ratio is an integer quotient,
 // which absorbs the few allocations of the rest of the window: one slab per
 // lower rank at launch, the PMI queue and wait group growing at rebuild.
+// The launch's bytes are divided the same way: they are the slabs, so a
+// pair costs its record and the slab's size-class rounding.
 //
 // Each window is cut with RunUntil so it holds nothing but pair work: the
 // launch window starts after the launch process has begun and ends one
@@ -61,21 +63,21 @@ func TestMeshAllocsPerPair(t *testing.T) {
 		return c[0] + c[1] + c[2]
 	}()
 	// window runs the engine from its current instant to end (inclusive)
-	// and returns the heap allocations made meanwhile.
-	window := func(end sim.Time) uint64 {
+	// and returns the heap allocations made meanwhile, and their bytes.
+	window := func(end sim.Time) (allocs, bytes uint64) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		if err := e.RunUntil(end); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
-		return after.Mallocs - before.Mallocs
+		return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 	}
 
 	if err := e.RunUntil(0); err != nil {
 		t.Fatal(err)
 	}
-	launch := window(sim.Time(w.MeshCost()) - 1)
+	launch, launchBytes := window(sim.Time(w.MeshCost()) - 1)
 	// Run on through the suspension: the coordinator stops the engine once
 	// every rank has torn down, with the resume command about to fire.
 	if err := e.Run(); err != nil {
@@ -85,7 +87,7 @@ func TestMeshAllocsPerPair(t *testing.T) {
 	if err := e.RunUntil(resumeAt); err != nil {
 		t.Fatal(err)
 	}
-	rebuild := window(resumeAt.Add((ranks-1)*pairCost) - 1)
+	rebuild, rebuildBytes := window(resumeAt.Add((ranks-1)*pairCost) - 1)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -96,25 +98,33 @@ func TestMeshAllocsPerPair(t *testing.T) {
 
 	// Both windows miss exactly one connect: Ready's, and rank 0's last.
 	const connects = pairs - 1
-	t.Logf("launch: %d allocations for %d pairs (%.2f each); rebuild: %d (%.2f each)",
-		launch, connects, float64(launch)/connects, rebuild, float64(rebuild)/connects)
+	t.Logf("launch: %d allocations, %d bytes for %d pairs (%.2f, %.1f B each); rebuild: %d, %d bytes (%.2f, %.1f B each)",
+		launch, launchBytes, connects, float64(launch)/connects, float64(launchBytes)/connects,
+		rebuild, rebuildBytes, float64(rebuild)/connects, float64(rebuildBytes)/connects)
 	if got := launch / connects; got != 0 {
 		t.Errorf("launch allocates %d times per rank pair, want 0", got)
 	}
 	if got := rebuild / connects; got != 0 {
 		t.Errorf("rebuild allocates %d times per rank pair, want 0", got)
 	}
+	// The launch's bytes are the slabs: one pair record per pair, rounded
+	// up to the slab's size class, which wastes at most an eighth.
+	if got, max := launchBytes/connects, uint64(unsafe.Sizeof(pair{}))*9/8; got > max {
+		t.Errorf("launch allocates %d bytes per rank pair, want <= %d (a %d-byte record plus slab rounding)",
+			got, max, unsafe.Sizeof(pair{}))
+	}
 }
 
-// TestMeshPairReuse checks when a connect reuses a pair's slab entry. Eight
-// fault-tolerant ranks on four nodes exchange around a ring through two
-// suspension cycles and, between them, the failure and recovery of one
-// adapter, which the ring's senders repair with reconnectFT. Every connect
-// must put the pair's endpoints in its slab entry when both pumps of the
-// entry's previous life have ended, and in a fresh record otherwise: pair
-// (0,4), which the ring never uses, is connected again right after launch,
-// while its pumps are still parked, so its entry keeps those pumps and every
-// later connect of it must fall back to a fresh record.
+// TestMeshPairReuse checks that a pair's record is its slab entry for the
+// world's whole life. Eight fault-tolerant ranks on four nodes exchange
+// around a ring through two suspension cycles and, between them, the
+// failure and recovery of one adapter, which the ring's senders repair with
+// reconnectFT. After the launch and after each rebuild, both ranks of every
+// pair must find their endpoints in the pair's entry, with both pumps live
+// in it, and no slab may have been made again. Connecting pair (0,4), which
+// the ring never uses, right after launch, while its pumps are still
+// parked, must panic with a message naming the pair and leave the pair as
+// it was.
 func TestMeshPairReuse(t *testing.T) {
 	const ranks = 8
 	e, fab, w := newTestWorld(4, ranks)
@@ -126,42 +136,46 @@ func TestMeshPairReuse(t *testing.T) {
 			r.Compute(2 * time.Millisecond)
 		}
 	})
-	entry := func(i, j int) *pairConns { return &w.pairs[i][j-i-1] }
-	inSlab := func(i, j int) bool {
-		pc := entry(i, j)
-		return w.ranks[i].conns[j] == &pc.a && w.ranks[j].conns[i] == &pc.b
+	// inEntry reports whether both ends of pair (i, j) are connected
+	// through its slab entry.
+	inEntry := func(i, j int) bool {
+		pr := &w.pairs[i][j-i-1]
+		a, b := w.ranks[i].conn(j), w.ranks[j].conn(i)
+		return a.pr == pr && a.side == 0 && b.pr == pr && b.side == 1
 	}
-	pumpsEnded := func(i, j int) bool {
-		pc := entry(i, j)
-		return pc.a.pump.Idle() && pc.b.pump.Idle()
+	pumpsLive := func(i, j int) bool {
+		pr := &w.pairs[i][j-i-1]
+		return !pr.pump[0].Idle() && !pr.pump[1].Idle()
 	}
-	// checkPairs requires every pair to sit in its slab entry exactly when
-	// reused says so, and in a fresh record, one record for both ends,
-	// otherwise.
-	checkPairs := func(when string, reused func(i, j int) bool) {
+	var slabs [ranks - 1]*pair
+	checkPairs := func(when string) {
 		t.Helper()
-		for i := 0; i < ranks; i++ {
+		for i := 0; i < ranks-1; i++ {
+			if slabs[i] == nil {
+				slabs[i] = &w.pairs[i][0]
+			} else if slabs[i] != &w.pairs[i][0] {
+				t.Errorf("%s: rank %d's slab was made again", when, i)
+			}
 			for j := i + 1; j < ranks; j++ {
-				a, b := w.ranks[i].conns[j], w.ranks[j].conns[i]
-				switch {
-				case a == nil || b == nil || a.buddy != b || b.buddy != a:
-					t.Errorf("%s: pair (%d,%d) is not connected", when, i, j)
-				case inSlab(i, j) != reused(i, j):
-					t.Errorf("%s: pair (%d,%d) in its slab entry: %v, want %v", when, i, j, inSlab(i, j), reused(i, j))
+				if !inEntry(i, j) || !pumpsLive(i, j) {
+					t.Errorf("%s: pair (%d,%d) in its entry: %v, pumps live: %v", when, i, j, inEntry(i, j), pumpsLive(i, j))
 				}
 			}
 		}
 	}
-	fallback := func(i, j int) bool { return i == 0 && j == 4 }
 	reconnects := 0
 	e.Spawn("coordinator", func(p *sim.Proc) {
 		w.WaitReady(p)
-		checkPairs("launch", func(i, j int) bool { return true })
-		if pumpsEnded(0, 4) {
-			t.Fatal("pair (0,4)'s pumps ended before the ring began")
-		}
-		w.connect(w.ranks[0], w.ranks[4])
-		checkPairs("second connect of (0,4)", func(i, j int) bool { return !fallback(i, j) })
+		checkPairs("launch")
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "pair (0,4)") {
+					t.Errorf("second connect of (0,4): recovered %q, want a panic naming the pair", msg)
+				}
+			}()
+			w.connect(w.ranks[0], w.ranks[4])
+		}()
+		checkPairs("second connect of (0,4)")
 
 		cycle := func(n int) {
 			p.Sleep(10 * time.Millisecond)
@@ -169,33 +183,24 @@ func TestMeshPairReuse(t *testing.T) {
 			s.WaitAllDrained(p)
 			s.CompleteTeardown()
 			s.WaitAllSuspended(p)
-			var ended [ranks][ranks]bool
-			for i := 0; i < ranks; i++ {
-				for j := i + 1; j < ranks; j++ {
-					ended[i][j] = pumpsEnded(i, j)
-				}
-			}
 			s.Resume()
 			s.WaitAllResumed(p)
-			checkPairs(fmt.Sprintf("rebuild %d", n), func(i, j int) bool { return ended[i][j] })
-			checkPairs(fmt.Sprintf("rebuild %d", n), func(i, j int) bool { return !fallback(i, j) })
+			checkPairs(fmt.Sprintf("rebuild %d", n))
 		}
 		cycle(1)
 
 		// The ring's pairs through n01 — (1,2), (2,3) and (3,4) — break,
-		// and their senders rebuild them once their retry comes round. The
-		// failure woke every pump of a broken pair, so each rebuild reuses
-		// the pair's entry.
+		// and their senders rebuild them once their retry comes round.
 		p.Sleep(5 * time.Millisecond)
 		fab.HCA("n01").Fail()
 		fab.HCA("n01").Recover()
 		p.Sleep(30 * time.Millisecond)
 		for i := 1; i <= 3; i++ {
-			if c := w.ranks[i].conns[i+1]; c == nil || c.brokenNow() {
+			if c := w.ranks[i].conn(i + 1); !c.ok() || c.brokenNow(w) {
 				t.Fatalf("pair (%d,%d) was not rebuilt after the failure", i, i+1)
 			}
-			if !inSlab(i, i+1) {
-				t.Errorf("reconnectFT: pair (%d,%d) is not in its slab entry", i, i+1)
+			if !inEntry(i, i+1) || !pumpsLive(i, i+1) {
+				t.Errorf("reconnectFT: pair (%d,%d) in its entry: %v, pumps live: %v", i, i+1, inEntry(i, i+1), pumpsLive(i, i+1))
 			}
 			reconnects++
 		}
@@ -450,14 +455,14 @@ func TestLazyPumpNames(t *testing.T) {
 			if r.ID() != 0 {
 				return
 			}
-			c := r.conns[1]
-			if err := c.ensure(); err != nil {
+			qp, err := r.conn(1).ensure(r.w)
+			if err != nil {
 				t.Error(err)
 				return
 			}
 			// A message without the MPI envelope makes rank 1's pump fail
 			// its header assertion.
-			if err := c.qp.PostSend(ib.Message{Meta: "no envelope"}); err != nil {
+			if err := qp.PostSend(ib.Message{Meta: "no envelope"}); err != nil {
 				t.Error(err)
 			}
 		})
@@ -468,4 +473,158 @@ func TestLazyPumpNames(t *testing.T) {
 			t.Fatalf("Run = %v, want an error starting %q", err, want)
 		}
 	})
+}
+
+// TestBreakLazyConnsWakeOrder pins which pumps an adapter failure ends, and
+// in what order. Six ranks sit two to a node; the failed node, n01, hosts
+// the middle ranks 2 and 3. Pair (1,2) has talked, so the fabric breaks its
+// QPs, the failed node's end first, and its pumps end first; every other
+// pair with a rank on n01 is lazy,
+// and the world's fail hook wakes its pumps in ascending (rank, peer)
+// order. Pairs with no rank on n01 keep their pumps.
+func TestBreakLazyConnsWakeOrder(t *testing.T) {
+	e, fab, w := newTestWorld(3, 6)
+	rec := &sim.Recorder{}
+	e.SetTracer(rec)
+	w.Start(func(r *Rank) {
+		switch r.ID() {
+		case 1:
+			r.Send(2, 0, 64)
+		case 2:
+			r.Recv(1, 0)
+		}
+		r.Compute(10 * time.Millisecond)
+	})
+	var failAt sim.Time
+	e.Spawn("coordinator", func(p *sim.Proc) {
+		w.WaitReady(p)
+		p.Sleep(time.Millisecond)
+		failAt = p.Now()
+		fab.HCA("n01").Fail()
+		w.WaitDone(p)
+		e.Stop()
+	})
+	run(t, e)
+	var ended []string
+	for _, r := range rec.Records {
+		if r.Kind == "proc.end" && r.T == failAt && strings.HasPrefix(r.Who, "mpi.pump.") {
+			ended = append(ended, r.Who)
+		}
+	}
+	want := []string{
+		"mpi.pump.2<-1", "mpi.pump.1<-2",
+		"mpi.pump.0<-2", "mpi.pump.0<-3",
+		"mpi.pump.1<-3",
+		"mpi.pump.2<-0", "mpi.pump.2<-3", "mpi.pump.2<-4", "mpi.pump.2<-5",
+		"mpi.pump.3<-0", "mpi.pump.3<-1", "mpi.pump.3<-2", "mpi.pump.3<-4", "mpi.pump.3<-5",
+		"mpi.pump.4<-2", "mpi.pump.4<-3",
+		"mpi.pump.5<-2", "mpi.pump.5<-3",
+	}
+	if strings.Join(ended, " ") != strings.Join(want, " ") {
+		t.Fatalf("pumps ended at the failure:\n got %v\nwant %v", ended, want)
+	}
+}
+
+// TestPumpsEndBeforeReconnect checks what lets connect reuse a pair's
+// record in place: every pump of a pair's previous life has ended before
+// the pair's setup sleeps begin. Eight fault-tolerant ranks on four nodes
+// exchange around a ring, with their neighbours for 30 iterations and then
+// with the ranks two away. One suspension cycle tears down and rebuilds
+// every pair, materialized (the ring's) and lazy alike. Then n01's adapter
+// fails and recovers before the ranks move on, and the ranks' senders
+// rebuild with reconnectFT both the ring pairs through n01, which had
+// talked, and the pairs two apart through it, which were still lazy. In the
+// trace, every pump life after a pair's first must start at least the
+// pair's whole setup cost after the pump's previous life ended.
+func TestPumpsEndBeforeReconnect(t *testing.T) {
+	const ranks = 8
+	e, fab, w := newTestWorld(4, ranks)
+	rec := &sim.Recorder{}
+	e.SetTracer(rec)
+	w.SetFaultTolerant(true)
+	w.Start(func(r *Rank) {
+		n := r.Size()
+		for i := 0; i < 60; i++ {
+			d := 1 + i/30
+			r.Sendrecv((r.ID()+d)%n, i, 1<<10, (r.ID()-d+n)%n, i)
+			r.Compute(2 * time.Millisecond)
+		}
+	})
+	var failAt sim.Time
+	materialized := map[[2]int]bool{} // pairs through n01 at the failure
+	e.Spawn("coordinator", func(p *sim.Proc) {
+		w.WaitReady(p)
+		p.Sleep(10 * time.Millisecond)
+		s := w.BeginSuspend()
+		s.WaitAllDrained(p)
+		s.CompleteTeardown()
+		s.WaitAllSuspended(p)
+		s.Resume()
+		s.WaitAllResumed(p)
+		p.Sleep(5 * time.Millisecond)
+		failAt = p.Now()
+		for i := 0; i < ranks; i++ {
+			for j := i + 1; j < ranks; j++ {
+				if w.ranks[i].node == "n01" || w.ranks[j].node == "n01" {
+					materialized[[2]int{i, j}] = w.pairs[i][j-i-1].fab != nil
+				}
+			}
+		}
+		fab.HCA("n01").Fail()
+		fab.HCA("n01").Recover()
+		w.WaitDone(p)
+		e.Stop()
+	})
+	run(t, e)
+
+	c := w.pairCosts()
+	setup := c[0] + c[1] + c[2]
+	ended := map[string]sim.Time{} // pump name -> end of its last life
+	lives := map[string]int{}
+	var rebuiltLazy, rebuiltTalked int
+	for _, r := range rec.Records {
+		if !strings.HasPrefix(r.Who, "mpi.pump.") {
+			continue
+		}
+		switch r.Kind {
+		case "proc.end":
+			ended[r.Who] = r.T
+		case "proc.start":
+			lives[r.Who]++
+			if lives[r.Who] == 1 {
+				continue
+			}
+			end, ok := ended[r.Who]
+			if !ok || r.T.Sub(end) < setup {
+				t.Errorf("%s: life %d starts at %v, its previous life ended at %v (ended: %v); want at least %v before",
+					r.Who, lives[r.Who], r.T, end, ok, setup)
+			}
+			delete(ended, r.Who)
+			var i, j int
+			if _, err := fmt.Sscanf(r.Who, "mpi.pump.%d<-%d", &i, &j); err != nil {
+				t.Fatalf("pump name %q: %v", r.Who, err)
+			}
+			if i < j && r.T > failAt {
+				if materialized[[2]int{i, j}] {
+					rebuiltTalked++
+				} else {
+					rebuiltLazy++
+				}
+			}
+		}
+	}
+	for i := 0; i < ranks; i++ {
+		for j := 0; j < ranks; j++ {
+			if i != j && lives[pumpName(i, j)] < 2 {
+				t.Errorf("%s: %d lives, want the suspension's rebuild at least", pumpName(i, j), lives[pumpName(i, j)])
+			}
+		}
+	}
+	t.Logf("reconnectFT rebuilt %d pairs that had talked and %d lazy ones", rebuiltTalked, rebuiltLazy)
+	if rebuiltTalked == 0 || rebuiltLazy == 0 {
+		t.Errorf("reconnectFT rebuilt %d pairs that had talked and %d lazy ones; want both kinds", rebuiltTalked, rebuiltLazy)
+	}
+	if !w.Done() {
+		t.Fatal("world did not finish")
+	}
 }

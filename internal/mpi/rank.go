@@ -3,134 +3,13 @@ package mpi
 import (
 	"fmt"
 	"math"
-	"strconv"
 
 	"ibmig/internal/calib"
 	"ibmig/internal/ib"
-	"ibmig/internal/mem"
 	"ibmig/internal/payload"
 	"ibmig/internal/proc"
 	"ibmig/internal/sim"
 )
-
-// conn is one rank's endpoint of a rank-pair connection.
-//
-// Connections are lazy: connectSeq pays the full setup cost (QP bring-up
-// plus both rendezvous-buffer registrations) up front — so the simulated
-// timeline is identical to an eagerly built mesh — but defers the fabric
-// state (QP endpoints, pinned regions, remote keys) until the first message
-// actually crosses the pair. On an N-rank job only the pairs that talk ever
-// materialize; for nearest-neighbour kernels that turns O(N²) QPs, regions
-// and pump state into O(N), which is where the bulk of the 2048-rank memory
-// footprint lived. What every pair still holds is its pairConns record, an
-// entry of the world's slab for the pair's lower rank, which lives as long
-// as the world and is reused at every rebuild (see World.connect), so
-// connecting a pair allocates nothing.
-//
-// A conn is also its receive pump's sim.Flow (Step) and names it
-// (FlowName), and the pump's Proc lives in the conn (sim.SpawnFlowIn), so a
-// pump costs no Proc allocation, no method value and no name string.
-type conn struct {
-	r        *Rank
-	peer     int
-	qp       *ib.QP       // nil while the connection is lazy
-	mr       *ib.MR       // local rendezvous buffer (pinned); nil while lazy
-	peerRKey ib.RemoteKey // cached remote key of the peer's buffer
-	broken   bool         // an adapter under the lazy pair failed
-	closed   bool         // torn down (suspension, shutdown, FT rebuild)
-	buddy    *conn        // the peer rank's endpoint of the same pair
-	pump     sim.Proc     // receive pump flow (dormant while lazy)
-}
-
-// reset readies the endpoint for a new life as r's end of the pair with
-// peer, whose endpoint is buddy. The pump's Proc is left alone: it must be
-// Idle, and keeping its token makes a wake addressed to an earlier life
-// stale in the next one.
-func (c *conn) reset(r *Rank, peer int, buddy *conn) {
-	c.r, c.peer, c.buddy = r, peer, buddy
-	c.qp, c.mr, c.peerRKey = nil, nil, ib.RemoteKey{}
-	c.broken, c.closed = false, false
-}
-
-// logicalErr classifies a verbs call on a still-lazy connection, answering
-// exactly what QP.err would answer had the pair been materialized: a downed
-// adapter on either side dominates, then any form of closure.
-func (c *conn) logicalErr() error {
-	w := c.r.w
-	if !w.hcaUp(c.r.node) || !w.hcaUp(w.ranks[c.peer].node) {
-		return ib.ErrHCADown
-	}
-	if c.broken || c.closed || c.buddy.closed {
-		return ib.ErrQPClosed
-	}
-	return nil
-}
-
-// brokenNow reports whether a send on this connection would fail, the lazy
-// counterpart of QP.Broken.
-func (c *conn) brokenNow() bool {
-	if c.qp != nil {
-		return c.qp.Broken()
-	}
-	return c.logicalErr() != nil
-}
-
-// ensure materializes the pair on first use. No simulated time passes — the
-// setup cost was paid at connectSeq — so the event sequence is untouched.
-func (c *conn) ensure() error {
-	if c.qp != nil {
-		return nil
-	}
-	if err := c.logicalErr(); err != nil {
-		return err
-	}
-	c.materialize()
-	return nil
-}
-
-// materialize creates the fabric state for both endpoints of the pair:
-// prepaid QPs, prepaid rendezvous-buffer registrations, crossed remote keys.
-// The dormant pump flows are adopted as receivers on the new queues without
-// waking them, so no event is scheduled. Orientation is canonical (lower
-// rank first), matching the argument order an eager connection used.
-func (c *conn) materialize() {
-	a, b := c, c.buddy
-	if b.r.id < a.r.id {
-		a, b = b, a
-	}
-	w := a.r.w
-	ha, hb := w.fabric.HCA(a.r.node), w.fabric.HCA(b.r.node)
-	qa, qb := ib.ConnectQPPrepaid(ha, hb)
-	mra := ha.RegisterMRPrepaid(newRendezvousRegion(w.cfg.RendezvousBufSize, a.r.id, b.r.id))
-	mrb := hb.RegisterMRPrepaid(newRendezvousRegion(w.cfg.RendezvousBufSize, b.r.id, a.r.id))
-	a.qp, a.mr, a.peerRKey = qa, mra, mrb.RKey()
-	b.qp, b.mr, b.peerRKey = qb, mrb, mra.RKey()
-	qa.FlowRecvPark(&a.pump)
-	qb.FlowRecvPark(&b.pump)
-}
-
-// destroy tears down this endpoint. Materialized: revoke the pinned buffer,
-// release its region's extents back to the arena, close the QP (which wakes
-// the pump off its receive queue to exit). Lazy: mark closed and wake the
-// dormant pump so it can end — unless the fabric already broke the pair, in
-// which case the pump was woken then, mirroring the double-Close no-op on a
-// real queue. The caller clears the conns slot.
-func (c *conn) destroy() {
-	c.closed = true
-	if c.qp != nil {
-		c.mr.Deregister()
-		c.mr.Region().Release()
-		c.qp.Close()
-		return
-	}
-	if !c.broken {
-		c.pump.WakeDetached()
-	}
-}
-
-func newRendezvousRegion(size int64, owner, peer int) *mem.Region {
-	return mem.NewRegion(size, uint64(owner)<<20|uint64(peer))
-}
 
 // The MPI envelope (source rank and tag) rides in the message's immediate
 // data, as MVAPICH2 carries it in the packet header, so a message costs no
@@ -189,10 +68,6 @@ type Rank struct {
 	p       *sim.Proc
 	mailbox *sim.Queue[inMsg]
 	unexp   []inMsg
-	// conns is indexed by peer rank; nil means no connection. A slice keeps
-	// per-rank overhead at one word per peer and makes ascending-peer
-	// iteration (the protocol's deterministic order) a plain scan.
-	conns []*conn
 
 	// OS is the backing simulated process (address space); set by the
 	// cluster layer, checkpointed and migrated by the framework.
@@ -236,56 +111,6 @@ func (r *Rank) poll() {
 	if r.suspendReq {
 		r.doSuspend()
 	}
-}
-
-// startPump spawns the flow that forwards the connection's deliveries into
-// the rank mailbox, in the Proc the conn holds. As a flow it costs no
-// goroutine or stack — essential for the O(ranks²) pump population — and
-// its event sequence is identical to the goroutine pump it replaced: one
-// start event at spawn, one wake per delivery batch, one end event at
-// teardown. The flow is spawned unnamed: its name, "mpi.pump.<rank><-<peer>",
-// is formatted by FlowName only if a tracer, a deadlock report or a panic
-// reads it.
-func (c *conn) startPump() {
-	c.r.w.E.SpawnFlowIn(&c.pump, "", c)
-}
-
-// FlowName implements sim.FlowNamer: the pump's process name.
-func (c *conn) FlowName() string {
-	var buf [32]byte
-	name := append(buf[:0], "mpi.pump."...)
-	name = strconv.AppendInt(name, int64(c.r.id), 10)
-	name = append(name, "<-"...)
-	name = strconv.AppendInt(name, int64(c.peer), 10)
-	return string(name)
-}
-
-// Step implements sim.Flow: the pump's state machine. While the connection
-// is lazy the flow parks dormant (no queue exists to wait on); materialize
-// adopts it as a receiver without waking it. Each wake drains every
-// delivered message into the mailbox, exactly as the blocking Recv loop did.
-func (c *conn) Step(p *sim.Proc, _ int) {
-	if c.qp == nil {
-		if c.closed || c.broken {
-			p.FlowEnd()
-			return
-		}
-		p.FlowPark("queue.recv", "mpi.lazy")
-		return
-	}
-	for {
-		m, ok := c.qp.TryRecv()
-		if !ok {
-			break
-		}
-		from, tag := openEnvelope(m.Imm)
-		c.r.mailbox.TrySend(inMsg{from: from, tag: tag, data: m.Data})
-	}
-	if c.qp.RecvClosed() {
-		p.FlowEnd()
-		return
-	}
-	c.qp.FlowRecvPark(p)
 }
 
 // beginOp and endOp bracket a Sendrecv's send-half flow, the one operation
@@ -372,13 +197,13 @@ func (r *Rank) sendFT(to int, m ib.Message) {
 		}
 		r.p.Sleep(ftRetryDelay)
 		r.reconnectFT(to)
-		c := r.conns[to]
-		if c == nil {
+		c := r.conn(to)
+		if !c.ok() {
 			continue
 		}
-		err := c.ensure()
+		qp, err := c.ensure(r.w)
 		if err == nil {
-			err = c.qp.Send(r.p, m)
+			err = qp.Send(r.p, m)
 		}
 		if err == nil {
 			return
@@ -387,47 +212,44 @@ func (r *Rank) sendFT(to int, m ib.Message) {
 }
 
 // reconnectFT rebuilds the connection to peer `to` if it is broken and both
-// ends can carry it. The pair key serializes rebuilds so the two ranks of a
-// pair (or a send retry racing a suspension rebuild) never double-connect.
+// ends can carry it. The pair's rebuilding flag serializes rebuilds so the
+// two ranks of a pair (or a send retry racing a suspension rebuild) never
+// double-connect.
 func (r *Rank) reconnectFT(to int) {
 	peer := r.w.ranks[to]
 	if peer.finished {
 		return
 	}
-	if c := r.conns[to]; c != nil && !c.brokenNow() {
+	if c := r.conn(to); c.ok() && !c.brokenNow(r.w) {
 		return
 	}
 	if !r.w.hcaUp(r.node) || !r.w.hcaUp(peer.node) {
 		return
 	}
-	key := [2]int{r.id, to}
-	if to < r.id {
-		key = [2]int{to, r.id}
+	lo, hi := r, peer
+	if hi.id < lo.id {
+		lo, hi = hi, lo
 	}
-	if r.w.rebuilding[key] {
+	pr := r.w.pair(lo.id, hi.id)
+	if pr.rebuilding {
 		return // the peer is rebuilding this pair; retry next attempt
 	}
-	r.w.rebuilding[key] = true
+	pr.rebuilding = true
 	for _, side := range [2]*Rank{r, peer} {
 		other := peer.id
 		if side == peer {
 			other = r.id
 		}
-		if old := side.conns[other]; old != nil {
+		if old := side.conn(other); old.ok() {
 			old.destroy()
-			side.conns[other] = nil
 		}
-	}
-	lo, hi := r, peer
-	if hi.id < lo.id {
-		lo, hi = hi, lo
 	}
 	r.p.SleepSeq(r.w.connectSeq(func() (a, b *Rank, ok bool) {
 		a, b, ok = lo, hi, lo != nil
 		lo = nil
 		return a, b, ok
 	}))
-	delete(r.w.rebuilding, key)
+	pr.rebuilding = false
 }
 
 func match(m inMsg, from, tag int) bool {

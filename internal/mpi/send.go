@@ -83,18 +83,19 @@ func (s *sendRec) advance(p *sim.Proc) (uint8, error) {
 	case srPost:
 		r.BytesSent += s.data.Size()
 		r.MsgsSent++
-		c := r.conns[s.to]
-		if s.to == r.id || c == nil {
+		c := r.conn(s.to)
+		if !c.ok() {
 			return sendLocal, nil
 		}
 		m := r.wire(s.tag, s.data)
-		if err := c.ensure(); err != nil {
+		qp, err := c.ensure(r.w)
+		if err != nil {
 			return sendDone, err
 		}
 		if !r.w.ftMode && s.data.Size() <= r.w.cfg.EagerThreshold {
-			return sendDone, c.qp.PostSend(m)
+			return sendDone, qp.PostSend(m)
 		}
-		if err := c.qp.StartSend(&s.xfer, m); err != nil {
+		if err := qp.StartSend(&s.xfer, m); err != nil {
 			return sendDone, err
 		}
 		s.stage = srWire

@@ -120,18 +120,18 @@ func (r *Rank) doSuspend() {
 	// left only when the endpoint just flushed is still busy: the rank waits
 	// for it here and re-enters.
 	k := 0
-	var cur *conn // the connection whose flush round is under way
+	var cur conn // the connection whose flush round is under way
 	drain := func() (sim.Duration, bool) {
-		if cur != nil && cur.qp != nil && !cur.qp.Idle() {
+		if cur.ok() && cur.qp() != nil && !cur.qp().Idle() {
 			return 0, false
 		}
-		if cur = r.nextConn(&k); cur == nil {
+		if cur = r.nextConn(&k); !cur.ok() {
 			return 0, false
 		}
 		return calib.DrainRoundCost, true
 	}
-	for r.p.SleepSeq(drain); cur != nil; r.p.SleepSeq(drain) {
-		cur.qp.WaitIdle(r.p)
+	for r.p.SleepSeq(drain); cur.ok(); r.p.SleepSeq(drain) {
+		cur.qp().WaitIdle(r.p)
 	}
 	cy.drained.Fire()
 	cy.sus.teardownCmd.Wait(r.p)
@@ -142,11 +142,10 @@ func (r *Rank) doSuspend() {
 	k = 0
 	r.p.SleepSeq(func() (sim.Duration, bool) {
 		c := r.nextConn(&k)
-		if c == nil {
+		if !c.ok() {
 			return 0, false
 		}
 		c.destroy()
-		r.conns[c.peer] = nil
 		return calib.TeardownPerConn, true
 	})
 	cy.suspended.Fire()
@@ -176,14 +175,15 @@ func (r *Rank) doSuspend() {
 	cy.resumed.Fire()
 }
 
-// nextConn returns the first connection at or after index *k and moves *k
-// past it, or returns nil when none is left.
-func (r *Rank) nextConn(k *int) *conn {
-	for ; *k < len(r.conns); *k++ {
-		if c := r.conns[*k]; c != nil {
+// nextConn returns the rank's first connection to a peer at or after rank
+// *k and moves *k past that peer, or returns the zero conn when none is
+// left.
+func (r *Rank) nextConn(k *int) conn {
+	for ; *k < len(r.w.ranks); *k++ {
+		if c := r.conn(*k); c.ok() {
 			*k++
 			return c
 		}
 	}
-	return nil
+	return conn{}
 }

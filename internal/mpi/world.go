@@ -73,9 +73,8 @@ type World struct {
 	// ftMode turns send errors from panics into bounded retries with
 	// connection rebuild (see Rank.sendFT) — required when the framework
 	// may fail and recover links underneath a running application.
-	ftMode     bool
-	ftDropped  int64
-	rebuilding map[[2]int]bool // rank pairs with a connection rebuild in flight
+	ftMode    bool
+	ftDropped int64
 
 	// hooked tracks nodes whose HCA carries our fail hook (lazy connections
 	// have no QP for the fabric to break, so the world must learn of faults
@@ -84,8 +83,9 @@ type World struct {
 
 	// pairs holds the connection record of rank pair (lo, hi), lo < hi, at
 	// pairs[lo][hi-lo-1]: one slab per lower rank, made at its first
-	// connect and kept for the world's whole life (see connect).
-	pairs [][]pairConns
+	// connect and kept for the world's whole life (see connect). A rank
+	// finds its endpoints here (Rank.conn).
+	pairs [][]pair
 
 	sendFree *sendRec // idle send records (see Rank.newSend)
 }
@@ -94,15 +94,14 @@ type World struct {
 // the node name hosting rank i. Every node must have an HCA on the fabric.
 func NewWorld(e *sim.Engine, fabric *ib.Fabric, placement []string, cfg Config) *World {
 	w := &World{
-		E:          e,
-		fabric:     fabric,
-		cfg:        cfg.withDefaults(),
-		ready:      sim.NewEvent(e),
-		done:       sim.NewEvent(e),
-		pmi:        sim.NewResource(e, "mpi.pmi", 1),
-		rebuilding: make(map[[2]int]bool),
-		hooked:     make(map[string]bool),
-		pairs:      make([][]pairConns, len(placement)),
+		E:      e,
+		fabric: fabric,
+		cfg:    cfg.withDefaults(),
+		ready:  sim.NewEvent(e),
+		done:   sim.NewEvent(e),
+		pmi:    sim.NewResource(e, "mpi.pmi", 1),
+		hooked: make(map[string]bool),
+		pairs:  make([][]pair, len(placement)),
 	}
 	for i, node := range placement {
 		if fabric.HCA(node) == nil {
@@ -114,7 +113,6 @@ func NewWorld(e *sim.Engine, fabric *ib.Fabric, placement []string, cfg Config) 
 			id:           i,
 			node:         node,
 			mailbox:      sim.NewQueue[inMsg](e, "mpi.mbox."+id, 0),
-			conns:        make([]*conn, len(placement)),
 			opsIdle:      sim.NewGate(e, true),
 			sendrecvName: "mpi.sendrecv." + id,
 		})
@@ -139,21 +137,33 @@ func (w *World) hookNode(node string) {
 // breakLazyConns marks every still-lazy connection touching the failed node
 // as broken and wakes its dormant pump so it exits — the lazy counterpart of
 // HCA.Fail breaking materialized QPs (which the fabric has already done when
-// this hook runs). Walk order is ascending rank then ascending peer, so the
-// wakeups are deterministic.
+// this hook runs). Only the pairs with a rank on the node are walked, in
+// ascending rank then ascending peer order, so the wakeups are
+// deterministic.
 func (w *World) breakLazyConns(node string) {
+	on := w.RanksOn(node)
 	for _, r := range w.ranks {
-		for _, c := range r.conns {
-			if c == nil || c.qp != nil || c.broken || c.closed {
-				continue
+		if r.node == node {
+			for peer := range w.ranks {
+				r.breakLazy(peer)
 			}
-			if r.node != node && w.ranks[c.peer].node != node {
-				continue
-			}
-			c.broken = true
-			c.pump.WakeDetached()
+			continue
+		}
+		for _, q := range on {
+			r.breakLazy(q.id)
 		}
 	}
+}
+
+// breakLazy marks r's endpoint to peer broken and wakes its pump, if the
+// endpoint is present and its pair lazy and not yet broken.
+func (r *Rank) breakLazy(peer int) {
+	c := r.conn(peer)
+	if !c.ok() || c.pr.fab != nil || c.pr.broken[c.side] {
+		return
+	}
+	c.pr.broken[c.side] = true
+	c.pr.pump[c.side].WakeDetached()
 }
 
 // Rank returns rank i.
@@ -313,46 +323,4 @@ func (w *World) connectSeq(pairs func() (a, b *Rank, ok bool)) func() (sim.Durat
 		stage++
 		return costs[stage-1], true
 	}
-}
-
-// pairConns holds both endpoints of one rank-pair connection, and with them
-// both receive pumps' Procs.
-type pairConns struct{ a, b conn }
-
-// connect gives a paid-for pair its (lazy) endpoints and receive pumps.
-//
-// The pair's slab entry is reset and reused when both pumps of its previous
-// life have ended (or it has had none), which a suspension's teardown and an
-// FT rebuild's destroy ensure before they reconnect: each wakes both pumps,
-// and the pair's three setup sleeps come after. A pump that has not ended
-// still steps its record, so then the pair falls back to a fresh one.
-//
-// No other holder of the entry's previous life reads it reset. sendFT reads
-// its conn only before its send parks, which then holds the QP alone. The
-// drain reads its conn after a park, but a pair reconnects only at launch,
-// after every rank's drain (Resume follows WaitAllSuspended), or in
-// reconnectFT, which runs only in fault-tolerant mode, where every send is
-// synchronous: a draining rank has no send of its own on the wire, so its
-// endpoint reads idle, and the drain moves on, old life or new.
-func (w *World) connect(a, b *Rank) {
-	lo, hi := min(a.id, b.id), max(a.id, b.id)
-	if w.pairs[lo] == nil {
-		w.pairs[lo] = make([]pairConns, len(w.ranks)-lo-1)
-	}
-	pc := &w.pairs[lo][hi-lo-1]
-	if !pc.a.pump.Idle() || !pc.b.pump.Idle() {
-		pc = &pairConns{}
-	}
-	ca, cb := &pc.a, &pc.b
-	ca.reset(a, b.id, cb)
-	cb.reset(b, a.id, ca)
-	if w.fabric.HCA(a.node).Failed() || w.fabric.HCA(b.node).Failed() {
-		// An eager ConnectQP would have returned endpoints already broken;
-		// the pumps below see the flag on their start step and exit at once.
-		ca.broken, cb.broken = true, true
-	}
-	a.conns[b.id] = ca
-	b.conns[a.id] = cb
-	ca.startPump()
-	cb.startPump()
 }

@@ -635,7 +635,7 @@ func (e *Engine) endProc(p *Proc) {
 func (e *Engine) recycleFlow(p *Proc) {
 	p.step = nil
 	p.name = ""
-	p.blockKind, p.blockName = "", ""
+	p.blockKind, p.blockName = blockNone, ""
 	if !p.owned {
 		p.nextLive, e.flowFree = e.flowFree, p
 	}
@@ -653,7 +653,7 @@ func (e *Engine) runProc(p *Proc) {
 		e.endProc(p)
 		p.step = nil
 		p.name = ""
-		p.blockKind, p.blockName = "", ""
+		p.blockKind, p.blockName = blockNone, ""
 		p.nextLive, e.procFree = e.procFree, p
 	}()
 	fn := p.co.fn
@@ -692,7 +692,7 @@ func (e *Engine) resumeFlow(p *Proc, reason int) (parked bool) {
 		}
 	}
 	p.token++
-	p.blockKind, p.blockName = "", ""
+	p.blockKind, p.blockName = blockNone, ""
 	p.step.Step(p, reason)
 	return p.co == nil || p.step != nil
 }

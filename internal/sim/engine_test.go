@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -716,13 +717,79 @@ func TestShutdownLiveListPidOrder(t *testing.T) {
 	}
 }
 
-// TestProcSizeClass guards Proc's allocation size class. With the coroutine
-// state split off into coState a Proc fits the 128-byte class, which is all
-// a flow allocates; a field that pushes it into the next class (144 bytes)
-// raises every run's allocation per process.
+// TestProcSizeClass guards Proc's size. With the coroutine state split off
+// into coState and the block kind a one-byte code beside the flags, a Proc
+// is 104 bytes: a flow allocates from the 112-byte class, and a coroutine
+// process (Proc and coState together) from the 144-byte one. Every owned
+// Proc also sits inline in its owner, as both pumps in each of an MPI
+// world's N(N-1)/2 pair records do, so a word more costs there too.
 func TestProcSizeClass(t *testing.T) {
-	if s := unsafe.Sizeof(Proc{}); s > 128 {
-		t.Fatalf("unsafe.Sizeof(Proc{}) = %d bytes, want <= 128", s)
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("pinned for 64-bit platforms")
+	}
+	if s := unsafe.Sizeof(Proc{}); s != 104 {
+		t.Fatalf("unsafe.Sizeof(Proc{}) = %d bytes, want 104", s)
+	}
+	if s := unsafe.Sizeof(coProc{}); s > 144 {
+		t.Fatalf("unsafe.Sizeof(coProc{}) = %d bytes, want <= 144", s)
+	}
+}
+
+// TestBlockReasonText checks the deadlock report's "kind:name" text for
+// every way a process parks, now that Proc keeps the kind as a one-byte
+// code: each kernel primitive, FlowPark with a kernel kind, and FlowPark
+// with a kind of its own, with and without a name.
+func TestBlockReasonText(t *testing.T) {
+	e := NewEngine(1)
+	q := NewQueue[int](e, "q1", 1)
+	full := NewQueue[int](e, "q2", 1)
+	full.TrySend(0)
+	res := NewResource(e, "cpu", 1)
+	wg := NewWaitGroup(e)
+	wg.Add(1)
+	want := map[string]string{}
+	spawn := func(name, reason string, fn func(p *Proc)) {
+		want[name] = name + ": " + reason
+		e.Spawn(name, fn)
+	}
+	park := func(name, reason, kind, blockName string) {
+		want[name] = name + ": " + reason
+		e.SpawnFlow(name, stepFunc(func(p *Proc, _ int) { p.FlowPark(kind, blockName) }))
+	}
+	spawn("recv", "queue.recv:q1", func(p *Proc) { q.Recv(p) })
+	spawn("send", "queue.send:q2", func(p *Proc) { full.Send(p, 1) })
+	spawn("event", "event.wait", func(p *Proc) { NewEvent(e).Wait(p) })
+	spawn("gate", "gate.wait", func(p *Proc) { NewGate(e, false).Wait(p) })
+	spawn("holder", "waitgroup.wait", func(p *Proc) { res.Acquire(p, 1); wg.Wait(p) })
+	spawn("acquire", "resource.acquire:cpu", func(p *Proc) { res.Acquire(p, 1) })
+	for k := blockSleep; k < blockOther; k++ {
+		name := "park-" + blockKinds[k]
+		park(name, blockKinds[k]+":"+name, blockKinds[k], name)
+	}
+	park("lazy", "queue.recv:mpi.lazy", "queue.recv", "mpi.lazy")
+	park("custom", "test:parked", "test", "parked")
+	park("bare", "test", "test", "")
+	err := e.Run()
+	var dl *DeadlockError
+	if !errors.As(err, &dl) {
+		t.Fatalf("Run = %v, want a deadlock", err)
+	}
+	if len(dl.Blocked) != len(want) {
+		t.Fatalf("deadlock report %q, want %d entries", dl.Blocked, len(want))
+	}
+	for _, b := range dl.Blocked {
+		name, _, _ := strings.Cut(b, ": ")
+		if want[name] != b {
+			t.Errorf("deadlock report entry %q, want %q", b, want[name])
+		}
+	}
+	e.Shutdown()
+	// FlowPark codes every kernel kind as the kernel's own primitives do.
+	var p Proc
+	for k := blockNone; k < blockOther; k++ {
+		if p.FlowPark(blockKinds[k], "x"); p.blockKind != k {
+			t.Errorf("FlowPark(%q) coded the kind %d, want %d", blockKinds[k], p.blockKind, k)
+		}
 	}
 }
 

@@ -34,7 +34,7 @@ func (ev *Event) Fire() {
 func (ev *Event) Wait(p *Proc) {
 	for !ev.fired {
 		ev.waiters = append(ev.waiters, waiter{p, p.token})
-		p.park("event.wait", "")
+		p.park(blockEventWait, "")
 	}
 }
 
@@ -51,7 +51,7 @@ func (ev *Event) WaitTimeout(p *Proc, d Duration) bool {
 		}
 		ev.waiters = append(ev.waiters, waiter{p, p.token})
 		p.e.scheduleResume(p, deadline, wakeTimeout)
-		if p.park("event.wait-timeout", "") == wakeTimeout {
+		if p.park(blockEventWaitTimeout, "") == wakeTimeout {
 			// Fire is a broadcast, so a stale entry cannot eat another
 			// waiter's wakeup here — but a watchdog re-arming WaitTimeout in
 			// a loop would otherwise accumulate one dead entry per period.
@@ -95,6 +95,6 @@ func (g *Gate) IsOpen() bool { return g.open }
 func (g *Gate) Wait(p *Proc) {
 	for !g.open {
 		g.waiters = append(g.waiters, waiter{p, p.token})
-		p.park("gate.wait", "")
+		p.park(blockGateWait, "")
 	}
 }

@@ -20,6 +20,12 @@ type Proc struct {
 	// never put on the engine's freelist.
 	owned bool
 
+	// blockKind codes what the process is blocked on (an index into
+	// blockKinds), beside blockName, which names the primitive; blockReason
+	// joins the two only for deadlock reports. A one-byte code packs beside
+	// the flags, where a string would take two words.
+	blockKind blockKind
+
 	// reason is the wake reason of the resume the trampoline delivers next.
 	// It is an int32 so that it packs beside the flags above.
 	reason int32
@@ -38,10 +44,6 @@ type Proc struct {
 	// only the events it schedules.
 	step Flow
 
-	// blockKind/blockName describe what the process is blocked on, kept as
-	// two pieces so the hot path never concatenates strings; blockReason()
-	// joins them only for deadlock reports.
-	blockKind string
 	blockName string
 
 	// prevLive/nextLive link the process into the engine's live list while
@@ -54,6 +56,39 @@ type Proc struct {
 // Idle reports whether p can start a life with Engine.SpawnFlowIn: it was
 // never spawned, or its last life has ended.
 func (p *Proc) Idle() bool { return p.e == nil || p.done }
+
+// blockKind codes the operation a parked process waits in: one of the
+// kernel's own primitives, or blockOther for a kind FlowPark was given that
+// is none of them, which then rides in blockName joined with the name.
+type blockKind uint8
+
+const (
+	blockNone blockKind = iota
+	blockSleep
+	blockEventWait
+	blockEventWaitTimeout
+	blockGateWait
+	blockQueueSend
+	blockQueueRecv
+	blockResourceAcquire
+	blockWaitGroupWait
+	blockOther
+)
+
+// blockKinds names each blockKind in deadlock reports; FlowPark maps the
+// names back (TestBlockReasonText checks that the two agree).
+var blockKinds = [...]string{
+	blockNone:             "",
+	blockSleep:            "sleep",
+	blockEventWait:        "event.wait",
+	blockEventWaitTimeout: "event.wait-timeout",
+	blockGateWait:         "gate.wait",
+	blockQueueSend:        "queue.send",
+	blockQueueRecv:        "queue.recv",
+	blockResourceAcquire:  "resource.acquire",
+	blockWaitGroupWait:    "waitgroup.wait",
+	blockOther:            "",
+}
 
 // coState is the coroutine half of a Proc: the body of a spawned process
 // between Spawn and its start event (fn), and the iter.Pull pair that drives
@@ -86,10 +121,12 @@ type Flow interface {
 // FlowNamer is a Flow that formats its own process name. A flow spawned with
 // an empty name takes its name from FlowName, called only when something
 // reads the name — a tracer other than the default no-op one, a deadlock
-// report or a step panic — and at most once per life.
+// report or a step panic — and at most once per life. p is the flow's
+// process, so one value can drive, and name, several flows (as Step tells
+// them apart by the p it is given).
 type FlowNamer interface {
 	Flow
-	FlowName() string
+	FlowName(p *Proc) string
 }
 
 // sleepSeqFlow is the Flow a SleepSeq installs: its sequence function.
@@ -110,7 +147,7 @@ func (next sleepSeqFlow) Step(p *Proc, _ int) {
 func (p *Proc) procName() string {
 	if p.name == "" && p.step != nil {
 		if n, ok := p.step.(FlowNamer); ok {
-			p.name = n.FlowName()
+			p.name = n.FlowName(p)
 		}
 	}
 	return p.name
@@ -120,9 +157,9 @@ func (p *Proc) procName() string {
 func (p *Proc) Now() Time { return p.e.now }
 
 // park blocks the process until a wakeup arrives, returning the wake reason.
-// kind names the operation ("queue.recv"), name the primitive
+// kind codes the operation (blockQueueRecv), name names the primitive
 // ("mpi.eager:n3"); both are only read if the simulation deadlocks.
-func (p *Proc) park(kind, name string) int {
+func (p *Proc) park(kind blockKind, name string) int {
 	p.flowPark(kind, name)
 	return p.wait()
 }
@@ -139,7 +176,7 @@ func (p *Proc) wait() int {
 		panic(killSentinel{})
 	}
 	p.token++
-	p.blockKind, p.blockName = "", ""
+	p.blockKind, p.blockName = blockNone, ""
 	return r
 }
 
@@ -173,7 +210,7 @@ func (p *Proc) EndStep() { p.step = nil }
 // to the engine, and its step function is re-invoked by the next matching
 // wakeup; a coroutine process goes on to wait. Parking itself is just two
 // field writes.
-func (p *Proc) flowPark(kind, name string) {
+func (p *Proc) flowPark(kind blockKind, name string) {
 	p.blockKind, p.blockName = kind, name
 }
 
@@ -186,15 +223,45 @@ func (p *Proc) FlowSleep(d Duration) {
 		d = 0
 	}
 	p.e.scheduleResume(p, p.e.now.Add(d), wakeSignal)
-	p.flowPark("sleep", "")
+	p.flowPark(blockSleep, "")
 }
 
 // FlowPark parks the flow on an externally-managed wait: no event is
 // scheduled and no waiter is registered anywhere. Some other party must
 // later wake it with WakeDetached or register it with Queue.FlowRecvPark.
-// kind and name label the blocked-on state for deadlock reports. Must be the
-// last simulated action of the current step.
-func (p *Proc) FlowPark(kind, name string) { p.flowPark(kind, name) }
+// kind and name label the blocked-on state for deadlock reports, which show
+// "kind:name" (or kind alone when name is empty). Must be the last simulated
+// action of the current step.
+func (p *Proc) FlowPark(kind, name string) {
+	var k blockKind
+	switch kind {
+	case "":
+		k = blockNone
+	case "sleep":
+		k = blockSleep
+	case "event.wait":
+		k = blockEventWait
+	case "event.wait-timeout":
+		k = blockEventWaitTimeout
+	case "gate.wait":
+		k = blockGateWait
+	case "queue.send":
+		k = blockQueueSend
+	case "queue.recv":
+		k = blockQueueRecv
+	case "resource.acquire":
+		k = blockResourceAcquire
+	case "waitgroup.wait":
+		k = blockWaitGroupWait
+	default:
+		k = blockOther
+		if name != "" {
+			kind += ":" + name
+		}
+		name = kind
+	}
+	p.flowPark(k, name)
+}
 
 // WakeDetached schedules an immediate resume of a flow parked with FlowPark.
 // It pushes the same current-time resume event a queue or event wakeup does.
@@ -214,10 +281,13 @@ func (p *Proc) FlowEnd() {
 
 // blockReason renders the blocked-on description for deadlock reports.
 func (p *Proc) blockReason() string {
-	if p.blockName == "" {
-		return p.blockKind
+	switch {
+	case p.blockKind == blockOther:
+		return p.blockName
+	case p.blockName == "":
+		return blockKinds[p.blockKind]
 	}
-	return p.blockKind + ":" + p.blockName
+	return blockKinds[p.blockKind] + ":" + p.blockName
 }
 
 // Sleep advances the process by d of virtual time. Even a zero-length sleep

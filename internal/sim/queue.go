@@ -51,7 +51,7 @@ func (q *Queue[T]) Close() {
 func (q *Queue[T]) Send(p *Proc, v T) {
 	for q.cap > 0 && q.items.len() >= q.cap && !q.closed {
 		q.sendQ.push(waiter{p, p.token})
-		p.park("queue.send", q.name)
+		p.park(blockQueueSend, q.name)
 	}
 	if q.closed {
 		panic("sim: send on closed queue " + q.name)
@@ -137,5 +137,5 @@ func (q *Queue[T]) wakeOneSend() {
 // materializes after it parked: the queue takes the flow without waking it.
 func (q *Queue[T]) FlowRecvPark(p *Proc) {
 	q.recvQ.push(waiter{p, p.token})
-	p.flowPark("queue.recv", q.name)
+	p.flowPark(blockQueueRecv, q.name)
 }

@@ -59,7 +59,7 @@ func (r *Resource) FlowAcquireStart(p *Proc, n int64) bool {
 		return true
 	}
 	r.waitq.push(resWaiter{waiter{p, p.token}, n})
-	p.flowPark("resource.acquire", r.name)
+	p.flowPark(blockResourceAcquire, r.name)
 	return false
 }
 
@@ -82,7 +82,7 @@ func (r *Resource) FlowAcquireRetry(p *Proc, n int64) bool {
 			rw.w.token = p.token
 		}
 	}
-	p.flowPark("resource.acquire", r.name)
+	p.flowPark(blockResourceAcquire, r.name)
 	return false
 }
 
@@ -145,6 +145,6 @@ func (wg *WaitGroup) Done() { wg.Add(-1) }
 func (wg *WaitGroup) Wait(p *Proc) {
 	for wg.count > 0 {
 		wg.waiters = append(wg.waiters, waiter{p, p.token})
-		p.park("waitgroup.wait", "")
+		p.park(blockWaitGroupWait, "")
 	}
 }
